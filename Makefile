@@ -1,10 +1,7 @@
 PYTHON ?= python
 ARTIFACTS ?= artifacts
-# Allowed fractional events/sec drop before perf-check fails (0.15
-# locally; CI's perf-smoke job loosens it to 0.25 for shared runners).
-PERF_THRESHOLD ?= 0.15
 
-.PHONY: lint test check verify-fsm obs-check perf-check
+.PHONY: lint test check verify-fsm obs-check
 
 lint:
 	bash scripts/check.sh
@@ -25,16 +22,6 @@ verify-fsm:
 		$(PYTHON) -m pytest -q
 	$(PYTHON) -m iwarpcheck coverage $(ARTIFACTS)/fsm-records.json \
 		--output $(ARTIFACTS)/coverage-report.json
-
-# Hot-path performance gate (DESIGN.md §9): times the fig06/fig07
-# scenario mixes, hard-fails on deterministic-counter drift, and fails
-# past PERF_THRESHOLD on events/sec regressions vs the committed
-# baseline. Refreshes BENCH_hotpath.json at the repo root. After a
-# deliberate perf change: PYTHONPATH=src python -m repro.bench.perfgate
-# --rebaseline, and commit the baseline diff.
-perf-check:
-	PYTHONPATH=src $(PYTHON) -m repro.bench.perfgate \
-		--threshold $(PERF_THRESHOLD)
 
 # Observability gate: metrics must not perturb the simulation (the
 # determinism test), exporters must hold their golden formats, and the

@@ -32,11 +32,4 @@ run python -m iwarplint src/
 
 run python -m iwarpcheck
 
-# Opt-in wall-clock gate (timing-sensitive, so not part of the default
-# static pass): IWARP_PERF_CHECK=1 scripts/check.sh
-if [ "${IWARP_PERF_CHECK:-0}" = "1" ]; then
-    run env PYTHONPATH=src python -m repro.bench.perfgate \
-        --threshold "${PERF_THRESHOLD:-0.15}"
-fi
-
 exit "$failed"

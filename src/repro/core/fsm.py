@@ -2,11 +2,11 @@
 
 The four guarded state machines in the stack (QP ladder, TCP
 connection, MPA negotiation, SCTP association) all follow the same
-discipline: a module-level transition table, a single ``_set_state``
-mutator, same-state writes as no-ops (that is what makes teardown paths
-idempotent), and a machine-specific exception on an illegal move.
-Those four validators used to be copy-pasted; :func:`transition` is the
-one shared implementation.
+discipline: one module-level event table ``(state, event) -> state``,
+the ``(from, to)`` pair table :func:`pair_table` derives from it, a
+single ``_set_state`` mutator, same-state writes as no-ops (that is what
+makes teardown paths idempotent), and a machine-specific exception on an
+illegal move.  :func:`transition` is the one shared validator.
 
 Funnelling every state change through one call site also creates the
 hook the runtime transition-coverage sanitizer needs
@@ -22,7 +22,7 @@ inside protocol event handlers.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Mapping, Protocol
+from typing import Callable, Dict, FrozenSet, List, Mapping, Protocol, Set, Tuple
 
 #: ``observer(machine, from_state, to_state)`` — called after the write,
 #: only for real moves (same-state no-ops are invisible, matching the
@@ -36,6 +36,26 @@ class Stateful(Protocol):
     """Anything carrying a guarded ``state`` attribute."""
 
     state: str
+
+
+def pair_table(
+    events: Mapping[Tuple[str, str], str],
+) -> Dict[str, FrozenSet[str]]:
+    """Project an event table ``(state, event) -> state`` onto the
+    ``state -> allowed next states`` table :func:`transition` enforces.
+
+    Every state the events name becomes a key, so a sink state maps to
+    the empty set.  A self-loop arc raises ``ValueError``: a same-state
+    move is a silent no-op at runtime, so the coverage sanitizer could
+    never observe it and the arc would be unfalsifiable.
+    """
+    pairs: Dict[str, Set[str]] = {}
+    for (src, event), dst in events.items():
+        if src == dst:
+            raise ValueError(f"self-loop arc ({src!r}, {event!r}) -> {dst!r}")
+        pairs.setdefault(src, set()).add(dst)
+        pairs.setdefault(dst, set())
+    return {state: frozenset(targets) for state, targets in pairs.items()}
 
 
 def add_transition_observer(observer: TransitionObserver) -> None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import struct
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from ..fsm import transition as _fsm_transition
+from ..fsm import pair_table, transition as _fsm_transition
 from ...simnet.engine import Future
 from ...transport.tcp.socket import TcpSocket
 from .crc import CrcError
@@ -35,19 +35,10 @@ NEGOTIATING = "NEGOTIATING"
 OPERATIONAL = "OPERATIONAL"
 FAILED = "FAILED"
 
-#: Legal lifecycle moves (RFC 5044: startup exchange, then full
-#: operation until the stream dies).  Mirrored in
-#: ``iwarplint.invariants.MPA_TABLE``; drift is flagged (IW204).
-MPA_TRANSITIONS: "Dict[str, FrozenSet[str]]" = {
-    NEGOTIATING: frozenset({OPERATIONAL, FAILED}),
-    OPERATIONAL: frozenset({FAILED}),
-    FAILED: frozenset(),
-}
-
-#: Event-labelled view: ``(state, event) -> state``.  Model-checked by
-#: ``tools/iwarpcheck`` against :data:`MPA_TRANSITIONS` (projection
-#: equality).  ``neg_reject`` covers every negotiation failure (bad
-#: magic, capability mismatch, unexpected type); ``crc_mismatch`` is a
+#: The MPA lifecycle, declared once: ``(state, event) -> state``
+#: (RFC 5044: startup exchange, then full operation until the stream
+#: dies).  ``neg_reject`` covers every negotiation failure (bad magic,
+#: capability mismatch, unexpected type); ``crc_mismatch`` is a
 #: corrupted FPDU on an operational stream, ``stream_error`` any other
 #: fatal stream condition.  FAILED is terminal: an MPA stream is never
 #: revived, the ULP tears the QP down instead.
@@ -57,6 +48,9 @@ MPA_EVENT_TRANSITIONS: "Dict[Tuple[str, str], str]" = {
     (OPERATIONAL, "crc_mismatch"): FAILED,
     (OPERATIONAL, "stream_error"): FAILED,
 }
+
+#: Legal ``(from, to)`` moves, the projection ``_set_state`` enforces.
+MPA_TRANSITIONS: "Dict[str, FrozenSet[str]]" = pair_table(MPA_EVENT_TRANSITIONS)
 
 
 class MpaError(Exception):

@@ -370,7 +370,7 @@ class _StreamSocket:
             return fut
         waiter = {"future": fut, "bufsize": bufsize}
         if timeout_ns is not None:
-            self.iface.sim.schedule(timeout_ns, _DgramSocket._expire_waiter, waiter)
+            self.iface.sim.call_after(timeout_ns, _DgramSocket._expire_waiter, waiter)
             waiter["timer"] = None
         self._waiters.append(waiter)
         return fut

@@ -82,7 +82,7 @@ class NativeSocketApi:
             def expire() -> None:
                 if not fut.done:
                     fut.set_result(None)
-            self.sim.schedule(timeout_ns, expire)
+            self.sim.call_after(timeout_ns, expire)
         return fut
 
     # -- stream ------------------------------------------------------------------
@@ -126,7 +126,7 @@ class NativeSocketApi:
             def expire() -> None:
                 if not fut.done:
                     fut.set_result(None)
-            self.sim.schedule(timeout_ns, expire)
+            self.sim.call_after(timeout_ns, expire)
         return fut
 
     def close(self, fd: int) -> None:

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Deque, Dict, FrozenSet, Optional, Set, Tuple
 
-from ..fsm import transition as _fsm_transition
+from ..fsm import pair_table, transition as _fsm_transition
 
 from ...memory.region import Access
 from ...obs import sim_registry, wr_span
@@ -53,25 +53,13 @@ RTS = "RTS"          # ready to send (and receive)
 SQD = "SQD"          # send-queue drained: posting sends is rejected
 ERROR = "ERROR"
 
-#: Legal transitions, mirrored in ``iwarplint.invariants.QP_TABLE`` —
-#: the iwarplint FSM rule (IW204) flags any drift between the two.
-#: ERROR is reachable from everywhere; RESET recycles a QP.
-QP_TRANSITIONS: Dict[str, FrozenSet[str]] = {
-    RESET: frozenset({INIT, RTS, ERROR}),
-    INIT: frozenset({RTR, RESET, ERROR}),
-    RTR: frozenset({RTS, RESET, ERROR}),
-    RTS: frozenset({SQD, RESET, ERROR}),
-    SQD: frozenset({RTS, RESET, ERROR}),
-    ERROR: frozenset({RESET}),
-}
-
-#: Event-labelled view of the same machine: ``(state, event) -> state``.
-#: ``tools/iwarpcheck`` model-checks this table (reachability, liveness,
-#: dead transitions) and verifies that its projection onto (from, to)
-#: pairs equals :data:`QP_TRANSITIONS` exactly, so the two views cannot
-#: drift.  ``connect_ready`` covers the three creation paths that jump
-#: RESET -> RTS (UD creation, MPA negotiation, SCTP association);
-#: ``terminate`` covers both local fatal errors and a peer TERMINATE.
+#: The QP machine, declared once: ``(state, event) -> state``.  ERROR is
+#: reachable from everywhere; RESET recycles a QP.  ``connect_ready``
+#: covers the three creation paths that jump RESET -> RTS (UD creation,
+#: MPA negotiation, SCTP association); ``terminate`` covers both local
+#: fatal errors and a peer TERMINATE.  iwarplint checks guarded
+#: ``_set_state`` calls against this literal and ``tools/iwarpcheck``
+#: model-checks it (reachability, liveness).
 QP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (RESET, "modify_qp"): INIT,
     (RESET, "connect_ready"): RTS,
@@ -92,6 +80,10 @@ QP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (SQD, "close"): ERROR,
     (ERROR, "recycle"): RESET,
 }
+
+#: Legal ``(from, to)`` moves, the projection :meth:`QueuePair._set_state`
+#: enforces.
+QP_TRANSITIONS: Dict[str, FrozenSet[str]] = pair_table(QP_EVENT_TRANSITIONS)
 
 #: Worst-case DDP header: control + tagged/untagged + UD extension.
 MAX_HEADER = CTRL_SIZE + max(TAGGED_SIZE, UNTAGGED_SIZE) + UDEXT_SIZE

@@ -25,8 +25,9 @@ Hot-path notes
 --------------
 
 The heap stores ``(time, seq, event)`` tuples so ordering is decided by
-C-level integer comparisons — ``Event.__lt__`` is never consulted by the
-event loop (``seq`` is unique, so comparison never reaches the event).
+C-level integer comparisons (``seq`` is unique, so comparison never
+reaches the event).  :meth:`Simulator.run` and
+:meth:`Simulator.run_until` share one pop/fire loop.
 
 Cancellation is *lazy*: :meth:`Event.cancel` marks a tombstone that the
 run loop discards when popped.  A dead-entry counter triggers an in-place
@@ -97,9 +98,6 @@ class Event:
         sim = self._sim
         if sim is not None:
             sim._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -329,22 +327,42 @@ class Simulator:
 
     # -- running ---------------------------------------------------------
 
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Process events until the queue is empty, the clock passes
-        ``until``, or ``max_events`` have been processed.  Returns the
-        number of events processed by this call."""
+    def run(self, until: Optional[int] = None) -> int:
+        """Process events until the queue is empty or the clock passes
+        ``until``, then leave the clock at ``until`` if one was given.
+        Returns the number of events processed by this call."""
+        processed = self._loop(until, None)
+        if until is not None and (self._heap or until > self.now):
+            self.now = until
+        return processed
+
+    def run_until(self, fut: Future, limit: Optional[int] = None) -> Any:
+        """Run until ``fut`` resolves; returns its value.
+
+        Raises :class:`SimulationError` if the event queue drains (or the
+        optional time ``limit`` passes) first — that always indicates a
+        deadlock in the experiment being simulated.
+        """
+        self._loop(limit, fut)
+        if fut.done:
+            return fut.value
+        if not self._heap:
+            raise SimulationError("event queue drained before future resolved")
+        raise SimulationError(f"future unresolved at time limit {limit}")
+
+    def _loop(self, until: Optional[int], fut: Optional[Future]) -> int:
+        """The pop/fire loop: stops when the queue is empty, the next
+        entry lies past ``until``, or ``fut`` has resolved.  Returns the
+        number of events fired."""
         processed = 0
         heap = self._heap
         heappop = heapq.heappop
         free = self._free
         while heap:
+            if fut is not None and fut.done:
+                break
             entry = heap[0]
             if until is not None and entry[0] > until:
-                self.now = until
                 break
             heappop(heap)
             ev = entry[2]
@@ -367,29 +385,7 @@ class Simulator:
             fn(*args)
             processed += 1
             self.events_processed += 1
-            if max_events is not None and processed >= max_events:
-                break
-        else:
-            if until is not None and until > self.now:
-                self.now = until
         return processed
-
-    def run_until(self, fut: Future, limit: Optional[int] = None) -> Any:
-        """Run until ``fut`` resolves; returns its value.
-
-        Raises :class:`SimulationError` if the event queue drains (or the
-        optional time ``limit`` passes) first — that always indicates a
-        deadlock in the experiment being simulated.
-        """
-        while not fut.done:
-            if not self._heap:
-                raise SimulationError("event queue drained before future resolved")
-            if limit is not None and self._heap[0][0] > limit:
-                raise SimulationError(f"future unresolved at time limit {limit}")
-            self.run(max_events=1)
-        # Drain the zero-delay resumption cascade so callers observe a
-        # settled state (e.g. process bookkeeping done at the same instant).
-        return fut.value
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""

@@ -30,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 
-from ..core.fsm import transition as _fsm_transition
+from ..core.fsm import pair_table, transition as _fsm_transition
 from ..simnet.engine import Future, Simulator
 from ..simnet.host import Host
 from .ip import IpStack
@@ -62,26 +62,13 @@ COOKIE_ECHOED = "COOKIE_ECHOED"
 ESTABLISHED = "ESTABLISHED"
 SHUTDOWN_SENT = "SHUTDOWN_SENT"
 
-#: Legal transitions (RFC 4960 four-way handshake subset).  A passive
-#: endpoint keeps no TCB before a valid COOKIE ECHO, so it legitimately
-#: jumps CLOSED -> ESTABLISHED; COOKIE_WAIT -> ESTABLISHED covers INIT
-#: collisions.  CLOSED is additionally reachable from every state via
-#: ABORT.  Mirrored in ``iwarplint.invariants.SCTP_TABLE`` (IW204).
-SCTP_TRANSITIONS: Dict[str, FrozenSet[str]] = {
-    CLOSED: frozenset({COOKIE_WAIT, ESTABLISHED}),
-    COOKIE_WAIT: frozenset({COOKIE_ECHOED, ESTABLISHED, CLOSED}),
-    COOKIE_ECHOED: frozenset({ESTABLISHED, CLOSED}),
-    ESTABLISHED: frozenset({SHUTDOWN_SENT, CLOSED}),
-    SHUTDOWN_SENT: frozenset({CLOSED}),
-}
-
-#: Event-labelled view: ``(state, event) -> state`` (RFC 4960 arc
-#: labels).  Model-checked by ``tools/iwarpcheck`` against
-#: :data:`SCTP_TRANSITIONS` (projection equality).  ``cookie_echo``
-#: establishes both the stateless passive side (CLOSED) and an INIT
-#: collision (COOKIE_WAIT); ``abort`` covers an ABORT chunk in either
-#: direction; ``peer_shutdown`` is the three-chunk teardown seen from
-#: the passive side.
+#: The association machine, declared once: ``(state, event) -> state``
+#: (RFC 4960 four-way handshake subset, arc labels from the RFC).  A
+#: passive endpoint keeps no TCB before a valid COOKIE ECHO, so
+#: ``cookie_echo`` legitimately jumps CLOSED -> ESTABLISHED; from
+#: COOKIE_WAIT it covers INIT collisions.  ``abort`` covers an ABORT
+#: chunk in either direction; ``peer_shutdown`` is the three-chunk
+#: teardown seen from the passive side.
 SCTP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (CLOSED, "active_open"): COOKIE_WAIT,
     (CLOSED, "cookie_echo"): ESTABLISHED,
@@ -95,6 +82,9 @@ SCTP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (ESTABLISHED, "abort"): CLOSED,
     (SHUTDOWN_SENT, "shutdown_ack"): CLOSED,
 }
+
+#: Legal ``(from, to)`` moves, the projection ``_set_state`` enforces.
+SCTP_TRANSITIONS: Dict[str, FrozenSet[str]] = pair_table(SCTP_EVENT_TRANSITIONS)
 
 
 class SctpError(Exception):

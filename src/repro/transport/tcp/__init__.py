@@ -2,12 +2,11 @@
 
 from .congestion import RenoCongestion
 from .connection import CLOSED, ESTABLISHED, TcpConnection, TcpError
-from .rto import RtoEstimator
 from .segment import ACK, FIN, PSH, RST, SYN, TcpSegment, flag_names
 from .socket import TcpListener, TcpSocket, TcpStack
 
 __all__ = [
     "ACK", "CLOSED", "ESTABLISHED", "FIN", "PSH", "RST", "RenoCongestion",
-    "RtoEstimator", "SYN", "TcpConnection", "TcpError", "TcpListener",
+    "SYN", "TcpConnection", "TcpError", "TcpListener",
     "TcpSegment", "TcpSocket", "TcpStack", "flag_names",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Optional, Tuple
 
-from ...core.fsm import transition as _fsm_transition
+from ...core.fsm import pair_table, transition as _fsm_transition
 from ...obs import sim_registry, wr_span
 from ...simnet.engine import Future, Simulator
 from .congestion import RenoCongestion
@@ -44,29 +44,12 @@ LAST_ACK = "LAST_ACK"
 CLOSING = "CLOSING"
 TIME_WAIT = "TIME_WAIT"
 
-#: Legal transitions (RFC 793 figure 6 subset; CLOSED is additionally
-#: reachable from every state via RST/abort).  Mirrored in
-#: ``iwarplint.invariants.TCP_TABLE``; drift is flagged (IW204).
-TCP_TRANSITIONS: Dict[str, FrozenSet[str]] = {
-    CLOSED: frozenset({SYN_SENT, SYN_RCVD}),
-    SYN_SENT: frozenset({ESTABLISHED, CLOSED}),
-    SYN_RCVD: frozenset({ESTABLISHED, FIN_WAIT_1, CLOSED}),
-    ESTABLISHED: frozenset({FIN_WAIT_1, CLOSE_WAIT, CLOSED}),
-    FIN_WAIT_1: frozenset({FIN_WAIT_2, CLOSING, TIME_WAIT, CLOSED}),
-    FIN_WAIT_2: frozenset({TIME_WAIT, CLOSED}),
-    CLOSE_WAIT: frozenset({LAST_ACK, CLOSED}),
-    LAST_ACK: frozenset({CLOSED}),
-    CLOSING: frozenset({TIME_WAIT, CLOSED}),
-    TIME_WAIT: frozenset({CLOSED}),
-}
-
-#: Event-labelled view: ``(state, event) -> state`` (RFC 793 figure 6
-#: arc labels).  Model-checked by ``tools/iwarpcheck``, whose projection
-#: check keeps this table and :data:`TCP_TRANSITIONS` identical.
-#: ``reset`` covers both an arriving RST and a local abort; losing,
-#: duplicating, or reordering a data segment never moves this machine
-#: (retransmission absorbs it), which the product model in iwarpcheck
-#: states explicitly.
+#: The connection machine, declared once: ``(state, event) -> state``
+#: (RFC 793 figure 6 subset and arc labels).  ``reset`` covers both an
+#: arriving RST and a local abort, so CLOSED is reachable from every
+#: state; losing, duplicating, or reordering a data segment never moves
+#: this machine (retransmission absorbs it), which the product model in
+#: iwarpcheck states explicitly.
 TCP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (CLOSED, "active_open"): SYN_SENT,
     (CLOSED, "passive_syn"): SYN_RCVD,
@@ -92,6 +75,9 @@ TCP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (CLOSING, "reset"): CLOSED,
     (TIME_WAIT, "msl_timeout"): CLOSED,
 }
+
+#: Legal ``(from, to)`` moves, the projection ``_set_state`` enforces.
+TCP_TRANSITIONS: Dict[str, FrozenSet[str]] = pair_table(TCP_EVENT_TRANSITIONS)
 
 
 class TcpError(Exception):
@@ -655,7 +641,7 @@ class TcpConnection:
         self._set_state(TIME_WAIT)
         self._send_ack()
         # 2*MSL shortened: long enough to ack a retransmitted FIN in-sim.
-        self.sim.schedule(50_000_000, self._become_closed)
+        self.sim.call_after(50_000_000, self._become_closed)
 
     def _become_closed(self, error: bool = False) -> None:
         if self.state == CLOSED:

@@ -74,9 +74,10 @@ def _run_fig07_once(seed: int, metrics: bool):
         "received_bytes": out2["received_bytes"],
     }
 
-    # The shape a perfgate/BENCH row would record for this scenario:
-    # every field here lands in BENCH_hotpath.json rows, so run-to-run
-    # equality of this dict is BENCH-row equality.
+    # The deterministic counters a benchmark round is checked on: the
+    # sim_ns/bytes/msgs fields are what perfbench/reference.json pins per
+    # leg (events is kept here but not pinned there), so run-to-run
+    # equality of this dict is reference equality.
     bench_row = {
         "events": deterministic["rd"]["events"] + deterministic["ud"]["events"],
         "sim_ns": deterministic["rd"]["sim_ns"] + deterministic["ud"]["sim_ns"],
@@ -103,7 +104,7 @@ def test_fig07_bit_identical_across_runs(seed, metrics):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fig07_metrics_do_not_perturb(seed):
     """Observability must be a pure observer: the deterministic
-    counters and BENCH row agree between metrics on and off."""
+    counters and the benchmark row agree between metrics on and off."""
     det_off, bench_off, _ = _run_fig07_once(seed, metrics=False)
     det_on, bench_on, snap_on = _run_fig07_once(seed, metrics=True)
     assert det_off == det_on

@@ -82,14 +82,6 @@ class TestScheduling:
         sim.run(until=999)
         assert sim.now == 999
 
-    def test_max_events(self):
-        sim = Simulator()
-        out = []
-        for i in range(5):
-            sim.schedule(i + 1, out.append, i)
-        sim.run(max_events=2)
-        assert out == [0, 1]
-
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()
         out = []

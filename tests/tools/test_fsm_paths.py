@@ -26,9 +26,14 @@ from iwarpcheck.model import MACHINE_NAMES, machines_by_name  # noqa: E402
 
 from repro.core.fsm import (  # noqa: E402
     add_transition_observer,
+    pair_table,
     remove_transition_observer,
 )
-from repro.core.mpa.connection import MpaConnection, MpaError  # noqa: E402
+from repro.core.mpa.connection import (  # noqa: E402
+    MPA_EVENT_TRANSITIONS,
+    MpaConnection,
+    MpaError,
+)
 from repro.core.verbs.qp import QpError, QueuePair  # noqa: E402
 from repro.transport.sctp import SctpAssociation, SctpError  # noqa: E402
 from repro.transport.tcp.connection import TcpConnection, TcpError  # noqa: E402
@@ -107,3 +112,14 @@ def test_same_state_set_is_silent_noop(name):
     finally:
         remove_transition_observer(observer)
     assert observed == [], "a same-state set must not reach the observers"
+
+
+def test_pair_table_keeps_sinks_and_rejects_self_loops():
+    # FAILED has no outgoing arc; it still gets a key, with no pairs.
+    assert pair_table(MPA_EVENT_TRANSITIONS) == {
+        "NEGOTIATING": frozenset({"OPERATIONAL", "FAILED"}),
+        "OPERATIONAL": frozenset({"FAILED"}),
+        "FAILED": frozenset(),
+    }
+    with pytest.raises(ValueError, match="self-loop"):
+        pair_table({("A", "go"): "B", ("B", "stay"): "B"})

@@ -42,12 +42,11 @@ from repro.core import fsm as fsm_module  # noqa: E402
 from repro.core.fsm import transition  # noqa: E402
 
 
-def make_machine(table, events, initial="A", terminals=("C",), name="M"):
+def make_machine(events, initial="A", terminals=("C",), name="M"):
     return Machine(
         name=name,
         initial=initial,
         terminals=frozenset(terminals),
-        table={src: frozenset(dsts) for src, dsts in table.items()},
         events=events,
     )
 
@@ -61,40 +60,24 @@ def codes(findings):
 # ---------------------------------------------------------------------------
 
 
-def test_ic101_event_references_undeclared_state():
-    machine = make_machine(
-        {"A": {"B"}, "B": {"C"}},
-        {("A", "go"): "B", ("B", "fin"): "C", ("D", "ghost"): "C"},
-    )
-    findings = check_machine(machine)
-    assert codes(findings) == ["IC101"]
-    assert "'D'" in findings[0].message
+def test_pair_table_is_derived_from_events():
+    machine = make_machine({("A", "go"): "B", ("A", "alt"): "C", ("B", "fin"): "C"})
+    assert machine.table == {
+        "A": frozenset({"B", "C"}), "B": frozenset({"C"}), "C": frozenset(),
+    }
+    assert machine.states == {"A", "B", "C"}
+    assert machine.declared_pairs() == {("A", "B"), ("A", "C"), ("B", "C")}
 
 
-def test_ic102_event_not_permitted_by_pair_table():
-    machine = make_machine(
-        {"A": {"B"}, "B": {"C"}},
-        {("A", "go"): "B", ("B", "fin"): "C", ("B", "loop"): "B"},
-    )
-    findings = check_machine(machine)
-    assert codes(findings) == ["IC102"]
-    # Minimal trace: reach B, then take the offending self-loop.
-    assert findings[0].trace == (("A", "go", "B"), ("B", "loop", "B"))
-
-
-def test_ic103_dead_declared_transition():
-    machine = make_machine(
-        {"A": {"B", "C"}, "B": {"C"}},
-        {("A", "go"): "B", ("B", "fin"): "C"},
-    )
-    findings = check_machine(machine)
-    assert codes(findings) == ["IC103"]
-    assert "A -> C" in findings[0].message
+def test_self_loop_arc_rejected_at_construction():
+    # A same-state move is a silent no-op at runtime, so the coverage
+    # sanitizer could never observe the arc.
+    with pytest.raises(ValueError, match="self-loop"):
+        make_machine({("A", "go"): "B", ("B", "loop"): "B"})
 
 
 def test_ic104_unreachable_state():
     machine = make_machine(
-        {"A": {"B"}, "B": {"C"}, "D": {"C"}},
         {("A", "go"): "B", ("B", "fin"): "C", ("D", "leak"): "C"},
     )
     findings = check_machine(machine)
@@ -103,10 +86,7 @@ def test_ic104_unreachable_state():
 
 
 def test_ic105_no_path_to_terminal():
-    machine = make_machine(
-        {"A": {"B", "C"}},
-        {("A", "go"): "B", ("A", "alt"): "C"},
-    )
+    machine = make_machine({("A", "go"): "B", ("A", "alt"): "C"})
     findings = check_machine(machine)
     assert codes(findings) == ["IC105"]
     assert findings[0].trace == (("A", "go", "B"),)
@@ -114,7 +94,6 @@ def test_ic105_no_path_to_terminal():
 
 def test_reachable_paths_are_minimal():
     machine = make_machine(
-        {"A": {"B"}, "B": {"C"}, "C": {}},
         {("A", "go"): "B", ("B", "fin"): "C", ("A", "skip"): "B"},
         terminals=("C",),
     )
@@ -124,10 +103,7 @@ def test_reachable_paths_are_minimal():
 
 
 def test_covering_paths_cover_every_event_arc():
-    machine = make_machine(
-        {"A": {"B"}, "B": {"C"}},
-        {("A", "go"): "B", ("B", "fin"): "C"},
-    )
+    machine = make_machine({("A", "go"): "B", ("B", "fin"): "C"})
     paths = event_paths_covering_all_edges(machine)
     last_arcs = {path[-1] for path in paths}
     assert last_arcs == {("A", "go", "B"), ("B", "fin", "C")}
@@ -143,12 +119,12 @@ def test_real_machines_are_clean():
 # ---------------------------------------------------------------------------
 
 
-def comp(name, initial, table, events, terminals=()):
-    return make_machine(table, events, initial=initial, terminals=terminals, name=name)
+def comp(name, initial, events, terminals=()):
+    return make_machine(events, initial=initial, terminals=terminals, name=name)
 
 
-A = comp("A", "X", {"X": {"Y"}}, {("X", "adv"): "Y"}, terminals=("Y",))
-B = comp("B", "P", {"P": {"Q"}}, {("P", "adv"): "Q"}, terminals=("Q",))
+A = comp("A", "X", {("X", "adv"): "Y"}, terminals=("Y",))
+B = comp("B", "P", {("P", "adv"): "Q"}, terminals=("Q",))
 
 ADV_A = ProductRule("adv_a", guard={"a": frozenset({"X"})}, update={"a": "Y"})
 
@@ -281,11 +257,7 @@ def test_waiver_parsing():
         parse_waivers("QP RESET INIT missing arrow\n")
 
 
-FIX = make_machine(
-    {"A": {"B"}, "B": {"C"}},
-    {("A", "go"): "B", ("B", "fin"): "C"},
-    name="FIX",
-)
+FIX = make_machine({("A", "go"): "B", ("B", "fin"): "C"}, name="FIX")
 
 
 def test_ic301_undeclared_runtime_transition():

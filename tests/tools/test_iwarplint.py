@@ -52,10 +52,12 @@ def line_of(root: Path, rel: str, marker: str) -> int:
     raise AssertionError(f"marker {marker!r} not found in {rel}")
 
 
-#: A conformant repro.core.verbs.qp — the mirrored table matches
-#: iwarplint.invariants.QP_TABLE exactly and all writes go through the
-#: validated helper.
+#: A conformant repro.core.verbs.qp — the machine is declared once, as
+#: a literal event table iwarplint reads from the AST, and all writes go
+#: through the validated helper.
 CLEAN_QP = """
+    from repro.core.fsm import pair_table
+
     RESET = "RESET"
     INIT = "INIT"
     RTR = "RTR"
@@ -63,14 +65,26 @@ CLEAN_QP = """
     SQD = "SQD"
     ERROR = "ERROR"
 
-    QP_TRANSITIONS = {
-        RESET: frozenset({INIT, RTS, ERROR}),
-        INIT: frozenset({RTR, RESET, ERROR}),
-        RTR: frozenset({RTS, RESET, ERROR}),
-        RTS: frozenset({SQD, RESET, ERROR}),
-        SQD: frozenset({RTS, RESET, ERROR}),
-        ERROR: frozenset({RESET}),
+    QP_EVENT_TRANSITIONS = {
+        (RESET, "modify_qp"): INIT,
+        (RESET, "connect_ready"): RTS,
+        (RESET, "close"): ERROR,
+        (INIT, "modify_qp"): RTR,
+        (INIT, "recycle"): RESET,
+        (INIT, "close"): ERROR,
+        (RTR, "modify_qp"): RTS,
+        (RTR, "recycle"): RESET,
+        (RTR, "close"): ERROR,
+        (RTS, "sq_drain"): SQD,
+        (RTS, "recycle"): RESET,
+        (RTS, "close"): ERROR,
+        (SQD, "sq_resume"): RTS,
+        (SQD, "recycle"): RESET,
+        (SQD, "close"): ERROR,
+        (ERROR, "recycle"): RESET,
     }
+
+    QP_TRANSITIONS = pair_table(QP_EVENT_TRANSITIONS)
 
     class QueuePair:
         def __init__(self):
@@ -293,16 +307,36 @@ class TestFsm:
         })
         assert codes(lint_paths([root])) == ["IW203"]
 
-    def test_table_drift_fires_iw204(self, tmp_path):
-        root = write_tree(tmp_path, {
-            "repro/core/verbs/qp.py": CLEAN_QP.replace(
-                "RTS: frozenset({SQD, RESET, ERROR}),",
-                "RTS: frozenset({RESET, ERROR}),",  # lost the SQD edge
-            ),
-        })
+    @pytest.mark.parametrize(
+        "source",
+        [
+            CLEAN_QP.replace("QP_EVENT_TRANSITIONS = {", "QP_EVENTS = {"),
+            CLEAN_QP.replace("QP_EVENT_TRANSITIONS = {", "QP_EVENT_TRANSITIONS = {**BASE,"),
+            CLEAN_QP.replace('(RTS, "sq_drain"): SQD,', '(RTS, "sq_drain"): next_state(),'),
+        ],
+        ids=["missing", "spread", "non-literal-arc"],
+    )
+    def test_unreadable_event_table_fires_iw204(self, tmp_path, source):
+        root = write_tree(tmp_path, {"repro/core/verbs/qp.py": source})
         (v,) = lint_paths([root])
         assert v.rule == "IW204"
-        assert "RTS" in v.message
+        assert "QP_EVENT_TRANSITIONS" in v.message
+
+    def test_dropped_event_arc_fires_iw202(self, tmp_path):
+        # The pairs IW202 checks are projected from the event literal, so
+        # removing the only RTS -> SQD arc outlaws a guarded drain.
+        root = write_tree(tmp_path, {
+            "repro/core/verbs/qp.py": CLEAN_QP.replace(
+                '(RTS, "sq_drain"): SQD,', ""
+            ) + """
+        def drain(self):
+            if self.state == RTS:
+                self._set_state(SQD)
+    """,
+        })
+        (v,) = lint_paths([root])
+        assert v.rule == "IW202"
+        assert "RTS -> SQD" in v.message
 
     def test_unguarded_helper_call_left_to_runtime(self, tmp_path):
         # No enclosing guard: the source set is unknowable statically, so
@@ -472,14 +506,14 @@ class TestDeterminism:
 class TestMetricNaming:
     def test_two_segment_name_fires_iw501(self, tmp_path):
         root = write_tree(tmp_path, {
-            "repro/core/verbs/qp.py": """
+            "repro/core/verbs/cq.py": """
                 def instrument(obs):
                     obs.counter("verbs.posts").inc()  # two segments
             """,
         })
         (v,) = lint_paths([root])
         assert v.rule == "IW501"
-        assert v.line == line_of(root, "repro/core/verbs/qp.py", "two segments")
+        assert v.line == line_of(root, "repro/core/verbs/cq.py", "two segments")
 
     def test_unknown_layer_fires_iw501(self, tmp_path):
         root = write_tree(tmp_path, {
@@ -503,7 +537,7 @@ class TestMetricNaming:
 
     def test_conformant_names_are_silent(self, tmp_path):
         root = write_tree(tmp_path, {
-            "repro/core/verbs/qp.py": """
+            "repro/core/verbs/cq.py": """
                 def instrument(obs):
                     obs.counter("verbs.qp.posts", op="send").inc()
                     obs.gauge("transport.tcp.cwnd_bytes").set(1)

@@ -4,12 +4,12 @@ import pytest
 
 from repro.simnet.engine import MS, SEC
 from repro.simnet.loss import BernoulliLoss, ExplicitLoss
+from repro.transport.rto import RtoEstimator
 from repro.transport.stacks import install_stacks
 from repro.transport.tcp.connection import (
     CLOSE_WAIT, CLOSED, ESTABLISHED, FIN_WAIT_2, TIME_WAIT,
 )
 from repro.transport.tcp.congestion import RenoCongestion
-from repro.transport.tcp.rto import RtoEstimator
 from repro.transport.tcp.segment import ACK, FIN, SYN, TcpSegment, flag_names
 
 

@@ -8,9 +8,9 @@ behaviour of the stack:
   TCP, MPA, SCTP) straight from the ``repro`` modules that declare
   them.
 * :mod:`iwarpcheck.explore` exhaustively explores each machine:
-  unreachable states, states with no path to a terminal, dead declared
-  transitions, drift between the event-labelled table and the
-  ``(from, to)`` pair table that ``_set_state`` enforces.
+  unreachable states and states with no path to a terminal.  The
+  ``(from, to)`` pair table that ``_set_state`` enforces is derived
+  from the event table, so the two cannot disagree.
 * :mod:`iwarpcheck.product` builds the cross-layer RC product machine
   (QP x MPA x TCP) under a loss/dup/reorder/close event alphabet and
   checks the declared cross-layer invariants, reporting minimal

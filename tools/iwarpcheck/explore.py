@@ -1,17 +1,13 @@
-"""Single-machine exploration: reachability, liveness, table conformance.
+"""Single-machine exploration: reachability and liveness.
+
+Each machine's pair table is derived from its event table, so every
+event names a declared state, every declared pair has an event that
+takes it, and no arc is a self-loop (:func:`repro.core.fsm.pair_table`
+rejects one) — by construction, with no rule to check it.
 
 Rule codes (the IC2xx product rules live in :mod:`iwarpcheck.product`,
 the IC3xx coverage rules in :mod:`iwarpcheck.sanitizer`):
 
-* **IC101** — the event table references a state the pair table does
-  not declare.
-* **IC102** — an event transition's ``(from, to)`` pair is not
-  permitted by the pair table (including self-loops: the pair tables
-  declare none, and a same-state event would be invisible to the
-  runtime sanitizer).
-* **IC103** — a dead declared transition: a pair the table permits but
-  no event produces.  Dead pairs are unfalsifiable by any run and rot
-  silently; either label the event that takes them or remove them.
 * **IC104** — a declared state unreachable from the initial state via
   events.
 * **IC105** — a reachable state with no event path to any terminal
@@ -22,14 +18,11 @@ the IC3xx coverage rules in :mod:`iwarpcheck.sanitizer`):
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from iwarpcheck.model import Finding, Machine, TraceStep
 
 RULES: Dict[str, str] = {
-    "IC101": "event table references an undeclared state",
-    "IC102": "event transition not permitted by the declared pair table",
-    "IC103": "dead declared transition: no event produces it",
     "IC104": "declared state unreachable from the initial state",
     "IC105": "reachable state with no path to a terminal state",
 }
@@ -67,45 +60,9 @@ def _terminal_reachable(machine: Machine, start: str) -> bool:
 def check_machine(machine: Machine) -> List[Finding]:
     """Run every IC1xx rule over one machine."""
     findings: List[Finding] = []
-    states = machine.states
     paths = reachable_paths(machine)
 
-    for (src, event), dst in machine.events.items():
-        for state in (src, dst):
-            if state not in states:
-                findings.append(
-                    Finding(
-                        machine.name,
-                        "IC101",
-                        f"event ({src!r}, {event!r}) -> {dst!r} references "
-                        f"undeclared state {state!r}",
-                    )
-                )
-        if src in states and dst in states and dst not in machine.table.get(src, frozenset()):
-            findings.append(
-                Finding(
-                    machine.name,
-                    "IC102",
-                    f"event {event!r} takes {src} -> {dst}, which the pair "
-                    f"table does not permit",
-                    trace=tuple(paths.get(src, [])) + ((src, event, dst),),
-                )
-            )
-
-    event_pairs = machine.event_pairs()
-    for src, dst in sorted(machine.declared_pairs()):
-        if (src, dst) not in event_pairs:
-            findings.append(
-                Finding(
-                    machine.name,
-                    "IC103",
-                    f"declared transition {src} -> {dst} has no event label; "
-                    f"no run can ever take it",
-                    trace=tuple(paths.get(src, [])),
-                )
-            )
-
-    for state in sorted(states):
+    for state in sorted(machine.states):
         if state not in paths:
             findings.append(
                 Finding(
@@ -137,9 +94,9 @@ def event_paths_covering_all_edges(machine: Machine) -> List[List[TraceStep]]:
 
     The FSM conformance tests replay these paths through the live
     ``_set_state`` helpers: together they exercise every declared
-    ``(from, to)`` pair (the IC102/IC103 checks guarantee the event
-    arcs project exactly onto the pair table), which is what drives the
-    runtime coverage sanitizer to 100% without waivers.
+    ``(from, to)`` pair (the pair table is the projection of the event
+    arcs), which is what drives the runtime coverage sanitizer to 100%
+    without waivers.
     """
     paths = reachable_paths(machine)
     covering: List[List[TraceStep]] = []

@@ -1,14 +1,16 @@
 """Machine and Finding types, plus loaders for the stack's four FSMs.
 
 A :class:`Machine` is the checker's view of one protocol state machine:
-the ``(from, to)`` pair table that ``_set_state`` enforces at runtime,
 the event-labelled table ``(state, event) -> state`` that gives every
 arc a protocol meaning, an initial state, and the set of terminal
-(quiescent) states every run must be able to reach.
+(quiescent) states every run must be able to reach.  The ``(from, to)``
+pair table that ``_set_state`` enforces at runtime is derived from the
+events with the stack's own :func:`repro.core.fsm.pair_table`, so the
+two views agree by construction.
 
 :func:`load_machines` imports the live ``repro`` modules and reads the
-tables they declare — the checker verifies what the stack actually
-ships, not a copy.
+event tables they declare — the checker verifies what the stack
+actually ships, not a copy.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Mapping, Sequence, Tuple
+
+from repro.core.fsm import pair_table
 
 #: One step of a counterexample trace: (from_state, event, to_state).
 #: Product traces use a composite state rendering on either side.
@@ -55,34 +59,34 @@ class Finding:
 
 @dataclass(frozen=True)
 class Machine:
-    """One explicit-state machine under check."""
+    """One explicit-state machine under check, declared by its events.
+
+    Construction raises ``ValueError`` on a self-loop arc (see
+    :func:`repro.core.fsm.pair_table`)."""
 
     name: str
     initial: str
     terminals: FrozenSet[str]
+    #: Event-labelled table: (state, event) -> next state.
+    events: Mapping[Tuple[str, str], str]
     #: Pair view enforced by ``_set_state``: state -> allowed next states.
-    table: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
-    #: Event-labelled view: (state, event) -> next state.
-    events: Mapping[Tuple[str, str], str] = field(default_factory=dict)
+    table: Mapping[str, FrozenSet[str]] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "table", pair_table(self.events))
 
     @property
     def states(self) -> FrozenSet[str]:
-        """Every state the pair table declares (sources and targets)."""
-        everything = set(self.table) | {self.initial}
-        for targets in self.table.values():
-            everything |= targets
-        return frozenset(everything)
+        """Every state the events name, plus the initial state."""
+        return frozenset(self.table) | {self.initial}
 
     def declared_pairs(self) -> FrozenSet[Tuple[str, str]]:
         return frozenset(
             (src, dst) for src, targets in self.table.items() for dst in targets
         )
 
-    def event_pairs(self) -> FrozenSet[Tuple[str, str]]:
-        return frozenset((src, dst) for (src, _event), dst in self.events.items())
 
-
-#: (machine name, owning module, table-name prefix, initial, terminals).
+#: (machine name, owning module, event-table prefix, initial, terminals).
 #: The machine name is the exact string the module's ``_set_state``
 #: passes to ``repro.core.fsm.transition`` — the runtime coverage
 #: records key on it.
@@ -117,15 +121,12 @@ def load_machines() -> List[Machine]:
     machines: List[Machine] = []
     for name, module_name, prefix, initial, terminals in MACHINE_SPECS:
         module = importlib.import_module(module_name)
-        table = getattr(module, f"{prefix}_TRANSITIONS")
-        events = getattr(module, f"{prefix}_EVENT_TRANSITIONS")
         machines.append(
             Machine(
                 name=name,
                 initial=initial,
                 terminals=terminals,
-                table=table,
-                events=events,
+                events=getattr(module, f"{prefix}_EVENT_TRANSITIONS"),
             )
         )
     return machines

@@ -1,17 +1,17 @@
 """Declarative invariants checked by iwarplint.
 
-This module is pure data: the layer order and import allowlist, the
-QP/connection state-transition tables, the wire-format manifest, and the
+This module is pure data: the layer order and import allowlist, where
+each guarded state machine lives, the wire-format manifest, and the
 determinism ban lists.  The rule implementations in
 :mod:`iwarplint.rules` interpret it; changing an invariant is a one-line
-edit here (plus, for FSM tables, the mirrored table in the stack module
-it describes — drift between the two is itself a violation, IW204).
+edit here.  The FSM transition tables are not copied here: the FSM rule
+reads each one from the literal in the module that declares it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 # ---------------------------------------------------------------------------
 # Layering (IW1xx)
@@ -104,114 +104,48 @@ def layer_of(module: str) -> Optional[str]:
 
 @dataclass(frozen=True)
 class FsmSpec:
-    """One guarded state machine: where it lives and what it permits."""
+    """One guarded state machine: where it lives and how it is declared.
+
+    What the machine permits is read from the owning module itself: its
+    ``table_name`` literal, an event table ``(state, event) -> state``
+    whose ``(from, to)`` projection is what ``helper`` enforces.
+    """
 
     module: str  # dotted module owning the FSM
     attr: str  # instance attribute holding the state ("state")
     helper: str  # the validated setter every write must go through
-    table_name: str  # module-level transition-table constant (IW204)
+    table_name: str  # module-level event-table literal (IW204 if unreadable)
     initial: FrozenSet[str]  # states assignable directly in __init__
-    any_targets: FrozenSet[str]  # states reachable from anywhere (error/teardown)
-    table: Mapping[str, FrozenSet[str]] = field(default_factory=dict)
 
-    @property
-    def states(self) -> FrozenSet[str]:
-        everything = set(self.table) | self.any_targets | self.initial
-        for targets in self.table.values():
-            everything |= targets
-        return frozenset(everything)
-
-
-def _t(table: Mapping[str, Sequence[str]]) -> Dict[str, FrozenSet[str]]:
-    return {src: frozenset(dsts) for src, dsts in table.items()}
-
-
-# Verbs QP states (modify_qp semantics; the paper keeps standard verbs
-# so datagram QPs honour the same ladder, section IV.B item 1).
-QP_TABLE = _t(
-    {
-        "RESET": ("INIT", "RTS", "ERROR"),
-        "INIT": ("RTR", "RESET", "ERROR"),
-        "RTR": ("RTS", "RESET", "ERROR"),
-        "RTS": ("SQD", "RESET", "ERROR"),
-        "SQD": ("RTS", "RESET", "ERROR"),
-        "ERROR": ("RESET",),
-    }
-)
-
-# TCP connection FSM (RFC 793 subset implemented by transport.tcp).
-TCP_TABLE = _t(
-    {
-        "CLOSED": ("SYN_SENT", "SYN_RCVD"),
-        "SYN_SENT": ("ESTABLISHED", "CLOSED"),
-        "SYN_RCVD": ("ESTABLISHED", "FIN_WAIT_1", "CLOSED"),
-        "ESTABLISHED": ("FIN_WAIT_1", "CLOSE_WAIT", "CLOSED"),
-        "FIN_WAIT_1": ("FIN_WAIT_2", "CLOSING", "TIME_WAIT", "CLOSED"),
-        "FIN_WAIT_2": ("TIME_WAIT", "CLOSED"),
-        "CLOSE_WAIT": ("LAST_ACK", "CLOSED"),
-        "LAST_ACK": ("CLOSED",),
-        "CLOSING": ("TIME_WAIT", "CLOSED"),
-        "TIME_WAIT": ("CLOSED",),
-    }
-)
-
-# MPA connection lifecycle (RFC 5044 startup then full operation).
-MPA_TABLE = _t(
-    {
-        "NEGOTIATING": ("OPERATIONAL", "FAILED"),
-        "OPERATIONAL": ("FAILED",),
-        "FAILED": (),
-    }
-)
-
-# SCTP association lifecycle (RFC 4960 four-way handshake subset; a
-# passive endpoint goes CLOSED -> ESTABLISHED on a valid COOKIE ECHO).
-SCTP_TABLE = _t(
-    {
-        "CLOSED": ("COOKIE_WAIT", "ESTABLISHED"),
-        "COOKIE_WAIT": ("COOKIE_ECHOED", "ESTABLISHED", "CLOSED"),
-        "COOKIE_ECHOED": ("ESTABLISHED", "CLOSED"),
-        "ESTABLISHED": ("SHUTDOWN_SENT", "CLOSED"),
-        "SHUTDOWN_SENT": ("CLOSED",),
-    }
-)
 
 FSM_SPECS: Sequence[FsmSpec] = (
     FsmSpec(
         module="repro.core.verbs.qp",
         attr="state",
         helper="_set_state",
-        table_name="QP_TRANSITIONS",
+        table_name="QP_EVENT_TRANSITIONS",
         initial=frozenset({"RESET"}),
-        any_targets=frozenset({"ERROR"}),
-        table=QP_TABLE,
     ),
     FsmSpec(
         module="repro.transport.tcp.connection",
         attr="state",
         helper="_set_state",
-        table_name="TCP_TRANSITIONS",
+        table_name="TCP_EVENT_TRANSITIONS",
         initial=frozenset({"CLOSED"}),
-        any_targets=frozenset({"CLOSED"}),
-        table=TCP_TABLE,
     ),
     FsmSpec(
         module="repro.core.mpa.connection",
         attr="state",
         helper="_set_state",
-        table_name="MPA_TRANSITIONS",
+        table_name="MPA_EVENT_TRANSITIONS",
         initial=frozenset({"NEGOTIATING"}),
-        any_targets=frozenset({"FAILED"}),
-        table=MPA_TABLE,
     ),
     FsmSpec(
         module="repro.transport.sctp",
         attr="state",
         helper="_set_state",
-        table_name="SCTP_TRANSITIONS",
+        table_name="SCTP_EVENT_TRANSITIONS",
         initial=frozenset({"CLOSED"}),
-        any_targets=frozenset({"CLOSED"}),
-        table=SCTP_TABLE,
     ),
 )
 

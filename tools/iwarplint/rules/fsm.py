@@ -9,11 +9,15 @@ the module that owns the FSM:
 * **IW202** — a ``self._set_state(X)`` call whose statically-inferable
   source states (from enclosing ``self.state == S`` / ``in (..)`` guards,
   including early-``raise``/``return`` negations) include a state from
-  which the declared table forbids reaching ``X``.
+  which no arc of the module's event table reaches ``X``.
 * **IW203** — a state write or transition using a name that is not one
   of the machine's declared states.
-* **IW204** — the module-level transition table (``QP_TRANSITIONS`` etc.)
-  has drifted from the table declared in ``iwarplint.invariants``.
+* **IW204** — the module binds no literal event table
+  (``QP_EVENT_TRANSITIONS`` etc.) that iwarplint can read, so IW202 and
+  IW203 could not check anything.
+
+The event table is parsed from the module's own AST, never imported:
+fixture trees are linted but not importable.
 
 Unguarded helper calls (source set = "could be anything") are left to
 the runtime validation inside ``_set_state`` itself: flagging them
@@ -23,7 +27,7 @@ statically would punish helpers whose callers hold the guard.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
 from iwarplint import invariants as inv
 from iwarplint.driver import SourceModule, Violation
@@ -31,9 +35,9 @@ from iwarplint.invariants import FsmSpec
 
 RULES = {
     "IW201": "direct state write bypassing the validated _set_state helper",
-    "IW202": "guarded transition not permitted by the declared table",
+    "IW202": "guarded transition not permitted by the module's event table",
     "IW203": "state write/transition uses an undeclared state name",
-    "IW204": "module transition table drifted from iwarplint.invariants",
+    "IW204": "FSM module has no literal event table iwarplint can read",
 }
 
 # ``None`` means "could be any state" (no usable guard information).
@@ -44,15 +48,24 @@ def check(module: SourceModule) -> Iterator[Violation]:
     for spec in inv.FSM_SPECS:
         if module.name != spec.module:
             continue
-        consts = _state_constants(module.tree, spec)
-        yield from _check_table_drift(module, spec, consts)
+        consts = _state_constants(module.tree)
+        binding = _table_binding(module.tree, spec)
+        table = _project(binding.value, consts) if binding is not None else None
+        if table is None:
+            yield module.violation(
+                "IW204",
+                binding or module.tree,
+                f"no literal {spec.table_name} dict of (state, event) -> state; "
+                "iwarplint cannot check this module's transitions",
+            )
+            continue
         for func, in_helper in _functions(module.tree, spec):
-            walker = _FsmWalker(module, spec, consts, func.name, in_helper)
+            walker = _FsmWalker(module, spec, table, consts, func.name, in_helper)
             walker.walk_block(func.body, None)
             yield from walker.findings
 
 
-def _state_constants(tree: ast.Module, spec: FsmSpec) -> Dict[str, str]:
+def _state_constants(tree: ast.Module) -> Dict[str, str]:
     """Module-level ``NAME = "STRING"`` bindings for declared states."""
     consts: Dict[str, str] = {}
     for node in tree.body:
@@ -73,61 +86,39 @@ def _functions(tree: ast.Module, spec: FsmSpec) -> Iterator[Tuple[ast.FunctionDe
             yield node, node.name == spec.helper
 
 
-def _check_table_drift(
-    module: SourceModule, spec: FsmSpec, consts: Dict[str, str]
-) -> Iterator[Violation]:
-    for node in module.tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
+def _table_binding(tree: ast.Module, spec: FsmSpec) -> Optional[Union[ast.Assign, ast.AnnAssign]]:
+    """The module-level statement binding ``spec.table_name``, if any."""
+    for node in tree.body:
         if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
+            targets = node.targets
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        for target in targets:
-            if not (isinstance(target, ast.Name) and target.id == spec.table_name):
-                continue
-            declared = _eval_table(value, consts)
-            if declared is None:
-                yield module.violation(
-                    "IW204",
-                    node,
-                    f"{spec.table_name} is not a literal dict of state sets; "
-                    "iwarplint cannot verify it against the declared invariants",
-                )
-                return
-            expected = {src: frozenset(dsts) for src, dsts in spec.table.items()}
-            if declared != expected:
-                diffs = []
-                for state in sorted(set(declared) | set(expected)):
-                    have = declared.get(state)
-                    want = expected.get(state)
-                    if have != want:
-                        diffs.append(
-                            f"{state}: module={sorted(have) if have is not None else None} "
-                            f"invariants={sorted(want) if want is not None else None}"
-                        )
-                yield module.violation(
-                    "IW204",
-                    node,
-                    f"{spec.table_name} drifted from iwarplint.invariants "
-                    f"({'; '.join(diffs)})",
-                )
-            return
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == spec.table_name for t in targets):
+            return node
+    return None
 
 
-def _eval_table(
+def _project(
     value: Optional[ast.expr], consts: Dict[str, str]
 ) -> Optional[Dict[str, FrozenSet[str]]]:
+    """``(from, to)`` projection of a literal ``(state, event) -> state``
+    dict, or None when ``value`` is not one iwarplint can read."""
     if not isinstance(value, ast.Dict):
         return None
-    table: Dict[str, FrozenSet[str]] = {}
+    pairs: Dict[str, Set[str]] = {}
     for key_node, val_node in zip(value.keys, value.values):
-        key = _state_of(key_node, consts)
-        vals = _state_set_of(val_node, consts)
-        if key is None or vals is None:
+        if not (isinstance(key_node, ast.Tuple) and len(key_node.elts) == 2):
             return None
-        table[key] = frozenset(vals)
-    return table
+        src = _state_of(key_node.elts[0], consts)
+        event = _state_of(key_node.elts[1], consts)
+        dst = _state_of(val_node, consts)
+        if src is None or event is None or dst is None:
+            return None
+        pairs.setdefault(src, set()).add(dst)
+        pairs.setdefault(dst, set())
+    return {state: frozenset(targets) for state, targets in pairs.items()}
 
 
 def _state_of(node: Optional[ast.expr], consts: Dict[str, str]) -> Optional[str]:
@@ -168,21 +159,21 @@ class _FsmWalker:
         self,
         module: SourceModule,
         spec: FsmSpec,
+        table: Dict[str, FrozenSet[str]],
         consts: Dict[str, str],
         func_name: str,
         in_helper: bool,
     ) -> None:
         self.module = module
         self.spec = spec
+        self.table = table
+        self.states = frozenset(table) | spec.initial
         self.consts = consts
         self.func_name = func_name
         self.in_helper = in_helper
         self.findings: List[Violation] = []
 
     # -- facts algebra ---------------------------------------------------
-
-    def _all_states(self) -> FrozenSet[str]:
-        return self.spec.states
 
     def _intersect(self, a: Facts, b: Facts) -> Facts:
         if a is None:
@@ -235,14 +226,14 @@ class _FsmWalker:
             if state is None:
                 return None, None
             eq = frozenset({state})
-            ne = self._all_states() - eq
+            ne = self.states - eq
             return (eq, ne) if isinstance(op, ast.Eq) else (ne, eq)
         if isinstance(op, (ast.In, ast.NotIn)):
             states = _state_set_of(right, self.consts)
             if states is None:
                 return None, None
             inside = frozenset(states)
-            outside = self._all_states() - inside
+            outside = self.states - inside
             return (inside, outside) if isinstance(op, ast.In) else (outside, inside)
         return None, None
 
@@ -325,7 +316,7 @@ class _FsmWalker:
                 f"route transitions through {self.spec.helper}()",
             )
         )
-        if state is not None and state not in self.spec.states:
+        if state is not None and state not in self.states:
             self.findings.append(
                 self.module.violation(
                     "IW203",
@@ -349,7 +340,7 @@ class _FsmWalker:
         target = _state_of(node.args[0], self.consts)
         if target is None:
             return None  # dynamic argument: validated at runtime
-        if target not in self.spec.states:
+        if target not in self.states:
             self.findings.append(
                 self.module.violation(
                     "IW203",
@@ -362,9 +353,7 @@ class _FsmWalker:
             bad = sorted(
                 s
                 for s in facts
-                if s != target
-                and target not in self.spec.any_targets
-                and target not in self.spec.table.get(s, frozenset())
+                if s != target and target not in self.table.get(s, frozenset())
             )
             if bad:
                 self.findings.append(
