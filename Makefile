@@ -24,10 +24,12 @@ verify-fsm:
 		--output $(ARTIFACTS)/coverage-report.json
 
 # Observability gate: metrics must not perturb the simulation (the
-# determinism test), exporters must hold their golden formats, and the
-# golden WR-lifecycle span sequences must be intact.
+# determinism test), exporters must hold their golden formats, the
+# exported series must match the pinned golden set, and the golden
+# WR-lifecycle span sequences must be intact.
 obs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		tests/obs/test_determinism.py \
 		tests/obs/test_export.py \
+		tests/obs/test_series_golden.py \
 		tests/obs/test_spans.py

@@ -34,7 +34,6 @@ paper specifies about operation semantics lives here:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -88,11 +87,30 @@ class _PendingRead:
 class RdmapTx:
     """Send-side: turns work requests into DDP segment trains."""
 
+    #: Exported series, under the owning QP's labels.
+    METRICS = (
+        ("rdmap.tx.messages", "counter", "messages"),
+        ("rdmap.tx.segments", "counter", "segments"),
+        ("rdmap.write_record.messages", "counter", "write_record_messages"),
+        ("rdmap.write_record.segments", "counter", "write_record_segments"),
+        ("rdmap.untagged.messages", "counter", "untagged_messages"),
+        ("rdmap.untagged.segments", "counter", "untagged_segments"),
+    )
+
     def __init__(self, qp):
         self.qp = qp
-        self._send_msn = itertools.count(1)
-        self._read_msn = itertools.count(1)
-        self._msg_id = itertools.count(1)
+        # Last send MSN, read MSN and message id handed out: plain ints,
+        # like the counters below, so building a QP allocates no
+        # iterator objects.
+        self._send_msn = 0
+        self._read_msn = 0
+        self._msg_id = 0
+        self.messages = 0
+        self.segments = 0
+        self.write_record_messages = 0
+        self.write_record_segments = 0
+        self.untagged_messages = 0
+        self.untagged_segments = 0
 
     # -- public ----------------------------------------------------------
 
@@ -114,20 +132,20 @@ class RdmapTx:
         opcode = _OPCODE_FOR_WR[wr.opcode]
         tagged = wr.opcode in (WrOpcode.RDMA_WRITE, WrOpcode.RDMA_WRITE_RECORD)
         needs_udext = self.qp.is_datagram or wr.opcode is WrOpcode.RDMA_WRITE_RECORD
-        msg_id = next(self._msg_id) if needs_udext else None
-        msn = 0 if tagged else next(self._send_msn)
+        msg_id = self._next_msg_id() if needs_udext else None
+        msn = 0
+        if not tagged:
+            self._send_msn += 1
+            msn = self._send_msn
         specs = plan_segments(len(payload), self.qp.max_seg_payload)
-        obs = self.qp.obs
-        if obs.enabled:
-            labels = self.qp._obs_labels()
-            obs.counter("rdmap.tx.messages", **labels).inc()
-            obs.counter("rdmap.tx.segments", **labels).inc(len(specs))
-            if wr.opcode is WrOpcode.RDMA_WRITE_RECORD:
-                obs.counter("rdmap.write_record.messages", **labels).inc()
-                obs.counter("rdmap.write_record.segments", **labels).inc(len(specs))
-            elif not tagged:
-                obs.counter("rdmap.untagged.messages", **labels).inc()
-                obs.counter("rdmap.untagged.segments", **labels).inc(len(specs))
+        self.messages += 1
+        self.segments += len(specs)
+        if wr.opcode is WrOpcode.RDMA_WRITE_RECORD:
+            self.write_record_messages += 1
+            self.write_record_segments += len(specs)
+        elif not tagged:
+            self.untagged_messages += 1
+            self.untagged_segments += len(specs)
         wr_span(
             self.qp.host, "segment", qp=self.qp.qp_num, wr_id=wr.wr_id,
             msg_id=msg_id, nsegs=len(specs),
@@ -170,7 +188,7 @@ class RdmapTx:
         if not (sink.mr.access & Access.LOCAL_WRITE):
             self._fail_send(wr, WcStatus.LOCAL_PROTECTION_ERROR)
             return
-        msg_id = next(self._msg_id) if self.qp.is_datagram else None
+        msg_id = self._next_msg_id() if self.qp.is_datagram else None
         pending = _PendingRead(
             wr=wr,
             sink_stag=sink.mr.stag,
@@ -178,6 +196,7 @@ class RdmapTx:
             validity=ValidityMap(sink.length),
         )
         self.qp.rx.track_read(pending, msg_id)
+        self._read_msn += 1
         payload = encode_read_request(
             sink.mr.stag, sink.offset, sink.length, wr.remote_stag, wr.remote_offset
         )
@@ -187,13 +206,17 @@ class RdmapTx:
             payload=payload,
             tagged=False,
             qn=QN_READ_REQUEST,
-            msn=next(self._read_msn),
+            msn=self._read_msn,
             mo=0,
         )
         if self.qp.is_datagram:
             seg.msg_id = msg_id
             seg.msg_total = len(payload)
         self.qp.channel_send(seg, wr.dest, first=True, msg_len=len(payload))
+
+    def _next_msg_id(self) -> int:
+        self._msg_id += 1
+        return self._msg_id
 
     def _fail_send(self, wr: SendWR, status: WcStatus) -> None:
         self.qp.sq_cq.push(
@@ -211,13 +234,25 @@ class RdmapTx:
             mo=0,
         )
         if self.qp.is_datagram:
-            seg.msg_id = next(self._msg_id)
+            seg.msg_id = self._next_msg_id()
             seg.msg_total = len(seg.payload)
         self.qp.channel_send(seg, dest, first=True, msg_len=len(seg.payload))
 
 
 class RdmapRx:
     """Receive-side: dispatches parsed DDP segments."""
+
+    #: Exported series, under the owning QP's labels.
+    METRICS = (
+        ("rdmap.rx.drops_no_recv_posted", "counter", "drops_no_recv_posted"),
+        ("rdmap.rx.drops_malformed", "counter", "drops_malformed"),
+        ("rdmap.rx.remote_access_errors", "counter", "remote_access_errors"),
+        ("rdmap.rx.reaped_partial", "counter", "reaped_partial"),
+        ("rdmap.rx.duplicate_segments", "counter", "duplicate_segments"),
+        ("rdmap.write_record.placements", "counter", "write_record_placements"),
+        ("rdmap.write_record.placed_bytes", "counter", "write_record_placed_bytes"),
+        ("rdmap.write_record.completions", "counter", "write_record_completions"),
+    )
 
     def __init__(self, qp):
         self.qp = qp
@@ -239,6 +274,9 @@ class RdmapRx:
         self.remote_access_errors = 0
         self.reaped_partial = 0
         self.duplicate_segments = 0
+        self.write_record_placements = 0
+        self.write_record_placed_bytes = 0
+        self.write_record_completions = 0
 
     # ------------------------------------------------------------------
     # Entry point (CPU costs already charged by the channel glue)
@@ -322,13 +360,8 @@ class RdmapRx:
         if state.validity.covered(offset, len(seg.payload)) and seg.payload:
             self.duplicate_segments += 1
         state.validity.add(offset, len(seg.payload))
-        obs = self.qp.obs
-        if obs.enabled:
-            labels = self.qp._obs_labels()
-            obs.counter("rdmap.write_record.placements", **labels).inc()
-            obs.counter(
-                "rdmap.write_record.placed_bytes", **labels
-            ).inc(len(seg.payload))
+        self.write_record_placements += 1
+        self.write_record_placed_bytes += len(seg.payload)
         if seg.last:
             # "The final packet must arrive for the partial message to be
             # placed into memory and those parts that are valid are
@@ -340,11 +373,7 @@ class RdmapRx:
         if state.timer is not None:
             state.timer.cancel()
         self._write_records.pop(key, None)
-        obs = self.qp.obs
-        if obs.enabled:
-            obs.counter(
-                "rdmap.write_record.completions", **self.qp._obs_labels()
-            ).inc()
+        self.write_record_completions += 1
         src = key[0]
         self.qp.push_rq_completion(
             WorkCompletion(

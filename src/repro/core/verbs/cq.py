@@ -16,7 +16,7 @@ import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional
 
-from ...obs import sim_registry
+from ...obs import Histogram, sim_registry
 from ...simnet.engine import Future, Simulator
 
 if TYPE_CHECKING:
@@ -34,6 +34,14 @@ _cq_nums = itertools.count(1)
 class CompletionQueue:
     """FIFO of work completions shared by any number of QPs."""
 
+    #: Exported series (see :mod:`repro.obs.metrics`), labelled cq/host.
+    METRICS = (
+        ("verbs.cq.completions", "counter", "completions_total"),
+        ("verbs.cq.overflows", "counter", "overflows"),
+        ("verbs.cq.events", "counter", "events_raised"),
+        ("verbs.cq.poll_batch", "histogram", "poll_batch"),
+    )
+
     def __init__(self, sim: Simulator, host: Optional[Host], depth: int = 4096):
         if depth < 1:
             raise CqError(f"CQ depth must be positive, got {depth}")
@@ -50,27 +58,11 @@ class CompletionQueue:
         #: Callback fired (via the event queue) when armed and matched.
         self.on_event: Optional[Callable[[CompletionQueue], None]] = None
         self.events_raised = 0
-        # Metrics (repro.obs): the poll-batch histogram is the one
-        # event-push instrument here; the plain ints above stay the
-        # source of truth and are exposed via the pull collector.
-        self.obs = sim_registry(sim)
-        if self.obs.enabled:
-            self._poll_hist = self.obs.histogram(
-                "verbs.cq.poll_batch", **self._obs_labels()
-            )
-            self.obs.add_collector(self._obs_samples)
-
-    # -- metrics -----------------------------------------------------------
-
-    def _obs_labels(self) -> Dict[str, str]:
-        host = self.host.name if self.host is not None else ""
-        return {"cq": str(self.cq_num), "host": host}
-
-    def _obs_samples(self) -> Any:
-        labels = self._obs_labels()
-        yield ("verbs.cq.completions", labels, "counter", self.completions_total)
-        yield ("verbs.cq.overflows", labels, "counter", self.overflows)
-        yield ("verbs.cq.events", labels, "counter", self.events_raised)
+        #: Completions handed out per successful poll.
+        self.poll_batch = Histogram()
+        sim_registry(sim).watch(
+            self, {"cq": self.cq_num, "host": host.name if host is not None else ""}
+        )
 
     # -- event notification ------------------------------------------------
 
@@ -150,8 +142,7 @@ class CompletionQueue:
             waiter["future"].set_result([])
 
     def _charge_poll(self, n: int) -> None:
-        if self.obs.enabled:
-            self._poll_hist.observe(n)
+        self.poll_batch.observe(n)
         if self.host is not None:
             self.host.cpu.charge(self.host.costs.poll_ns * n)
 

@@ -101,6 +101,14 @@ class _RdPendingSend:
     remaining: int
 
 
+#: ``(queue, status)`` keys of :attr:`QueuePair.completions`, built once
+#: so that counting a completion allocates nothing.
+_COMPLETION_KEYS = {
+    queue: {status: (queue, status.name.lower()) for status in WcStatus}
+    for queue in ("sq", "rq")
+}
+
+
 class QpError(Exception):
     """Invalid verb usage against this QP."""
 
@@ -109,6 +117,18 @@ class QueuePair:
     """State and queues common to both QP types."""
 
     is_datagram = False
+
+    #: Exported series (see :mod:`repro.obs.metrics`), labelled qp/host;
+    #: the RDMAP engines declare their own.
+    METRICS: Tuple[Tuple[Any, ...], ...] = (
+        ("verbs.qp.posts", "counter", "posts", "op"),
+        ("verbs.qp.post_bytes", "counter", "post_bytes", "op"),
+        ("verbs.qp.recv_posts", "counter", "recv_posts"),
+        ("verbs.qp.completions", "counter", "completions", "queue,status"),
+        ("verbs.qp.flushes", "counter", "flushes"),
+        (None, "table", "tx"),
+        (None, "table", "rx"),
+    )
 
     def __init__(
         self, device: RnicDevice, pd: int, sq_cq: CompletionQueue, rq_cq: CompletionQueue
@@ -126,13 +146,16 @@ class QueuePair:
         self.rx = RdmapRx(self)
         self.ready: Future = self.sim.future()
         self.terminate_reason: Optional[str] = None
-        # Metrics (repro.obs): shared per-simulator registry.  Hot paths
-        # guard on ``self.obs.enabled`` so a disabled registry costs one
-        # attribute read; the pull collector exposes the plain-int
-        # counters that remain the source of truth for tests.
-        self.obs = sim_registry(device.sim)
-        if self.obs.enabled:
-            self.obs.add_collector(self._obs_samples)
+        # Counters: posts and post bytes by opcode, completions by
+        # (queue, status).
+        self.posts: Dict[str, int] = {}
+        self.post_bytes: Dict[str, int] = {}
+        self.recv_posts = 0
+        self.completions: Dict[Tuple[str, str], int] = {}
+        self.flushes = 0
+        sim_registry(device.sim).watch(
+            self, {"qp": self.qp_num, "host": self.host.name}
+        )
 
     # -- state machine -----------------------------------------------------
 
@@ -157,35 +180,10 @@ class QueuePair:
 
     # -- metrics -----------------------------------------------------------
 
-    def _obs_labels(self) -> Dict[str, str]:
-        return {"qp": str(self.qp_num), "host": self.host.name}
-
-    def _obs_samples(self) -> Any:
-        """Pull collector: the RDMAP receive engine's plain-int counters
-        plus the UD-specific ones, when this QP type keeps them."""
-        labels = self._obs_labels()
-        rx = self.rx
-        yield ("rdmap.rx.drops_no_recv_posted", labels, "counter", rx.drops_no_recv_posted)
-        yield ("rdmap.rx.drops_malformed", labels, "counter", rx.drops_malformed)
-        yield ("rdmap.rx.remote_access_errors", labels, "counter", rx.remote_access_errors)
-        yield ("rdmap.rx.reaped_partial", labels, "counter", rx.reaped_partial)
-        yield ("rdmap.rx.duplicate_segments", labels, "counter", rx.duplicate_segments)
-        for name, attr in (
-            ("verbs.qp.crc_drops", "crc_drops"),
-            ("verbs.qp.drops_closed", "drops_closed"),
-            ("verbs.qp.rd_flushed_wrs", "rd_flushed_wrs"),
-        ):
-            value = getattr(self, attr, None)
-            if value is not None:
-                yield (name, labels, "counter", value)
-
     def _note_completion(self, queue: str, wc: WorkCompletion) -> None:
-        status = wc.status.name.lower()
-        if self.obs.enabled:
-            self.obs.counter(
-                "verbs.qp.completions", queue=queue, status=status,
-                **self._obs_labels(),
-            ).inc()
+        key = _COMPLETION_KEYS[queue][wc.status]
+        self.completions[key] = self.completions.get(key, 0) + 1
+        status = key[1]
         wr_span(
             self.host, "cqe", qp=self.qp_num, wr_id=wc.wr_id,
             queue=queue, status=status, msg_id=wc.msg_id,
@@ -198,10 +196,8 @@ class QueuePair:
             raise QpError(f"post_send on QP {self.qp_num} in state {self.state}")
         self._validate_send(wr)
         op = wr.opcode.name.lower()
-        if self.obs.enabled:
-            labels = self._obs_labels()
-            self.obs.counter("verbs.qp.posts", op=op, **labels).inc()
-            self.obs.counter("verbs.qp.post_bytes", op=op, **labels).inc(wr.length)
+        self.posts[op] = self.posts.get(op, 0) + 1
+        self.post_bytes[op] = self.post_bytes.get(op, 0) + wr.length
         wr_span(self.host, "post", qp=self.qp_num, wr_id=wr.wr_id, op=op)
         self.tx.post(wr)
 
@@ -211,8 +207,7 @@ class QueuePair:
         for sge in wr.sges:
             if not (sge.mr.access & Access.LOCAL_WRITE):
                 raise QpError("receive SGE lacks LOCAL_WRITE")
-        if self.obs.enabled:
-            self.obs.counter("verbs.qp.recv_posts", **self._obs_labels()).inc()
+        self.recv_posts += 1
         self.rq.append(wr)
 
     def _validate_send(self, wr: SendWR) -> None:
@@ -300,8 +295,7 @@ class QueuePair:
     def _flush_recv_queue(self) -> None:
         """Complete every still-posted receive with FLUSHED so pollers
         observe the teardown instead of waiting forever."""
-        if self.rq and self.obs.enabled:
-            self.obs.counter("verbs.qp.flushes", **self._obs_labels()).inc(len(self.rq))
+        self.flushes += len(self.rq)
         while self.rq:
             wr = self.rq.popleft()
             self.rq_cq.push(
@@ -338,6 +332,12 @@ class UdQp(QueuePair):
     """
 
     is_datagram = True
+
+    METRICS = QueuePair.METRICS + (
+        ("verbs.qp.crc_drops", "counter", "crc_drops"),
+        ("verbs.qp.drops_closed", "counter", "drops_closed"),
+        ("verbs.qp.rd_flushed_wrs", "counter", "rd_flushed_wrs"),
+    )
 
     def __init__(
         self,

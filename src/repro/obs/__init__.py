@@ -1,12 +1,21 @@
 """Observability support layer: metrics registry, WR spans, exporters.
 
 Usage from the stack (obs is a support layer — importable anywhere,
-imports no stack code):
+imports no stack code): a counting class declares its series once, as
+rows over the plain fields it counts, and registers each instance with
+its labels:
 
     from repro.obs import sim_registry
-    self.obs = sim_registry(device.sim)
-    if self.obs.enabled:
-        self.obs.counter("verbs.qp.posts", qp=..., op=...).inc()
+
+    class QueuePair:
+        METRICS = (
+            ("verbs.qp.recv_posts", "counter", "recv_posts"),
+            ("verbs.qp.posts", "counter", "posts", "op"),  # dict keyed by op
+        )
+
+        def __init__(self, device, ...):
+            ...
+            sim_registry(device.sim).watch(self, {"qp": ..., "host": ...})
 
 Enable per testbed (``build_testbed(..., metrics=True)``) or globally
 with ``IWARP_OBS=1``.  See DESIGN.md §8.
@@ -25,9 +34,6 @@ from .metrics import (
     DEFAULT_BUCKETS,
     METRIC_LAYERS,
     METRIC_NAME_PATTERN,
-    NULL_INSTRUMENT,
-    Counter,
-    Gauge,
     Histogram,
     Registry,
     RegistryError,
@@ -54,10 +60,7 @@ __all__ = [
     "METRIC_NAME_PATTERN",
     "SPAN_KIND",
     "STAGES",
-    "Counter",
-    "Gauge",
     "Histogram",
-    "NULL_INSTRUMENT",
     "Registry",
     "RegistryError",
     "Sample",

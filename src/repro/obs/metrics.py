@@ -1,28 +1,40 @@
-"""Named metrics registry: counters, gauges, fixed-bucket histograms.
+"""Named metrics registry: declared series tables read at snapshot time.
 
 The observability layer the evaluation figures lean on.  Design rules:
 
 * **Stdlib only, support layer.**  ``repro.obs`` imports nothing from
   the protocol stack (iwarplint treats it like ``memory``/``models``:
   any layer may import it, it may import none of them).
-* **~zero cost when disabled.**  A disabled :class:`Registry` hands out
-  shared null instruments whose methods do nothing, and components guard
-  hot-path instrument creation behind ``registry.enabled``.  Metrics
-  never schedule events, never branch protocol logic, and never read
-  simulated state except at snapshot time — so an enabled run and a
-  disabled run produce bit-identical simulations (tested in
+* **Each series declared once.**  A counting class lists its series in
+  one literal class-level ``METRICS`` table of ``(name, kind, path)`` or
+  ``(name, kind, path, labels)`` rows:
+
+  - ``kind`` is ``"counter"``, ``"gauge"`` or ``"histogram"`` (the field
+    holds a :class:`Histogram`), or ``"table"``: ``name`` is then None
+    and the object — or each object of a list — at ``path`` is read
+    through its own table under the same labels;
+  - ``path`` is a dotted attribute path (``rx.drops_no_recv_posted``,
+    ``cong.cwnd``) resolved at snapshot time; a None on the way yields
+    no series;
+  - ``labels`` is a comma-separated list: ``dir=tx`` adds a fixed label,
+    a bare name (``cause``) says the field is a dict whose keys label
+    the series (several bare names: tuple keys).
+
+  The fields are plain ints, dicts and histograms the stack counts
+  unconditionally; :meth:`Registry.watch` registers an object with its
+  labels, computed once.
+* **~zero cost when disabled.**  A disabled registry ignores ``watch``,
+  so it holds no reference into the stack.  Metrics never schedule
+  events, never branch protocol logic, and never read simulated state
+  except at snapshot time — so an enabled run and a disabled run
+  produce bit-identical simulations (tested in
   ``tests/obs/test_determinism.py``).
-* **Hybrid push/pull.**  Genuinely new metrics are event-push
-  instruments created through the registry.  The plain-int counters the
-  stack already keeps (NIC ports, RUDP, TCP, RDMAP) remain the source
-  of truth for existing tests; the registry exposes them through *pull
-  collectors* — callables that yield ``(name, labels, kind, value)``
-  samples at snapshot/export time, Prometheus-collector style.
 * **Documented naming scheme** (DESIGN.md §8): every metric name is
   ``layer.component.name`` — at least three lowercase dot-separated
   segments, first segment one of :data:`METRIC_LAYERS`.  Violations are
-  a runtime :class:`RegistryError` here and a static IW501 in iwarplint
-  (the pattern is mirrored in ``tools/iwarplint/invariants.py``).
+  a :class:`RegistryError` from ``watch`` and a static IW501 in
+  iwarplint on the table literals (the pattern is mirrored in
+  ``tools/iwarplint/invariants.py``).
 
 One registry exists per :class:`~repro.simnet.engine.Simulator`, lazily
 attached by :func:`sim_registry` — per-testbed isolation without any
@@ -35,8 +47,8 @@ from __future__ import annotations
 import os
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 #: Mirrored in ``tools/iwarplint/invariants.py`` (IW501 checks source
 #: literals against the same pattern).
@@ -50,14 +62,14 @@ METRIC_LAYERS = frozenset({
 })
 
 #: Default histogram upper edges (powers of two: batch sizes, counts).
-DEFAULT_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
+DEFAULT_BUCKETS: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
+
+#: Row kinds that export a field (``"table"`` rows nest another table).
+SERIES_KINDS = frozenset({"counter", "gauge", "histogram"})
 
 _NAME_RE = re.compile(METRIC_NAME_PATTERN)
 
 LabelItems = Tuple[Tuple[str, str], ...]
-#: What a pull collector yields: (name, labels, kind, value).
-CollectorSample = Tuple[str, Dict[str, str], str, Union[int, float]]
-Collector = Callable[[], Iterable[CollectorSample]]
 
 
 class RegistryError(Exception):
@@ -80,46 +92,6 @@ def validate_name(name: str) -> str:
     return name
 
 
-# ---------------------------------------------------------------------------
-# Instruments
-# ---------------------------------------------------------------------------
-
-
-class Counter:
-    """Monotonic event count."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        self.value += n
-
-    def reset(self) -> None:
-        self.value = 0
-
-
-class Gauge:
-    """Point-in-time value (cwnd, queue depth, window)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value: float = 0
-
-    def set(self, v: float) -> None:
-        self.value = v
-
-    def set_max(self, v: float) -> None:
-        """High-water-mark update."""
-        if v > self.value:
-            self.value = v
-
-    def reset(self) -> None:
-        self.value = 0
-
-
 class Histogram:
     """Fixed-bucket histogram with Prometheus ``le`` semantics.
 
@@ -130,12 +102,15 @@ class Histogram:
 
     __slots__ = ("edges", "counts", "sum", "count")
 
-    def __init__(self, edges: Tuple[float, ...]) -> None:
+    def __init__(self, edges: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         if not edges:
             raise RegistryError("histogram needs at least one bucket edge")
         if list(edges) != sorted(edges) or len(set(edges)) != len(edges):
             raise RegistryError(f"bucket edges must be strictly ascending: {edges}")
-        self.edges: Tuple[float, ...] = tuple(float(e) for e in edges)
+        # Every CQ carries a histogram: share the default edges.
+        self.edges: Tuple[float, ...] = (
+            edges if edges is DEFAULT_BUCKETS else tuple(float(e) for e in edges)
+        )
         self.counts: List[int] = [0] * (len(edges) + 1)  # last = +Inf
         self.sum: float = 0.0
         self.count: int = 0
@@ -180,27 +155,6 @@ class Histogram:
         self.count = 0
 
 
-class _NullInstrument:
-    """Shared do-nothing instrument handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-    def set(self, v: float) -> None:
-        pass
-
-    def set_max(self, v: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
 # ---------------------------------------------------------------------------
 # Samples (the exporter/snapshot interchange unit)
 # ---------------------------------------------------------------------------
@@ -231,99 +185,106 @@ def _label_items(labels: Dict[str, Any]) -> LabelItems:
 # Registry
 # ---------------------------------------------------------------------------
 
+#: A parsed table row: name, kind, attribute path, fixed labels, dict-key
+#: label names.
+_Row = Tuple[Optional[str], str, Tuple[str, ...], LabelItems, Tuple[str, ...]]
+
 
 class Registry:
-    """Named instruments plus pull collectors, with snapshot/export."""
+    """Watched objects, read through their ``METRICS`` tables."""
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self._instruments: Dict[Tuple[str, LabelItems], Any] = {}
-        # name -> (kind, histogram edges or None): collision detection.
-        self._kinds: Dict[str, Tuple[str, Optional[Tuple[float, ...]]]] = {}
-        self._collectors: List[Collector] = []
-        self._validated: set = set()  # names already regex-checked
+        self._watched: List[Tuple[Any, LabelItems]] = []
+        # Parsed tables, and name -> kind / histogram edges: every name
+        # keeps one kind (and one bucket layout) across all tables.
+        self._tables: Dict[Tuple[Any, ...], List[_Row]] = {}
+        self._kinds: Dict[str, str] = {}
+        self._edges: Dict[str, Tuple[float, ...]] = {}
 
-    # -- instrument factories ---------------------------------------------
-
-    def _get(self, name: str, kind: str, labels: Dict[str, Any],
-             edges: Optional[Tuple[float, ...]] = None) -> Any:
-        self._check_name(name)
-        registered = self._kinds.get(name)
-        if registered is not None and registered != (kind, edges):
-            raise RegistryError(
-                f"metric {name!r} already registered as {registered[0]} "
-                f"{'' if registered[1] is None else f'with edges {registered[1]} '}"
-                f"— cannot re-register as {kind}"
-                f"{'' if edges is None else f' with edges {edges}'}"
-            )
-        key = (name, _label_items(labels))
-        inst = self._instruments.get(key)
-        if inst is None:
-            if kind == "counter":
-                inst = Counter()
-            elif kind == "gauge":
-                inst = Gauge()
-            else:
-                assert edges is not None
-                inst = Histogram(edges)
-            self._instruments[key] = inst
-            self._kinds[name] = (kind, edges)
-        return inst
-
-    def counter(self, name: str, **labels: Any) -> Any:
-        """Get or create a counter (returns a null instrument when the
-        registry is disabled)."""
-        if not self.enabled:
-            return NULL_INSTRUMENT
-        return self._get(name, "counter", labels)
-
-    def gauge(self, name: str, **labels: Any) -> Any:
-        if not self.enabled:
-            return NULL_INSTRUMENT
-        return self._get(name, "gauge", labels)
-
-    def histogram(
-        self, name: str, buckets: Tuple[float, ...] = DEFAULT_BUCKETS, **labels: Any
-    ) -> Any:
-        if not self.enabled:
-            return NULL_INSTRUMENT
-        return self._get(
-            name, "histogram", labels, edges=tuple(float(b) for b in buckets)
-        )
-
-    # -- pull collectors ---------------------------------------------------
-
-    def add_collector(self, fn: Collector) -> None:
-        """Register a callable yielding ``(name, labels, kind, value)``
-        samples read at snapshot/export time.  No-op when disabled, so a
-        disabled registry holds no references into the stack."""
+    def watch(self, obj: Any, labels: Dict[str, Any]) -> None:
+        """Export ``obj``'s declared series under ``labels``, read at
+        snapshot time.  Validates the table's names and kinds; a no-op
+        when disabled, so a disabled registry holds no references into
+        the stack."""
         if self.enabled:
-            self._collectors.append(fn)
+            self._rows(obj.METRICS)
+            self._watched.append((obj, _label_items(labels)))
+
+    def _rows(self, table: Tuple[Any, ...]) -> List[_Row]:
+        """Parse and validate a table once (tables are class constants)."""
+        rows = self._tables.get(table)
+        if rows is not None:
+            return rows
+        rows = []
+        for name, kind, path, *spec in table:
+            if kind != "table":
+                if kind not in SERIES_KINDS:
+                    raise RegistryError(f"metric {name!r} has unknown kind {kind!r}")
+                validate_name(name)
+                registered = self._kinds.setdefault(name, kind)
+                if registered != kind:
+                    raise RegistryError(
+                        f"metric {name!r} already registered as {registered} "
+                        f"— cannot re-register as {kind}"
+                    )
+            fixed, keys = [], []
+            for part in spec[0].split(",") if spec else ():
+                label, _, value = part.partition("=")
+                if value:
+                    fixed.append((label, value))
+                else:
+                    keys.append(label)
+            rows.append((name, kind, tuple(path.split(".")), tuple(fixed), tuple(keys)))
+        self._tables[table] = rows
+        return rows
 
     # -- reading -----------------------------------------------------------
 
-    def _check_name(self, name: str) -> None:
-        if name not in self._validated:
-            validate_name(name)
-            self._validated.add(name)
+    def _read(self, obj: Any, labels: LabelItems,
+              out: Dict[Tuple[str, LabelItems], Sample]) -> None:
+        for name, kind, path, fixed, keys in self._rows(obj.METRICS):
+            value = obj
+            for attr in path:
+                if value is None:
+                    break
+                value = getattr(value, attr)
+            if value is None:
+                continue
+            if kind == "table":
+                for child in value if isinstance(value, (list, tuple)) else (value,):
+                    self._read(child, labels, out)
+                continue
+            base = labels + fixed
+            if not keys:
+                self._add(out, name, base, kind, value)
+                continue
+            for key, v in value.items():
+                parts = key if len(keys) > 1 else (key,)
+                self._add(out, name, base + tuple(zip(keys, map(str, parts))), kind, v)
+
+    def _add(self, out: Dict[Tuple[str, LabelItems], Sample], name: str,
+             labels: LabelItems, kind: str, value: Any) -> None:
+        labels = tuple(sorted(labels))
+        if kind == "histogram":
+            edges = self._edges.setdefault(name, value.edges)
+            if edges != value.edges:
+                raise RegistryError(
+                    f"histogram {name!r} has edges {value.edges}, "
+                    f"already registered with {edges}"
+                )
+            value = value.as_dict()
+        prev = out.get((name, labels))
+        if prev is not None and kind == "counter":
+            value += prev.value  # one key from several objects: sum
+        out[(name, labels)] = Sample(name, labels, kind, value)
 
     def collect(self) -> List[Sample]:
-        """Every sample: registry-owned instruments plus collector pulls,
-        sorted by (name, labels)."""
-        out: List[Sample] = []
-        for (name, labels), inst in self._instruments.items():
-            if isinstance(inst, Histogram):
-                out.append(Sample(name, labels, "histogram", inst.as_dict()))
-            elif isinstance(inst, Gauge):
-                out.append(Sample(name, labels, "gauge", inst.value))
-            else:
-                out.append(Sample(name, labels, "counter", inst.value))
-        for fn in self._collectors:
-            for name, labels, kind, value in fn():
-                self._check_name(name)
-                out.append(Sample(name, _label_items(labels), kind, value))
-        out.sort(key=lambda s: (s.name, s.labels))
-        return out
+        """Every watched series, sorted by (name, labels)."""
+        out: Dict[Tuple[str, LabelItems], Sample] = {}
+        for obj, labels in self._watched:
+            self._read(obj, labels, out)
+        return sorted(out.values(), key=lambda s: (s.name, s.labels))
 
     def snapshot(self, prefix: Optional[str] = None) -> Dict[str, Any]:
         """Flat ``{canonical_key: value}`` dict (histograms appear as
@@ -334,13 +295,6 @@ class Registry:
                 continue
             out[s.key()] = s.value
         return out
-
-    def reset(self) -> None:
-        """Zero every registry-owned instrument, keeping registrations
-        (names, kinds, label sets, collectors).  Collector-backed values
-        live in the components and are not touched."""
-        for inst in self._instruments.values():
-            inst.reset()
 
 
 def diff(before: Dict[str, Any], after: Dict[str, Any]) -> Dict[str, Any]:

@@ -20,7 +20,8 @@ emissions ``(delay_ns, frame)``:
 Models compose with :class:`FaultPipeline`, which feeds each emission of
 one stage through the next and accumulates hold times.  Every model
 keeps the same ``seen``/``dropped`` counters as the loss models, plus
-model-specific ones (``reordered``, ``duplicated``, ``delayed``).  All
+the model-specific ones its ``METRICS`` table declares (``reordered``,
+``duplicated``, ``delayed``).  All
 randomness comes from per-model seeded :class:`random.Random` instances,
 so chaos runs are bit-for-bit reproducible.
 """
@@ -28,7 +29,7 @@ so chaos runs are bit-for-bit reproducible.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from .loss import LossModel
 from .packet import Frame
@@ -40,6 +41,11 @@ Emission = Tuple[int, Frame]
 
 class FaultModel:
     """Base class: maps one offered frame to scheduled emissions."""
+
+    #: Model-specific series (see :mod:`repro.obs.metrics`), read under
+    #: the labels of the NIC port the model is attached to; the port
+    #: declares the ``seen``/``dropped`` pair every model keeps.
+    METRICS: Tuple[Tuple[Any, ...], ...] = ()
 
     def __init__(self) -> None:
         self.seen = 0
@@ -56,15 +62,18 @@ class FaultModel:
     def _admit(self, frame: Frame, now: int) -> List[Emission]:
         raise NotImplementedError
 
+    def _counters(self) -> List[str]:
+        return ["seen", "dropped"] + [row[2] for row in self.METRICS if row[1] == "counter"]
+
     def stats(self) -> Dict[str, int]:
-        """Uniform counter dict (subclasses extend with their own keys);
-        read by the NIC port's metrics collector."""
-        return {"seen": self.seen, "dropped": self.dropped}
+        """Uniform counter dict: ``seen``, ``dropped`` and the declared
+        model-specific counters."""
+        return {name: getattr(self, name) for name in self._counters()}
 
     def reset(self) -> None:
         """Restore the model to its initial state (reseeding RNGs)."""
-        self.seen = 0
-        self.dropped = 0
+        for name in self._counters():
+            setattr(self, name, 0)
 
 
 class LossFault(FaultModel):
@@ -89,6 +98,11 @@ class DelayJitter(FaultModel):
     """Random per-frame hold time: uniform jitter in
     ``[0, jitter_ns]`` plus, with probability ``spike_prob``, a latency
     spike of ``spike_ns`` (a GC pause, a congested queue upstream...)."""
+
+    METRICS = (
+        ("simnet.faults.delayed", "counter", "delayed"),
+        ("simnet.faults.spikes", "counter", "spikes"),
+    )
 
     def __init__(
         self,
@@ -119,22 +133,16 @@ class DelayJitter(FaultModel):
             self.delayed += 1
         return [(delay, frame)]
 
-    def stats(self) -> Dict[str, int]:
-        out = super().stats()
-        out["delayed"] = self.delayed
-        out["spikes"] = self.spikes
-        return out
-
     def reset(self) -> None:
         super().reset()
         self._rng = random.Random(self.seed ^ 0xD31A)
-        self.delayed = 0
-        self.spikes = 0
 
 
 class Reorder(FaultModel):
     """netem-style reordering: with probability ``prob`` a frame is held
     for ``hold_ns`` so frames offered after it reach the wire first."""
+
+    METRICS = (("simnet.faults.reordered", "counter", "reordered"),)
 
     def __init__(self, prob: float, hold_ns: int, seed: int = 0):
         super().__init__()
@@ -154,20 +162,16 @@ class Reorder(FaultModel):
             return [(self.hold_ns, frame)]
         return [(0, frame)]
 
-    def stats(self) -> Dict[str, int]:
-        out = super().stats()
-        out["reordered"] = self.reordered
-        return out
-
     def reset(self) -> None:
         super().reset()
         self._rng = random.Random(self.seed ^ 0x0DD5)
-        self.reordered = 0
 
 
 class Duplicate(FaultModel):
     """With probability ``prob``, emit an extra copy of the frame (the
     payload bytes are immutable, so both copies share them safely)."""
+
+    METRICS = (("simnet.faults.duplicated", "counter", "duplicated"),)
 
     def __init__(self, prob: float, seed: int = 0):
         super().__init__()
@@ -184,15 +188,9 @@ class Duplicate(FaultModel):
             return [(0, frame), (0, frame)]
         return [(0, frame)]
 
-    def stats(self) -> Dict[str, int]:
-        out = super().stats()
-        out["duplicated"] = self.duplicated
-        return out
-
     def reset(self) -> None:
         super().reset()
         self._rng = random.Random(self.seed ^ 0xD0B)
-        self.duplicated = 0
 
 
 class LinkFlap(FaultModel):
@@ -244,6 +242,9 @@ class FaultPipeline(FaultModel):
     """Sequential composition: each stage's emissions feed the next
     stage, with hold times accumulating.  A drop by any stage drops that
     emission (and possibly the whole frame)."""
+
+    #: Each stage's own series, summed over stages that share a name.
+    METRICS = ((None, "table", "stages"),)
 
     def __init__(self, *stages: FaultModel):
         super().__init__()

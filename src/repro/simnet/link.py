@@ -22,6 +22,13 @@ class Link:
     link assigned to its ``link`` attribute by the caller.
     """
 
+    #: Exported series (see :mod:`repro.obs.metrics`), labelled link;
+    #: registered by :func:`repro.simnet.nic.cable`.
+    METRICS = (
+        ("simnet.link.tx_frames", "counter", "frames"),
+        ("simnet.link.tx_bytes", "counter", "bytes"),
+    )
+
     def __init__(
         self,
         bandwidth_bps: float = 10e9,
@@ -43,7 +50,7 @@ class Link:
         self._a = None
         self._b = None
         # Aggregate traffic counters (both directions), maintained by the
-        # transmitting NicPort; exported by the cable() metrics collector.
+        # transmitting NicPort.
         self.frames = 0
         self.bytes = 0
         # Serialization-time memo: traffic is dominated by a handful of

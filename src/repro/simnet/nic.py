@@ -20,7 +20,7 @@ stacks, which know what processing each frame actually needs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, Optional, Tuple, Union
+from typing import Deque, Optional
 
 from typing import TYPE_CHECKING
 
@@ -40,6 +40,27 @@ TX_BATCH = 8
 
 class NicPort:
     """One port: egress queue + transmitter + attachment to a link."""
+
+    #: Exported series (see :mod:`repro.obs.metrics`), labelled port: the
+    #: port's counters, the seen/dropped pair every loss and fault model
+    #: keeps, and whatever else the fault model declares.
+    METRICS = (
+        ("simnet.port.tx_frames", "counter", "tx_frames"),
+        ("simnet.port.tx_bytes", "counter", "tx_bytes"),
+        ("simnet.port.rx_frames", "counter", "rx_frames"),
+        ("simnet.port.rx_bytes", "counter", "rx_bytes"),
+        ("simnet.port.drops_queue_full", "counter", "drops_queue_full"),
+        ("simnet.port.drops_loss_model", "counter", "drops_loss_model"),
+        ("simnet.port.drops_fault", "counter", "drops_fault"),
+        ("simnet.port.dup_frames", "counter", "dup_frames"),
+        ("simnet.port.held_frames", "counter", "held_frames"),
+        ("simnet.port.queue_hwm", "gauge", "queue_hwm"),
+        ("simnet.loss.seen", "counter", "loss_model.seen"),
+        ("simnet.loss.dropped", "counter", "loss_model.dropped"),
+        ("simnet.faults.seen", "counter", "fault_model.seen"),
+        ("simnet.faults.dropped", "counter", "fault_model.dropped"),
+        (None, "table", "fault_model"),
+    )
 
     def __init__(
         self,
@@ -73,9 +94,7 @@ class NicPort:
         self.held_frames = 0
         self.queue_hwm = 0                     # egress queue high-water mark
         self.tracer = None                     # optional repro.simnet.trace.Tracer
-        obs = sim_registry(sim)
-        if obs.enabled:
-            obs.add_collector(self._obs_samples)
+        sim_registry(sim).watch(self, {"port": name})
 
     # -- egress -----------------------------------------------------------
 
@@ -197,33 +216,6 @@ class NicPort:
     def queue_depth(self) -> int:
         return len(self._queue)
 
-    # -- metrics -----------------------------------------------------------
-
-    def _obs_samples(
-        self,
-    ) -> Iterator[Tuple[str, Dict[str, str], str, Union[int, float]]]:
-        """Pull collector for the registry: the port's plain-int counters
-        (which remain the source of truth for tests), its queue
-        high-water mark, and whatever loss/fault models are attached."""
-        labels = {"port": self.name}
-        yield ("simnet.port.tx_frames", labels, "counter", self.tx_frames)
-        yield ("simnet.port.tx_bytes", labels, "counter", self.tx_bytes)
-        yield ("simnet.port.rx_frames", labels, "counter", self.rx_frames)
-        yield ("simnet.port.rx_bytes", labels, "counter", self.rx_bytes)
-        yield ("simnet.port.drops_queue_full", labels, "counter", self.drops_queue_full)
-        yield ("simnet.port.drops_loss_model", labels, "counter", self.drops_loss_model)
-        yield ("simnet.port.drops_fault", labels, "counter", self.drops_fault)
-        yield ("simnet.port.dup_frames", labels, "counter", self.dup_frames)
-        yield ("simnet.port.held_frames", labels, "counter", self.held_frames)
-        yield ("simnet.port.queue_hwm", labels, "gauge", self.queue_hwm)
-        if self.loss_model.seen:
-            yield ("simnet.loss.seen", labels, "counter", self.loss_model.seen)
-            yield ("simnet.loss.dropped", labels, "counter", self.loss_model.dropped)
-        if self.fault_model is not None:
-            stats = self.fault_model.stats()
-            for key in sorted(stats):
-                yield ("simnet.faults." + key, labels, "counter", stats[key])
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<NicPort {self.name!r} q={len(self._queue)} tx={self.tx_frames} rx={self.rx_frames}>"
 
@@ -233,14 +225,5 @@ def cable(sim: Simulator, port_a: NicPort, port_b: NicPort, link: Link) -> Link:
     link.attach(port_a, port_b)
     port_a.link = link
     port_b.link = link
-    obs = sim_registry(sim)
-    if obs.enabled:
-        name = link.name or f"{port_a.name}-{port_b.name}"
-
-        def samples() -> Iterator[Tuple[str, Dict[str, str], str, Union[int, float]]]:
-            labels = {"link": name}
-            yield ("simnet.link.tx_frames", labels, "counter", link.frames)
-            yield ("simnet.link.tx_bytes", labels, "counter", link.bytes)
-
-        obs.add_collector(samples)
+    sim_registry(sim).watch(link, {"link": link.name or f"{port_a.name}-{port_b.name}"})
     return link

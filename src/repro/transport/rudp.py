@@ -209,6 +209,22 @@ class RudpSocket:
     default of 1 is the paper's ack-every-arrival behaviour.
     """
 
+    #: Exported series (see :mod:`repro.obs.metrics`), labelled
+    #: host/port; the unlabelled rows are also :meth:`stats`.
+    METRICS = (
+        ("transport.rudp.retransmissions", "counter", "retransmissions"),
+        ("transport.rudp.fast_retransmits", "counter", "fast_retransmits"),
+        ("transport.rudp.timeouts", "counter", "timeouts"),
+        ("transport.rudp.backoff_events", "counter", "backoff_events"),
+        ("transport.rudp.rto_samples", "counter", "rto_samples"),
+        ("transport.rudp.sack_blocks_received", "counter", "sack_blocks_received"),
+        ("transport.rudp.duplicates_dropped", "counter", "duplicates_dropped"),
+        ("transport.rudp.acks_sent", "counter", "acks_sent"),
+        ("transport.rudp.peer_failures", "counter", "peer_failures"),
+        ("transport.rudp.messages_failed", "counter", "messages_failed"),
+        ("transport.rudp.retransmits", "counter", "retransmits_by_cause", "cause"),
+    )
+
     def __init__(
         self,
         udp: UdpSocket,
@@ -270,24 +286,7 @@ class RudpSocket:
             "rto": 0, "fast": 0, "sack": 0, "partial_ack": 0,
         }
         self.host = udp.stack.host
-        self.obs = sim_registry(self.sim)
-        if self.obs.enabled:
-            self.obs.add_collector(self._obs_samples)
-
-    def _obs_samples(self):
-        """Pull collector: the aggregate ints (still the source of truth
-        for ``stats()``) as ``transport.rudp.*`` series, plus the
-        per-cause retransmit breakdown."""
-        labels = {"host": self.host.name, "port": str(self.port)}
-        for key, value in self.stats().items():
-            yield ("transport.rudp." + key, labels, "counter", value)
-        for cause in sorted(self.retransmits_by_cause):
-            yield (
-                "transport.rudp.retransmits",
-                {"cause": cause, **labels},
-                "counter",
-                self.retransmits_by_cause[cause],
-            )
+        sim_registry(self.sim).watch(self, {"host": self.host.name, "port": self.port})
 
     @property
     def port(self) -> int:
@@ -428,13 +427,6 @@ class RudpSocket:
         elif kind == KIND_DATA:
             self._on_data(seq, data[RUDP_HEADER:], src)
 
-    def _parse_ack_payload(
-        self, payload: bytes
-    ) -> Tuple[int, List[Tuple[int, int]]]:
-        """ACK payload: the echo seq (whose arrival triggered this ACK),
-        then optional SACK ranges (count byte + inclusive pairs)."""
-        return decode_ack_payload(payload)
-
     def _on_ack(self, ack_seq: int, payload: bytes, src: Address) -> None:
         """Cumulative: acknowledges every sequence number < ack_seq.
         The payload carries the triggering seq (the RTT echo) plus SACK
@@ -442,7 +434,7 @@ class RudpSocket:
         tx = self._tx.get(src)
         if tx is None:
             return
-        echo, sacks = self._parse_ack_payload(payload)
+        echo, sacks = decode_ack_payload(payload)
         # RTT sampling uses ONLY the echo: the receiver says exactly
         # which segment's arrival produced this ACK, so the sample never
         # includes reordering stalls — and Karn's rule (no samples from
@@ -652,19 +644,9 @@ class RudpSocket:
         return tx.stats
 
     def stats(self) -> Dict[str, int]:
-        """Aggregate reliability counters (all peers)."""
-        return {
-            "retransmissions": self.retransmissions,
-            "fast_retransmits": self.fast_retransmits,
-            "timeouts": self.timeouts,
-            "backoff_events": self.backoff_events,
-            "rto_samples": self.rto_samples,
-            "sack_blocks_received": self.sack_blocks_received,
-            "duplicates_dropped": self.duplicates_dropped,
-            "acks_sent": self.acks_sent,
-            "peer_failures": self.peer_failures,
-            "messages_failed": self.messages_failed,
-        }
+        """Aggregate reliability counters (all peers): the unlabelled
+        :attr:`METRICS` fields."""
+        return {row[2]: getattr(self, row[2]) for row in self.METRICS if len(row) == 3}
 
     # -- teardown ---------------------------------------------------------
 

@@ -87,6 +87,21 @@ class TcpError(Exception):
 class TcpConnection:
     """One endpoint of a TCP connection, driven entirely by events."""
 
+    #: Exported series (see :mod:`repro.obs.metrics`), labelled host/conn.
+    METRICS = (
+        ("transport.tcp.segments", "counter", "segments_sent", "dir=tx"),
+        ("transport.tcp.segments", "counter", "segments_received", "dir=rx"),
+        ("transport.tcp.bytes", "counter", "bytes_sent", "dir=tx"),
+        ("transport.tcp.bytes", "counter", "bytes_received", "dir=rx"),
+        ("transport.tcp.retransmissions", "counter", "retransmissions"),
+        ("transport.tcp.dup_acks", "counter", "dup_acks_total"),
+        ("transport.tcp.retransmits", "counter", "retransmits_by_cause", "cause"),
+        ("transport.tcp.rto_backoffs", "counter", "rto.backoffs"),
+        ("transport.tcp.cwnd_bytes", "gauge", "cong.cwnd"),
+        ("transport.tcp.ssthresh_bytes", "gauge", "cong.ssthresh"),
+        ("transport.tcp.rto_ns", "gauge", "rto.rto_ns"),
+    )
+
     def __init__(
         self,
         stack,                                # TcpStack (avoid circular import)
@@ -159,58 +174,14 @@ class TcpConnection:
         self.retransmits_by_cause: Dict[str, int] = {
             "rto": 0, "fast": 0, "partial_ack": 0,
         }
-        self.obs = sim_registry(self.sim)
-        if self.obs.enabled:
-            self.obs.add_collector(self._obs_samples)
+        sim_registry(self.sim).watch(self, {
+            "host": stack.host.name,
+            "conn": f"{local_port}-{remote[0]}:{remote[1]}",
+        })
 
     # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
-
-    def _obs_labels(self) -> Dict[str, str]:
-        return {
-            "host": self.stack.host.name,
-            "conn": f"{self.local_port}-{self.remote[0]}:{self.remote[1]}",
-        }
-
-    def _obs_samples(self):
-        """Pull collector (registered only when metrics are enabled, so a
-        disabled run never keeps closed connections alive through the
-        registry).  The plain ints above stay the source of truth."""
-        labels = self._obs_labels()
-        yield ("transport.tcp.segments", {"dir": "tx", **labels}, "counter", self.segments_sent)
-        yield ("transport.tcp.segments", {"dir": "rx", **labels}, "counter", self.segments_received)
-        yield ("transport.tcp.bytes", {"dir": "tx", **labels}, "counter", self.bytes_sent)
-        yield ("transport.tcp.bytes", {"dir": "rx", **labels}, "counter", self.bytes_received)
-        yield ("transport.tcp.retransmissions", labels, "counter", self.retransmissions)
-        yield ("transport.tcp.dup_acks", labels, "counter", self.dup_acks_total)
-        for cause in sorted(self.retransmits_by_cause):
-            yield (
-                "transport.tcp.retransmits",
-                {"cause": cause, **labels},
-                "counter",
-                self.retransmits_by_cause[cause],
-            )
-        yield ("transport.tcp.rto_backoffs", labels, "counter", self.rto.backoffs)
-        yield ("transport.tcp.cwnd_bytes", labels, "gauge", self.cong.cwnd)
-        yield ("transport.tcp.ssthresh_bytes", labels, "gauge", self.cong.ssthresh)
-        yield ("transport.tcp.rto_ns", labels, "gauge", self.rto.rto_ns)
-
-    def obs_stats(self) -> Dict[str, object]:
-        """Per-connection stats snapshot (plain dict, registry-free)."""
-        return {
-            "segments_sent": self.segments_sent,
-            "segments_received": self.segments_received,
-            "bytes_sent": self.bytes_sent,
-            "bytes_received": self.bytes_received,
-            "retransmissions": self.retransmissions,
-            "retransmits_by_cause": dict(self.retransmits_by_cause),
-            "dup_acks": self.dup_acks_total,
-            "rto_backoffs": self.rto.backoffs,
-            "cwnd_bytes": self.cong.cwnd,
-            "ssthresh_bytes": self.cong.ssthresh,
-            "rto_ns": self.rto.rto_ns,
-        }
 
     def _note_retransmit(self, cause: str, seq: int) -> None:
         self.retransmissions += 1

@@ -1,24 +1,47 @@
 """Exporter golden tests: the JSON interchange form and the Prometheus
-text exposition form of one hand-built registry, byte for byte."""
+text exposition form of one registry over hand-built objects, byte for
+byte."""
 
 import json
 
 import pytest
 
 from repro.obs import (
-    Registry, dicts_to_samples, merge_samples, samples_to_dicts, to_json,
-    to_json_obj, to_prometheus,
+    Histogram, Registry, dicts_to_samples, merge_samples, samples_to_dicts,
+    to_json, to_json_obj, to_prometheus,
 )
 
 
-def _build() -> Registry:
+class _Qp:
+    METRICS = (("verbs.qp.posts", "counter", "posts"),)
+
+    def __init__(self, posts):
+        self.posts = posts
+
+
+class _Port:
+    METRICS = (("simnet.port.queue_hwm", "gauge", "queue_hwm"),)
+
+    def __init__(self, queue_hwm):
+        self.queue_hwm = queue_hwm
+
+
+class _Cq:
+    METRICS = (("verbs.cq.poll_batch", "histogram", "poll_batch"),)
+
+    def __init__(self, edges):
+        self.poll_batch = Histogram(edges)
+
+
+def _build(queue_hwm=7) -> Registry:
     reg = Registry(enabled=True)
-    reg.counter("verbs.qp.posts", qp="1", host="host0").inc(4)
-    reg.counter("verbs.qp.posts", qp="2", host="host1").inc(2)
-    reg.gauge("simnet.port.queue_hwm", port="host0.p0").set(7)
-    h = reg.histogram("verbs.cq.poll_batch", buckets=(1, 2, 4), cq="1")
+    reg.watch(_Qp(4), {"qp": "1", "host": "host0"})
+    reg.watch(_Qp(2), {"qp": "2", "host": "host1"})
+    reg.watch(_Port(queue_hwm), {"port": "host0.p0"})
+    cq = _Cq((1, 2, 4))
     for v in (1, 1, 3, 9):
-        h.observe(v)
+        cq.poll_batch.observe(v)
+    reg.watch(cq, {"cq": "1"})
     return reg
 
 
@@ -85,8 +108,7 @@ def test_json_round_trip():
 
 
 def test_merge_samples_sums_counters_maxes_gauges_folds_histograms():
-    a, b = _build(), _build()
-    b.gauge("simnet.port.queue_hwm", port="host0.p0").set(3)  # lower
+    a, b = _build(), _build(queue_hwm=3)  # lower
     merged = merge_samples([a.collect(), b.collect()])
     by_key = {s.key(): s for s in merged}
     assert by_key['verbs.qp.posts{host="host0",qp="1"}'].value == 8
@@ -98,10 +120,11 @@ def test_merge_samples_sums_counters_maxes_gauges_folds_histograms():
 
 
 def test_merge_samples_rejects_differing_histogram_buckets():
-    a = Registry(enabled=True)
-    a.histogram("verbs.cq.poll_batch", buckets=(1, 2)).observe(1)
-    b = Registry(enabled=True)
-    b.histogram("verbs.cq.poll_batch", buckets=(1, 4)).observe(1)
+    a, b = Registry(enabled=True), Registry(enabled=True)
+    for reg, edges in ((a, (1, 2)), (b, (1, 4))):
+        cq = _Cq(edges)
+        cq.poll_batch.observe(1)
+        reg.watch(cq, {})
     with pytest.raises(ValueError):
         merge_samples([a.collect(), b.collect()])
 

@@ -507,8 +507,11 @@ class TestMetricNaming:
     def test_two_segment_name_fires_iw501(self, tmp_path):
         root = write_tree(tmp_path, {
             "repro/core/verbs/cq.py": """
-                def instrument(obs):
-                    obs.counter("verbs.posts").inc()  # two segments
+                class CompletionQueue:
+                    METRICS = (
+                        ("verbs.cq.polls", "counter", "polls"),
+                        ("verbs.posts", "counter", "posts"),  # two segments
+                    )
             """,
         })
         (v,) = lint_paths([root])
@@ -518,8 +521,8 @@ class TestMetricNaming:
     def test_unknown_layer_fires_iw501(self, tmp_path):
         root = write_tree(tmp_path, {
             "repro/transport/rudp_extra.py": """
-                def instrument(obs):
-                    obs.gauge("llp.rudp.cwnd").set(1)
+                class Extra:
+                    METRICS = (("llp.rudp.cwnd", "gauge", "cwnd"),)
             """,
         })
         (v,) = lint_paths([root])
@@ -529,8 +532,10 @@ class TestMetricNaming:
     def test_uppercase_and_bad_chars_fire_iw501(self, tmp_path):
         root = write_tree(tmp_path, {
             "repro/simnet/porty.py": """
-                def instrument(obs):
-                    obs.histogram("simnet.Port.queue-depth")
+                class Porty:
+                    METRICS = (
+                        ("simnet.Port.queue-depth", "histogram", "depth"),
+                    )
             """,
         })
         assert codes(lint_paths([root])) == ["IW501"]
@@ -538,28 +543,37 @@ class TestMetricNaming:
     def test_conformant_names_are_silent(self, tmp_path):
         root = write_tree(tmp_path, {
             "repro/core/verbs/cq.py": """
-                def instrument(obs):
-                    obs.counter("verbs.qp.posts", op="send").inc()
-                    obs.gauge("transport.tcp.cwnd_bytes").set(1)
-                    obs.histogram("verbs.cq.poll_batch", buckets=(1, 2))
+                class Base:
+                    METRICS = (
+                        ("verbs.qp.posts", "counter", "posts", "op"),
+                        ("transport.tcp.cwnd_bytes", "gauge", "cong.cwnd"),
+                        (None, "table", "rx"),
+                    )
+
+                class Derived(Base):
+                    METRICS = Base.METRICS + (
+                        ("verbs.cq.poll_batch", "histogram", "poll_batch"),
+                    )
             """,
         })
         assert lint_paths([root]) == []
 
     def test_computed_names_left_to_runtime(self, tmp_path):
-        # Pull collectors build names from prefixes; the registry's own
-        # validate_name covers those on every collect().
+        # A computed row name; the registry's own validate_name covers
+        # it when the table is watched.
         root = write_tree(tmp_path, {
             "repro/transport/rudp_extra.py": """
-                def instrument(obs, key):
-                    obs.counter("transport.rudp." + key).inc()
+                KEY = "acks"
+
+                class Extra:
+                    METRICS = (("transport.rudp." + KEY, "counter", KEY),)
             """,
         })
         assert lint_paths([root]) == []
 
     def test_non_repro_modules_out_of_scope(self, tmp_path):
         loose = tmp_path / "scratch.py"
-        loose.write_text('def f(obs):\n    obs.counter("nope")\n')
+        loose.write_text('class C:\n    METRICS = (("nope", "counter", "n"),)\n')
         assert lint_paths([loose]) == []
 
 

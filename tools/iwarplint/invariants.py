@@ -242,11 +242,11 @@ ORDER_INSENSITIVE_WRAPPERS: FrozenSet[str] = frozenset(
 # Metric naming (IW5xx)
 # ---------------------------------------------------------------------------
 #
-# Mirrors repro.obs.metrics: every metric name handed to a registry
-# instrument factory must follow ``layer.component.name`` — at least
-# three lowercase dot-separated segments, first segment a known layer.
-# The runtime raises RegistryError on violations; IW501 catches the
-# literal statically, before any test has to execute the call site.
+# Mirrors repro.obs.metrics: every metric name in a declared ``METRICS``
+# table must follow ``layer.component.name`` — at least three lowercase
+# dot-separated segments, first segment a known layer.  The runtime
+# raises RegistryError when a table is watched; IW501 catches the
+# literal statically, before any test has to build the object.
 
 METRIC_NAME_PATTERN = r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*){2,}$"
 
@@ -257,6 +257,5 @@ METRIC_LAYERS: FrozenSet[str] = frozenset(
     }
 )
 
-#: Registry factory method names whose first positional argument is a
-#: metric name.
-METRIC_FACTORIES: FrozenSet[str] = frozenset({"counter", "gauge", "histogram"})
+#: The class attribute holding a declared series table.
+METRIC_TABLE = "METRICS"

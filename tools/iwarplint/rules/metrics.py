@@ -1,16 +1,15 @@
-"""IW5xx — metric naming: registry factory calls vs the naming scheme.
+"""IW5xx — metric naming: declared series tables vs the naming scheme.
 
-Every string-literal metric name passed to a registry instrument
-factory (``.counter(...)`` / ``.gauge(...)`` / ``.histogram(...)``)
-must follow the ``layer.component.name`` scheme mirrored from
-``repro.obs.metrics``: at least three lowercase dot-separated segments,
-first segment a known layer.  The runtime raises ``RegistryError`` for
-the same violations, but only on code paths a test happens to execute
-with metrics enabled; IW501 catches the literal at lint time.
+Every string-literal metric name in a ``METRICS`` table — the first
+element of each ``(name, kind, path[, labels])`` row — must follow the
+``layer.component.name`` scheme mirrored from ``repro.obs.metrics``: at
+least three lowercase dot-separated segments, first segment a known
+layer.  The runtime raises ``RegistryError`` for the same violations,
+but only when a test happens to build the object with metrics enabled;
+IW501 catches the literal at lint time.
 
-Non-literal names (computed prefixes in pull collectors) are left to
-the runtime check — collectors run on every ``collect()``, so those
-names cannot stay unvalidated for long.
+Non-literal names are left to the runtime check, which runs on every
+``watch`` of a new table.
 """
 
 from __future__ import annotations
@@ -55,20 +54,30 @@ def _bad_name(name: str) -> Optional[str]:
     return None
 
 
+def _table_values(tree: ast.AST) -> Iterator[ast.expr]:
+    """Right-hand sides of every ``METRICS = ...`` assignment."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == inv.METRIC_TABLE for t in targets):
+            yield value
+
+
 def check(module: SourceModule) -> Iterator[Violation]:
     if not _watched(module.name):
         return
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr in inv.METRIC_FACTORIES):
-            continue
-        if not node.args:
-            continue
-        name_node = node.args[0]
-        if not (isinstance(name_node, ast.Constant) and isinstance(name_node.value, str)):
-            continue  # computed names are validated at runtime
-        reason = _bad_name(name_node.value)
-        if reason is not None:
-            yield module.violation("IW501", node, reason)
+    for table in _table_values(module.tree):
+        # Rows may sit in concatenations (``Base.METRICS + (...)``).
+        for row in ast.walk(table):
+            if not (isinstance(row, (ast.Tuple, ast.List)) and row.elts):
+                continue
+            name_node = row.elts[0]
+            if not (isinstance(name_node, ast.Constant) and isinstance(name_node.value, str)):
+                continue  # nested tables (None) and computed names
+            reason = _bad_name(name_node.value)
+            if reason is not None:
+                yield module.violation("IW501", row, reason)
