@@ -1,7 +1,7 @@
 PYTHON ?= python
 ARTIFACTS ?= artifacts
 
-.PHONY: lint test check verify-fsm obs-check
+.PHONY: lint test check verify-fsm obs-check results-check
 
 lint:
 	bash scripts/check.sh
@@ -33,3 +33,9 @@ obs-check:
 		tests/obs/test_export.py \
 		tests/obs/test_series_golden.py \
 		tests/obs/test_spans.py
+
+# Figure gate: regenerate every results/*.json from the simulated
+# benchmarks and fail if any paper figure number moved.
+results-check:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
+	git diff --exit-code results/

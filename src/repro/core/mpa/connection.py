@@ -209,7 +209,6 @@ class MpaConnection:
         self._drain_fpdus()
 
     def _drain_fpdus(self) -> None:
-        costs = self.host.costs
         offset = 0
         markers_before = self._reader.markers_stripped
         while True:
@@ -223,12 +222,7 @@ class MpaConnection:
             ulpdu, consumed = parsed
             offset += consumed
             self.ulpdus_received += 1
-            cost = costs.mpa_fpdu_ns
-            if self.markers:
-                cost += int(costs.mpa_copy_per_byte_ns * len(ulpdu))
-            if self.crc:
-                cost += costs.crc_ns(len(ulpdu))
-            self.host.cpu.submit(cost, self._deliver, ulpdu)
+            self.host.cpu.submit(self.frame_cost_ns(len(ulpdu)), self._deliver, ulpdu)
         if offset:
             del self._rxbuf[:offset]
         stripped = self._reader.markers_stripped - markers_before

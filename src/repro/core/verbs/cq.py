@@ -12,7 +12,6 @@ the operation it was waiting for was lost.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional
 
@@ -20,15 +19,12 @@ from ...obs import Histogram, sim_registry
 from ...simnet.engine import Future, Simulator
 
 if TYPE_CHECKING:
-    from ...simnet.host import Host
+    from .device import RnicDevice
     from .wr import WorkCompletion
 
 
 class CqError(Exception):
     """Completion-queue misuse (overflow, ...)."""
-
-
-_cq_nums = itertools.count(1)
 
 
 class CompletionQueue:
@@ -42,13 +38,15 @@ class CompletionQueue:
         ("verbs.cq.poll_batch", "histogram", "poll_batch"),
     )
 
-    def __init__(self, sim: Simulator, host: Optional[Host], depth: int = 4096):
+    def __init__(self, sim: Simulator, device: Optional[RnicDevice], depth: int = 4096):
+        """``device`` numbers the CQ and charges its polls to its host's
+        CPU; a standalone CQ (``None``) is numbered 0 and polls free."""
         if depth < 1:
             raise CqError(f"CQ depth must be positive, got {depth}")
         self.sim = sim
-        self.host = host
+        self.host = host = device.host if device is not None else None
         self.depth = depth
-        self.cq_num = next(_cq_nums)
+        self.cq_num = next(device._cq_nums) if device is not None else 0
         self._entries: Deque[WorkCompletion] = deque()
         self._waiters: Deque[Dict[str, Any]] = deque()
         self.overflows = 0

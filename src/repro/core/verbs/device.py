@@ -15,20 +15,17 @@ full TCP + MPA handshake.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ...memory.region import Access, MemoryRegion
 from ...memory.registry import StagRegistry
 from ...simnet.engine import Future, Simulator
+from ...transport.sctp import SctpAssociation
 from ...transport.stacks import NetStack
 from ..mpa.connection import MpaConnection
 from .cq import CompletionQueue
-from .qp import QueuePair, RcQp, RcSctpQp, UdQp
+from .qp import RcQp, RcSctpQp, UdQp
 from .wr import Address
-
-if TYPE_CHECKING:
-    from ...transport.sctp import SctpAssociation
-    from ...transport.tcp.socket import TcpSocket
 
 #: Default maximum ULPDU on the RC path: sized so one DDP segment plus
 #: MPA framing and markers fits a standard-MTU TCP segment (RFC 5044's
@@ -52,7 +49,10 @@ class RnicDevice:
         self.rc_mulpdu = rc_mulpdu
         self.registry = StagRegistry()
         self._pds = itertools.count(1)
-        self._listeners: Dict[int, Union[RcListener, RcSctpListener]] = {}
+        # QP and CQ numbers are the device's own, as on a real RNIC.
+        self._qp_nums = itertools.count(1)
+        self._cq_nums = itertools.count(1)
+        self._listeners: Dict[int, RcListener] = {}
 
     # -- protection domains & memory -----------------------------------------
 
@@ -79,7 +79,7 @@ class RnicDevice:
     # -- completion queues ------------------------------------------------------
 
     def create_cq(self, depth: int = 4096) -> CompletionQueue:
-        return CompletionQueue(self.sim, self.host, depth=depth)
+        return CompletionQueue(self.sim, self, depth=depth)
 
     # -- datagram QPs -------------------------------------------------------------
 
@@ -104,6 +104,32 @@ class RnicDevice:
 
     # -- connected QPs ---------------------------------------------------------------
 
+    def _rc_stack(self, transport: str) -> Any:
+        """The LLP stack behind an RC ``transport`` name (the one place
+        the name is checked)."""
+        if transport == "tcp":
+            return self.net.tcp
+        if transport == "sctp":
+            return self.net.sctp
+        raise DeviceError(f"unknown RC transport {transport!r}")
+
+    def _rc_qp(
+        self,
+        llp: Any,
+        initiator: bool,
+        pd: int,
+        sq_cq: CompletionQueue,
+        rq_cq: CompletionQueue,
+        markers: bool,
+        crc: bool,
+    ) -> RcQp:
+        """An RC QP over a fresh LLP endpoint: an SCTP association
+        carries DDP segments as messages; a TCP socket gets MPA first."""
+        if isinstance(llp, SctpAssociation):
+            return RcSctpQp(self, pd, sq_cq, rq_cq, llp, llp.remote)
+        mpa = MpaConnection(llp, initiator=initiator, markers=markers, crc=crc)
+        return RcQp(self, pd, sq_cq, rq_cq, mpa, llp.remote)
+
     def rc_connect(
         self,
         remote: Address,
@@ -113,20 +139,14 @@ class RnicDevice:
         markers: bool = True,
         crc: bool = True,
         transport: str = "tcp",
-    ) -> QueuePair:
+    ) -> RcQp:
         """Active side.  ``transport="tcp"`` (the default): TCP connect +
         MPA negotiation.  ``transport="sctp"``: an SCTP association —
         message boundaries make the whole MPA layer unnecessary
         (RFC 5043 shape).  The returned QP's ``ready`` future resolves
         (with the QP) once it reaches RTS."""
-        if transport == "sctp":
-            assoc = self.net.sctp.connect(remote)
-            return RcSctpQp(self, pd, sq_cq, rq_cq or sq_cq, assoc, remote)
-        if transport != "tcp":
-            raise DeviceError(f"unknown RC transport {transport!r}")
-        sock = self.net.tcp.connect(remote)
-        mpa = MpaConnection(sock, initiator=True, markers=markers, crc=crc)
-        return RcQp(self, pd, sq_cq, rq_cq or sq_cq, mpa, remote)
+        llp = self._rc_stack(transport).connect(remote)
+        return self._rc_qp(llp, True, pd, sq_cq, rq_cq or sq_cq, markers, crc)
 
     def rc_listen(
         self,
@@ -137,21 +157,15 @@ class RnicDevice:
         markers: bool = True,
         crc: bool = True,
         transport: str = "tcp",
-    ) -> Union["RcListener", "RcSctpListener"]:
-        listener: Union[RcListener, RcSctpListener]
-        if transport == "sctp":
-            listener = RcSctpListener(self, port, pd, sq_cq_factory, on_qp)
-        elif transport == "tcp":
-            listener = RcListener(self, port, pd, sq_cq_factory, on_qp, markers, crc)
-        else:
-            raise DeviceError(f"unknown RC transport {transport!r}")
+    ) -> RcListener:
+        listener = RcListener(self, port, pd, sq_cq_factory, on_qp, markers, crc, transport)
         self._listeners[port] = listener
         return listener
 
 
 class RcListener:
-    """Passive-side RC endpoint: accepts TCP connections, runs MPA
-    negotiation, and hands out ready QPs."""
+    """Passive-side RC endpoint: accepts TCP connections (running MPA
+    negotiation on each) or SCTP associations, and hands out ready QPs."""
 
     def __init__(
         self,
@@ -162,6 +176,7 @@ class RcListener:
         on_qp: Optional[Callable[[RcQp], None]],
         markers: bool,
         crc: bool,
+        transport: str,
     ):
         self.device = device
         self.port = port
@@ -172,13 +187,12 @@ class RcListener:
         self.crc = crc
         self._pending: List[RcQp] = []
         self._waiters: List[Future] = []
-        self._tcp_listener = device.net.tcp.listen(port)
-        self._tcp_listener.on_accept = self._on_tcp_accept
+        self._llp_listener = device._rc_stack(transport).listen(port)
+        self._llp_listener.on_accept = self._on_accept
 
-    def _on_tcp_accept(self, sock: TcpSocket) -> None:
-        mpa = MpaConnection(sock, initiator=False, markers=self.markers, crc=self.crc)
+    def _on_accept(self, llp: Any) -> None:
         cq = self.cq_factory()
-        qp = RcQp(self.device, self.pd, cq, cq, mpa, sock.remote)
+        qp = self.device._rc_qp(llp, False, self.pd, cq, cq, self.markers, self.crc)
         qp.ready.add_callback(lambda result: self._on_qp_ready(qp, result))
 
     def _on_qp_ready(self, qp: RcQp, result: Optional[object]) -> None:
@@ -200,54 +214,5 @@ class RcListener:
         return fut
 
     def close(self) -> None:
-        self._tcp_listener.close()
-        self.device._listeners.pop(self.port, None)
-
-
-class RcSctpListener:
-    """Passive-side RC-over-SCTP endpoint."""
-
-    def __init__(
-        self,
-        device: RnicDevice,
-        port: int,
-        pd: int,
-        cq_factory: Callable[[], CompletionQueue],
-        on_qp: Optional[Callable[[RcSctpQp], None]] = None,
-    ):
-        self.device = device
-        self.port = port
-        self.pd = pd
-        self.cq_factory = cq_factory
-        self.on_qp = on_qp
-        self._pending: List[RcSctpQp] = []
-        self._waiters: List[Future] = []
-        self._sctp_listener = device.net.sctp.listen(port)
-        self._sctp_listener.on_accept = self._on_assoc
-
-    def _on_assoc(self, assoc: SctpAssociation) -> None:
-        cq = self.cq_factory()
-        qp = RcSctpQp(self.device, self.pd, cq, cq, assoc, assoc.remote)
-        qp.ready.add_callback(lambda result: self._on_qp_ready(qp, result))
-
-    def _on_qp_ready(self, qp: RcSctpQp, result: Optional[object]) -> None:
-        if result is None:
-            return
-        if self.on_qp is not None:
-            self.on_qp(qp)
-        elif self._waiters:
-            self._waiters.pop(0).set_result(qp)
-        else:
-            self._pending.append(qp)
-
-    def accept_future(self) -> Future:
-        fut = self.device.sim.future()
-        if self._pending:
-            fut.set_result(self._pending.pop(0))
-        else:
-            self._waiters.append(fut)
-        return fut
-
-    def close(self) -> None:
-        self._sctp_listener.close()
+        self._llp_listener.close()
         self.device._listeners.pop(self.port, None)

@@ -1,4 +1,4 @@
-"""Queue pairs: RC (connected, over MPA/TCP) and UD (datagram, over UDP).
+"""Queue pairs: RC (connected, over MPA/TCP or SCTP) and UD (datagram).
 
 The datagram QP is the paper's central verbs extension (§IV.B item 4):
 "We require a datagram type QP, as well as a method for initializing
@@ -15,10 +15,9 @@ completions) but keeps working.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Deque, Dict, FrozenSet, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, FrozenSet, Optional, Set, Tuple
 
 from ..fsm import pair_table, transition as _fsm_transition
 
@@ -88,9 +87,6 @@ QP_TRANSITIONS: Dict[str, FrozenSet[str]] = pair_table(QP_EVENT_TRANSITIONS)
 #: Worst-case DDP header: control + tagged/untagged + UD extension.
 MAX_HEADER = CTRL_SIZE + max(TAGGED_SIZE, UNTAGGED_SIZE) + UDEXT_SIZE
 
-_qp_nums = itertools.count(1)
-
-
 @dataclass
 class _RdPendingSend:
     """A message posted on a reliable-datagram QP whose completion is
@@ -117,6 +113,7 @@ class QueuePair:
     """State and queues common to both QP types."""
 
     is_datagram = False
+    _max_seg: int
 
     #: Exported series (see :mod:`repro.obs.metrics`), labelled qp/host;
     #: the RDMAP engines declare their own.
@@ -139,7 +136,7 @@ class QueuePair:
         self.pd = pd
         self.sq_cq = sq_cq
         self.rq_cq = rq_cq
-        self.qp_num = next(_qp_nums)
+        self.qp_num = next(device._qp_nums)
         self.state = RESET
         self.rq: Deque[RecvWR] = deque()
         self.tx = RdmapTx(self)
@@ -263,7 +260,8 @@ class QueuePair:
 
     @property
     def max_seg_payload(self) -> int:
-        raise NotImplementedError
+        """Largest DDP payload one LLP segment carries."""
+        return self._max_seg
 
     # -- teardown ---------------------------------------------------------------
 
@@ -390,10 +388,6 @@ class UdQp(QueuePair):
     @property
     def address(self) -> Address:
         return (self.host.host_id, self._udp_sock.port)
-
-    @property
-    def max_seg_payload(self) -> int:
-        return self._max_seg
 
     # -- transmit ---------------------------------------------------------
 
@@ -535,9 +529,16 @@ class UdQp(QueuePair):
 
 
 class RcQp(QueuePair):
-    """Connected QP over MPA/TCP — the traditional iWARP baseline."""
+    """Connected QP over MPA/TCP — the traditional iWARP baseline.
+
+    The lower-layer protocol (LLP) is attached by :meth:`_attach`;
+    readiness, the per-segment send cost and the receive path are the
+    same for every LLP."""
 
     is_datagram = False
+
+    #: Why the QP errors when its LLP never becomes ready.
+    _READY_FAILURE = "MPA negotiation failed"
 
     def __init__(
         self,
@@ -545,28 +546,29 @@ class RcQp(QueuePair):
         pd: int,
         sq_cq: CompletionQueue,
         rq_cq: CompletionQueue,
-        mpa: MpaConnection,
+        llp: Any,
         remote: Address,
     ) -> None:
         super().__init__(device, pd, sq_cq, rq_cq)
-        self.mpa = mpa
         self.remote = remote
-        self._max_seg = device.rc_mulpdu - MAX_HEADER
+        self._attach(llp).add_callback(self._on_llp_ready)
+
+    def _attach(self, mpa: MpaConnection) -> Future:
+        """Wire the LLP's callbacks to this QP; returns its ready future."""
+        self.mpa = mpa
+        self._max_seg = self.device.rc_mulpdu - MAX_HEADER
+        self._frame_cost_ns: Callable[[int], int] = mpa.frame_cost_ns
         mpa.on_ulpdu = self._on_ulpdu
         mpa.on_error = lambda exc: self._enter_error(str(exc))
-        mpa.ready.add_callback(self._on_mpa_ready)
+        return mpa.ready
 
-    def _on_mpa_ready(self, result: Optional[object]) -> None:
+    def _on_llp_ready(self, result: Optional[object]) -> None:
         if result is None:
-            self._enter_error("MPA negotiation failed")
+            self._enter_error(self._READY_FAILURE)
             return
         self._set_state(RTS)
         if not self.ready.done:
             self.ready.set_result(self)
-
-    @property
-    def max_seg_payload(self) -> int:
-        return self._max_seg
 
     # -- transmit ---------------------------------------------------------
 
@@ -581,7 +583,7 @@ class RcQp(QueuePair):
             # One send() call covers the whole message's FPDU train
             # (writev batching): syscall + kernel fixed + user->kernel copy.
             cost += costs.syscall_ns + costs.tcp_tx_fixed_ns + costs.copy_ns(msg_len)
-        cost += self.mpa.frame_cost_ns(seg.wire_size)
+        cost += self._frame_cost_ns(seg.wire_size)
         self.host.cpu.submit(cost, self._emit, seg)
 
     def _emit(self, seg: DdpSegment) -> None:
@@ -626,57 +628,27 @@ class RcQp(QueuePair):
         self.mpa.close()
 
 
-class RcSctpQp(QueuePair):
+def _no_framing_ns(ulpdu_len: int) -> int:
+    """SCTP carries each DDP segment as one message: no MPA framing."""
+    return 0
+
+
+class RcSctpQp(RcQp):
     """Connected QP over SCTP — the standard's other LLP (RFC 5043
     shape): SCTP's own message boundaries replace the entire MPA layer,
     and its built-in CRC32c replaces the DDP-level CRC.  Everything else
     (in-order MSN matching, fatal stream errors, the RC software stack's
-    tagged staging) matches the TCP-based RC QP, so comparing the two
-    isolates exactly the TCP-adaptation overhead the paper discusses in
-    §IV.A."""
+    tagged staging) is :class:`RcQp`'s, so comparing the two isolates
+    exactly the TCP-adaptation overhead the paper discusses in §IV.A."""
 
-    is_datagram = False
+    _READY_FAILURE = "SCTP association failed"
 
-    def __init__(
-        self,
-        device: RnicDevice,
-        pd: int,
-        sq_cq: CompletionQueue,
-        rq_cq: CompletionQueue,
-        assoc: SctpAssociation,
-        remote: Address,
-    ) -> None:
-        super().__init__(device, pd, sq_cq, rq_cq)
+    def _attach(self, assoc: SctpAssociation) -> Future:  # type: ignore[override]
         self.assoc = assoc
-        self.remote = remote
         self._max_seg = assoc.max_message - MAX_HEADER
-        assoc.on_message = self._on_message
-        assoc.established.add_callback(self._on_assoc_ready)
-
-    def _on_assoc_ready(self, result: Optional[object]) -> None:
-        if result is None:
-            self._enter_error("SCTP association failed")
-            return
-        self._set_state(RTS)
-        if not self.ready.done:
-            self.ready.set_result(self)
-
-    @property
-    def max_seg_payload(self) -> int:
-        return self._max_seg
-
-    # -- transmit ---------------------------------------------------------
-
-    def channel_send(
-        self, seg: DdpSegment, dest: Optional[Address], first: bool = True, msg_len: int = 0
-    ) -> None:
-        costs = self.host.costs
-        cost = costs.ddp_tx_per_seg_ns
-        if seg.tagged:
-            cost += costs.ddp_tagged_validate_ns
-        if first:
-            cost += costs.syscall_ns + costs.tcp_tx_fixed_ns + costs.copy_ns(msg_len)
-        self.host.cpu.submit(cost, self._emit, seg)
+        self._frame_cost_ns = _no_framing_ns
+        assoc.on_message = self._on_ulpdu
+        return assoc.established
 
     def _emit(self, seg: DdpSegment) -> None:
         if self.assoc.state == "CLOSED":
@@ -689,28 +661,6 @@ class RcSctpQp(QueuePair):
         )
         self.assoc.send_message(seg.encode())
 
-    # -- receive ------------------------------------------------------------
-
-    def _on_message(self, data: bytes) -> None:
-        try:
-            seg = decode_segment(data, ud=False)
-        except HeaderError:
-            self.terminate("malformed DDP segment")
-            return
-        costs = self.host.costs
-        cost = costs.ddp_rx_per_seg_ns
-        if seg.tagged:
-            cost += costs.ddp_tagged_validate_ns
-            cost += int(
-                (costs.placement_per_byte_ns + costs.rc_tagged_staging_per_byte_ns)
-                * len(seg.payload)
-            )
-        else:
-            cost += costs.ddp_untagged_match_ns
-            cost += int(costs.placement_per_byte_ns * len(seg.payload))
-        if seg.last:
-            cost += costs.tcp_rx_syscalls_per_msg * costs.syscall_ns
-        self.host.cpu.submit(cost, self.rx.on_segment, seg, self.remote)
-
     def _release_channel(self) -> None:
         self.assoc.shutdown()
+

@@ -50,7 +50,6 @@ from .spans import (
     merge_timelines,
     spans,
     stage_sequence,
-    timeline,
     wr_span,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "sim_registry",
     "spans",
     "stage_sequence",
-    "timeline",
     "to_json",
     "to_json_obj",
     "to_prometheus",

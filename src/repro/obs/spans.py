@@ -44,28 +44,12 @@ def wr_span(host: Any, stage: str, **fields: Any) -> None:
 def spans(tracer: Any, **match: Any) -> List[Any]:
     """All ``wr.span`` trace records on ``tracer`` whose fields equal
     ``match`` (returns :class:`repro.simnet.trace.TraceRecord` objects)."""
-    out: List[Any] = []
-    for rec in tracer.records:
-        if rec.kind != SPAN_KIND:
-            continue
-        ok = True
-        for key, want in match.items():
-            if rec.fields.get(key) != want:
-                ok = False
-                break
-        if ok:
-            out.append(rec)
-    return out
+    return tracer.select(SPAN_KIND, **match)
 
 
 def stage_sequence(tracer: Any, **match: Any) -> List[str]:
     """Just the ordered stage names — what golden span tests assert on."""
     return [rec.fields["stage"] for rec in spans(tracer, **match)]
-
-
-def timeline(tracer: Any, **match: Any) -> List[Tuple[int, str]]:
-    """Ordered ``(sim_time_ns, stage)`` pairs for matching spans."""
-    return [(rec.time, rec.fields["stage"]) for rec in spans(tracer, **match)]
 
 
 def merge_timelines(*tracers: Any, match: Optional[Dict[str, Any]] = None) -> List[Any]:

@@ -48,25 +48,12 @@ class Testbed:
         equivalent to the paper's ``tc`` FIFO-with-drop on that node."""
         self.hosts[host_index].port.set_loss_model(model)
 
-    def set_switch_loss(self, toward_host_index: int, model: LossModel) -> None:
-        """Drop frames on the switch port facing a host (congested-core
-        emulation)."""
-        if self.switch is None:
-            raise RuntimeError("testbed has no switch")
-        self.switch.ports[toward_host_index].set_loss_model(model)
-
     def set_egress_faults(self, host_index: int, model: Optional[FaultModel]) -> None:
         """Attach a composable fault model (reorder, duplication, delay
         jitter, link flap — see :mod:`repro.simnet.faults`) at
         ``hosts[host_index]``'s NIC egress, the same injection point as
         :meth:`set_egress_loss`.  ``None`` detaches."""
         self.hosts[host_index].port.set_fault_model(model)
-
-    def set_switch_faults(self, toward_host_index: int, model: Optional[FaultModel]) -> None:
-        """Attach a fault model on the switch port facing a host."""
-        if self.switch is None:
-            raise RuntimeError("testbed has no switch")
-        self.switch.ports[toward_host_index].set_fault_model(model)
 
 
 def build_testbed(

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..obs import sim_registry, wr_span
@@ -120,40 +119,13 @@ class RudpError(Exception):
     """Reliable-UDP usage errors."""
 
 
-@dataclass
-class PeerStats:
-    """Per-peer reliability counters (exposed for benchmarks/tests)."""
-
-    retransmissions: int = 0
-    fast_retransmits: int = 0
-    timeouts: int = 0
-    backoff_events: int = 0
-    rto_samples: int = 0
-    sack_blocks: int = 0
-    #: Snapshot of the estimator when the peer was last observed.
-    srtt_ns: float = 0.0
-    rto_ns: int = 0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "retransmissions": self.retransmissions,
-            "fast_retransmits": self.fast_retransmits,
-            "timeouts": self.timeouts,
-            "backoff_events": self.backoff_events,
-            "rto_samples": self.rto_samples,
-            "sack_blocks": self.sack_blocks,
-            "srtt_ns": self.srtt_ns,
-            "rto_ns": self.rto_ns,
-        }
-
-
 class _PeerTx:
     """Sender-side state toward one peer."""
 
     __slots__ = (
         "next_seq", "unacked", "queue", "timer", "sent_at", "rtx", "sacked",
         "retries", "cbs", "estimator", "ack_floor", "dup_acks",
-        "fast_rtx_armed", "recover", "stats",
+        "fast_rtx_armed", "recover",
     )
 
     def __init__(self, estimator: RtoEstimator) -> None:
@@ -171,7 +143,6 @@ class _PeerTx:
         self.dup_acks = 0
         self.fast_rtx_armed = True              # one fast rtx per loss event
         self.recover = 0                        # NewReno recovery horizon
-        self.stats = PeerStats()
 
 
 class _PeerRx:
@@ -267,7 +238,7 @@ class RudpSocket:
         self._queue: Deque[Tuple[bytes, Address]] = deque()
         self._waiters: Deque[Future] = deque()
         udp.on_datagram = self._on_datagram
-        # Statistics (aggregate across peers; per-peer via peer_stats()).
+        # Statistics (aggregate across peers).
         self.retransmissions = 0
         self.fast_retransmits = 0
         self.timeouts = 0
@@ -371,17 +342,14 @@ class RudpSocket:
             return
         tx.retries[seq] = retries
         tx.rtx.add(seq)
-        tx.stats.timeouts += 1
         self.timeouts += 1
         if self.adaptive:
             tx.estimator.on_timeout()
-            tx.stats.backoff_events += 1
             self.backoff_events += 1
         self._retransmit(addr, tx, seq, "rto")
         self._arm_timer(addr, tx)
 
     def _retransmit(self, addr: Address, tx: _PeerTx, seq: int, cause: str) -> None:
-        tx.stats.retransmissions += 1
         self.retransmissions += 1
         self.retransmits_by_cause[cause] += 1
         wr_span(
@@ -448,10 +416,8 @@ class RudpSocket:
             and echo not in tx.rtx
         ):
             tx.estimator.sample(self.sim.now - tx.sent_at[echo])
-            tx.stats.rto_samples += 1
             self.rto_samples += 1
         for start, end in sacks:
-            tx.stats.sack_blocks += 1
             self.sack_blocks_received += 1
             for seq in tx.unacked:
                 if start <= seq <= end:
@@ -499,8 +465,6 @@ class RudpSocket:
             self._retransmit(src, tx, ack_seq, "partial_ack")
         if self.adaptive:
             tx.estimator.reset_backoff()
-        tx.stats.srtt_ns = tx.estimator.srtt
-        tx.stats.rto_ns = self._current_rto(tx)
         if tx.timer is not None:
             tx.timer.cancel()
             tx.timer = None
@@ -522,7 +486,6 @@ class RudpSocket:
             return
         tx.fast_rtx_armed = False  # once per loss event, like NewReno
         tx.recover = tx.next_seq - 1  # recovery covers everything sent so far
-        tx.stats.fast_retransmits += 1
         self.fast_retransmits += 1
         # SACK-based recovery: resend every inferred hole — any unacked,
         # unSACKed seq below something the peer does hold — in one RTT,
@@ -634,14 +597,6 @@ class RudpSocket:
         """The retransmission timeout currently in force toward a peer."""
         tx = self._tx.get(addr)
         return self._current_rto(tx) if tx else self.rto_ns
-
-    def peer_stats(self, addr: Address) -> Optional[PeerStats]:
-        tx = self._tx.get(addr)
-        if tx is None:
-            return None
-        tx.stats.srtt_ns = tx.estimator.srtt
-        tx.stats.rto_ns = self._current_rto(tx)
-        return tx.stats
 
     def stats(self) -> Dict[str, int]:
         """Aggregate reliability counters (all peers): the unlabelled

@@ -16,7 +16,7 @@ def _wc(i=0):
 class TestCompletionQueue:
     def _cq(self, depth=16):
         sim = Simulator()
-        return sim, CompletionQueue(sim, host=None, depth=depth)
+        return sim, CompletionQueue(sim, device=None, depth=depth)
 
     def test_fifo_poll(self):
         sim, cq = self._cq()
@@ -73,7 +73,7 @@ class TestCompletionQueue:
     def test_depth_validation(self):
         sim = Simulator()
         with pytest.raises(CqError):
-            CompletionQueue(sim, host=None, depth=0)
+            CompletionQueue(sim, device=None, depth=0)
 
     def test_completions_total(self):
         sim, cq = self._cq()

@@ -22,7 +22,7 @@ def _wc(solicited=False):
 class TestCqEvents:
     def _cq(self):
         sim = Simulator()
-        return sim, CompletionQueue(sim, host=None)
+        return sim, CompletionQueue(sim, device=None)
 
     def test_disarmed_cq_raises_no_events(self):
         sim, cq = self._cq()

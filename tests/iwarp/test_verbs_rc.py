@@ -247,3 +247,55 @@ class TestRdmaRead:
         ))
         wcs = _poll(rc, 0)
         assert wcs[0].status is WcStatus.LOCAL_PROTECTION_ERROR
+
+
+@pytest.fixture(params=["tcp", "sctp"])
+def rc_any(request, zero_testbed, zero_devices):
+    """An RC pair over each lower-layer protocol, plus the QPs the
+    listener handed to its ``on_qp`` callback."""
+    devA, devB = zero_devices
+    pdA, pdB = devA.alloc_pd(), devB.alloc_pd()
+    cqA, cqB = devA.create_cq(), devB.create_cq()
+    handed = []
+    devB.rc_listen(4791, pdB, lambda: cqB, on_qp=handed.append,
+                   transport=request.param)
+    qpA = devA.rc_connect((1, 4791), pdA, cqA, transport=request.param)
+    zero_testbed.sim.run_until(qpA.ready, limit=RUN_LIMIT)
+    zero_testbed.sim.run(until=zero_testbed.sim.now + 100 * MS)
+    return {
+        "transport": request.param, "sim": zero_testbed.sim,
+        "devs": (devA, devB), "pds": (pdA, pdB), "cqs": (cqA, cqB),
+        "qps": (qpA, handed[0] if handed else None), "handed": handed,
+    }
+
+
+def _llp_closed(qp):
+    if hasattr(qp, "assoc"):
+        return qp.assoc.state == "CLOSED"
+    return qp.mpa.sock.conn.state in ("TIME_WAIT", "CLOSED")
+
+
+class TestBothTransports:
+    def test_listener_hands_ready_qp_to_on_qp(self, rc_any):
+        assert len(rc_any["handed"]) == 1
+        qp = rc_any["handed"][0]
+        assert qp.state == "RTS" and qp.ready.value is qp
+        assert hasattr(qp, "assoc") == (rc_any["transport"] == "sctp")
+
+    def test_close_flushes_recvs_and_releases_llp(self, rc_any):
+        devB = rc_any["devs"][1]
+        qpA, qpB = rc_any["qps"]
+        wr_ids = []
+        for _ in range(2):
+            wr = RecvWR(sges=[Sge(devB.reg_mr(64, Access.local_only(), rc_any["pds"][1]))])
+            wr_ids.append(wr.wr_id)
+            qpB.post_recv(wr)
+        qpB.close()
+        wcs = rc_any["cqs"][1].poll(max_entries=8)  # flushed synchronously
+        assert [wc.wr_id for wc in wcs] == wr_ids
+        assert all(wc.status is WcStatus.FLUSHED for wc in wcs)
+        assert qpB.state == "ERROR" and qpB.terminate_reason is None
+        qpA.close()
+        qpB.close()  # idempotent
+        rc_any["sim"].run(until=rc_any["sim"].now + 5 * SEC)
+        assert _llp_closed(qpA) and _llp_closed(qpB)

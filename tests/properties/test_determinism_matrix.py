@@ -8,37 +8,12 @@ This matrix runs a slimmed fig07 loss scenario twice per seed for five
 seeds, in both metrics modes, and compares everything observable.
 """
 
-import re
-
 import pytest
 
 from repro.bench.harness import VerbsEndpointPair
 from repro.simnet.loss import BernoulliLoss
 
 SEEDS = (1, 7, 11, 23, 42)
-
-_ID_LABEL = re.compile(r'(\w+)="(\d+)"')
-
-
-def _canonicalize(snapshot):
-    """QP/CQ numbers come from process-global allocators, so the raw
-    series keys differ between two otherwise identical runs.  Remap
-    each label's distinct id numbers (in sorted order) to run-local
-    indices so snapshots from different runs are comparable."""
-    ids = {}
-    for key in snapshot:
-        for label, value in _ID_LABEL.findall(key):
-            ids.setdefault(label, set()).add(int(value))
-    index = {
-        label: {str(n): str(i) for i, n in enumerate(sorted(values))}
-        for label, values in ids.items()
-    }
-    return {
-        _ID_LABEL.sub(
-            lambda m: f'{m.group(1)}="{index[m.group(1)][m.group(2)]}"', key
-        ): value
-        for key, value in snapshot.items()
-    }
 
 
 def _run_fig07_once(seed: int, metrics: bool):
@@ -61,7 +36,7 @@ def _run_fig07_once(seed: int, metrics: bool):
         "received_bytes": out["received_bytes"],
         "rudp": pair.qps[0].rd.stats(),
     }
-    snapshot = _canonicalize(pair.metrics_snapshot()) if metrics else None
+    snapshot = pair.metrics_snapshot() if metrics else None
 
     pair2 = VerbsEndpointPair.build(
         "ud_sendrecv", loss=BernoulliLoss(0.01, seed=seed), metrics=metrics,

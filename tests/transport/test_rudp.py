@@ -207,8 +207,6 @@ def test_adaptive_rto_converges_below_initial(rudp_pair):
     # A clean LAN has microsecond RTTs; the estimator must have pulled
     # the RTO well below the 2 ms it was seeded with (down to the floor).
     assert a.min_rto_ns <= a.current_rto_ns(addr) < 2 * MS
-    stats = a.peer_stats(addr)
-    assert stats.srtt_ns > 0 and stats.rto_ns == a.current_rto_ns(addr)
 
 
 def test_fast_retransmit_beats_timeout(zero_testbed):
