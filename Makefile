@@ -1,7 +1,7 @@
 PYTHON ?= python
 ARTIFACTS ?= artifacts
 
-.PHONY: lint test check verify-fsm obs-check results-check
+.PHONY: lint test check verify-fsm obs-check results-check digest-check
 
 lint:
 	bash scripts/check.sh
@@ -39,3 +39,11 @@ obs-check:
 results-check:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
 	git diff --exit-code results/
+
+# Behaviour contract for hot-path changes: the wire-digest and event-count
+# goldens, plus the same-process determinism matrix. A change that claims
+# to be bit-identical passes this unchanged.
+digest-check:
+	PYTHONPATH=src $(PYTHON) -m pytest -q \
+		tests/integration/test_wire_digest.py \
+		tests/properties/test_determinism_matrix.py

@@ -37,7 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ...memory.region import Access, MemoryAccessError
+from ...memory.region import (
+    LOCAL_WRITE_BIT, REMOTE_READ_BIT, REMOTE_WRITE_BIT, MemoryAccessError,
+)
 from ...memory.validity import ValidityMap
 from ...obs import wr_span
 from ...simnet.engine import MS
@@ -185,7 +187,7 @@ class RdmapTx:
             self._fail_send(wr, WcStatus.LOCAL_LENGTH_ERROR)
             return
         sink = wr.sges[0]
-        if not (sink.mr.access & Access.LOCAL_WRITE):
+        if not (sink.mr.access_bits & LOCAL_WRITE_BIT):
             self._fail_send(wr, WcStatus.LOCAL_PROTECTION_ERROR)
             return
         msg_id = self._next_msg_id() if self.qp.is_datagram else None
@@ -326,7 +328,7 @@ class RdmapRx:
 
     def _place_tagged(self, seg: DdpSegment) -> None:
         mr = self.qp.device.registry.resolve(
-            seg.stag, seg.to, len(seg.payload), Access.REMOTE_WRITE,
+            seg.stag, seg.to, len(seg.payload), REMOTE_WRITE_BIT,
             pd_handle=self.qp.pd,
         )
         if seg.payload:
@@ -536,7 +538,7 @@ class RdmapRx:
     def _on_read_request(self, seg: DdpSegment, src: Optional[Address]) -> None:
         sink_stag, sink_to, length, src_stag, src_to = decode_read_request(seg.payload)
         mr = self.qp.device.registry.resolve(
-            src_stag, src_to, length, Access.REMOTE_READ, pd_handle=self.qp.pd
+            src_stag, src_to, length, REMOTE_READ_BIT, pd_handle=self.qp.pd
         )
         data = bytes(mr.read(src_to, length, remote=True))
         msg_id = seg.msg_id  # echo the requester's id on UD
@@ -562,7 +564,7 @@ class RdmapRx:
         # The response targets the *sink* buffer the requester advertised;
         # placement needs only local write rights there.
         mr = self.qp.device.registry.resolve(
-            seg.stag, seg.to, len(seg.payload), Access.LOCAL_WRITE,
+            seg.stag, seg.to, len(seg.payload), LOCAL_WRITE_BIT,
             pd_handle=self.qp.pd,
         )
         if seg.payload:

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, FrozenSet, Optiona
 
 from ..fsm import pair_table, transition as _fsm_transition
 
-from ...memory.region import Access
+from ...memory.region import LOCAL_READ_BIT, LOCAL_WRITE_BIT
 from ...obs import sim_registry, wr_span
 from ...simnet.engine import Future
 from ...transport.ip import IP_HEADER
@@ -202,14 +202,14 @@ class QueuePair:
         if self.state == ERROR:
             raise QpError(f"post_recv on QP {self.qp_num} in ERROR state")
         for sge in wr.sges:
-            if not (sge.mr.access & Access.LOCAL_WRITE):
+            if not (sge.mr.access_bits & LOCAL_WRITE_BIT):
                 raise QpError("receive SGE lacks LOCAL_WRITE")
         self.recv_posts += 1
         self.rq.append(wr)
 
     def _validate_send(self, wr: SendWR) -> None:
         for sge in wr.sges:
-            if not (sge.mr.access & Access.LOCAL_READ):
+            if not (sge.mr.access_bits & LOCAL_READ_BIT):
                 raise QpError("send SGE lacks LOCAL_READ")
         if self.is_datagram and wr.dest is None:
             raise QpError("datagram send requires a destination address")

@@ -46,6 +46,15 @@ class Access(IntFlag):
         return cls.local_only() | cls.REMOTE_READ | cls.REMOTE_WRITE
 
 
+#: The rights as plain ints, for per-message checks against
+#: :attr:`MemoryRegion.access_bits`: ``&`` on an :class:`Access` builds
+#: a new flag object on every call.
+LOCAL_READ_BIT = int(Access.LOCAL_READ)
+LOCAL_WRITE_BIT = int(Access.LOCAL_WRITE)
+REMOTE_READ_BIT = int(Access.REMOTE_READ)
+REMOTE_WRITE_BIT = int(Access.REMOTE_WRITE)
+
+
 class MemoryAccessError(Exception):
     """Out-of-bounds or rights-violating access to a registered region.
 
@@ -78,6 +87,7 @@ class MemoryRegion:
         self.stag = stag
         self.buffer = buffer
         self.access = access
+        self.access_bits = int(access)
         self.pd_handle = pd_handle
         self.invalidated = False
         self._watches: list = []
@@ -92,12 +102,14 @@ class MemoryRegion:
 
     # -- checked access ----------------------------------------------------
 
-    def _check(self, offset: int, length: int, needed: Access) -> None:
+    def _check(self, offset: int, length: int, needed: int) -> None:
+        """Raise unless the region is live, holds the right ``needed`` (one
+        of the ``*_BIT`` constants) and contains the extent."""
         if self.invalidated:
             raise MemoryAccessError(f"stag {self.stag:#x} has been invalidated")
-        if not (self.access & needed):
+        if not (self.access_bits & needed):
             raise MemoryAccessError(
-                f"stag {self.stag:#x} lacks {needed.name} (has {self.access!r})"
+                f"stag {self.stag:#x} lacks {Access(needed).name} (has {self.access!r})"
             )
         if offset < 0 or length < 0 or offset + length > len(self.buffer):
             raise MemoryAccessError(
@@ -106,7 +118,7 @@ class MemoryRegion:
             )
 
     def write(self, offset: int, data: Union[bytes, memoryview], remote: bool = False) -> None:
-        needed = Access.REMOTE_WRITE if remote else Access.LOCAL_WRITE
+        needed = REMOTE_WRITE_BIT if remote else LOCAL_WRITE_BIT
         self._check(offset, len(data), needed)
         self.buffer[offset : offset + len(data)] = data
         if self._watches:
@@ -129,7 +141,7 @@ class MemoryRegion:
             self._watches.remove(handle)
 
     def read(self, offset: int, length: int, remote: bool = False) -> memoryview:
-        needed = Access.REMOTE_READ if remote else Access.LOCAL_READ
+        needed = REMOTE_READ_BIT if remote else LOCAL_READ_BIT
         self._check(offset, length, needed)
         return memoryview(self.buffer)[offset : offset + length]
 

@@ -51,7 +51,7 @@ class StagRegistry:
         stag: int,
         offset: int,
         length: int,
-        needed: Access,
+        needed: int,
         pd_handle: int = None,
     ) -> MemoryRegion:
         """Validate a tagged access and return the region.

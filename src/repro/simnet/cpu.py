@@ -52,8 +52,8 @@ class CpuResource:
         self.busy_ns += cost_ns
         self.work_items += 1
         # Fire-and-forget: completion callbacks are never cancelled, so
-        # the recyclable-event fast path applies (this is the hottest
-        # allocation site in the bandwidth benchmarks).
+        # no Event handle is built (this is the hottest scheduling site
+        # in the bandwidth benchmarks).
         self.sim.call_at(done, fn, *args)
         return done
 

@@ -24,26 +24,27 @@ Yielding an ``int`` sleeps that many nanoseconds; yielding a
 Hot-path notes
 --------------
 
-The heap stores ``(time, seq, event)`` tuples so ordering is decided by
-C-level integer comparisons (``seq`` is unique, so comparison never
-reaches the event).  :meth:`Simulator.run` and
+The heap stores plain ``(time, seq, fn, args, handle)`` tuples, so
+ordering is decided by C-level integer comparisons (``seq`` is unique,
+so comparison never reaches the callback).  :meth:`Simulator.run` and
 :meth:`Simulator.run_until` share one pop/fire loop.
 
-Cancellation is *lazy*: :meth:`Event.cancel` marks a tombstone that the
-run loop discards when popped.  A dead-entry counter triggers an in-place
-compaction once tombstones dominate the heap (retransmission timers that
-are re-armed on every ACK would otherwise grow it without bound).
+Most events are fire-and-forget: :meth:`Simulator.call_after` /
+:meth:`Simulator.call_at` push ``handle=None`` and allocate nothing but
+the tuple.  Only :meth:`Simulator.schedule` / :meth:`Simulator.at`
+build an :class:`Event`, the handle a caller keeps to cancel a timer.
 
-Fire-and-forget callbacks scheduled through :meth:`Simulator.call_after`
-/ :meth:`Simulator.call_at` return no handle, so their ``Event`` shells
-are recycled through a free list.  Handles returned by ``schedule``/
-``at`` are never recycled — the caller may hold one indefinitely and
-``cancel()`` it long after it fired.
+Cancellation is *lazy*: :meth:`Event.cancel` marks a tombstone that the
+run loop discards when popped, before it moves the clock, so a
+cancelled timer never decides ``now``.  A dead-entry counter triggers
+an in-place compaction once tombstones dominate the heap
+(retransmission timers that are re-armed on every ACK would otherwise
+grow it without bound).
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 # Convenient time-unit multipliers (all in nanoseconds).
@@ -56,38 +57,25 @@ SEC = 1_000_000_000
 #: are cheap to pop through; rebuilding them would cost more than it saves).
 _COMPACT_MIN_DEAD = 256
 
-#: Maximum number of fired event shells kept for reuse.
-_FREE_LIST_MAX = 1024
-
-
-def _noop() -> None:
-    """Placeholder callback for recycled event shells."""
-
-
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation engine."""
 
 
 class Event:
-    """A scheduled callback.  Returned by :meth:`Simulator.schedule` so the
-    caller can cancel it (e.g. a retransmission timer that is no longer
-    needed)."""
+    """Handle to a scheduled callback.  Returned by :meth:`Simulator.schedule`
+    so the caller can cancel it (e.g. a retransmission timer that is no
+    longer needed)."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim", "_recyclable")
+    __slots__ = ("time", "fn", "cancelled", "_sim")
 
-    def __init__(self, time: int, seq: int, fn: Callable[..., None], args: tuple):
+    def __init__(self, time: int, fn: Callable[..., None], sim: "Simulator"):
         self.time = time
-        self.seq = seq
         self.fn = fn
-        self.args = args
         self.cancelled = False
         # Owning simulator while the event sits in the heap; cleared when
         # it fires (or is discarded) so late cancels don't skew the
         # tombstone accounting.
-        self._sim: Optional["Simulator"] = None
-        # True only for events created via call_after/call_at, whose
-        # handles never escape to callers and are safe to recycle.
-        self._recyclable = False
+        self._sim: Optional["Simulator"] = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Safe to call repeatedly,
@@ -223,9 +211,17 @@ class Process:
             fut.add_callback(make_cb(i))
 
 
-#: Heap entry: ``(time, seq, event)``.  Ordering is settled by the two
-#: leading ints; the event itself is never compared.
-_HeapEntry = Tuple[int, int, Event]
+#: Heap entry: ``(time, seq, fn, args, handle)``, where ``handle`` is
+#: the :class:`Event` returned by ``at``/``schedule`` or None for a
+#: fire-and-forget callback.  Ordering is settled by the two leading
+#: ints; nothing after them is ever compared.
+_HeapEntry = Tuple[int, int, Callable[..., None], tuple, Optional[Event]]
+
+
+def _live(entry: _HeapEntry) -> bool:
+    """False only for the tombstone of a cancelled handle."""
+    handle = entry[4]
+    return handle is None or not handle.cancelled
 
 
 class Simulator:
@@ -238,8 +234,6 @@ class Simulator:
         self.events_processed: int = 0
         # Tombstone accounting for lazily-cancelled entries still queued.
         self._dead: int = 0
-        # Recycled shells for handle-less events (call_after/call_at).
-        self._free: List[Event] = []
         # Lazily populated by repro.obs.sim_registry (a support layer the
         # engine must not import); None means no registry attached yet.
         self.obs_registry: Optional[Any] = None
@@ -258,15 +252,15 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )
+        t = int(time_ns)
         self._seq += 1
-        ev = Event(int(time_ns), self._seq, fn, args)
-        ev._sim = self
-        heapq.heappush(self._heap, (ev.time, ev.seq, ev))
+        ev = Event(t, fn, self)
+        heappush(self._heap, (t, self._seq, fn, args, ev))
         return ev
 
     def call_after(self, delay_ns: int, fn: Callable[..., None], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`: no cancellable handle is
-        returned, which lets the engine recycle the event shell."""
+        returned, so no :class:`Event` is built."""
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
         self.call_at(self.now + int(delay_ns), fn, *args)
@@ -277,22 +271,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )
-        t = int(time_ns)
         self._seq += 1
-        seq = self._seq
-        free = self._free
-        if free:
-            ev = free.pop()
-            ev.time = t
-            ev.seq = seq
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
-        else:
-            ev = Event(t, seq, fn, args)
-            ev._recyclable = True
-        ev._sim = self
-        heapq.heappush(self._heap, (t, seq, ev))
+        heappush(self._heap, (int(time_ns), self._seq, fn, args, None))
 
     # -- tombstone bookkeeping ------------------------------------------
 
@@ -307,8 +287,8 @@ class Simulator:
         identity is preserved so a run loop holding a reference keeps
         seeing the live heap)."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2].cancelled]
-        heapq.heapify(heap)
+        heap[:] = [entry for entry in heap if _live(entry)]
+        heapify(heap)
         self._dead = 0
 
     # -- process/future helpers -----------------------------------------
@@ -356,32 +336,22 @@ class Simulator:
         number of events fired."""
         processed = 0
         heap = self._heap
-        heappop = heapq.heappop
-        free = self._free
+        pop = heappop
         while heap:
             if fut is not None and fut.done:
                 break
-            entry = heap[0]
-            if until is not None and entry[0] > until:
+            if until is not None and heap[0][0] > until:
                 break
-            heappop(heap)
-            ev = entry[2]
-            if ev.cancelled:
-                self._dead -= 1
-                continue
-            self.now = entry[0]
-            # Detach before firing: a cancel() from inside the callback
-            # (or long after) must be a no-op on the heap accounting.
-            ev._sim = None
-            fn = ev.fn
-            args = ev.args
-            if ev._recyclable and len(free) < _FREE_LIST_MAX:
-                # Shell goes back to the pool *before* the callback runs;
-                # fn/args are already saved in locals, so reuse by a
-                # call_after issued inside the callback is safe.
-                ev.fn = _noop
-                ev.args = ()
-                free.append(ev)
+            t, _, fn, args, ev = pop(heap)
+            if ev is not None:
+                if ev.cancelled:
+                    self._dead -= 1
+                    continue
+                # Detach before firing: a cancel() from inside the
+                # callback (or long after) must be a no-op on the heap
+                # accounting.
+                ev._sim = None
+            self.now = t
             fn(*args)
             processed += 1
             self.events_processed += 1
@@ -389,4 +359,4 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for entry in self._heap if not entry[2].cancelled)
+        return sum(1 for entry in self._heap if _live(entry))

@@ -49,10 +49,6 @@ class Link:
         self.name = name
         self._a = None
         self._b = None
-        # Aggregate traffic counters (both directions), maintained by the
-        # transmitting NicPort.
-        self.frames = 0
-        self.bytes = 0
         # Serialization-time memo: traffic is dominated by a handful of
         # distinct wire sizes (full MTU, minimum frame, ACKs), so each is
         # computed once — the cached value is bit-identical to calling
@@ -81,6 +77,17 @@ class Link:
         if port is self._b:
             return self._a
         raise ValueError("port is not attached to this link")
+
+    @property
+    def frames(self) -> int:
+        """Frames sent over the link, both directions: the endpoint
+        ports' transmit counters."""
+        return self._a.tx_frames + self._b.tx_frames if self.attached else 0
+
+    @property
+    def bytes(self) -> int:
+        """Wire bytes sent over the link, both directions."""
+        return self._a.tx_bytes + self._b.tx_bytes if self.attached else 0
 
     @property
     def attached(self) -> bool:

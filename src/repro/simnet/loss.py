@@ -12,7 +12,9 @@ patterns are reproducible and independent of any other randomness.
 Every :class:`LossModel` exposes the same two counters — ``seen`` (all
 frames offered) and ``dropped`` (frames the model discarded) — kept by
 the shared base class; subclasses only implement the per-frame decision
-in :meth:`LossModel._decide`.
+in :meth:`LossModel._decide`.  :class:`NoLoss`, which sees every frame
+of a lossless run, overrides :meth:`LossModel.should_drop` to count
+without the decision call.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ class LossModel:
 
 
 class NoLoss(LossModel):
-    """Lossless egress (the default)."""
+    """Lossless egress (the default): counts every frame, drops none."""
 
-    def _decide(self, frame: Frame) -> bool:
+    def should_drop(self, frame: Frame) -> bool:
+        self.seen += 1
         return False
 
 

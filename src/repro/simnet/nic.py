@@ -176,15 +176,14 @@ class NicPort:
     def _finish_tx(self, frame: Frame) -> None:
         self.tx_frames += 1
         self.tx_bytes += frame.wire_size
-        link = self.link
-        link.frames += 1
-        link.bytes += frame.wire_size
         if self.tracer:
             self.tracer.record("tx", port=self.name, frame=frame)
+        link = self.link
         peer = self._peer
         if peer is None:
             peer = self._peer = link.peer_of(self)
-        self.sim.call_after(link.delay_ns, peer.deliver, frame)
+        sim = self.sim
+        sim.call_at(sim.now + link.delay_ns, peer.deliver, frame)
         self._batch_left -= 1
         if self._batch_left:
             # The successor's serialization starts this instant; it exits

@@ -171,6 +171,7 @@ class IpStack:
                 frag_offset=0, frag_size=payload_size, more_frags=False,
             )
             self._emit(pkt)
+            self.tx_packets += 1
             return 1
         max_data = self._max_frag_data()
         offset = 0

@@ -1,4 +1,4 @@
-"""Wire-digest goldens for the connected (RC) paths.
+"""Wire-digest goldens: the behaviour contract for hot-path changes.
 
 One :class:`Tracer` sits on every NIC and switch port from before the
 connection handshake.  The digest hashes ``(time, kind, port, src, dst,
@@ -7,11 +7,19 @@ message and byte counts and the final simulated clock.  A change that
 keeps the wire trace identical keeps the digest; anything that moves
 one frame by one nanosecond does not.
 
-Each RC mode streams a short run lossless and at 1 % Bernoulli loss on
+Each mode streams a short run lossless and at 1 % Bernoulli loss on
 host 0's egress, then both sides close their QP so the teardown (TCP
-FIN, SCTP SHUTDOWN) is on the wire too.
+FIN, SCTP SHUTDOWN) is on the wire too.  RD also runs under the chaos
+pipeline of perfbench's ``lossy`` workload: loss, reordering and
+duplication together.
 
-After a deliberate wire change, print fresh values with::
+``EVENTS`` pins ``sim.events_processed`` for the same runs.  Events are
+an exact cost counter, not behaviour: a change that schedules fewer
+events for the same wire trace moves ``EVENTS`` and leaves ``GOLDEN``
+alone.  ``make digest-check`` runs this file together with the
+determinism matrix.
+
+After a deliberate wire or event-count change, print fresh values with::
 
     PYTHONPATH=src python -m tests.integration.test_wire_digest
 """
@@ -22,11 +30,13 @@ import pytest
 
 import repro.bench.harness as harness
 from repro.bench.harness import VerbsEndpointPair
-from repro.simnet.engine import SEC
+from repro.simnet.engine import SEC, US
+from repro.simnet.faults import seeded_chaos
 from repro.simnet.loss import BernoulliLoss
 from repro.simnet.trace import Tracer
 
-#: (mode, loss rate) -> digest of the run.
+#: (mode, fault) -> digest of the run.  ``fault`` is a Bernoulli loss
+#: rate on host 0's egress, or ``"chaos"`` for the RD chaos pipeline.
 GOLDEN = {
     ('rc_sendrecv', 0.0): 'cbec5f83e4136868221f2cb20c65023f04a5761ac7bb89a230eaef8052339746',
     ('rc_sendrecv', 0.01): '008dc73587af7f6801248011c4adc43616c15c590fb54cb4b30be57515f7e904',
@@ -34,16 +44,46 @@ GOLDEN = {
     ('rc_rdma_write', 0.01): 'd2a5dda073ac2be32adb65dc5351b792950ec683bd4b3e4a08787fd69f6cc723',
     ('rcsctp_sendrecv', 0.0): 'e5cca8e74fe6ffde17133bbb86f31382a18f67355e260cfc490d56223d1b3405',
     ('rcsctp_sendrecv', 0.01): '87dd47b1a6c283f46ba6ffe93a01b23a59bf3ac0e48dfd54e4df48e0a26007df',
+    ('ud_sendrecv', 0.0): '1fe047d8af3f36dc96c5a9425f040c0916b74ffa7680468da82054c01f70fb64',
+    ('ud_sendrecv', 0.01): '8ea90cd96b0a5449456822e1dd4e8a2fa0157c01c7def201b0e25a85984742f2',
+    ('ud_write_record', 0.0): '876cc18b86e479a0f83acf65e4e7cda4c4aec4c44029549a7bdaf1f5440d54d0',
+    ('ud_write_record', 0.01): '0e5aa093e8a420e8fc124c71c260dbf23a36546de26a10f7ea3a61af0f78a3e2',
+    ('rd_sendrecv', 0.0): '4640c884f1a74695bce230c28f79b27eb7890a4d4ae6dc056e38f7e16add9dee',
+    ('rd_sendrecv', 0.01): '6a1973928f998a580cc2fd02be7ccb51f66e5020a58cf7555b4924c85fae6a45',
+    ('rd_sendrecv', 'chaos'): '82af1ba58f818efd0f44e78e1ff364d26369ebcbcb74e2a2f5408356670692ad',
 }
 
-SCENARIOS = [
+#: (mode, fault) -> ``sim.events_processed`` at the end of the run.
+EVENTS = {
+    ('rc_sendrecv', 0.0): 7690,
+    ('rc_sendrecv', 0.01): 12604,
+    ('rc_rdma_write', 0.0): 7611,
+    ('rc_rdma_write', 0.01): 12525,
+    ('rcsctp_sendrecv', 0.0): 6852,
+    ('rcsctp_sendrecv', 0.01): 8513,
+    ('ud_sendrecv', 0.0): 2832,
+    ('ud_sendrecv', 0.01): 2817,
+    ('ud_write_record', 0.0): 2832,
+    ('ud_write_record', 0.01): 2817,
+    ('rd_sendrecv', 0.0): 8032,
+    ('rd_sendrecv', 0.01): 8037,
+    ('rd_sendrecv', 'chaos'): 8113,
+}
+
+RC_SCENARIOS = [
     (mode, rate)
     for mode in ("rc_sendrecv", "rc_rdma_write", "rcsctp_sendrecv")
     for rate in (0.0, 0.01)
 ]
+DATAGRAM_SCENARIOS = [
+    (mode, rate)
+    for mode in ("ud_sendrecv", "ud_write_record", "rd_sendrecv")
+    for rate in (0.0, 0.01)
+] + [("rd_sendrecv", "chaos")]
 
 
-def run_digest(mode, rate, monkeypatch):
+def run_digest(mode, fault, monkeypatch):
+    """Run one scenario; returns ``(digest, events_processed)``."""
     tracers = []
     build_testbed = harness.build_testbed
 
@@ -56,8 +96,13 @@ def run_digest(mode, rate, monkeypatch):
         return tb
 
     monkeypatch.setattr(harness, "build_testbed", traced_testbed)
-    loss = BernoulliLoss(rate, seed=3) if rate else None
+    loss = BernoulliLoss(fault, seed=3) if fault and fault != "chaos" else None
     pair = VerbsEndpointPair.build(mode, loss=loss)
+    if fault == "chaos":
+        pair.testbed.set_egress_faults(0, seeded_chaos(
+            5, loss=BernoulliLoss(0.01, seed=5),
+            reorder_prob=0.02, reorder_hold_ns=20 * US, dup_prob=0.01,
+        ))
     out = pair.bandwidth_mbs(16384, messages=40, window=8)
     for qp in pair.qps:
         qp.close()
@@ -70,16 +115,33 @@ def run_digest(mode, rate, monkeypatch):
             h.update(repr((rec.time, rec.kind, rec.fields["port"], frame.src,
                            frame.dst, frame.wire_size)).encode())
     h.update(repr((out["received_msgs"], out["received_bytes"], pair.sim.now)).encode())
-    return h.hexdigest()
+    return h.hexdigest(), pair.sim.events_processed
 
 
-@pytest.mark.parametrize("mode,rate", SCENARIOS)
+def check_golden(mode, fault, monkeypatch):
+    digest, events = run_digest(mode, fault, monkeypatch)
+    assert digest == GOLDEN[(mode, fault)]
+    assert events == EVENTS[(mode, fault)]
+
+
+@pytest.mark.parametrize("mode,rate", RC_SCENARIOS)
 def test_rc_wire_digest_matches_golden(mode, rate, monkeypatch):
-    assert run_digest(mode, rate, monkeypatch) == GOLDEN[(mode, rate)]
+    check_golden(mode, rate, monkeypatch)
+
+
+@pytest.mark.parametrize("mode,fault", DATAGRAM_SCENARIOS)
+def test_datagram_wire_digest_matches_golden(mode, fault, monkeypatch):
+    check_golden(mode, fault, monkeypatch)
 
 
 if __name__ == "__main__":
     mp = pytest.MonkeyPatch()
-    for mode, rate in SCENARIOS:
+    results = {}
+    for key in RC_SCENARIOS + DATAGRAM_SCENARIOS:
         with mp.context() as m:
-            print(f"    ({mode!r}, {rate}): {run_digest(mode, rate, m)!r},")
+            results[key] = run_digest(*key, m)
+    for name, column in (("GOLDEN", 0), ("EVENTS", 1)):
+        print(f"{name} = {{")
+        for key, row in results.items():
+            print(f"    {key!r}: {row[column]!r},")
+        print("}")

@@ -139,6 +139,22 @@ class TestQpMisuse:
         with pytest.raises(QpError):
             ud["qps"][1].post_recv(RecvWR(sges=[Sge(ro)]))
 
+    def test_any_sge_lacking_the_right_rejects_the_wr(self, ud):
+        devA, devB = ud["devs"]
+        rw = Access.local_only()
+        good_src = devA.registry.register(bytearray(8), rw, ud["pds"][0])
+        wo = devA.registry.register(bytearray(8), Access.LOCAL_WRITE, ud["pds"][0])
+        with pytest.raises(QpError, match="send SGE lacks LOCAL_READ"):
+            ud["qps"][0].post_send(SendWR(
+                opcode=WrOpcode.SEND, sges=[Sge(good_src), Sge(wo)],
+                dest=ud["qps"][1].address,
+            ))
+        good_sink = devB.registry.register(bytearray(8), rw, ud["pds"][1])
+        ro = devB.registry.register(bytearray(8), Access.LOCAL_READ, ud["pds"][1])
+        with pytest.raises(QpError, match="receive SGE lacks LOCAL_WRITE"):
+            ud["qps"][1].post_recv(RecvWR(sges=[Sge(good_sink), Sge(ro)]))
+        assert ud["qps"][1].recv_posts == 0
+
     def test_closed_ud_qp_rejects_posts(self, ud):
         qp = ud["qps"][0]
         qp.close()

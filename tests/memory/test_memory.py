@@ -36,6 +36,18 @@ class TestMemoryRegion:
         with pytest.raises(MemoryAccessError):
             mr.read(0, 1, remote=True)
 
+    def test_rights_error_names_missing_and_held_rights(self):
+        mr = self._mr(access=Access.local_only())
+        assert mr.access_bits == int(Access.local_only())
+        with pytest.raises(MemoryAccessError) as err:
+            mr.write(0, b"x", remote=True)
+        assert str(err.value) == (
+            f"stag 0x10 lacks REMOTE_WRITE (has {Access.local_only()!r})"
+        )
+        wo = self._mr(access=Access.LOCAL_WRITE)
+        with pytest.raises(MemoryAccessError, match="lacks LOCAL_READ"):
+            wo.read(0, 1)
+
     def test_bounds_enforced(self):
         mr = self._mr(size=10)
         with pytest.raises(MemoryAccessError):

@@ -1,17 +1,17 @@
-"""Timer-pool semantics: lazy cancellation, compaction, shell recycling.
+"""Timer semantics: lazy cancellation, compaction, handle-less entries.
 
 ``test_engine.py`` pins the engine's public contract; this module pins
 the hot-path machinery added underneath it — tombstoned cancels with a
 dead-entry counter, in-place heap compaction once tombstones dominate,
-and the free list that recycles ``call_after``/``call_at`` event shells.
+and the handle-less heap entries that ``call_after``/``call_at`` push.
 All of it must be invisible at the semantic level: these tests would
-pass against the naive heap the machinery replaced.
+pass against a naive heap of event objects.
 """
 
 import pytest
 
 from repro.simnet.engine import (
-    _COMPACT_MIN_DEAD, _FREE_LIST_MAX, SimulationError, Simulator, US,
+    _COMPACT_MIN_DEAD, SimulationError, Simulator, US,
 )
 
 
@@ -46,14 +46,15 @@ def test_cancel_after_fire_is_noop():
     sim = Simulator()
     fired = []
     ev = sim.schedule(10, fired.append, 1)
-    sim.run()
+    sim.schedule(20, fired.append, 2).cancel()
+    sim.run(until=15)
     assert fired == [1]
-    dead_before = sim._dead
+    assert sim._dead == 1
     ev.cancel()
     ev.cancel()
     # The event left the heap when it fired; late cancels must not skew
     # the tombstone accounting of a heap the event is no longer in.
-    assert sim._dead == dead_before
+    assert sim._dead == 1
 
 
 def test_cancel_inside_own_callback_is_noop():
@@ -191,7 +192,7 @@ def test_compaction_inside_callback_does_not_break_run_loop():
 
 
 # ----------------------------------------------------------------------
-# Free-list recycling (call_after / call_at)
+# Handle-less entries (call_after / call_at)
 # ----------------------------------------------------------------------
 
 def test_call_after_fires_in_seq_order_with_schedule():
@@ -206,32 +207,14 @@ def test_call_after_fires_in_seq_order_with_schedule():
     assert fired == ["a", "b", "c"]
 
 
-def test_free_list_recycles_shells():
-    sim = Simulator()
-    for i in range(10):
-        sim.call_after(i, lambda: None)
-    assert len(sim._free) == 0
-    sim.run()
-    # All ten shells came back to the pool...
-    assert len(sim._free) == 10
-    before = len(sim._free)
-    sim.call_after(1, lambda: None)
-    # ...and a new call_after draws from it instead of allocating.
-    assert len(sim._free) == before - 1
-    sim.run()
-    assert len(sim._free) == before
-
-
-def test_recycled_shell_runs_correct_callback():
-    """A shell recycled inside the very callback it fired must carry the
-    *new* fn/args, not the old ones (the pre-fire handoff pattern)."""
+def test_call_after_inside_callback_runs_its_own_callback():
+    """A call_after issued from inside a firing callback carries its own
+    fn/args, not those of the entry that is running."""
     sim = Simulator()
     fired = []
 
     def first():
         fired.append("first")
-        # The shell that fired `first` is already in the free list here;
-        # this call_after reuses it.
         sim.call_after(5, fired.append, "second")
 
     sim.call_after(10, first)
@@ -240,21 +223,47 @@ def test_recycled_shell_runs_correct_callback():
     assert sim.now == 15
 
 
-def test_schedule_handles_are_never_recycled():
+def test_pending_counts_handle_less_entries():
     sim = Simulator()
-    ev = sim.schedule(10, lambda: None)
+    sim.call_after(10, lambda: None)
+    sim.call_at(20, lambda: None)
+    ev = sim.schedule(30, lambda: None)
+    assert sim.pending() == 3
+    ev.cancel()
+    assert sim.pending() == 2
     sim.run()
-    assert sim._free == []
-    assert not ev._recyclable
+    assert sim.pending() == 0
 
 
-def test_free_list_is_capped():
+def test_cancelled_tail_timer_does_not_advance_clock():
+    """A tombstone left at the tail of the heap is discarded before the
+    loop moves the clock: draining the heap stops at the last live
+    event."""
     sim = Simulator()
-    n = _FREE_LIST_MAX + 100
-    for i in range(n):
-        sim.call_after(i, lambda: None)
+    sim.call_after(10, lambda: None)
+    sim.schedule(1000, lambda: None).cancel()
+    assert sim.run() == 1
+    assert sim.now == 10
+    assert sim._heap == []
+    assert sim._dead == 0
+
+
+def test_call_at_now_runs_after_queued_same_time_entries():
+    """An entry scheduled for the current instant from inside a callback
+    takes a later ``seq``, so it runs after the entries already queued
+    for that instant, whichever API queued them."""
+    sim = Simulator()
+    fired = []
+
+    def first():
+        fired.append("first")
+        sim.call_at(sim.now, fired.append, "late")
+
+    sim.call_at(10, first)
+    sim.call_at(10, fired.append, "queued-call")
+    sim.schedule(10, fired.append, "queued-handle")
     sim.run()
-    assert len(sim._free) == _FREE_LIST_MAX
+    assert fired == ["first", "queued-call", "queued-handle", "late"]
 
 
 def test_call_after_rejects_negative_delay():
@@ -268,7 +277,7 @@ def test_call_after_rejects_negative_delay():
 def test_mass_timer_churn_is_semantically_clean():
     """The retransmission workload in miniature: every 'ACK' cancels and
     re-arms a timer.  Exactly one timer (the last) must fire, no matter
-    how many compactions and recycles happened along the way."""
+    how many compactions happened along the way."""
     sim = Simulator()
     fired = []
     state = {"timer": None, "acks": 0}

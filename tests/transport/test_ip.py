@@ -45,6 +45,17 @@ class TestFragmentation:
         assert n == a.fragments_needed(9000) > 1
         assert got == [9000]
 
+    def test_tx_packets_counts_every_packet_sent(self, zero_testbed):
+        a, b = _pair(zero_testbed)
+        b.register("t", lambda p, src, size: None)
+        max_data = (a.mtu() - IP_HEADER) // 8 * 8
+        assert a.send(1, "t", _Obj(), 64) == 1
+        assert a.tx_packets == 1
+        assert a.send(1, "t", _Obj(), 2 * max_data + 1) == 3
+        assert a.tx_packets == 4
+        zero_testbed.sim.run()
+        assert zero_testbed.hosts[0].port.tx_frames == 4
+
     def test_lost_fragment_drops_whole_datagram(self, zero_testbed):
         from repro.simnet.loss import ExplicitLoss
 
