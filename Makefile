@@ -40,9 +40,9 @@ results-check:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
 	git diff --exit-code results/
 
-# Behaviour contract for hot-path changes: the wire-digest and event-count
-# goldens, plus the same-process determinism matrix. A change that claims
-# to be bit-identical passes this unchanged.
+# Behaviour contract for hot-path changes: the wire-digest goldens and the
+# EVENTS/CALLS cost counters, plus the same-process determinism matrix. A
+# change that claims to be bit-identical passes this unchanged.
 digest-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/integration/test_wire_digest.py \

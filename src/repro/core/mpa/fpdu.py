@@ -37,7 +37,8 @@ def pad_for(ulpdu_len: int) -> int:
 
 def fpdu_size(ulpdu_len: int, crc_enabled: bool = True) -> int:
     """Total FPDU bytes for a ULPDU of ``ulpdu_len``."""
-    return LEN_SIZE + ulpdu_len + pad_for(ulpdu_len) + (CRC_SIZE if crc_enabled else 0)
+    # Length prefix and ULPDU, padded to a 4-byte multiple.
+    return (LEN_SIZE + ulpdu_len + 3) // 4 * 4 + (CRC_SIZE if crc_enabled else 0)
 
 
 def build_fpdu(ulpdu: bytes, crc_enabled: bool = True) -> bytes:

@@ -27,10 +27,6 @@ MARKER_SPACING = 512
 _MARKER = struct.Struct("!HH")  # reserved, FPDU pointer (bytes back to header)
 
 
-class MarkerError(Exception):
-    """Inconsistent marker content observed by the receiver."""
-
-
 class MarkedStreamWriter:
     """Sender side: weaves markers into outgoing FPDU bytes.
 
@@ -49,38 +45,43 @@ class MarkedStreamWriter:
 
     def emit_fpdu(self, fpdu: bytes) -> Tuple[bytes, int]:
         """Return ``(wire_bytes, markers_inserted)`` for one FPDU."""
+        size = len(fpdu)
         if not self.enabled:
-            self.stream_pos += len(fpdu)
+            self.stream_pos += size
             return fpdu, 0
-        out = bytearray()
-        fpdu_start = self.stream_pos
-        idx = 0
+        spacing = self.spacing
+        start = pos = self.stream_pos
+        # Bytes to the next marker position, or 0 when a marker is due
+        # before the first FPDU byte.
+        room = -pos % spacing
+        if room >= size:
+            self.stream_pos = pos + size
+            return bytes(fpdu), 0
+        parts = [fpdu[:room]]
+        idx = room
+        pos += room
+        data_per_marker = spacing - MARKER_SIZE
         inserted = 0
-        while idx < len(fpdu):
-            if self.stream_pos % self.spacing == 0:
-                # FPDUPTR is 16-bit; spec-conformant MULPDUs keep the
-                # distance under the marker spacing, but oversized test
-                # FPDUs must not crash the writer.
-                back = (self.stream_pos - fpdu_start) & 0xFFFF
-                out += _MARKER.pack(0, back)
-                self.stream_pos += MARKER_SIZE
-                inserted += 1
-                continue
-            take = min(
-                self.spacing - self.stream_pos % self.spacing,
-                len(fpdu) - idx,
-            )
-            out += fpdu[idx : idx + take]
-            idx += take
-            self.stream_pos += take
+        while idx < size:
+            # FPDUPTR is 16-bit; spec-conformant MULPDUs keep the
+            # distance under the marker spacing, but oversized test
+            # FPDUs must not crash the writer.
+            parts.append(_MARKER.pack(0, (pos - start) & 0xFFFF))
+            end = min(idx + data_per_marker, size)
+            parts.append(fpdu[idx:end])
+            pos += MARKER_SIZE + end - idx
+            idx = end
+            inserted += 1
+        self.stream_pos = pos
         self.markers_emitted += inserted
-        return bytes(out), inserted
+        return b"".join(parts), inserted
 
 
 class MarkedStreamReader:
     """Receiver side: strips markers by stream position and returns the
-    de-marked FPDU byte stream.  Marker back-pointers are validated
-    against the receiver's own framing state when possible."""
+    de-marked FPDU byte stream.  Marker back-pointers are not checked:
+    framing comes from the FPDU length fields, and the last pointer read
+    is kept in :attr:`last_marker_pointer` for inspection."""
 
     def __init__(self, enabled: bool = True, spacing: int = MARKER_SPACING):
         if spacing % 4 != 0 or spacing <= MARKER_SIZE:
@@ -95,35 +96,48 @@ class MarkedStreamReader:
 
     def feed(self, chunk: bytes) -> bytes:
         """Consume raw TCP bytes; return de-marked FPDU bytes."""
+        size = len(chunk)
         if not self.enabled:
-            self.stream_pos += len(chunk)
+            self.stream_pos += size
             return chunk
-        out = bytearray()
+        spacing = self.spacing
+        pos = self.stream_pos
         idx = 0
-        while idx < len(chunk):
-            if self._pending_marker > 0:
-                take = min(self._pending_marker, len(chunk) - idx)
-                self._marker_buf += chunk[idx : idx + take]
-                self._pending_marker -= take
-                idx += take
-                self.stream_pos += take
-                if self._pending_marker == 0:
-                    _, pointer = _MARKER.unpack(bytes(self._marker_buf))
-                    self.last_marker_pointer = pointer
-                    self._marker_buf.clear()
-                    self.markers_stripped += 1
-                continue
-            if self.stream_pos % self.spacing == 0:
-                self._pending_marker = MARKER_SIZE
-                continue
-            take = min(
-                self.spacing - self.stream_pos % self.spacing,
-                len(chunk) - idx,
-            )
-            out += chunk[idx : idx + take]
-            idx += take
-            self.stream_pos += take
-        return bytes(out)
+        pending = self._pending_marker
+        if pending:
+            # The tail of a marker split across chunks.
+            idx = min(pending, size)
+            self._marker_buf += chunk[:idx]
+            pos += idx
+            pending -= idx
+            self._pending_marker = pending
+            if pending:
+                self.stream_pos = pos
+                return b""
+            self.last_marker_pointer = _MARKER.unpack(self._marker_buf)[1]
+            self._marker_buf.clear()
+            self.markers_stripped += 1
+        parts = []
+        while idx < size:
+            room = -pos % spacing  # data bytes before the next marker
+            if room:
+                end = min(idx + room, size)
+                parts.append(chunk[idx:end])
+                pos += end - idx
+                idx = end
+            elif size - idx >= MARKER_SIZE:
+                self.last_marker_pointer = _MARKER.unpack_from(chunk, idx)[1]
+                self.markers_stripped += 1
+                idx += MARKER_SIZE
+                pos += MARKER_SIZE
+            else:
+                # The marker continues in the next chunk.
+                self._marker_buf += chunk[idx:]
+                self._pending_marker = MARKER_SIZE - (size - idx)
+                pos += size - idx
+                idx = size
+        self.stream_pos = pos
+        return b"".join(parts)
 
 
 def marker_count_for(fpdu_len: int, stream_pos: int, spacing: int = MARKER_SPACING) -> int:

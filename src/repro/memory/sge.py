@@ -33,7 +33,10 @@ class Sge:
 
 
 def sge_total(sges: List[Sge]) -> int:
-    return sum(s.length for s in sges)
+    total = 0
+    for s in sges:
+        total += s.length
+    return total
 
 
 def gather(sges: List[Sge]) -> bytes:

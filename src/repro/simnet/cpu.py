@@ -46,7 +46,10 @@ class CpuResource:
         cost_ns = int(cost_ns)
         if cost_ns < 0:
             raise ValueError(f"negative CPU cost: {cost_ns}")
-        start = max(self.sim.now, self._free_at)
+        sim = self.sim
+        start = self._free_at
+        if start < sim.now:
+            start = sim.now
         done = start + cost_ns
         self._free_at = done
         self.busy_ns += cost_ns
@@ -54,7 +57,7 @@ class CpuResource:
         # Fire-and-forget: completion callbacks are never cancelled, so
         # no Event handle is built (this is the hottest scheduling site
         # in the bandwidth benchmarks).
-        self.sim.call_at(done, fn, *args)
+        sim.call_at(done, fn, *args)
         return done
 
     def charge(self, cost_ns: int) -> int:

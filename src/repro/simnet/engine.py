@@ -287,7 +287,8 @@ class Simulator:
         identity is preserved so a run loop holding a reference keeps
         seeing the live heap)."""
         heap = self._heap
-        heap[:] = [entry for entry in heap if _live(entry)]
+        # _live() inlined: this pass visits every queued entry.
+        heap[:] = [e for e in heap if e[4] is None or not e[4].cancelled]
         heapify(heap)
         self._dead = 0
 
@@ -310,9 +311,12 @@ class Simulator:
     def run(self, until: Optional[int] = None) -> int:
         """Process events until the queue is empty or the clock passes
         ``until``, then leave the clock at ``until`` if one was given.
-        Returns the number of events processed by this call."""
+        Returns the number of events processed by this call.  The clock
+        never moves backwards: ``until`` before ``now`` raises."""
+        if until is not None and until < self.now:
+            raise SimulationError(f"cannot run until t={until} before now={self.now}")
         processed = self._loop(until, None)
-        if until is not None and (self._heap or until > self.now):
+        if until is not None:
             self.now = until
         return processed
 

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional
 from .cpu import CpuResource
 from .engine import Simulator
 from .nic import NicPort
-from .packet import Frame
+from .packet import BROADCAST, Frame
 
 
 class Host:
@@ -81,7 +81,8 @@ class Host:
         return (port or self.port).enqueue(frame)
 
     def on_frame(self, frame: Frame, port: NicPort) -> None:
-        if frame.dst not in (self.host_id,) and frame.dst != -1:
+        dst = frame.dst
+        if dst != self.host_id and dst != BROADCAST:
             # Not ours (can happen under broadcast flooding); ignore.
             return
         proto = getattr(frame.payload, "PROTO", None)

@@ -133,14 +133,16 @@ class NicPort:
 
     def _admit(self, frame: Frame) -> bool:
         """Append to the egress FIFO (drop-tail) and kick the transmitter."""
-        if len(self._queue) >= self.queue_frames:
+        queue = self._queue
+        depth = len(queue)
+        if depth >= self.queue_frames:
             self.drops_queue_full += 1
             if self.tracer:
                 self.tracer.record("drop.queue", port=self.name, frame=frame)
             return False
-        self._queue.append(frame)
-        if len(self._queue) > self.queue_hwm:
-            self.queue_hwm = len(self._queue)
+        queue.append(frame)
+        if depth >= self.queue_hwm:
+            self.queue_hwm = depth + 1
         if not self._transmitting:
             self._start_next()
         return True
@@ -152,12 +154,10 @@ class NicPort:
         Only the head frame leaves the FIFO here; each successor is
         popped by its predecessor's ``_finish_tx`` — the exact instant
         its own serialization starts — so drop-tail occupancy is
-        identical to a chained one-frame-at-a-time scheduler.
+        identical to a chained one-frame-at-a-time scheduler.  The
+        FIFO must not be empty.
         """
         queue = self._queue
-        if not queue:
-            self._transmitting = False
-            return
         self._transmitting = True
         sim = self.sim
         link = self.link
@@ -165,13 +165,17 @@ class NicPort:
         if n > TX_BATCH:
             n = TX_BATCH
         self._batch_left = n
-        first = queue.popleft()
-        t = sim.now + link.serialization_ns(first.wire_size)
-        sim.call_at(t, self._finish_tx, first)
-        for i in range(n - 1):
-            frame = queue[i]
-            t += link.serialization_ns(frame.wire_size)
-            sim.call_at(t, self._finish_tx, frame)
+        # The link's memo is read directly; serialization_ns() only
+        # fills it on a miss.
+        ser = link._ser_cache
+        finish = self._finish_tx
+        t = sim.now
+        for i in range(n):
+            frame = queue.popleft() if i == 0 else queue[i - 1]
+            size = frame.wire_size
+            ns = ser.get(size)
+            t += link.serialization_ns(size) if ns is None else ns
+            sim.call_at(t, finish, frame)
 
     def _finish_tx(self, frame: Frame) -> None:
         self.tx_frames += 1
@@ -189,8 +193,10 @@ class NicPort:
             # The successor's serialization starts this instant; it exits
             # the FIFO now (its finish event is already on the heap).
             self._queue.popleft()
-        else:
+        elif self._queue:
             self._start_next()
+        else:
+            self._transmitting = False
 
     # -- ingress ----------------------------------------------------------
 

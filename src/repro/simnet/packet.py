@@ -10,7 +10,6 @@ occupancy are computed from real on-the-wire byte counts.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 # Ethernet sizing.  ETH_OVERHEAD covers header (14) + FCS (4) + preamble/
@@ -21,9 +20,6 @@ ETH_PREAMBLE_IFG = 20
 ETH_OVERHEAD = ETH_HEADER + ETH_FCS + ETH_PREAMBLE_IFG  # 38 bytes
 ETH_MIN_PAYLOAD = 46
 ETH_MTU = 1500  # default link MTU (IP packet size limit)
-
-_frame_ids = itertools.count(1)
-
 
 class Frame:
     """One Ethernet frame in flight.
@@ -39,17 +35,15 @@ class Frame:
     precomputed at construction — frames are immutable once in flight.
     """
 
-    __slots__ = ("src", "dst", "payload", "payload_size", "frame_id", "wire_size")
+    __slots__ = ("src", "dst", "payload", "payload_size", "wire_size")
 
-    def __init__(self, src: int, dst: int, payload: Any, payload_size: int,
-                 frame_id: int = 0):
+    def __init__(self, src: int, dst: int, payload: Any, payload_size: int):
         if payload_size < 0:
             raise ValueError(f"negative payload size: {payload_size}")
         self.src = src
         self.dst = dst
         self.payload = payload
         self.payload_size = payload_size
-        self.frame_id = frame_id if frame_id else next(_frame_ids)
         # Bytes this frame occupies on the wire, padding included.
         self.wire_size = (
             payload_size if payload_size >= ETH_MIN_PAYLOAD else ETH_MIN_PAYLOAD
@@ -57,7 +51,7 @@ class Frame:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Frame #{self.frame_id} {self.src}->{self.dst} "
+            f"<Frame {self.src}->{self.dst} "
             f"{self.payload_size}B {type(self.payload).__name__}>"
         )
 

@@ -46,10 +46,11 @@ class Switch:
         return port
 
     def on_frame(self, frame: Frame, ingress: NicPort) -> None:
+        sim = self.sim
         if frame.dst == BROADCAST:
             for port in self.ports:
                 if port is not ingress:
-                    self.sim.call_after(self.forward_delay_ns, port.enqueue, frame)
+                    sim.call_at(sim.now + self.forward_delay_ns, port.enqueue, frame)
             self.forwarded += 1
             return
         out = self._table.get(frame.dst)
@@ -57,7 +58,7 @@ class Switch:
             self.unroutable += 1
             return
         self.forwarded += 1
-        self.sim.call_after(self.forward_delay_ns, out.enqueue, frame)
+        sim.call_at(sim.now + self.forward_delay_ns, out.enqueue, frame)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Switch {self.name!r} ports={len(self.ports)} fwd={self.forwarded}>"

@@ -62,14 +62,6 @@ class IpPacket:
         self.frag_size = frag_size
         self.more_frags = more_frags
 
-    @property
-    def header_and_data_size(self) -> int:
-        return IP_HEADER + self.frag_size
-
-    @property
-    def is_fragmented(self) -> bool:
-        return self.more_frags or self.frag_offset > 0
-
 
 class _Reassembly:
     """State for one in-progress fragmented datagram."""
@@ -86,8 +78,24 @@ class _Reassembly:
 
     def add(self, start: int, size: int) -> None:
         end = start + size
+        ranges = self.ranges
+        if ranges:
+            last_start, last_end = ranges[-1]
+            if start > last_end:
+                # In order past a gap: ranges stay sorted and disjoint.
+                ranges.append((start, end))
+                return
+            if start >= last_start:
+                # In order, touching the last range: only it can grow
+                # (every earlier range ends before ``last_start``).
+                if end > last_end:
+                    ranges[-1] = (last_start, end)
+                return
+        else:
+            ranges.append((start, end))
+            return
         merged: List[Tuple[int, int]] = []
-        for s, e in self.ranges:
+        for s, e in ranges:
             if e < start or s > end:
                 merged.append((s, e))
             else:
@@ -145,14 +153,11 @@ class IpStack:
 
     def fragments_needed(self, payload_size: int) -> int:
         """How many IP fragments a payload of this size produces."""
-        max_data = self._max_frag_data()
-        if payload_size + IP_HEADER <= self.mtu():
+        mtu = self.mtu()
+        if payload_size + IP_HEADER <= mtu:
             return 1
-        return -(-payload_size // max_data)  # ceil division
-
-    def _max_frag_data(self) -> int:
-        # Fragment data sizes must be multiples of 8 except the last.
-        return (self.mtu() - IP_HEADER) // 8 * 8
+        # Fragment data sizes are multiples of 8 except the last.
+        return -(-payload_size // ((mtu - IP_HEADER) // 8 * 8))  # ceil division
 
     def send(self, dst: int, proto: str, payload: Any, payload_size: int) -> int:
         """Emit ``payload`` toward host ``dst``; returns fragment count.
@@ -162,45 +167,38 @@ class IpStack:
         """
         if payload_size < 0:
             raise ValueError(f"negative payload size: {payload_size}")
-        mtu = self.mtu()
+        host = self.host
+        port = host.port
+        link = port.link
+        if link is None:
+            raise RuntimeError(f"{host.name} NIC is not cabled")
+        mtu = link.mtu
+        src = host.host_id
         ident = next(self._ident)
         if payload_size + IP_HEADER <= mtu:
-            pkt = IpPacket(
-                src=self.host.host_id, dst=dst, proto=proto, payload=payload,
-                total_size=payload_size, ident=ident,
-                frag_offset=0, frag_size=payload_size, more_frags=False,
-            )
-            self._emit(pkt)
+            pkt = IpPacket(src, dst, proto, payload, payload_size, ident, 0, payload_size)
+            port.enqueue(Frame(src, dst, pkt, IP_HEADER + payload_size))
             self.tx_packets += 1
             return 1
-        max_data = self._max_frag_data()
+        max_data = (mtu - IP_HEADER) // 8 * 8
         offset = 0
         count = 0
         while offset < payload_size:
-            size = min(max_data, payload_size - offset)
-            more = offset + size < payload_size
-            pkt = IpPacket(
-                src=self.host.host_id, dst=dst, proto=proto, payload=payload,
-                total_size=payload_size, ident=ident,
-                frag_offset=offset, frag_size=size, more_frags=more,
-            )
-            self._emit(pkt)
+            size = payload_size - offset
+            more = size > max_data
+            if more:
+                size = max_data
+            pkt = IpPacket(src, dst, proto, payload, payload_size, ident, offset, size, more)
+            port.enqueue(Frame(src, dst, pkt, IP_HEADER + size))
             offset += size
             count += 1
         self.tx_packets += count
         return count
 
-    def _emit(self, pkt: IpPacket) -> None:
-        frame = Frame(
-            src=self.host.host_id, dst=pkt.dst,
-            payload=pkt, payload_size=pkt.header_and_data_size,
-        )
-        self.host.send_frame(frame)
-
     # -- receive ---------------------------------------------------------------
 
     def on_packet(self, pkt: IpPacket, frame: Frame) -> None:
-        if not pkt.is_fragmented:
+        if not pkt.more_frags and not pkt.frag_offset:
             self._deliver(pkt.proto, pkt.payload, pkt.src, pkt.total_size)
             return
         self.rx_fragments += 1

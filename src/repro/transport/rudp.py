@@ -422,7 +422,7 @@ class RudpSocket:
             for seq in tx.unacked:
                 if start <= seq <= end:
                     tx.sacked.add(seq)
-        newly_acked = sorted(s for s in tx.unacked if s < ack_seq)
+        newly_acked = sorted([s for s in tx.unacked if s < ack_seq])
         if newly_acked:
             self._on_ack_progress(src, tx, ack_seq, newly_acked)
         elif ack_seq == tx.ack_floor and tx.unacked:
@@ -563,9 +563,8 @@ class RudpSocket:
             rx.ack_timer = None
         rx.pending_acks = 0
         self.acks_sent += 1
-        self.udp.sendto(
-            encode_ack(rx.rcv_nxt, trigger_seq, self._ooo_ranges(rx)), src
-        )
+        ranges = self._ooo_ranges(rx) if rx.ooo else []
+        self.udp.sendto(encode_ack(rx.rcv_nxt, trigger_seq, ranges), src)
 
     def _deliver(self, data: bytes, src: Address) -> None:
         if self.on_message is not None:

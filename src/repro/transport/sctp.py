@@ -231,7 +231,7 @@ class SctpAssociation:
         if self.state != ESTABLISHED:
             return
         while self._queue:
-            flight = sum(len(v) for v in self._unacked.values())
+            flight = sum(map(len, self._unacked.values()))
             if not self.cong.send_allowance(flight, peer_window=1 << 30):
                 break
             data = self._queue.popleft()
@@ -292,13 +292,13 @@ class SctpAssociation:
             if self._rtt_tsn is not None and chunk.cum_ack >= self._rtt_tsn:
                 self.rto.sample(self.sim.now - self._rtt_sent_at)
                 self._rtt_tsn = None
-            flight = sum(len(v) for v in self._unacked.values())
+            flight = sum(map(len, self._unacked.values()))
             self.cong.on_ack(newly, chunk.cum_ack)
             self._gap_reports = 0
         if chunk.gap_start and chunk.gap_start == self._last_gap and not newly:
             self._gap_reports += 1
             if self._gap_reports == 3:
-                flight = sum(len(v) for v in self._unacked.values())
+                flight = sum(map(len, self._unacked.values()))
                 if self.cong.on_dup_acks(flight, self._next_tsn):
                     self._fast_retransmit(chunk.cum_ack + 1)
         self._last_gap = chunk.gap_start
@@ -344,7 +344,7 @@ class SctpAssociation:
             return
         if not self._unacked:
             return
-        self.cong.on_timeout(sum(len(v) for v in self._unacked.values()))
+        self.cong.on_timeout(sum(map(len, self._unacked.values())))
         self.rto.on_timeout()
         self._rtt_tsn = None
         # Go-back: resend every outstanding message from the hole forward

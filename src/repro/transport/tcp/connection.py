@@ -275,31 +275,41 @@ class TcpConnection:
     def _try_output(self) -> None:
         if self.state not in (ESTABLISHED, CLOSE_WAIT, FIN_WAIT_1, CLOSING, LAST_ACK):
             return
+        # Sequence number just past the buffered data; nothing in the
+        # loop appends to or trims the send buffer.
+        buffered_end = self._snd_base + len(self._sndbuf) - self._snd_head
+        sent = False
         while True:
-            unsent = self._unsent_bytes()
-            allowance = self.cong.send_allowance(self.flight_size(), self.peer_window)
-            if unsent > 0 and allowance > 0:
-                take = min(unsent, allowance, self.mss)
-                if self.nagle and take < self.mss and self.flight_size() > 0:
-                    # Nagle: hold sub-MSS data while anything is unacked.
-                    break
-                off = self._snd_head + self.snd_nxt - self._snd_base
-                # One copy, not two: a memoryview slice is zero-copy and
-                # bytes() materializes the immutable segment payload.
-                payload = bytes(memoryview(self._sndbuf)[off : off + take])
-                flags = ACK
-                if take == unsent:
-                    flags |= PSH
-                self._transmit(self.snd_nxt, flags, payload)
-                self.snd_nxt += take
-                self.snd_max = max(self.snd_max, self.snd_nxt)
-                self.bytes_sent += take
-                if self._rtt_seq is None:
-                    self._rtt_seq = self.snd_nxt
-                    self._rtt_sent_at = self.sim.now
-                self._arm_rtx()
-                continue
-            break
+            unsent = buffered_end - self.snd_nxt
+            flight = self.snd_nxt - self.snd_una
+            allowance = self.cong.send_allowance(flight, self.peer_window)
+            if unsent <= 0 or allowance <= 0:
+                break
+            take = min(unsent, allowance, self.mss)
+            if self.nagle and take < self.mss and flight > 0:
+                # Nagle: hold sub-MSS data while anything is unacked.
+                break
+            off = self._snd_head + self.snd_nxt - self._snd_base
+            # One copy, not two: a memoryview slice is zero-copy and
+            # bytes() materializes the immutable segment payload.
+            payload = bytes(memoryview(self._sndbuf)[off : off + take])
+            flags = ACK
+            if take == unsent:
+                flags |= PSH
+            self._transmit(self.snd_nxt, flags, payload)
+            self.snd_nxt += take
+            if self.snd_nxt > self.snd_max:
+                self.snd_max = self.snd_nxt
+            self.bytes_sent += take
+            if self._rtt_seq is None:
+                self._rtt_seq = self.snd_nxt
+                self._rtt_sent_at = self.sim.now
+            sent = True
+        if sent:
+            # One arm for the whole burst: arming per segment would
+            # cancel each earlier timer before it could fire, and this
+            # arm lands at the same point, with the same now and rto.
+            self._arm_rtx()
         # FIN once everything queued has been sent (also re-sent here
         # after a go-back-N rewind, in which case the state already
         # advanced past ESTABLISHED/CLOSE_WAIT).
@@ -332,11 +342,13 @@ class TcpConnection:
         )
         self.segments_sent += 1
         self._segs_since_ack = 0  # any segment we send carries our ACK
-        self._cancel_delayed_ack()
+        if self._delack_timer is not None:
+            self._cancel_delayed_ack()
         self.stack.transmit_segment(self, seg)
 
     def _advertised_window(self) -> int:
-        pending = sum(len(p) for p in self._ooo.values())
+        ooo = self._ooo
+        pending = sum(map(len, ooo.values())) if ooo else 0
         return max(0, self.rcvbuf_bytes - pending)
 
     # ------------------------------------------------------------------
@@ -439,7 +451,8 @@ class TcpConnection:
 
     def on_segment(self, seg: TcpSegment) -> None:
         self.segments_received += 1
-        if seg.has(RST):
+        flags = seg.flags
+        if flags & RST:
             self._become_closed(error=True)
             return
         if self.state == SYN_SENT:
@@ -448,20 +461,20 @@ class TcpConnection:
         if self.state == CLOSED:
             return
         # Window update + ACK processing first.
-        if seg.has(ACK):
+        if flags & ACK:
             self.peer_window = seg.window
             self._process_ack(seg)
             if self.state == CLOSED:
                 return
         # SYN retransmission of our peer (SYN_RCVD): re-ack.
-        if seg.has(SYN):
+        if flags & SYN:
             self._send_ack()
             return
-        if seg.payload or seg.has(FIN):
+        if seg.payload or flags & FIN:
             self._process_payload(seg)
 
     def _input_syn_sent(self, seg: TcpSegment) -> None:
-        if not (seg.has(SYN) and seg.has(ACK) and seg.ack_seq == self.iss + 1):
+        if seg.flags & (SYN | ACK) != SYN | ACK or seg.ack_seq != self.iss + 1:
             return
         self.irs = seg.seq
         self.rcv_nxt = seg.seq + 1
@@ -519,8 +532,7 @@ class TcpConnection:
         elif (
             ack == self.snd_una
             and not seg.payload
-            and not seg.has(SYN)
-            and not seg.has(FIN)
+            and not seg.flags & (SYN | FIN)
             and self.flight_size() > 0
         ):
             self._dup_acks += 1
@@ -547,7 +559,7 @@ class TcpConnection:
 
     def _process_payload(self, seg: TcpSegment) -> None:
         seq, payload = seg.seq, seg.payload
-        fin = seg.has(FIN)
+        fin = bool(seg.flags & FIN)
         # FIN and out-of-order arrivals force an immediate ACK; PSH does
         # not (it affects delivery urgency, not ACK scheduling).
         force_ack = fin

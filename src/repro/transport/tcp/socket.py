@@ -24,7 +24,7 @@ from ...simnet.engine import Future, Simulator
 from ...simnet.host import Host
 from ..ip import IpStack
 from .connection import ESTABLISHED, TcpConnection, TcpError
-from .segment import SYN, TcpSegment
+from .segment import SYN, TCP_HEADER, TcpSegment
 
 Address = Tuple[int, int]
 
@@ -104,7 +104,7 @@ class TcpStack:
         # context already, and a queued handoff here would serialize a
         # whole window of segments behind unrelated queued work.
         self.host.cpu.charge(cost)
-        self.ip.send(conn.remote[0], "tcp", seg, seg.size)
+        self.ip.send(conn.remote[0], "tcp", seg, TCP_HEADER + len(seg.payload))
 
     def charge_send_call(self, nbytes: int, then: Callable, *args) -> None:
         """syscall + user→kernel copy for one send() call."""

@@ -204,7 +204,8 @@ class UdpStack:
             src_port=sock.port, dst_port=dst_port, data=data,
             checksummed=self.checksum_enabled,
         )
-        nfrags = self.ip.fragments_needed(dgram.size)
+        size = UDP_HEADER + len(data)
+        nfrags = self.ip.fragments_needed(size)
         cost = (
             costs.syscall_ns
             + costs.copy_ns(len(data))
@@ -213,7 +214,7 @@ class UdpStack:
         )
         if self.checksum_enabled:
             cost += int(costs.udp_checksum_per_byte_ns * len(data))
-        self.host.cpu.submit(cost, self.ip.send, dst_host, "udp", dgram, dgram.size)
+        self.host.cpu.submit(cost, self.ip.send, dst_host, "udp", dgram, size)
 
     # -- receive path ------------------------------------------------------------
 

@@ -13,18 +13,28 @@ FIN, SCTP SHUTDOWN) is on the wire too.  RD also runs under the chaos
 pipeline of perfbench's ``lossy`` workload: loss, reordering and
 duplication together.
 
-``EVENTS`` pins ``sim.events_processed`` for the same runs.  Events are
-an exact cost counter, not behaviour: a change that schedules fewer
-events for the same wire trace moves ``EVENTS`` and leaves ``GOLDEN``
-alone.  ``make digest-check`` runs this file together with the
+``EVENTS`` pins ``sim.events_processed`` for the same runs, and
+``CALLS`` the Python function calls into ``repro`` code
+(``sys.setprofile`` ``"call"`` events) made during the
+``bandwidth_mbs`` phase.  Both are exact cost counters, not behaviour:
+a change that schedules fewer events or makes fewer calls for the same
+wire trace moves ``EVENTS`` or ``CALLS`` and leaves ``GOLDEN`` alone.
+``CALLS`` is pinned for CPython 3.11 only; other versions count calls
+differently.  Each scenario runs once per process and the three checks
+share the run.  ``make digest-check`` runs this file together with the
 determinism matrix.
 
-After a deliberate wire or event-count change, print fresh values with::
+After a deliberate wire, event-count or call-count change, print fresh
+values with::
 
     PYTHONPATH=src python -m tests.integration.test_wire_digest
 """
 
+import functools
+import gc
 import hashlib
+import os
+import sys
 
 import pytest
 
@@ -34,6 +44,8 @@ from repro.simnet.engine import SEC, US
 from repro.simnet.faults import seeded_chaos
 from repro.simnet.loss import BernoulliLoss
 from repro.simnet.trace import Tracer
+
+_REPRO_DIR = os.path.dirname(os.path.dirname(harness.__file__)) + os.sep
 
 #: (mode, fault) -> digest of the run.  ``fault`` is a Bernoulli loss
 #: rate on host 0's egress, or ``"chaos"`` for the RD chaos pipeline.
@@ -70,6 +82,25 @@ EVENTS = {
     ('rd_sendrecv', 'chaos'): 8113,
 }
 
+#: (mode, fault) -> Python function calls into ``repro`` code
+#: (``sys.setprofile`` ``"call"`` events, see :func:`count_calls`) during
+#: the ``bandwidth_mbs`` phase, on CPython 3.11.
+CALLS = {
+    ('rc_sendrecv', 0.0): 75357,
+    ('rc_sendrecv', 0.01): 113559,
+    ('rc_rdma_write', 0.0): 72135,
+    ('rc_rdma_write', 0.01): 110272,
+    ('rcsctp_sendrecv', 0.0): 61200,
+    ('rcsctp_sendrecv', 0.01): 75205,
+    ('ud_sendrecv', 0.0): 22071,
+    ('ud_sendrecv', 0.01): 22244,
+    ('ud_write_record', 0.0): 21583,
+    ('ud_write_record', 0.01): 21781,
+    ('rd_sendrecv', 0.0): 81725,
+    ('rd_sendrecv', 0.01): 81161,
+    ('rd_sendrecv', 'chaos'): 86161,
+}
+
 RC_SCENARIOS = [
     (mode, rate)
     for mode in ("rc_sendrecv", "rc_rdma_write", "rcsctp_sendrecv")
@@ -82,8 +113,15 @@ DATAGRAM_SCENARIOS = [
 ] + [("rd_sendrecv", "chaos")]
 
 
-def run_digest(mode, fault, monkeypatch):
-    """Run one scenario; returns ``(digest, events_processed)``."""
+@functools.lru_cache(maxsize=None)
+def run_digest(mode, fault):
+    """Run one scenario once per process; returns ``(digest,
+    events_processed, calls)``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _run(mode, fault, monkeypatch)
+
+
+def _run(mode, fault, monkeypatch):
     tracers = []
     build_testbed = harness.build_testbed
 
@@ -103,7 +141,7 @@ def run_digest(mode, fault, monkeypatch):
             5, loss=BernoulliLoss(0.01, seed=5),
             reorder_prob=0.02, reorder_hold_ns=20 * US, dup_prob=0.01,
         ))
-    out = pair.bandwidth_mbs(16384, messages=40, window=8)
+    out, calls = count_calls(pair.bandwidth_mbs, 16384, messages=40, window=8)
     for qp in pair.qps:
         qp.close()
     pair.sim.run(until=pair.sim.now + SEC)
@@ -115,32 +153,68 @@ def run_digest(mode, fault, monkeypatch):
             h.update(repr((rec.time, rec.kind, rec.fields["port"], frame.src,
                            frame.dst, frame.wire_size)).encode())
     h.update(repr((out["received_msgs"], out["received_bytes"], pair.sim.now)).encode())
-    return h.hexdigest(), pair.sim.events_processed
+    return h.hexdigest(), pair.sim.events_processed, calls
 
 
-def check_golden(mode, fault, monkeypatch):
-    digest, events = run_digest(mode, fault, monkeypatch)
+def count_calls(fn, *args, **kwargs):
+    """Call ``fn``; returns ``(result, python_calls)``, the profiler's
+    ``"call"`` events while it ran into ``repro`` code, the methods
+    ``dataclass`` generates for it included.  Standard-library frames
+    (``enum`` internals and the like) are not counted, so the pin does
+    not depend on the 3.11 patch release.  The cyclic collector is
+    paused so no finalizer runs at a point that depends on earlier
+    allocations."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            filename = frame.f_code.co_filename
+            if filename.startswith(_REPRO_DIR) or filename == "<string>":
+                calls += 1
+
+    was_enabled = gc.isenabled()
+    previous = sys.getprofile()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        result = fn(*args, **kwargs)
+    finally:
+        sys.setprofile(previous)
+        if was_enabled:
+            gc.enable()
+    return result, calls
+
+
+def check_golden(mode, fault):
+    digest, events, _ = run_digest(mode, fault)
     assert digest == GOLDEN[(mode, fault)]
     assert events == EVENTS[(mode, fault)]
 
 
 @pytest.mark.parametrize("mode,rate", RC_SCENARIOS)
-def test_rc_wire_digest_matches_golden(mode, rate, monkeypatch):
-    check_golden(mode, rate, monkeypatch)
+def test_rc_wire_digest_matches_golden(mode, rate):
+    check_golden(mode, rate)
 
 
 @pytest.mark.parametrize("mode,fault", DATAGRAM_SCENARIOS)
-def test_datagram_wire_digest_matches_golden(mode, fault, monkeypatch):
-    check_golden(mode, fault, monkeypatch)
+def test_datagram_wire_digest_matches_golden(mode, fault):
+    check_golden(mode, fault)
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="CALLS is pinned for CPython 3.11, the CI version; other "
+    "versions count differently (3.12 inlines comprehensions)",
+)
+@pytest.mark.parametrize("mode,fault", RC_SCENARIOS + DATAGRAM_SCENARIOS)
+def test_python_calls_match_pinned(mode, fault):
+    assert run_digest(mode, fault)[2] == CALLS[(mode, fault)]
 
 
 if __name__ == "__main__":
-    mp = pytest.MonkeyPatch()
-    results = {}
-    for key in RC_SCENARIOS + DATAGRAM_SCENARIOS:
-        with mp.context() as m:
-            results[key] = run_digest(*key, m)
-    for name, column in (("GOLDEN", 0), ("EVENTS", 1)):
+    results = {key: run_digest(*key) for key in RC_SCENARIOS + DATAGRAM_SCENARIOS}
+    for name, column in (("GOLDEN", 0), ("EVENTS", 1), ("CALLS", 2)):
         print(f"{name} = {{")
         for key, row in results.items():
             print(f"    {key!r}: {row[column]!r},")

@@ -82,6 +82,28 @@ class TestScheduling:
         sim.run(until=999)
         assert sim.now == 999
 
+    def test_run_until_before_now_raises_and_keeps_clock(self):
+        sim = Simulator()
+        out = []
+        sim.call_at(100, out.append, 100)
+        sim.call_at(1000, out.append, 1000)
+        sim.run(until=500)
+        with pytest.raises(SimulationError):
+            sim.run(until=200)
+        assert sim.now == 500
+        sim.run()
+        assert out == [100, 1000] and sim.now == 1000
+
+    def test_run_until_now_leaves_clock_alone(self):
+        sim = Simulator()
+        sim.call_at(1000, lambda: None)
+        sim.run(until=500)
+        assert sim.run(until=500) == 0
+        assert sim.now == 500
+        sim.run()
+        sim.run(until=sim.now)
+        assert sim.now == 1000
+
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()
         out = []
