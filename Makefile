@@ -41,9 +41,11 @@ results-check:
 	git diff --exit-code results/
 
 # Behaviour contract for hot-path changes: the wire-digest goldens and the
-# EVENTS/CALLS cost counters, plus the same-process determinism matrix. A
-# change that claims to be bit-identical passes this unchanged.
+# EVENTS/CALLS cost counters, the same digests under two hash seeds in
+# fresh processes, and the same-process determinism matrix. A change that
+# claims to be bit-identical passes this unchanged.
 digest-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/integration/test_wire_digest.py \
+		tests/integration/test_cross_process_determinism.py \
 		tests/properties/test_determinism_matrix.py

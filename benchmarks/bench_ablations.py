@@ -90,7 +90,7 @@ def test_ablation_segment_size_under_loss(benchmark):
             pair = VerbsEndpointPair.build("ud_write_record", loss=loss)
             if seg is not None:
                 for qp in pair.qps:
-                    qp._max_seg = seg
+                    qp.max_seg_payload = seg
             out[label] = round(pair.bandwidth_mbs(262144, messages=30)["mbs"], 1)
         return out
 

@@ -72,8 +72,8 @@ class Communicator:
         self._slots = {}
         for _ in range(64):
             mr = device.reg_mr(EAGER_THRESHOLD + _HDR.size, Access.local_only(), self.pd)
-            self._slots[id(mr)] = mr
-            self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=id(mr)))
+            self._slots[mr.stag] = mr
+            self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
         # Matching state.
         self._unexpected: Deque[Tuple[int, int, bytes]] = deque()  # (src, tag, data)
         self._posted: Deque[dict] = deque()
@@ -127,7 +127,7 @@ class Communicator:
                     bytes(mr.view(0, _CTS.size))
                 )
                 self._on_cts(dst, tag, length, stag, offset)
-        self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=id(mr)))
+        self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
 
     # ------------------------------------------------------------------
     # Matching

@@ -106,15 +106,11 @@ class DdpSegment:
     msg_offset: int = 0
 
     @property
-    def header_size(self) -> int:
-        size = CTRL_SIZE + (TAGGED_SIZE if self.tagged else UNTAGGED_SIZE)
+    def wire_size(self) -> int:
+        size = CTRL_SIZE + (TAGGED_SIZE if self.tagged else UNTAGGED_SIZE) + len(self.payload)
         if self.msg_id is not None:
             size += UDEXT_SIZE
         return size
-
-    @property
-    def wire_size(self) -> int:
-        return self.header_size + len(self.payload)
 
     def encode(self) -> bytes:
         flags = (FLAG_TAGGED if self.tagged else 0) | (FLAG_LAST if self.last else 0)

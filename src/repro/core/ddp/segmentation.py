@@ -63,12 +63,14 @@ class UntaggedReassembly:
     """
 
     def __init__(self, wr, total: int):
-        if total > wr.capacity:
+        capacity = wr.capacity
+        if total > capacity:
             raise ReassemblyError(
                 f"message of {total} bytes exceeds posted receive capacity "
-                f"{wr.capacity} (DDP buffer-too-small)"
+                f"{capacity} (DDP buffer-too-small)"
             )
         self.wr = wr
+        self.capacity = capacity
         self.total = total
         self.validity = ValidityMap(total)
         self.saw_last = False

@@ -52,11 +52,13 @@ from ..verbs.wr import Address, SendWR, WcStatus, WorkCompletion, WrOpcode, gath
 #: PARTIAL_MESSAGE completion — the paper's poll-timeout contract).
 UD_REASSEMBLY_TIMEOUT_NS = 200 * MS
 
+#: DDP opcode of each message-carrying verbs opcode, keyed by the
+#: member's ``_name_`` (an enum key would hash through Python code).
 _OPCODE_FOR_WR = {
-    WrOpcode.SEND: OP_SEND,
-    WrOpcode.SEND_SE: OP_SEND_SE,
-    WrOpcode.RDMA_WRITE: OP_WRITE,
-    WrOpcode.RDMA_WRITE_RECORD: OP_WRITE_RECORD,
+    WrOpcode.SEND._name_: OP_SEND,
+    WrOpcode.SEND_SE._name_: OP_SEND_SE,
+    WrOpcode.RDMA_WRITE._name_: OP_WRITE,
+    WrOpcode.RDMA_WRITE_RECORD._name_: OP_WRITE_RECORD,
 }
 
 
@@ -131,15 +133,19 @@ class RdmapTx:
         if wr.opcode is WrOpcode.RDMA_READ:
             self._start_read(wr)
             return
-        opcode = _OPCODE_FOR_WR[wr.opcode]
+        opcode = _OPCODE_FOR_WR[wr.opcode._name_]
         tagged = wr.opcode in (WrOpcode.RDMA_WRITE, WrOpcode.RDMA_WRITE_RECORD)
-        needs_udext = self.qp.is_datagram or wr.opcode is WrOpcode.RDMA_WRITE_RECORD
-        msg_id = self._next_msg_id() if needs_udext else None
+        qp = self.qp
+        msg_id = None
+        if qp.is_datagram or wr.opcode is WrOpcode.RDMA_WRITE_RECORD:
+            self._msg_id += 1
+            msg_id = self._msg_id
         msn = 0
         if not tagged:
             self._send_msn += 1
             msn = self._send_msn
-        specs = plan_segments(len(payload), self.qp.max_seg_payload)
+        msg_len = len(payload)
+        specs = plan_segments(msg_len, qp.max_seg_payload)
         self.messages += 1
         self.segments += len(specs)
         if wr.opcode is WrOpcode.RDMA_WRITE_RECORD:
@@ -148,39 +154,34 @@ class RdmapTx:
         elif not tagged:
             self.untagged_messages += 1
             self.untagged_segments += len(specs)
-        wr_span(
-            self.qp.host, "segment", qp=self.qp.qp_num, wr_id=wr.wr_id,
-            msg_id=msg_id, nsegs=len(specs),
-        )
-        view = memoryview(payload)
-        for spec in specs:
-            seg = DdpSegment(
-                opcode=opcode,
-                last=spec.last,
-                payload=bytes(view[spec.offset : spec.offset + spec.length]),
-                tagged=tagged,
+        if qp.host.wr_tracer is not None:
+            wr_span(
+                qp.host, "segment", qp=qp.qp_num, wr_id=wr.wr_id,
+                msg_id=msg_id, nsegs=len(specs),
             )
+        for spec in specs:
+            offset = spec.offset
+            # A whole-payload slice of ``bytes`` is the payload itself.
+            seg = DdpSegment(opcode, spec.last, payload[offset : offset + spec.length], tagged)
             if tagged:
                 seg.stag = wr.remote_stag
-                seg.to = wr.remote_offset + spec.offset
+                seg.to = wr.remote_offset + offset
             else:
                 seg.qn = QN_SEND
                 seg.msn = msn
-                seg.mo = spec.offset
+                seg.mo = offset
             if msg_id is not None:
                 seg.msg_id = msg_id
-                seg.msg_total = len(payload)
-                seg.msg_offset = spec.offset
-            self.qp.channel_send(
-                seg, wr.dest, first=spec.offset == 0, msg_len=len(payload)
-            )
+                seg.msg_total = msg_len
+                seg.msg_offset = offset
+            qp.channel_send(seg, wr.dest, offset == 0, msg_len)
         # The source "completes the operation at the moment that the last
         # bit of the message is passed to the transport layer" (§IV.B.3):
         # the segment emissions above are queued on this host CPU, so the
         # default hook lands a completion right after the LLP handoff.
         # Reliable-datagram QPs override the hook to defer the completion
         # until the RD layer acknowledges (or fails) every segment.
-        self.qp.sent_to_llp(wr, len(payload), msg_id, len(specs))
+        qp.sent_to_llp(wr, msg_len, msg_id, len(specs))
 
     def _start_read(self, wr: SendWR) -> None:
         if len(wr.sges) != 1:
@@ -285,12 +286,32 @@ class RdmapRx:
     # ------------------------------------------------------------------
 
     def on_segment(self, seg: DdpSegment, src: Optional[Address]) -> None:
-        wr_span(
-            self.qp.host, "delivery", qp=self.qp.qp_num,
-            msg_id=seg.msg_id, opcode=seg.opcode, last=seg.last,
-        )
+        if self.qp.host.wr_tracer is not None:
+            wr_span(
+                self.qp.host, "delivery", qp=self.qp.qp_num,
+                msg_id=seg.msg_id, opcode=seg.opcode, last=seg.last,
+            )
         try:
-            self._dispatch(seg, src)
+            if seg.tagged:
+                if seg.opcode == OP_WRITE:
+                    self._on_write(seg)
+                elif seg.opcode == OP_WRITE_RECORD:
+                    self._on_write_record(seg, src)
+                elif seg.opcode == OP_READ_RESPONSE:
+                    self._on_read_response(seg, src)
+                else:
+                    raise HeaderError(f"tagged segment with opcode {seg.opcode}")
+            elif seg.qn == QN_SEND and seg.opcode in (OP_SEND, OP_SEND_SE):
+                if self.qp.is_datagram:
+                    self._on_send_ud(seg, src)
+                else:
+                    self._on_send_rc(seg, src)
+            elif seg.qn == QN_READ_REQUEST and seg.opcode == OP_READ_REQUEST:
+                self._on_read_request(seg, src)
+            elif seg.qn == QN_TERMINATE and seg.opcode == OP_TERMINATE:
+                self._on_terminate(seg)
+            else:
+                raise HeaderError(f"untagged segment qn={seg.qn} opcode={seg.opcode}")
         except (HeaderError, ReassemblyError):
             self.drops_malformed += 1
             if not self.qp.is_datagram:
@@ -301,26 +322,6 @@ class RdmapRx:
                 self.qp.terminate(f"remote access error: {exc}")
             # On UD the error is reported and the QP stays usable
             # (§IV.B item 2).
-
-    def _dispatch(self, seg: DdpSegment, src: Optional[Address]) -> None:
-        if seg.tagged:
-            if seg.opcode == OP_WRITE:
-                self._on_write(seg)
-            elif seg.opcode == OP_WRITE_RECORD:
-                self._on_write_record(seg, src)
-            elif seg.opcode == OP_READ_RESPONSE:
-                self._on_read_response(seg, src)
-            else:
-                raise HeaderError(f"tagged segment with opcode {seg.opcode}")
-            return
-        if seg.qn == QN_SEND and seg.opcode in (OP_SEND, OP_SEND_SE):
-            self._on_send(seg, src)
-        elif seg.qn == QN_READ_REQUEST and seg.opcode == OP_READ_REQUEST:
-            self._on_read_request(seg, src)
-        elif seg.qn == QN_TERMINATE and seg.opcode == OP_TERMINATE:
-            self._on_terminate(seg)
-        else:
-            raise HeaderError(f"untagged segment qn={seg.qn} opcode={seg.opcode}")
 
     # ------------------------------------------------------------------
     # Tagged model
@@ -344,7 +345,8 @@ class RdmapRx:
         self._place_tagged(seg)
         key = (src, seg.msg_id)
         state = self._write_records.get(key)
-        if state is None:
+        new = state is None
+        if new:
             # Any segment fixes the message's base TO: the UD extension
             # carries the segment's message offset, and TO = base + offset.
             base_to = seg.to - seg.msg_offset
@@ -355,11 +357,14 @@ class RdmapRx:
                 validity=ValidityMap(seg.msg_total),
             )
             self._write_records[key] = state
-            state.timer = self.qp.sim.schedule(
-                UD_REASSEMBLY_TIMEOUT_NS, self._reap_write_record, key
-            )
+            if not seg.last:
+                # A LAST segment finishes the message below, so only a
+                # message it does not finish needs a reap timer.
+                state.timer = self.qp.sim.schedule(
+                    UD_REASSEMBLY_TIMEOUT_NS, self._reap_write_record, key
+                )
         offset = seg.to - state.base_to
-        if state.validity.covered(offset, len(seg.payload)) and seg.payload:
+        if not new and seg.payload and state.validity.covered(offset, len(seg.payload)):
             self.duplicate_segments += 1
         state.validity.add(offset, len(seg.payload))
         self.write_record_placements += 1
@@ -401,30 +406,26 @@ class RdmapRx:
     # Untagged model: send/recv
     # ------------------------------------------------------------------
 
-    def _on_send(self, seg: DdpSegment, src: Optional[Address]) -> None:
-        if self.qp.is_datagram:
-            self._on_send_ud(seg, src)
-        else:
-            self._on_send_rc(seg, src)
-
     def _on_send_rc(self, seg: DdpSegment, src: Optional[Address]) -> None:
         if seg.msn != self._rc_expected_msn:
             raise HeaderError(
                 f"MSN {seg.msn} out of order (expected {self._rc_expected_msn})"
             )
         if self._rc_current is None:
-            wr = self.qp.pop_recv()
-            if wr is None:
+            rq = self.qp.rq
+            if not rq:
                 # RC semantics: untagged arrival with no posted receive is
                 # a fatal stream error (the relaxation is UD-only).
                 self.qp.terminate("no receive posted")
                 return
+            wr = rq.popleft()
             # Message length is only certain at LAST on RC (no UD header);
             # reassemble against the posted capacity.
-            total = seg.msg_total if seg.msg_total is not None else wr.capacity
-            self._rc_current = UntaggedReassembly(wr, min(total, wr.capacity))
+            capacity = wr.capacity
+            total = seg.msg_total if seg.msg_total is not None else capacity
+            self._rc_current = UntaggedReassembly(wr, min(total, capacity))
         state = self._rc_current
-        if seg.mo + len(seg.payload) > state.wr.capacity:
+        if seg.mo + len(seg.payload) > state.capacity:
             self.qp.terminate("send overruns posted receive")
             return
         state.place(seg.mo, seg.payload, seg.last)
@@ -448,13 +449,16 @@ class RdmapRx:
         key = (src, seg.msg_id)
         state = self._ud_untagged.get(key)
         if state is None:
-            wr = self.qp.pop_recv()
-            if wr is None:
+            rq = self.qp.rq
+            if not rq:
                 # UD semantics: nothing to match — the datagram is dropped
                 # and reported, the QP survives.
                 self.drops_no_recv_posted += 1
                 return
-            if seg.msg_total > wr.capacity:
+            wr = rq.popleft()
+            try:
+                state = UntaggedReassembly(wr, seg.msg_total)
+            except ReassemblyError:  # the message is larger than the receive
                 self.qp.push_rq_completion(
                     WorkCompletion(
                         wr_id=wr.wr_id,
@@ -466,15 +470,26 @@ class RdmapRx:
                     )
                 )
                 return
-            state = UntaggedReassembly(wr, seg.msg_total)
             self._ud_untagged[key] = state
-            self._ud_timers[key] = self.qp.sim.schedule(
-                UD_REASSEMBLY_TIMEOUT_NS, self._reap_untagged, key
-            )
-        if state.validity.covered(seg.mo, len(seg.payload)) and seg.payload:
+            if not (seg.last and seg.mo == 0 and len(seg.payload) == seg.msg_total):
+                # A segment that is the whole message completes it below,
+                # so only a message it does not complete needs a reap timer.
+                self._ud_timers[key] = self.qp.sim.schedule(
+                    UD_REASSEMBLY_TIMEOUT_NS, self._reap_untagged, key
+                )
+        elif seg.payload and state.validity.covered(seg.mo, len(seg.payload)):
             self.duplicate_segments += 1
-        state.place(seg.mo, seg.payload, seg.last)
-        if state.complete:
+        try:
+            state.place(seg.mo, seg.payload, seg.last)
+        except MemoryAccessError:
+            # The receive buffer was deregistered: reap the message, and
+            # with it the consumed receive, as if it had stayed partial.
+            if key not in self._ud_timers:
+                self._ud_timers[key] = self.qp.sim.schedule(
+                    UD_REASSEMBLY_TIMEOUT_NS, self._reap_untagged, key
+                )
+            raise
+        if state.saw_last and state.validity.complete:
             self._finish_untagged(key, state, src, seg.opcode == OP_SEND_SE)
 
     def _finish_untagged(

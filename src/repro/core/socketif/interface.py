@@ -68,8 +68,8 @@ class _DgramSocket:
         for _ in range(iface.pool_slots):
             mr = dev.reg_mr(self.pool_slot, Access.local_only(), iface.pd)
             self._pool.append(mr)
-            self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=id(mr)))
-        self._slot_by_id = {id(mr): mr for mr in self._pool}
+            self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
+        self._slot_by_stag = {mr.stag: mr for mr in self._pool}
         # Write-Record sink rings, one per advertising peer.
         self._rings: Dict[Address, dict] = {}      # peers writing to us
         self._peer_sinks: Dict[Address, dict] = {}  # our view of peers' rings
@@ -102,7 +102,7 @@ class _DgramSocket:
                 self._deliver(data, wc.src)
             return
         if wc.opcode in (WrOpcode.SEND, WrOpcode.SEND_SE):
-            mr = self._slot_by_id.get(wc.wr_id)
+            mr = self._slot_by_stag.get(wc.wr_id)
             if mr is None:
                 return
             if wc.ok and wc.byte_len >= _TYPE_HDR.size:
@@ -112,7 +112,7 @@ class _DgramSocket:
             # Repost the slot (partial/errored arrivals are simply recycled:
             # UD loss semantics) — unless the QP flushed it on teardown.
             if wc.status is not WcStatus.FLUSHED:
-                self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=id(mr)))
+                self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
 
     def _dispatch_untagged(self, kind: int, body: bytes, src: Address) -> None:
         if kind == _TYPE_DATA:
@@ -305,8 +305,8 @@ class _StreamSocket:
         self._slots = {}
         for _ in range(self.iface.pool_slots):
             mr = dev.reg_mr(self.CHUNK, Access.local_only(), self.iface.pd)
-            self._slots[id(mr)] = mr
-            self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=id(mr)))
+            self._slots[mr.stag] = mr
+            self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
         self._drain_arm()
 
     def _drain_arm(self) -> None:
@@ -321,7 +321,7 @@ class _StreamSocket:
                 if wc.ok and wc.byte_len:
                     self._rxbuf += bytes(mr.view(0, wc.byte_len))
                 if wc.status is not WcStatus.FLUSHED:
-                    self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=id(mr)))
+                    self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
         self._satisfy_waiters()
         if self.qp.state != "ERROR":
             self._drain_arm()

@@ -98,11 +98,16 @@ class _RdPendingSend:
 
 
 #: ``(queue, status)`` keys of :attr:`QueuePair.completions`, built once
-#: so that counting a completion allocates nothing.
+#: so that counting a completion allocates nothing.  The per-message
+#: tables are keyed by the member's ``_name_`` string: an enum member as
+#: a key would hash through the Python-level ``Enum.__hash__``.
 _COMPLETION_KEYS = {
-    queue: {status: (queue, status.name.lower()) for status in WcStatus}
+    queue: {status._name_: (queue, status._name_.lower()) for status in WcStatus}
     for queue in ("sq", "rq")
 }
+
+#: :attr:`QueuePair.posts` key of each opcode.
+_POST_KEYS = {op._name_: op._name_.lower() for op in WrOpcode}
 
 
 class QpError(Exception):
@@ -113,7 +118,12 @@ class QueuePair:
     """State and queues common to both QP types."""
 
     is_datagram = False
-    _max_seg: int
+    #: Largest DDP payload one LLP segment carries (set by the subclass
+    #: once its channel is known).
+    max_seg_payload: int
+    #: Datagram QPs only: RD peers declared unreachable (post_send
+    #: rejects them).
+    failed_peers: Set[Address]
 
     #: Exported series (see :mod:`repro.obs.metrics`), labelled qp/host;
     #: the RDMAP engines declare their own.
@@ -178,24 +188,38 @@ class QueuePair:
     # -- metrics -----------------------------------------------------------
 
     def _note_completion(self, queue: str, wc: WorkCompletion) -> None:
-        key = _COMPLETION_KEYS[queue][wc.status]
+        key = _COMPLETION_KEYS[queue][wc.status._name_]
         self.completions[key] = self.completions.get(key, 0) + 1
-        status = key[1]
-        wr_span(
-            self.host, "cqe", qp=self.qp_num, wr_id=wc.wr_id,
-            queue=queue, status=status, msg_id=wc.msg_id,
-        )
+        if self.host.wr_tracer is not None:
+            wr_span(
+                self.host, "cqe", qp=self.qp_num, wr_id=wc.wr_id,
+                queue=queue, status=key[1], msg_id=wc.msg_id,
+            )
 
     # -- verbs ------------------------------------------------------------
 
     def post_send(self, wr: SendWR) -> None:
         if self.state != RTS:
             raise QpError(f"post_send on QP {self.qp_num} in state {self.state}")
-        self._validate_send(wr)
-        op = wr.opcode.name.lower()
+        length = 0
+        for sge in wr.sges:
+            if not (sge.mr.access_bits & LOCAL_READ_BIT):
+                raise QpError("send SGE lacks LOCAL_READ")
+            length += sge.length
+        if self.is_datagram:
+            if wr.dest is None:
+                raise QpError("datagram send requires a destination address")
+            if wr.dest in self.failed_peers:
+                raise QpError(
+                    f"RD peer {wr.dest} was declared unreachable; its WRs were flushed"
+                )
+        elif wr.dest is not None:
+            raise QpError("connected QPs do not take per-WR destinations")
+        op = _POST_KEYS[wr.opcode._name_]
         self.posts[op] = self.posts.get(op, 0) + 1
-        self.post_bytes[op] = self.post_bytes.get(op, 0) + wr.length
-        wr_span(self.host, "post", qp=self.qp_num, wr_id=wr.wr_id, op=op)
+        self.post_bytes[op] = self.post_bytes.get(op, 0) + length
+        if self.host.wr_tracer is not None:
+            wr_span(self.host, "post", qp=self.qp_num, wr_id=wr.wr_id, op=op)
         self.tx.post(wr)
 
     def post_recv(self, wr: RecvWR) -> None:
@@ -207,19 +231,7 @@ class QueuePair:
         self.recv_posts += 1
         self.rq.append(wr)
 
-    def _validate_send(self, wr: SendWR) -> None:
-        for sge in wr.sges:
-            if not (sge.mr.access_bits & LOCAL_READ_BIT):
-                raise QpError("send SGE lacks LOCAL_READ")
-        if self.is_datagram and wr.dest is None:
-            raise QpError("datagram send requires a destination address")
-        if not self.is_datagram and wr.dest is not None:
-            raise QpError("connected QPs do not take per-WR destinations")
-
     # -- hooks used by the engines ---------------------------------------------
-
-    def pop_recv(self) -> Optional[RecvWR]:
-        return self.rq.popleft() if self.rq else None
 
     def push_rq_completion(self, wc: WorkCompletion) -> None:
         self._note_completion("rq", wc)
@@ -257,11 +269,6 @@ class QueuePair:
         per-message (as opposed to per-segment) costs at the right
         moment."""
         raise NotImplementedError
-
-    @property
-    def max_seg_payload(self) -> int:
-        """Largest DDP payload one LLP segment carries."""
-        return self._max_seg
 
     # -- teardown ---------------------------------------------------------------
 
@@ -366,13 +373,13 @@ class UdQp(QueuePair):
             mtu_budget = (
                 device.net.ip.mtu() - IP_HEADER - UDP_HEADER - overhead
             )
-            self._max_seg = min(UDP_MAX_PAYLOAD - overhead, mtu_budget)
+            self.max_seg_payload = min(UDP_MAX_PAYLOAD - overhead, mtu_budget)
         else:
             self.rd = None
             udp_sock.on_datagram = self._on_datagram
             self._sock = udp_sock
             overhead = MAX_HEADER + CRC_SIZE
-            self._max_seg = UDP_MAX_PAYLOAD - overhead
+            self.max_seg_payload = UDP_MAX_PAYLOAD - overhead
         self._udp_sock = udp_sock
         # RD: messages posted but not yet ACKed by the reliability layer,
         # keyed by RDMAP message id; peers declared unreachable.
@@ -428,11 +435,12 @@ class UdQp(QueuePair):
             if self.reliable and seg.msg_id is not None:
                 self._on_rd_segment_result(seg.msg_id, False)
             return
-        wr_span(
-            self.host, "wire", qp=self.qp_num,
-            proto="rudp" if self.reliable else "udp",
-            msg_id=seg.msg_id, last=seg.last,
-        )
+        if self.host.wr_tracer is not None:
+            wr_span(
+                self.host, "wire", qp=self.qp_num,
+                proto="rudp" if self.reliable else "udp",
+                msg_id=seg.msg_id, last=seg.last,
+            )
         data = append_crc(seg.encode())
         if self.reliable:
             if seg.msg_id is not None and seg.msg_id in self._rd_pending:
@@ -499,13 +507,6 @@ class UdQp(QueuePair):
         self.failed_peers.add(addr)
         self.terminate_reason = f"RD peer {addr} unreachable"
 
-    def _validate_send(self, wr: SendWR) -> None:
-        super()._validate_send(wr)
-        if self.reliable and wr.dest in self.failed_peers:
-            raise QpError(
-                f"RD peer {wr.dest} was declared unreachable; its WRs were flushed"
-            )
-
     # -- receive ------------------------------------------------------------
 
     def _on_datagram(self, data: bytes, src: Address) -> None:
@@ -556,7 +557,7 @@ class RcQp(QueuePair):
     def _attach(self, mpa: MpaConnection) -> Future:
         """Wire the LLP's callbacks to this QP; returns its ready future."""
         self.mpa = mpa
-        self._max_seg = self.device.rc_mulpdu - MAX_HEADER
+        self.max_seg_payload = self.device.rc_mulpdu - MAX_HEADER
         self._frame_cost_ns: Callable[[int], int] = mpa.frame_cost_ns
         mpa.on_ulpdu = self._on_ulpdu
         mpa.on_error = lambda exc: self._enter_error(str(exc))
@@ -592,10 +593,11 @@ class RcQp(QueuePair):
         if self.state == ERROR and seg.opcode != OP_TERMINATE:
             # Once errored only the TERMINATE notification may leave.
             return
-        wr_span(
-            self.host, "wire", qp=self.qp_num, proto="tcp",
-            msg_id=seg.msg_id, last=seg.last,
-        )
+        if self.host.wr_tracer is not None:
+            wr_span(
+                self.host, "wire", qp=self.qp_num, proto="tcp",
+                msg_id=seg.msg_id, last=seg.last,
+            )
         self.mpa.emit_ulpdu_now(seg.encode())
 
     # -- receive ------------------------------------------------------------
@@ -645,7 +647,7 @@ class RcSctpQp(RcQp):
 
     def _attach(self, assoc: SctpAssociation) -> Future:  # type: ignore[override]
         self.assoc = assoc
-        self._max_seg = assoc.max_message - MAX_HEADER
+        self.max_seg_payload = assoc.max_message - MAX_HEADER
         self._frame_cost_ns = _no_framing_ns
         assoc.on_message = self._on_ulpdu
         return assoc.established
@@ -655,10 +657,11 @@ class RcSctpQp(RcQp):
             return
         if self.state == ERROR and seg.opcode != OP_TERMINATE:
             return
-        wr_span(
-            self.host, "wire", qp=self.qp_num, proto="sctp",
-            msg_id=seg.msg_id, last=seg.last,
-        )
+        if self.host.wr_tracer is not None:
+            wr_span(
+                self.host, "wire", qp=self.qp_num, proto="sctp",
+                msg_id=seg.msg_id, last=seg.last,
+            )
         self.assoc.send_message(seg.encode())
 
     def _release_channel(self) -> None:

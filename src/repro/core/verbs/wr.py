@@ -69,7 +69,7 @@ class SendWR:
 
     opcode: WrOpcode
     sges: List[Sge] = field(default_factory=list)
-    wr_id: int = field(default_factory=lambda: next(_wr_ids))
+    wr_id: int = field(default_factory=_wr_ids.__next__)
     #: UD only: destination (host, port) — the datagram-verbs extension.
     dest: Optional[Address] = None
     #: Tagged ops: remote stag and base tagged offset.
@@ -88,7 +88,7 @@ class RecvWR:
     """A receive-queue work request."""
 
     sges: List[Sge] = field(default_factory=list)
-    wr_id: int = field(default_factory=lambda: next(_wr_ids))
+    wr_id: int = field(default_factory=_wr_ids.__next__)
 
     @property
     def capacity(self) -> int:

@@ -104,7 +104,9 @@ class MemoryRegion:
 
     def _check(self, offset: int, length: int, needed: int) -> None:
         """Raise unless the region is live, holds the right ``needed`` (one
-        of the ``*_BIT`` constants) and contains the extent."""
+        of the ``*_BIT`` constants) and contains the extent.  The per-message
+        :meth:`read` and :meth:`write` test the same conditions inline and
+        call this only to raise the precise error."""
         if self.invalidated:
             raise MemoryAccessError(f"stag {self.stag:#x} has been invalidated")
         if not (self.access_bits & needed):
@@ -119,10 +121,12 @@ class MemoryRegion:
 
     def write(self, offset: int, data: Union[bytes, memoryview], remote: bool = False) -> None:
         needed = REMOTE_WRITE_BIT if remote else LOCAL_WRITE_BIT
-        self._check(offset, len(data), needed)
-        self.buffer[offset : offset + len(data)] = data
+        end = offset + len(data)
+        if (self.invalidated or not self.access_bits & needed
+                or offset < 0 or end > len(self.buffer)):
+            self._check(offset, len(data), needed)
+        self.buffer[offset:end] = data
         if self._watches:
-            end = offset + len(data)
             for w_off, w_end, fn in list(self._watches):
                 if offset < w_end and end > w_off:
                     fn(offset, len(data))
@@ -142,7 +146,9 @@ class MemoryRegion:
 
     def read(self, offset: int, length: int, remote: bool = False) -> memoryview:
         needed = REMOTE_READ_BIT if remote else LOCAL_READ_BIT
-        self._check(offset, length, needed)
+        if (self.invalidated or not self.access_bits & needed
+                or offset < 0 or length < 0 or offset + length > len(self.buffer)):
+            self._check(offset, length, needed)
         return memoryview(self.buffer)[offset : offset + length]
 
     def view(self, offset: int = 0, length: int = -1) -> memoryview:

@@ -14,22 +14,26 @@ from typing import List
 from .region import MemoryRegion
 
 
-@dataclass
+@dataclass(init=False)
 class Sge:
-    """One scatter/gather element over a registered region."""
+    """One scatter/gather element over a registered region; a negative
+    ``length`` extends it to the end of the region."""
 
     mr: MemoryRegion
-    offset: int = 0
-    length: int = -1
+    offset: int
+    length: int
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            self.length = len(self.mr) - self.offset
-        if self.offset < 0 or self.offset + self.length > len(self.mr):
+    def __init__(self, mr: MemoryRegion, offset: int = 0, length: int = -1) -> None:
+        size = len(mr.buffer)
+        if length < 0:
+            length = size - offset
+        if offset < 0 or offset + length > size:
             raise ValueError(
-                f"SGE [{self.offset}, {self.offset + self.length}) outside "
-                f"region of {len(self.mr)} bytes"
+                f"SGE [{offset}, {offset + length}) outside region of {size} bytes"
             )
+        self.mr = mr
+        self.offset = offset
+        self.length = length
 
 
 def sge_total(sges: List[Sge]) -> int:

@@ -9,7 +9,8 @@ which byte ranges of a partially-delivered message are safe to consume
 
 Implemented as a sorted list of merged, non-overlapping ``[start, end)``
 intervals with O(n) insertion (n = fragments of one message, always
-small) and O(log n) membership via bisection.
+small), O(log n) membership via bisection and an O(1) completeness
+test.
 """
 
 from __future__ import annotations
@@ -66,11 +67,15 @@ class ValidityMap:
 
     @property
     def complete(self) -> bool:
-        """The whole message arrived."""
-        return self.valid_bytes() == self.total
+        """The whole message arrived: the merged intervals are exactly
+        ``[0, total)`` (or the message is empty)."""
+        ends = self._ends
+        if not ends:
+            return self.total == 0
+        return len(ends) == 1 and self._starts[0] == 0 and ends[0] == self.total
 
     def valid_bytes(self) -> int:
-        return sum(e - s for s, e in zip(self._starts, self._ends))
+        return sum(self._ends) - sum(self._starts)
 
     def ranges(self) -> List[Tuple[int, int]]:
         """Valid intervals as (offset, length) pairs, ascending."""

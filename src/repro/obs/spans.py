@@ -8,8 +8,11 @@ Each stage is recorded as a ``wr.span`` event on the host's
 ``wr_tracer`` — the same append-only :class:`repro.simnet.trace.Tracer`
 the tests already use for frame-level events, so spans inherit its
 timestamping and cost-free semantics.  When no tracer is attached
-(``host.wr_tracer is None``, the default) recording is a single
-attribute check, so the stack can call :func:`wr_span` unconditionally.
+(``host.wr_tracer is None``, the default) :func:`wr_span` records
+nothing, but a call still builds its keyword dict.  The per-message
+sites (post, segment, wire, delivery, cqe) therefore test
+``host.wr_tracer is not None`` themselves and call :func:`wr_span` only
+then; the cold retransmit sites call it unconditionally.
 
 Spans are independent of the metrics registry: tracing is opt-in per
 host (attach a Tracer), metrics are opt-in per simulator (enable the

@@ -153,7 +153,10 @@ class IpStack:
 
     def fragments_needed(self, payload_size: int) -> int:
         """How many IP fragments a payload of this size produces."""
-        mtu = self.mtu()
+        link = self.host.port.link
+        if link is None:
+            raise RuntimeError(f"{self.host.name} NIC is not cabled")
+        mtu = link.mtu
         if payload_size + IP_HEADER <= mtu:
             return 1
         # Fragment data sizes are multiples of 8 except the last.

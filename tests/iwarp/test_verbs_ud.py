@@ -408,3 +408,76 @@ class TestRdModes:
             if fut.value and fut.value[0].ok:
                 received += 1
         assert received == msgs  # reliability: nothing lost
+
+
+class TestReapTimers:
+    """A reap timer is armed only for a message its first segment does
+    not complete; the timer a completing segment would have armed and
+    cancelled at once is never pushed, and loss is still reaped."""
+
+    def _send(self, ud, opcode, src, **kw):
+        ud["qps"][0].post_send(SendWR(
+            opcode=opcode, sges=[Sge(src)], dest=ud["qps"][1].address,
+            signaled=False, **kw,
+        ))
+
+    def test_single_segment_send_leaves_no_cancelled_timer(self, ud):
+        devA, devB = ud["devs"]
+        src = devA.reg_mr(bytearray(b"one segment"), Access.local_only(), ud["pds"][0])
+        dst = devB.reg_mr(64, Access.local_only(), ud["pds"][1])
+        ud["qps"][1].post_recv(RecvWR(sges=[Sge(dst)]))
+        self._send(ud, WrOpcode.SEND, src)
+        ud["sim"].run(until=1 * MS)
+        wcs = ud["cqs"][1].poll()
+        assert wcs and wcs[0].ok and wcs[0].byte_len == 11
+        assert ud["sim"]._dead == 0
+        assert not ud["qps"][1].rx._ud_timers
+
+    def test_single_segment_write_record_leaves_no_cancelled_timer(self, ud):
+        devA, devB = ud["devs"]
+        src = devA.reg_mr(bytearray(b"one segment"), Access.local_only(), ud["pds"][0])
+        sink = devB.reg_mr(64, Access.remote_write(), ud["pds"][1])
+        self._send(ud, WrOpcode.RDMA_WRITE_RECORD, src, remote_stag=sink.stag)
+        ud["sim"].run(until=1 * MS)
+        wcs = ud["cqs"][1].poll()
+        assert wcs and wcs[0].ok and wcs[0].validity.complete
+        assert ud["sim"]._dead == 0
+
+    def test_multi_segment_send_with_lost_last_segment_is_reaped(self, ud):
+        devA, devB = ud["devs"]
+        size = 200_000
+        src = devA.reg_mr(bytearray(size), Access.local_only(), ud["pds"][0])
+        dst = devB.reg_mr(size, Access.local_only(), ud["pds"][1])
+        for _ in range(2):
+            ud["qps"][1].post_recv(RecvWR(sges=[Sge(dst)]))
+        # Count one message's frames, then drop exactly the last frame of
+        # an identical second message: its LAST segment never arrives.
+        self._send(ud, WrOpcode.SEND, src)
+        ud["sim"].run(until=10 * MS)
+        assert [wc.status for wc in ud["cqs"][1].poll()] == [WcStatus.SUCCESS]
+        frames = ud["tb"].hosts[0].port.tx_frames
+        ud["tb"].set_egress_loss(0, ExplicitLoss([frames]))
+        start = ud["sim"].now
+        self._send(ud, WrOpcode.SEND, src)
+        ud["sim"].run(until=start + UD_REASSEMBLY_TIMEOUT_NS - 1 * MS)
+        assert ud["cqs"][1].poll() == []
+        ud["sim"].run(until=start + UD_REASSEMBLY_TIMEOUT_NS + 10 * MS)
+        wcs = ud["cqs"][1].poll()
+        assert wcs and wcs[0].status is WcStatus.PARTIAL_MESSAGE
+        assert 0 < wcs[0].byte_len < size
+        assert ud["qps"][1].rx.reaped_partial == 1
+
+    def test_single_segment_into_deregistered_buffer_is_reaped(self, ud):
+        """A placement that fails still arms the reap timer, so the
+        consumed receive completes PARTIAL_MESSAGE instead of vanishing."""
+        devA, devB = ud["devs"]
+        src = devA.reg_mr(bytearray(b"lost"), Access.local_only(), ud["pds"][0])
+        dst = devB.reg_mr(64, Access.local_only(), ud["pds"][1])
+        ud["qps"][1].post_recv(RecvWR(sges=[Sge(dst)]))
+        dst.invalidate()
+        self._send(ud, WrOpcode.SEND, src)
+        ud["sim"].run(until=UD_REASSEMBLY_TIMEOUT_NS + 10 * MS)
+        wcs = ud["cqs"][1].poll()
+        assert wcs and wcs[0].status is WcStatus.PARTIAL_MESSAGE
+        assert wcs[0].byte_len == 0
+        assert ud["qps"][1].rx.remote_access_errors == 1

@@ -1,4 +1,5 @@
-"""Oracle property tests for the rewritten frame-path algorithms.
+"""Oracle property tests for the rewritten frame- and message-path
+algorithms.
 
 The MPA marker writer/reader weave and strip markers by slice
 arithmetic, and IP reassembly extends the last range in O(1) when a
@@ -6,7 +7,9 @@ fragment arrives in order.  Each oracle below is the earlier
 implementation, kept verbatim (as a function over the same state), and
 every observable of the live code must equal the oracle's after every
 step: wire bytes, stripped bytes, stream positions and marker counters
-for MPA; ``ranges`` and ``complete`` after every ``add`` for IP.
+for MPA; ``ranges`` and ``complete`` after every ``add`` for IP.  The
+DDP validity map answers ``complete`` in O(1) from its merged
+intervals; it must agree with the byte count of its ranges.
 """
 
 import struct
@@ -15,6 +18,7 @@ from typing import List, Tuple
 from hypothesis import given, settings, strategies as st
 
 from repro.core.mpa.markers import MARKER_SIZE, MarkedStreamReader, MarkedStreamWriter
+from repro.memory.validity import ValidityMap
 from repro.transport.ip import _Reassembly
 
 _MARKER = struct.Struct("!HH")
@@ -209,3 +213,16 @@ def test_reassembly_ranges_match_the_merge_oracle(case):
         expected = oracle_add(expected, start, size)
         assert state.ranges == expected
         assert state.complete == (len(expected) == 1 and expected[0] == (0, total))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fragment_sequences())
+def test_validity_map_complete_matches_the_byte_count(case):
+    total, frags = case
+    assert ValidityMap(0).complete
+    vmap = ValidityMap(total)
+    for start, size in frags:
+        vmap.add(start, min(size, total - start))
+        covered = sum(length for _, length in vmap.ranges())
+        assert vmap.valid_bytes() == covered
+        assert vmap.complete == (covered == total)

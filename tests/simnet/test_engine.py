@@ -275,6 +275,18 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_negative_int_yield_raises(self):
+        sim = Simulator()
+
+        def proc():
+            yield 10
+            yield -1
+
+        sim.process(proc())
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert sim.now == 10
+
     def test_negative_timeout_rejected(self):
         with pytest.raises(SimulationError):
             Timeout(-5)

@@ -7,7 +7,9 @@ from repro.core.socketif import (
     SocketError,
 )
 from repro.core.verbs import RnicDevice
+from repro.obs.spans import spans
 from repro.simnet.engine import MS, SEC
+from repro.simnet.trace import Tracer
 
 RUN_LIMIT = 600 * SEC
 
@@ -62,6 +64,18 @@ class TestDgram:
     def test_echo_sendrecv_mode(self, sr_apis):
         tb, a, b = sr_apis
         assert _echo_once(tb, a, b, b"payload") == b"echo:payload"
+
+    def test_receive_completions_carry_pool_stags(self, sr_apis):
+        """Pool receives are keyed by the MR's per-device stag, not a
+        memory address, so every cqe span is the same in every process."""
+        tb, a, b = sr_apis
+        for host in tb.hosts:
+            host.wr_tracer = Tracer(tb.sim)
+        assert _echo_once(tb, a, b, b"payload") == b"echo:payload"
+        for host, api in zip(tb.hosts, (a, b)):
+            stags = {mr.stag for sock in api._fds.values() for mr in sock._pool}
+            wr_ids = [rec.fields["wr_id"] for rec in spans(host.wr_tracer, stage="cqe", queue="rq")]
+            assert wr_ids and set(wr_ids) <= stags
 
     def test_large_datagram_write_record(self, apis):
         tb, a, b = apis
