@@ -35,14 +35,14 @@ paper specifies about operation semantics lives here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...memory.region import (
     LOCAL_WRITE_BIT, REMOTE_READ_BIT, REMOTE_WRITE_BIT, MemoryAccessError,
 )
 from ...memory.validity import ValidityMap
 from ...obs import wr_span
-from ...simnet.engine import MS
+from ...simnet.engine import MS, Event
 from ..ddp.headers import DdpSegment, HeaderError, OP_READ_REQUEST, OP_READ_RESPONSE, OP_SEND, OP_SEND_SE, OP_TERMINATE, OP_WRITE, OP_WRITE_RECORD, QN_READ_REQUEST, QN_SEND, QN_TERMINATE, decode_read_request, encode_read_request
 from ..ddp.segmentation import ReassemblyError, UntaggedReassembly, plan_segments
 from ..verbs.wr import Address, SendWR, WcStatus, WorkCompletion, WrOpcode, gather
@@ -265,6 +265,9 @@ class RdmapRx:
         # UD: unordered reassembly keyed by (source, message id).
         self._ud_untagged: Dict[Tuple[Address, int], UntaggedReassembly] = {}
         self._ud_timers: Dict[Tuple[Address, int], object] = {}
+        # Reap timers finished messages left, by callback, for the next
+        # message to rearm.
+        self._spare_reapers: Dict[Callable, Event] = {}
         # Write-Record logs keyed by (source, message id); RC uses a
         # None source key.
         self._write_records: Dict[Tuple[Optional[Address], int], _WriteRecordState] = {}
@@ -360,9 +363,7 @@ class RdmapRx:
             if not seg.last:
                 # A LAST segment finishes the message below, so only a
                 # message it does not finish needs a reap timer.
-                state.timer = self.qp.sim.schedule(
-                    UD_REASSEMBLY_TIMEOUT_NS, self._reap_write_record, key
-                )
+                state.timer = self._arm_reap(self._reap_write_record, key)
         offset = seg.to - state.base_to
         if not new and seg.payload and state.validity.covered(offset, len(seg.payload)):
             self.duplicate_segments += 1
@@ -376,9 +377,20 @@ class RdmapRx:
             # complete or not.
             self._finish_write_record(key, state)
 
+    def _arm_reap(self, reap: Callable, key) -> Event:
+        """A timer calling ``reap(key)`` after UD_REASSEMBLY_TIMEOUT_NS:
+        the spare one a finished message left, if there is one."""
+        sim = self.qp.sim
+        timer = self._spare_reapers.pop(reap, None)
+        if timer is None:
+            return sim.schedule(UD_REASSEMBLY_TIMEOUT_NS, reap, key)
+        sim.rearm(timer, sim.now + UD_REASSEMBLY_TIMEOUT_NS, key)
+        return timer
+
     def _finish_write_record(self, key, state: _WriteRecordState) -> None:
         if state.timer is not None:
             state.timer.cancel()
+            self._spare_reapers[self._reap_write_record] = state.timer
         self._write_records.pop(key, None)
         self.write_record_completions += 1
         src = key[0]
@@ -474,9 +486,7 @@ class RdmapRx:
             if not (seg.last and seg.mo == 0 and len(seg.payload) == seg.msg_total):
                 # A segment that is the whole message completes it below,
                 # so only a message it does not complete needs a reap timer.
-                self._ud_timers[key] = self.qp.sim.schedule(
-                    UD_REASSEMBLY_TIMEOUT_NS, self._reap_untagged, key
-                )
+                self._ud_timers[key] = self._arm_reap(self._reap_untagged, key)
         elif seg.payload and state.validity.covered(seg.mo, len(seg.payload)):
             self.duplicate_segments += 1
         try:
@@ -485,9 +495,7 @@ class RdmapRx:
             # The receive buffer was deregistered: reap the message, and
             # with it the consumed receive, as if it had stayed partial.
             if key not in self._ud_timers:
-                self._ud_timers[key] = self.qp.sim.schedule(
-                    UD_REASSEMBLY_TIMEOUT_NS, self._reap_untagged, key
-                )
+                self._ud_timers[key] = self._arm_reap(self._reap_untagged, key)
             raise
         if state.saw_last and state.validity.complete:
             self._finish_untagged(key, state, src, seg.opcode == OP_SEND_SE)
@@ -498,6 +506,7 @@ class RdmapRx:
         timer = self._ud_timers.pop(key, None)
         if timer is not None:
             timer.cancel()
+            self._spare_reapers[self._reap_untagged] = timer
         self._ud_untagged.pop(key, None)
         # Multi-segment UD messages pay the stack-level recombination cost
         # (§IV.B.1); single-segment ones do not.

@@ -31,7 +31,7 @@ from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
 from ...memory.region import Access
-from ...simnet.engine import MS, Future
+from ...simnet.engine import MS, Event, Future
 from ..verbs.cq import CompletionQueue
 from ..verbs.device import RnicDevice
 from ..verbs.qp import RcQp, UdQp
@@ -52,6 +52,11 @@ _TYPE_HDR = struct.Struct("!B")
 
 class SocketError(Exception):
     """BSD-style failures (bad fd, message too long, not connected...)."""
+
+
+def _expire_waiter(waiter: dict) -> None:
+    if not waiter["future"].done:
+        waiter["future"].set_result(None)
 
 
 class _DgramSocket:
@@ -162,8 +167,7 @@ class _DgramSocket:
             waiter = self._waiters.popleft()
             if waiter["future"].done:
                 continue
-            if waiter["timer"] is not None:
-                waiter["timer"].cancel()
+            self.iface._release_timer(waiter)
             self.iface._charge_copy(len(data))
             waiter["future"].set_result((data[: waiter["bufsize"]], src))
             return
@@ -178,18 +182,8 @@ class _DgramSocket:
             iface._charge_copy(len(data))
             fut.set_result((data[:bufsize], src))
             return fut
-        waiter = {"future": fut, "bufsize": bufsize, "timer": None}
-        if timeout_ns is not None:
-            waiter["timer"] = iface.sim.schedule(
-                timeout_ns, self._expire_waiter, waiter
-            )
-        self._waiters.append(waiter)
+        self._waiters.append(iface._waiter(fut, bufsize, timeout_ns))
         return fut
-
-    @staticmethod
-    def _expire_waiter(waiter: dict) -> None:
-        if not waiter["future"].done:
-            waiter["future"].set_result(None)
 
     def sendto(self, data: bytes, addr: Address) -> None:
         iface = self.iface
@@ -250,7 +244,14 @@ class _DgramSocket:
         return self.qp.address
 
     def close(self) -> None:
+        # Flushed receives never touch their slot, so the pool and the
+        # Write-Record rings can go with the QP.
         self.qp.close()
+        dereg = self.iface.device.dereg_mr
+        for mr in self._pool:
+            dereg(mr)
+        for ring in self._rings.values():
+            dereg(ring["mr"])
 
 
 class _StreamSocket:
@@ -261,6 +262,7 @@ class _StreamSocket:
         self.iface = iface
         self.qp: Optional[RcQp] = None
         self.listener = None
+        self._slots: Dict[int, object] = {}
         self._rxbuf = bytearray()
         self._waiters: Deque[dict] = deque()
         self._accept_q: Deque["_StreamSocket"] = deque()
@@ -302,7 +304,6 @@ class _StreamSocket:
     def _arm_qp(self) -> None:
         # Pre-post the buffered-copy receive pool.
         dev = self.iface.device
-        self._slots = {}
         for _ in range(self.iface.pool_slots):
             mr = dev.reg_mr(self.CHUNK, Access.local_only(), self.iface.pd)
             self._slots[mr.stag] = mr
@@ -331,6 +332,7 @@ class _StreamSocket:
             waiter = self._waiters.popleft()
             if waiter["future"].done:
                 continue
+            self.iface._release_timer(waiter)
             take = min(waiter["bufsize"], len(self._rxbuf))
             data = bytes(self._rxbuf[:take])
             del self._rxbuf[:take]
@@ -368,11 +370,7 @@ class _StreamSocket:
             iface._charge_copy(take)
             fut.set_result(data)
             return fut
-        waiter = {"future": fut, "bufsize": bufsize}
-        if timeout_ns is not None:
-            self.iface.sim.call_after(timeout_ns, _DgramSocket._expire_waiter, waiter)
-            waiter["timer"] = None
-        self._waiters.append(waiter)
+        self._waiters.append(iface._waiter(fut, bufsize, timeout_ns))
         return fut
 
     def close(self) -> None:
@@ -380,6 +378,8 @@ class _StreamSocket:
             self.qp.close()
         if self.listener is not None:
             self.listener.close()
+        for mr in self._slots.values():
+            self.iface.device.dereg_mr(mr)
 
 
 class IwSocketInterface:
@@ -405,6 +405,9 @@ class IwSocketInterface:
         self._next_fd = itertools.count(3)
         # Scratch send regions, grown on demand and reused.
         self._scratch: Dict[int, object] = {}
+        # A receive-timeout timer a satisfied waiter left, for the next
+        # waiter to rearm.
+        self._spare_timer: Optional[Event] = None
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -417,6 +420,27 @@ class IwSocketInterface:
             mr = self.device.reg_mr(size, Access.local_only(), self.pd)
             self._scratch[size] = mr
         return mr
+
+    def _waiter(self, fut: Future, bufsize: int, timeout_ns: Optional[int]) -> dict:
+        """A blocked receive: resolves ``fut`` with None after
+        ``timeout_ns`` unless data satisfies it first."""
+        waiter = {"future": fut, "bufsize": bufsize, "timer": None}
+        if timeout_ns is not None:
+            timer = self._spare_timer
+            if timer is None:
+                timer = self.sim.schedule(timeout_ns, _expire_waiter, waiter)
+            else:
+                self._spare_timer = None
+                self.sim.rearm(timer, self.sim.now + timeout_ns, waiter)
+            waiter["timer"] = timer
+        return waiter
+
+    def _release_timer(self, waiter: dict) -> None:
+        """Cancel a satisfied waiter's timeout and keep it as the spare."""
+        timer = waiter["timer"]
+        if timer is not None:
+            timer.cancel()
+            self._spare_timer = timer
 
     def _charge_dispatch(self) -> None:
         self.device.host.cpu.charge(self.device.host.costs.shim_dispatch_ns)

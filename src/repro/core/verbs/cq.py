@@ -50,6 +50,8 @@ class CompletionQueue:
         self._entries: Deque[WorkCompletion] = deque()
         # Blocked pollers in arrival order: ``(future, timeout timer)``.
         self._waiters: Deque[Tuple[Future, Optional[Event]]] = deque()
+        # A cancelled timeout timer, kept for the next poll to rearm.
+        self._spare: Optional[Event] = None
         self.overflows = 0
         self.completions_total = 0
         # Event notification (ibv_req_notify_cq-style): None = disarmed.
@@ -101,6 +103,7 @@ class CompletionQueue:
                 continue
             if timer is not None:
                 timer.cancel()
+                self._spare = timer
             self._charge_poll(1)
             fut.set_result([wc])
             return
@@ -132,7 +135,12 @@ class CompletionQueue:
             return fut
         timer = None
         if timeout_ns is not None:
-            timer = self.sim.at(self.sim.now + timeout_ns, self._expire, fut)
+            timer = self._spare
+            if timer is None:
+                timer = self.sim.at(self.sim.now + timeout_ns, self._expire, fut)
+            else:
+                self._spare = None
+                self.sim.rearm(timer, self.sim.now + timeout_ns, fut)
         self._waiters.append((fut, timer))
         return fut
 

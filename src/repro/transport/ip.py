@@ -16,9 +16,9 @@ simulator avoids materializing per-fragment byte slices.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..simnet.engine import MS, Simulator
+from ..simnet.engine import MS, Event, Simulator
 from ..simnet.host import Host
 from ..simnet.packet import Frame
 
@@ -128,6 +128,8 @@ class IpStack:
         self._ident = itertools.count(1)
         self._upper: Dict[str, Callable[[Any, int, int], None]] = {}
         self._reassembly: Dict[Tuple[int, int], _Reassembly] = {}
+        # The timer a completed reassembly left, for the next to rearm.
+        self._spare_timer: Optional[Event] = None
         host.register_protocol("ip", self)
         # Statistics.
         self.tx_packets = 0
@@ -210,13 +212,17 @@ class IpStack:
         if state is None:
             state = _Reassembly(pkt.payload, pkt.proto, pkt.total_size, self.sim.now)
             self._reassembly[key] = state
-            state.timer = self.sim.schedule(
-                self.reassembly_timeout_ns, self._timeout, key
-            )
+            timer = self._spare_timer
+            if timer is None:
+                timer = self.sim.schedule(self.reassembly_timeout_ns, self._timeout, key)
+            else:
+                self._spare_timer = None
+                self.sim.rearm(timer, self.sim.now + self.reassembly_timeout_ns, key)
+            state.timer = timer
         state.add(pkt.frag_offset, pkt.frag_size)
         if state.complete:
-            if state.timer is not None:
-                state.timer.cancel()
+            state.timer.cancel()
+            self._spare_timer = state.timer
             del self._reassembly[key]
             self._deliver(state.proto, state.payload, pkt.src, state.total)
 

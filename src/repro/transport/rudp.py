@@ -310,7 +310,7 @@ class RudpSocket:
             tx.cbs[seq] = cb
             tx.sent_at[seq] = self.sim.now
             self._emit(addr, seq, data)
-        if tx.unacked and tx.timer is None:
+        if tx.unacked and (tx.timer is None or not tx.timer.armed):
             self._arm_timer(addr, tx)
 
     def _emit(self, addr: Address, seq: int, data: bytes) -> None:
@@ -320,16 +320,16 @@ class RudpSocket:
         return tx.estimator.rto_ns if self.adaptive else self.rto_ns
 
     def _arm_timer(self, addr: Address, tx: _PeerTx) -> None:
-        if tx.timer is not None:
-            tx.timer.cancel()
-        tx.timer = self.sim.schedule(self._current_rto(tx), self._on_timeout, addr)
+        # The handle is kept once made: every later arm moves it.
+        due = self.sim.now + self._current_rto(tx)
+        if tx.timer is None:
+            tx.timer = self.sim.at(due, self._on_timeout, addr)
+        else:
+            self.sim.rearm(tx.timer, due, addr)
 
     def _on_timeout(self, addr: Address) -> None:
         tx = self._tx.get(addr)
-        if tx is None:
-            return
-        tx.timer = None
-        if not tx.unacked:
+        if tx is None or not tx.unacked:
             return
         # Retransmit the earliest message the peer has not SACKed; fall
         # back to the overall earliest (an all-SACKed window means the
@@ -364,7 +364,6 @@ class RudpSocket:
         discarded."""
         if tx.timer is not None:
             tx.timer.cancel()
-            tx.timer = None
         del self._tx[addr]
         self.peer_failures += 1
         callbacks: List[ResultCallback] = []
@@ -465,11 +464,10 @@ class RudpSocket:
             self._retransmit(src, tx, ack_seq, "partial_ack")
         if self.adaptive:
             tx.estimator.reset_backoff()
-        if tx.timer is not None:
-            tx.timer.cancel()
-            tx.timer = None
         if tx.unacked:
             self._arm_timer(src, tx)
+        elif tx.timer is not None:
+            tx.timer.cancel()
         for cb in callbacks:
             cb(True)
 
@@ -524,19 +522,18 @@ class RudpSocket:
             # parked out of order).
             self._flush_ack(rx, src, seq)
         elif rx.ack_timer is None:
-            rx.ack_timer = self.sim.schedule(
-                self.ack_delay_ns, self._on_ack_timer, src
+            rx.ack_timer = self.sim.at(
+                self.sim.now + self.ack_delay_ns, self._on_ack_timer, src
             )
+        elif not rx.ack_timer.armed:
+            self.sim.rearm(rx.ack_timer, self.sim.now + self.ack_delay_ns, src)
 
     def _on_ack_timer(self, src: Address) -> None:
         """Pending-ACK timer: acknowledge whatever arrived in-order since
         the last ACK.  Echoes seq 0 — never a valid trigger — so the
         sender takes no RTT sample from a deliberately delayed ACK."""
         rx = self._rx.get(src)
-        if rx is None:
-            return
-        rx.ack_timer = None
-        if rx.pending_acks:
+        if rx is not None and rx.pending_acks:
             self._flush_ack(rx, src, 0)
 
     def _ooo_ranges(self, rx: _PeerRx) -> List[Tuple[int, int]]:
@@ -558,9 +555,8 @@ class RudpSocket:
         return ranges[: self.sack_ranges]
 
     def _flush_ack(self, rx: _PeerRx, src: Address, trigger_seq: int) -> None:
-        if rx.ack_timer is not None:
+        if rx.ack_timer is not None and rx.ack_timer.armed:
             rx.ack_timer.cancel()
-            rx.ack_timer = None
         rx.pending_acks = 0
         self.acks_sent += 1
         ranges = self._ooo_ranges(rx) if rx.ooo else []
@@ -615,7 +611,6 @@ class RudpSocket:
         for tx in self._tx.values():
             if tx.timer is not None:
                 tx.timer.cancel()
-                tx.timer = None
             for seq in sorted(tx.unacked):
                 cb = tx.cbs.get(seq)
                 if cb is not None:
@@ -631,7 +626,6 @@ class RudpSocket:
         for rx in self._rx.values():
             if rx.ack_timer is not None:
                 rx.ack_timer.cancel()
-                rx.ack_timer = None
         # Detach before failing callbacks: nothing may re-enter a closed
         # socket through a stale UDP delivery path.
         if self.udp.on_datagram == self._on_datagram:

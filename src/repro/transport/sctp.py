@@ -242,7 +242,7 @@ class SctpAssociation:
             if self._rtt_tsn is None:
                 self._rtt_tsn = tsn
                 self._rtt_sent_at = self.sim.now
-        if self._unacked and self._rtx_timer is None:
+        if self._unacked and (self._rtx_timer is None or not self._rtx_timer.armed):
             self._arm_rtx()
 
     def _emit_data(self, tsn: int, data: bytes) -> None:
@@ -320,16 +320,18 @@ class SctpAssociation:
     # -- timers ---------------------------------------------------------------
 
     def _arm_rtx(self) -> None:
-        self._cancel_rtx()
-        self._rtx_timer = self.sim.schedule(self.rto.rto_ns, self._on_rtx_timeout)
+        # The handle is kept once made: every later arm moves it.
+        due = self.sim.now + self.rto.rto_ns
+        if self._rtx_timer is None:
+            self._rtx_timer = self.sim.at(due, self._on_rtx_timeout)
+        else:
+            self.sim.rearm(self._rtx_timer, due)
 
     def _cancel_rtx(self) -> None:
         if self._rtx_timer is not None:
             self._rtx_timer.cancel()
-            self._rtx_timer = None
 
     def _on_rtx_timeout(self) -> None:
-        self._rtx_timer = None
         if self.state == COOKIE_WAIT:
             self._send_chunk(SctpChunk(kind=CH_INIT, src_port=self.local_port,
                                        dst_port=self.remote[1]))

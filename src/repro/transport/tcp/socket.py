@@ -42,6 +42,9 @@ class TcpStack:
         self.mss = mss if mss is not None else ip.mtu() - 40
         self._conns: Dict[Tuple[int, int, int], TcpConnection] = {}
         self._listeners: Dict[int, "TcpListener"] = {}
+        # Live connections per local port, so allocation skips a port
+        # in use without scanning every connection.
+        self._port_conns: Dict[int, int] = {}
         self._ephemeral = itertools.count(self.EPHEMERAL_BASE)
         self._iss = itertools.count(1)
         ip.register("tcp", self._on_ip_delivery)
@@ -51,7 +54,7 @@ class TcpStack:
 
     def _alloc_port(self) -> int:
         port = next(self._ephemeral)
-        while any(key[0] == port for key in self._conns) or port in self._listeners:
+        while port in self._port_conns or port in self._listeners:
             port = next(self._ephemeral)
         return port
 
@@ -84,10 +87,17 @@ class TcpStack:
             mss=self.mss,
         )
         self._conns[key] = conn
+        self._port_conns[local_port] = self._port_conns.get(local_port, 0) + 1
         return conn
 
     def forget(self, conn: TcpConnection) -> None:
-        self._conns.pop((conn.local_port, conn.remote[0], conn.remote[1]), None)
+        port = conn.local_port
+        if self._conns.pop((port, conn.remote[0], conn.remote[1]), None) is None:
+            return
+        if self._port_conns[port] == 1:
+            del self._port_conns[port]
+        else:
+            self._port_conns[port] -= 1
 
     def open_connections(self) -> int:
         return len(self._conns)

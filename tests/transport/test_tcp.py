@@ -313,3 +313,24 @@ class TestTeardown:
         cli.conn.close()
         with pytest.raises(Exception):
             cli.conn.send(b"late")
+
+
+class TestPortAllocation:
+    def test_ephemeral_ports_skip_live_connections_and_listeners(self, tcp_pair):
+        tb, c, s = tcp_pair
+        tcp = c.tcp
+        base = tcp.EPHEMERAL_BASE
+        tcp.listen(base + 1)
+        held = tcp.connect((1, 80), local_port=base + 2)
+        assert tcp.connect((1, 80)).conn.local_port == base
+        # base+1 has a listener and base+2 a live connection.
+        assert tcp.connect((1, 80)).conn.local_port == base + 3
+        # Two connections from one local port: the port stays held until
+        # both are gone.
+        second = tcp.connect((1, 81), local_port=base + 2)
+        tcp.forget(held.conn)
+        assert tcp.connect((1, 80)).conn.local_port == base + 4
+        tcp.forget(second.conn)
+        tcp.forget(second.conn)  # a second forget is a no-op
+        assert base + 2 not in tcp._port_conns
+        assert tcp.connect((1, 80)).conn.local_port == base + 5
