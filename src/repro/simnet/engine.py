@@ -257,6 +257,9 @@ class Simulator:
         # Lazily populated by repro.obs.sim_registry (a support layer the
         # engine must not import); None means no registry attached yet.
         self.obs_registry: Optional[Any] = None
+        # The frame-trace sink every NIC port of this simulator writes
+        # to (a repro.simnet.trace.Tracer); None means no tracing.
+        self.tracer: Optional[Any] = None
 
     # -- scheduling ------------------------------------------------------
 

@@ -140,9 +140,7 @@ class TestNic:
     def test_tracer_records_tx_rx(self):
         sim = Simulator()
         pa, pb, _, _ = _two_ports(sim)
-        tracer = Tracer(sim)
-        pa.tracer = tracer
-        pb.tracer = tracer
+        sim.tracer = tracer = Tracer(sim)
         pa.enqueue(_frame())
         sim.run()
         assert tracer.count("tx") == 1
