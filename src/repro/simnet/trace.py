@@ -1,10 +1,17 @@
 """Event tracing for tests and debugging.
 
-A :class:`Tracer` can be attached to NIC ports (``port.tracer = tracer``)
-and used directly by protocol layers.  It records ``(time, kind, fields)``
-tuples; tests assert on them ("exactly three fragments left host A",
-"the retransmission happened after one RTO") without poking at protocol
-internals.
+A :class:`Tracer` records ``(time, kind, fields)`` tuples; tests assert
+on them ("exactly three fragments left host A", "the retransmission
+happened after one RTO") without poking at protocol internals.
+
+Each simulator has one frame-trace sink, ``sim.tracer`` (None by
+default): every NIC and switch port of that simulator records its
+``tx``, ``rx`` and ``drop.*`` frames there.  Attach it before the
+traffic of interest starts, e.g. ``sim.tracer = Tracer(sim)`` before
+``VerbsEndpointPair.build(mode, sim=sim)`` so the RC handshake is
+traced too (the scenario catalogue, :mod:`repro.bench.scenarios`, does
+this).  WR lifecycle spans go to a separate per-host tracer,
+``host.wr_tracer`` (:mod:`repro.obs.spans`).
 """
 
 from __future__ import annotations
