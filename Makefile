@@ -24,9 +24,10 @@ verify-fsm:
 		--output $(ARTIFACTS)/coverage-report.json
 
 # Observability gate: metrics must not perturb the simulation (the
-# determinism test), exporters must hold their golden formats, the
-# exported series must match the pinned golden set, and the golden
-# WR-lifecycle span sequences must be intact.
+# determinism test), exporters and the python -m repro.obs CLI must hold
+# their golden formats, the series-* catalogue rows must export the
+# series tests/golden/scenarios.json pins, and the golden WR-lifecycle
+# span sequences must be intact.
 obs-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
 		tests/obs/test_determinism.py \
@@ -40,10 +41,13 @@ results-check:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
 	git diff --exit-code results/
 
-# Behaviour contract for hot-path changes: the wire-digest goldens and the
-# EVENTS/CALLS cost counters, the same digests under two hash seeds in
-# fresh processes, and the same-process determinism matrix. A change that
-# claims to be bit-identical passes this unchanged.
+# Behaviour contract for hot-path changes: the wire digests and the
+# events/calls/peak-heap cost counters of the scenario catalogue's digest
+# rows (pinned in tests/golden/scenarios.json), two of those rows' digests
+# under two hash seeds in fresh processes, and the same-process
+# determinism matrix over the fig07 rows. A change that claims to be
+# bit-identical passes this unchanged. Reprint the golden file with
+# PYTHONPATH=src python -m repro.bench.scenarios > tests/golden/scenarios.json
 digest-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/integration/test_wire_digest.py \

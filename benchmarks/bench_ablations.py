@@ -11,9 +11,10 @@
   story.
 """
 
-from conftest import print_table, run_once, save_results
+from conftest import RESULTS_DIR, run_once
 
 from repro.bench.harness import VerbsEndpointPair
+from repro.bench.report import print_table, save_json
 from repro.models.costs import default_cost_model
 from repro.simnet.loss import BernoulliLoss
 
@@ -38,7 +39,7 @@ def test_ablation_mpa_markers(benchmark):
                 [["markers on", data["markers_on"]],
                  ["markers off", data["markers_off"]]])
     print(f"markerless gain: {gain:.1f}%")
-    save_results("ablation_mpa", data)
+    save_json(RESULTS_DIR / "ablation_mpa.json", data)
     assert data["markers_off"] > data["markers_on"]
 
 
@@ -70,7 +71,7 @@ def test_ablation_crc_placement(benchmark):
                 [["UDP checksum off (recommended)", data["udp_checksum_off"]],
                  ["UDP checksum on (redundant)", data["udp_checksum_on"]]])
     print(f"double-checksum penalty: {penalty:.1f}%")
-    save_results("ablation_crc", data)
+    save_json(RESULTS_DIR / "ablation_crc.json", data)
     assert data["udp_checksum_off"] > data["udp_checksum_on"]
 
 
@@ -98,7 +99,7 @@ def test_ablation_segment_size_under_loss(benchmark):
     print_table("Segmentation-policy ablation (UD WR-R, 256 KB)",
                 ["config", "MB/s"],
                 [[k, v] for k, v in data.items()])
-    save_results("ablation_mtu", data)
+    save_json(RESULTS_DIR / "ablation_mtu.json", data)
     # Clean network: big segments win (fewer per-segment costs).
     assert data["64K_clean"] > data["mtu_clean"]
     # Under loss, MTU-sized segments lose far less per drop; the gap
@@ -127,7 +128,7 @@ def test_ablation_transport_spectrum(benchmark):
     data = run_once(benchmark, run)
     print_table("Transport spectrum (64 KB messages)",
                 ["metric", "value"], [[k, v] for k, v in data.items()])
-    save_results("ablation_transports", data)
+    save_json(RESULTS_DIR / "ablation_transports.json", data)
     # Clean: UD fastest.
     assert data["ud_sendrecv_clean"] > data["rd_sendrecv_clean"]
     assert data["ud_sendrecv_clean"] > data["rc_sendrecv_clean"]
@@ -160,7 +161,7 @@ def test_ablation_llp_tcp_vs_sctp(benchmark):
         [[m, v["latency_64B_us"], v["bandwidth_256K_mbs"]]
          for m, v in data.items()],
     )
-    save_results("ablation_llp", data)
+    save_json(RESULTS_DIR / "ablation_llp.json", data)
     # SCTP beats TCP on bandwidth (no MPA, no stream adaptation) but
     # both connected transports trail the datagram path.
     assert data["rcsctp_sendrecv"]["bandwidth_256K_mbs"] > \

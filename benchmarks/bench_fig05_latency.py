@@ -5,9 +5,10 @@ RC ~33 us; UD ~18-24 % better up to 2 KB; RC send/recv slightly best in
 the 16-64 KB band; UD wins again at >= 128 KB.
 """
 
-from conftest import print_table, run_once, save_results
+from conftest import RESULTS_DIR, run_once
 
 from repro.bench.harness import VerbsEndpointPair
+from repro.bench.report import print_table, save_json
 
 MODES = ("ud_sendrecv", "ud_write_record", "rc_sendrecv", "rc_rdma_write")
 SMALL = (1, 16, 64, 256, 1024)
@@ -42,7 +43,7 @@ def _report(panel, data, sizes):
 def test_fig05_small_panel(benchmark):
     data = run_once(benchmark, lambda: _sweep(SMALL, iters=20))
     _report("small", data, SMALL)
-    save_results("fig05_small", data)
+    save_json(RESULTS_DIR / "fig05_small.json", data)
     # Paper-shape assertions.
     assert 22 < data["ud_sendrecv"][64] < 32          # ~27-28 us
     assert 28 < data["rc_sendrecv"][64] < 40          # ~33 us
@@ -54,7 +55,7 @@ def test_fig05_small_panel(benchmark):
 def test_fig05_medium_panel(benchmark):
     data = run_once(benchmark, lambda: _sweep(MEDIUM, iters=10))
     _report("medium", data, MEDIUM)
-    save_results("fig05_medium", data)
+    save_json(RESULTS_DIR / "fig05_medium.json", data)
     # The crossover band: RC send/recv best at 16-64 KB.
     for s in (16384, 32768, 65536):
         assert data["rc_sendrecv"][s] < data["ud_sendrecv"][s]
@@ -65,7 +66,7 @@ def test_fig05_medium_panel(benchmark):
 def test_fig05_large_panel(benchmark):
     data = run_once(benchmark, lambda: _sweep(LARGE, iters=5))
     _report("large", data, LARGE)
-    save_results("fig05_large", data)
+    save_json(RESULTS_DIR / "fig05_large.json", data)
     # UD (both ops) beats RC for every large size.
     for s in LARGE:
         assert data["ud_sendrecv"][s] < data["rc_sendrecv"][s]

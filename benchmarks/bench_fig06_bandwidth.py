@@ -5,9 +5,10 @@ Paper anchors: UD Write-Record +188.8 % over RC RDMA Write at 1 KB and
 messages) and +33.4 % at 256 KB; software-stack peak ~235-250 MB/s.
 """
 
-from conftest import print_table, run_once, save_results
+from conftest import RESULTS_DIR, run_once
 
 from repro.bench.harness import VerbsEndpointPair
+from repro.bench.report import print_table, save_json
 
 MODES = ("ud_sendrecv", "ud_write_record", "rc_sendrecv", "rc_rdma_write")
 SIZES = (1024, 4096, 16384, 65536, 262144, 524288, 1048576)
@@ -45,7 +46,7 @@ def test_fig06_unidirectional_bandwidth(benchmark):
     }
     print("ratios:", ratios,
           "(paper: 512K WRR/RCW 3.56; 1K WRR/RCW 2.89; 256K s/r 1.33; 1K s/r 2.93)")
-    save_results("fig06_bandwidth", {"series": data, "ratios": ratios})
+    save_json(RESULTS_DIR / "fig06_bandwidth.json", {"series": data, "ratios": ratios})
 
     # Shape assertions (who wins, roughly by how much).
     assert ratios["wrr_vs_rcw_512K"] > 2.5          # paper 3.56

@@ -5,10 +5,10 @@ under loss — 0.1 % already hurts at 1 MB, 5 % zeroes everything above
 ~64 KB; small (single-fragment) messages barely notice.
 """
 
-from conftest import print_table, run_once, save_results
+from conftest import RESULTS_DIR, run_once
 
 from repro.bench.harness import VerbsEndpointPair
-from repro.bench.report import attach_metrics
+from repro.bench.report import attach_metrics, print_table, save_json
 from repro.simnet.loss import BernoulliLoss
 
 SIZES = (1024, 16384, 65536, 262144, 1048576)
@@ -34,7 +34,7 @@ def test_fig07_ud_sendrecv_under_loss(benchmark):
         ["size"] + [f"{r:.1%}" for r in RATES],
         rows,
     )
-    save_results("fig07_loss_sendrecv", {str(k): v for k, v in data.items()})
+    save_json(RESULTS_DIR / "fig07_loss_sendrecv.json", {str(k): v for k, v in data.items()})
 
     # Small messages are nearly loss-insensitive.
     assert data[1024][0.05] > 0.8 * data[1024][0.001]
@@ -87,7 +87,7 @@ def test_fig07_rd_reliability_adaptive_vs_fixed(benchmark):
         ["llp", "MB/s", "rtx", "fast_rtx", "timeouts", "backoffs"],
         rows,
     )
-    save_results("fig07_rd_reliability", out)
+    save_json(RESULTS_DIR / "fig07_rd_reliability.json", out)
 
     # Both LLPs deliver everything; the adaptive one is measurably faster.
     assert out["adaptive"]["received_msgs"] == 120

@@ -7,10 +7,10 @@ messages at or below one datagram remain all-or-nothing; very high loss
 arrive for the validity declaration.
 """
 
-from conftest import print_table, run_once, save_results
+from conftest import RESULTS_DIR, run_once
 
 from repro.bench.harness import VerbsEndpointPair
-from repro.bench.report import attach_metrics
+from repro.bench.report import attach_metrics, print_table, save_json
 from repro.simnet.loss import BernoulliLoss
 
 SIZES = (1024, 16384, 49152, 65536, 262144, 1048576)
@@ -38,7 +38,7 @@ def test_fig08_write_record_under_loss(benchmark):
         ["size"] + [f"{r:.1%}" for r in RATES],
         rows,
     )
-    save_results("fig08_loss_writerecord", {str(k): v for k, v in data.items()})
+    save_json(RESULTS_DIR / "fig08_loss_writerecord.json", {str(k): v for k, v in data.items()})
 
     # The Fig. 8 signature: above 64 KB, partial placement holds the
     # curve up where send/recv would collapse (compare bench_fig07).
@@ -65,7 +65,7 @@ def test_fig08_vs_fig07_contrast(benchmark):
     out = run_once(benchmark, run)
     print(f"\n1 MB @ 1% loss: send/recv {out['ud_sendrecv']:.1f} MB/s, "
           f"Write-Record {out['ud_write_record']:.1f} MB/s")
-    save_results("fig08_contrast", out)
+    save_json(RESULTS_DIR / "fig08_contrast.json", out)
     assert out["ud_write_record"] > 10 * max(out["ud_sendrecv"], 1)
 
 
@@ -102,7 +102,7 @@ def test_fig08_rd_write_record_reliability_stats(benchmark):
         ["loss", "MB/s", "complete", "partial", "rtx", "fast_rtx", "backoffs"],
         rows,
     )
-    save_results("fig08_rd_writerecord_reliability", out)
+    save_json(RESULTS_DIR / "fig08_rd_writerecord_reliability.json", out)
 
     for d in out.values():
         assert d["received_msgs"] == 30  # reliability: every message whole

@@ -6,9 +6,10 @@ HTTP-over-RC; the gap is "due only partially to the datagram-iWARP to
 RC-iWARP difference" (HTTP adds its own overhead).
 """
 
-from conftest import print_table, run_once, save_results
+from conftest import RESULTS_DIR, run_once
 
 from repro.apps.streaming import MediaSource, StreamingClient, StreamingServer
+from repro.bench.report import print_table, save_json
 from repro.core.socketif import IwSocketInterface
 from repro.core.verbs import RnicDevice
 from repro.simnet.engine import SEC
@@ -59,7 +60,7 @@ def test_fig09_vlc_buffering(benchmark):
         ],
     )
     print(f"UD improvement: {improvement:.1f}% (paper: 74.1%)")
-    save_results("fig09_vlc", data)
+    save_json(RESULTS_DIR / "fig09_vlc.json", data)
 
     # Shape: UD is far ahead; the two UD modes are near-identical
     # through the shim (§VI.B.1).

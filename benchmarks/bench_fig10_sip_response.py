@@ -5,9 +5,10 @@ Paper anchors: UD ~0.35 ms, RC ~0.62 ms — a 43.1 % improvement
 establishment plus the heavier per-message path).
 """
 
-from conftest import print_table, run_once, save_results
+from conftest import RESULTS_DIR, run_once
 
 from repro.apps.sip.workload import measure_response_time
+from repro.bench.report import print_table, save_json
 
 
 def test_fig10_sip_response_time(benchmark):
@@ -28,7 +29,7 @@ def test_fig10_sip_response_time(benchmark):
         [["UD", data["ud_ms"]], ["RC", data["rc_ms"]]],
     )
     print(f"UD improvement: {improvement:.1f}% (paper: 43.1%; 0.35 vs 0.62 ms)")
-    save_results("fig10_sip_response", data)
+    save_json(RESULTS_DIR / "fig10_sip_response.json", data)
 
     assert 0.25 < data["ud_ms"] < 0.50      # paper ~0.35 ms
     assert 0.45 < data["rc_ms"] < 0.80      # paper ~0.62 ms

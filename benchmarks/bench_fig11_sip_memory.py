@@ -11,9 +11,10 @@ tests/apps/test_sip.py), so the 10 000-call point uses the closed form
 to keep the benchmark fast.
 """
 
-from conftest import print_table, run_once, save_results
+from conftest import RESULTS_DIR, run_once
 
 from repro.apps.sip.workload import measure_memory
+from repro.bench.report import print_table, save_json
 from repro.memory.accounting import FootprintModel
 
 LIVE_POINTS = (100, 1000)
@@ -51,7 +52,7 @@ def test_fig11_sip_memory(benchmark):
     )
     print(f"socket-only theoretical: {data['socket_only_percent']}% "
           f"(paper: 28.1%); at 10000: {data['model'][10_000]}% (paper: 24.1%)")
-    save_results("fig11_sip_memory", data)
+    save_json(RESULTS_DIR / "fig11_sip_memory.json", data)
 
     # Live == model at the measured points.
     for n in LIVE_POINTS:

@@ -6,9 +6,10 @@ with a live (bitrate-paced) stream and finds "a very minimal approximate
 2 % increase" for the shim + software iWARP over the native UDP stack.
 """
 
-from conftest import print_table, run_once, save_results
+from conftest import RESULTS_DIR, run_once
 
 from repro.apps.streaming import MediaSource, StreamingClient, StreamingServer
+from repro.bench.report import print_table, save_json
 from repro.core.socketif import IwSocketInterface, NativeSocketApi
 from repro.core.verbs import RnicDevice
 from repro.simnet.engine import SEC
@@ -53,5 +54,5 @@ def test_shim_overhead_over_native_udp(benchmark):
         [["native UDP", data["native_ms"]], ["iWARP shim", data["shim_ms"]]],
     )
     print(f"overhead: {data['overhead_percent']}% (paper: ~2%)")
-    save_results("shim_overhead", data)
+    save_json(RESULTS_DIR / "shim_overhead.json", data)
     assert -1.0 < data["overhead_percent"] < 8.0

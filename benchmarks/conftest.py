@@ -7,33 +7,12 @@ figure plots next to the paper's anchor values, and writes the raw data
 to ``results/<figure>.json`` for EXPERIMENTS.md.
 """
 
-import json
 from pathlib import Path
 
-import pytest
-
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-
-def save_results(name: str, data) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(RESULTS_DIR / f"{name}.json", "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-
-
-def print_table(title: str, header, rows) -> None:
-    print(f"\n=== {title} ===")
-    widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) for i, h in enumerate(header)]
-    print("  ".join(str(h).rjust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(str(c).rjust(w) for c, w in zip(row, widths)))
 
 
 def run_once(benchmark, fn):
     """Run a deterministic simulation exactly once under pytest-benchmark."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
-
-@pytest.fixture
-def figure_io():
-    return save_results, print_table

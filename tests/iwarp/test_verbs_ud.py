@@ -13,9 +13,21 @@ from repro.core.verbs import (
 )
 from repro.memory.region import Access
 from repro.simnet.engine import MS, SEC
+from repro.simnet.faults import FaultModel
 from repro.simnet.loss import ExplicitLoss
 
 RUN_LIMIT = 600 * SEC
+
+
+class _HoldFrame(FaultModel):
+    """Hold the ``index``-th offered frame (1-based) for ``hold_ns``."""
+
+    def __init__(self, index, hold_ns):
+        super().__init__()
+        self.index, self.hold_ns = index, hold_ns
+
+    def _admit(self, frame, now):
+        return [(self.hold_ns if self.seen == self.index else 0, frame)]
 
 
 @pytest.fixture
@@ -367,6 +379,42 @@ class TestUdRdmaRead:
         wcs = ud["cqs"][0].poll()
         assert wcs
         assert wcs[0].status in (WcStatus.PARTIAL_MESSAGE, WcStatus.SUCCESS)
+
+    def test_read_whose_last_response_is_late_is_reaped_once(self, ud):
+        """The response's last segment is held past the reap timeout:
+        the read completes PARTIAL_MESSAGE with the bytes that did
+        arrive, and the late segment is counted, not completed again."""
+        devA, devB = ud["devs"]
+        seg = ud["qps"][1].max_seg_payload
+        size = seg + 100  # the second, last segment is a single frame
+        data = bytes((i * 7) & 0xFF for i in range(size))
+        src_region = devB.reg_mr(bytearray(data), Access.remote_read(), ud["pds"][1])
+        sink = devA.reg_mr(size, Access.local_only(), ud["pds"][0])
+
+        def read():
+            ud["qps"][0].post_send(SendWR(
+                opcode=WrOpcode.RDMA_READ, sges=[Sge(sink)],
+                dest=ud["qps"][1].address,
+                remote_stag=src_region.stag, remote_offset=0,
+            ))
+
+        read()
+        assert _poll(ud, 0)[0].ok
+        frames = ud["tb"].hosts[1].port.tx_frames
+        ud["tb"].set_egress_faults(1, _HoldFrame(frames, 2 * UD_REASSEMBLY_TIMEOUT_NS))
+        sink.view()[:] = bytes(size)
+        start = ud["sim"].now
+        read()
+        ud["sim"].run(until=start + UD_REASSEMBLY_TIMEOUT_NS + 10 * MS)
+        rx = ud["qps"][0].rx
+        wcs = ud["cqs"][0].poll()
+        assert [wc.status for wc in wcs] == [WcStatus.PARTIAL_MESSAGE]
+        assert wcs[0].byte_len == seg
+        assert bytes(sink.view(0, seg)) == data[:seg]
+        assert (rx.reaped_partial, rx.duplicate_segments) == (1, 0)
+        ud["sim"].run(until=start + 3 * UD_REASSEMBLY_TIMEOUT_NS)
+        assert ud["cqs"][0].poll() == []
+        assert (rx.reaped_partial, rx.duplicate_segments) == (1, 1)
 
     def test_read_protection_error_reported(self, ud):
         devA, devB = ud["devs"]

@@ -1,6 +1,7 @@
 """Exporter golden tests: the JSON interchange form and the Prometheus
 text exposition form of one registry over hand-built objects, byte for
-byte."""
+byte, and the ``python -m repro.obs`` subcommands run on that snapshot
+file."""
 
 import json
 
@@ -10,6 +11,7 @@ from repro.obs import (
     Histogram, Registry, dicts_to_samples, merge_samples, samples_to_dicts,
     to_json, to_json_obj, to_prometheus,
 )
+from repro.obs.cli import main
 
 
 class _Qp:
@@ -147,3 +149,43 @@ def test_dump_tracked_writes_interchange_format(tmp_path, monkeypatch):
         for row in data["metrics"]
     }
     assert by_name[("verbs.qp.posts", (("host", "host0"), ("qp", "1")))]["value"] == 8
+
+
+def _snapshot_file(tmp_path, name, reg):
+    path = tmp_path / name
+    path.write_text(to_json(reg))
+    return str(path)
+
+
+def test_cli_dump_renders_the_snapshot_file(tmp_path, capsys):
+    path = _snapshot_file(tmp_path, "snap.json", _build())
+    assert main(["dump", path]) == 0
+    assert json.loads(capsys.readouterr().out) == GOLDEN_JSON
+    assert main(["dump", path, "--format", "prom"]) == 0
+    assert capsys.readouterr().out == GOLDEN_PROM
+    assert main(["dump", path, "--format", "prom", "--prefix", "verbs.qp"]) == 0
+    assert capsys.readouterr().out == GOLDEN_PROM[GOLDEN_PROM.index("# TYPE verbs_qp"):]
+
+
+def test_cli_summarize_totals_layers_and_top_counters(tmp_path, capsys):
+    assert main(["summarize", _snapshot_file(tmp_path, "snap.json", _build()),
+                 "--top", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "4 series across 2 layers",
+        "  simnet           1 series           0 events",
+        "  verbs            3 series          10 events",
+        "top counters (of 2):",
+        '           4  verbs.qp.posts{host="host0",qp="1"}',
+        "histograms:",
+        '  verbs.cq.poll_batch{cq="1"}: count=4 mean=3.50',
+    ]
+
+
+def test_cli_diff_lists_changed_series(tmp_path, capsys):
+    before = _snapshot_file(tmp_path, "before.json", _build())
+    after = _snapshot_file(tmp_path, "after.json", _build(queue_hwm=9))
+    assert main(["diff", before, after]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        '  simnet.port.queue_hwm{port="host0.p0"}: +2',
+        "1 series changed",
+    ]

@@ -362,6 +362,20 @@ class TestNativeAndInterceptor:
         b = NativeSocketApi(zero_stacks[1])
         assert _echo_once(tb, a, b, b"native") == b"echo:native"
 
+    def test_native_satisfied_receive_leaves_no_live_timer(self, zero_testbed, zero_stacks):
+        """A native receive that data satisfies cancels its timeout: the
+        queue goes back to what it held before."""
+        sim = zero_testbed.sim
+        a = NativeSocketApi(zero_stacks[0])
+        b = NativeSocketApi(zero_stacks[1])
+        fd_a, fd_b = a.socket(SOCK_DGRAM), b.socket(SOCK_DGRAM, port=7100)
+        idle = sim.pending()
+        fut = b.recvfrom_future(fd_b, 64)
+        a.sendto(fd_a, b"native", (1, 7100))
+        assert sim.run_until(fut, limit=RUN_LIMIT)[0] == b"native"
+        sim.run(until=sim.now + 1 * SEC)
+        assert sim.pending() == idle
+
     def test_native_stream(self, zero_testbed, zero_stacks):
         tb = zero_testbed
         a = NativeSocketApi(zero_stacks[0])
