@@ -3,13 +3,9 @@
 from . import messages
 from .client import SipClient
 from .server import SipAppConfig, SipServer
-from .workload import (
-    build_sip_testbed, measure_memory, measure_response_time,
-    memory_improvement_percent,
-)
+from .workload import build_sip_testbed, measure_memory, measure_response_time
 
 __all__ = [
     "SipAppConfig", "SipClient", "SipServer", "build_sip_testbed",
-    "measure_memory", "measure_response_time", "memory_improvement_percent",
-    "messages",
+    "measure_memory", "measure_response_time", "messages",
 ]

@@ -132,19 +132,3 @@ def measure_memory(
         "final_bytes": bed.meter.bytes_now,
         "concurrent_calls": concurrent_calls,
     }
-
-
-def memory_improvement_percent(
-    concurrent_calls: int, footprint: Optional[FootprintModel] = None
-) -> Dict[str, float]:
-    """UD-vs-RC whole-application memory improvement at one load point,
-    from live measurement (the closed-form prediction lives on
-    :class:`FootprintModel`)."""
-    rc = measure_memory("rc", concurrent_calls, footprint)
-    ud = measure_memory("ud", concurrent_calls, footprint)
-    imp = 100.0 * (rc["high_water_bytes"] - ud["high_water_bytes"]) / rc["high_water_bytes"]
-    return {
-        "improvement_percent": imp,
-        "rc_bytes": rc["high_water_bytes"],
-        "ud_bytes": ud["high_water_bytes"],
-    }

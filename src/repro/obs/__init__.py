@@ -41,7 +41,6 @@ from .metrics import (
     default_enabled,
     diff,
     sim_registry,
-    tracked_registries,
     validate_name,
 )
 from .spans import (
@@ -76,7 +75,6 @@ __all__ = [
     "to_json",
     "to_json_obj",
     "to_prometheus",
-    "tracked_registries",
     "validate_name",
     "wr_span",
 ]

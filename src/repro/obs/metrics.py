@@ -354,7 +354,3 @@ def sim_registry(sim: Any, enable: Optional[bool] = None) -> Registry:
         if os.environ.get("IWARP_OBS_DUMP"):
             _TRACKED.append(reg)
     return reg
-
-
-def tracked_registries() -> List[Registry]:
-    return list(_TRACKED)

@@ -35,9 +35,6 @@ class Testbed:
     hosts: List[Host]
     switch: Optional[Switch]
 
-    def host(self, i: int) -> Host:
-        return self.hosts[i]
-
     @property
     def registry(self) -> Registry:
         """The simulator's metrics registry (see :mod:`repro.obs`)."""

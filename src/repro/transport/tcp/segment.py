@@ -38,10 +38,6 @@ class TcpSegment:
     payload: bytes = b""
 
     @property
-    def size(self) -> int:
-        return TCP_HEADER + len(self.payload)
-
-    @property
     def seq_span(self) -> int:
         """Sequence space consumed: payload bytes plus SYN/FIN."""
         span = len(self.payload)
