@@ -68,10 +68,9 @@ class Communicator:
         self.qp = device.create_ud_qp(
             self.pd, self.cq, port=self.MPI_BASE_PORT + rank, reliable=True,
         )
-        # Eager receive pool.
+        # Eager receive pool, registered as one CPU work item.
         self._slots = {}
-        for _ in range(64):
-            mr = device.reg_mr(EAGER_THRESHOLD + _HDR.size, Access.local_only(), self.pd)
+        for mr in device.reg_mrs(64, EAGER_THRESHOLD + _HDR.size, Access.local_only(), self.pd):
             self._slots[mr.stag] = mr
             self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
         # Matching state.

@@ -30,7 +30,7 @@ import struct
 from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
-from ...memory.region import Access
+from ...memory.region import Access, MemoryRegion
 from ...simnet.engine import MS, Event, Future
 from ..verbs.cq import CompletionQueue
 from ..verbs.device import RnicDevice
@@ -67,14 +67,13 @@ class _DgramSocket:
         dev = iface.device
         self.cq: CompletionQueue = dev.create_cq()
         self.qp: UdQp = dev.create_ud_qp(iface.pd, self.cq, port=port)
-        # Receive pool: pre-posted buffers for send/recv arrivals.
+        # Receive pool: pre-posted buffers for send/recv arrivals, keyed
+        # by stag (each receive's wr_id) and registered as one CPU item.
         self.pool_slot = iface.pool_slot_bytes
-        self._pool = []
-        for _ in range(iface.pool_slots):
-            mr = dev.reg_mr(self.pool_slot, Access.local_only(), iface.pd)
-            self._pool.append(mr)
+        self._slots: Dict[int, MemoryRegion] = {}
+        for mr in dev.reg_mrs(iface.pool_slots, self.pool_slot, Access.local_only(), iface.pd):
+            self._slots[mr.stag] = mr
             self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
-        self._slot_by_stag = {mr.stag: mr for mr in self._pool}
         # Write-Record sink rings, one per advertising peer.
         self._rings: Dict[Address, dict] = {}      # peers writing to us
         self._peer_sinks: Dict[Address, dict] = {}  # our view of peers' rings
@@ -107,7 +106,7 @@ class _DgramSocket:
                 self._deliver(data, wc.src)
             return
         if wc.opcode in (WrOpcode.SEND, WrOpcode.SEND_SE):
-            mr = self._slot_by_stag.get(wc.wr_id)
+            mr = self._slots.get(wc.wr_id)
             if mr is None:
                 return
             if wc.ok and wc.byte_len >= _TYPE_HDR.size:
@@ -248,7 +247,7 @@ class _DgramSocket:
         # Write-Record rings can go with the QP.
         self.qp.close()
         dereg = self.iface.device.dereg_mr
-        for mr in self._pool:
+        for mr in self._slots.values():
             dereg(mr)
         for ring in self._rings.values():
             dereg(ring["mr"])
@@ -302,10 +301,9 @@ class _StreamSocket:
         return fut
 
     def _arm_qp(self) -> None:
-        # Pre-post the buffered-copy receive pool.
-        dev = self.iface.device
-        for _ in range(self.iface.pool_slots):
-            mr = dev.reg_mr(self.CHUNK, Access.local_only(), self.iface.pd)
+        # Pre-post the buffered-copy receive pool (one CPU work item).
+        iface = self.iface
+        for mr in iface.device.reg_mrs(iface.pool_slots, self.CHUNK, Access.local_only(), iface.pd):
             self._slots[mr.stag] = mr
             self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
         self._drain_arm()

@@ -67,11 +67,24 @@ class RnicDevice:
     ) -> MemoryRegion:
         """Register memory (charges the pin/translate cost)."""
         mr = self.registry.register(buffer, access, pd_handle=pd)
-        costs = self.host.costs
-        self.host.cpu.charge(
-            costs.reg_mr_fixed_ns + costs.reg_mr_per_page_ns * mr.pages
-        )
+        self.host.cpu.charge(self._reg_cost(mr))
         return mr
+
+    def reg_mrs(
+        self, count: int, length: int, access: Access = Access.local_only(), pd: int = 0
+    ) -> List[MemoryRegion]:
+        """Register ``count`` fresh ``length``-byte regions (a receive
+        pool) as one CPU work item.  It charges exactly what ``count``
+        :meth:`reg_mr` calls would, each truncated to whole nanoseconds,
+        so the CPU's ``free_at`` and ``busy_ns`` come out the same."""
+        mrs = [self.registry.register(length, access, pd_handle=pd) for _ in range(count)]
+        if mrs:
+            self.host.cpu.charge(count * int(self._reg_cost(mrs[0])))
+        return mrs
+
+    def _reg_cost(self, mr: MemoryRegion) -> float:
+        costs = self.host.costs
+        return costs.reg_mr_fixed_ns + costs.reg_mr_per_page_ns * mr.pages
 
     def dereg_mr(self, mr: MemoryRegion) -> None:
         self.registry.deregister(mr)

@@ -34,7 +34,9 @@ class CpuResource:
         self.name = name
         self._free_at: int = 0
         self.busy_ns: int = 0          # total CPU time consumed
-        self.work_items: int = 0       # number of items executed
+        # Number of items executed.  A receive pool registered with
+        # RnicDevice.reg_mrs is one item, however many regions it holds.
+        self.work_items: int = 0
 
     def submit(self, cost_ns: int, fn: Callable, *args: Any) -> int:
         """Charge ``cost_ns`` and schedule ``fn`` at completion.

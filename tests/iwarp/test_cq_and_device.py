@@ -5,8 +5,11 @@ import pytest
 from repro.core.verbs.cq import CompletionQueue, CqError
 from repro.core.verbs.device import DeviceError, RnicDevice
 from repro.core.verbs.wr import WcStatus, WorkCompletion, WrOpcode
-from repro.memory.region import Access
+from repro.memory.region import REMOTE_WRITE_BIT, Access
+from repro.models.costs import default_cost_model
 from repro.simnet.engine import MS, Simulator
+from repro.simnet.topology import build_testbed
+from repro.transport.stacks import install_stacks
 
 
 def _wc(i=0):
@@ -94,6 +97,34 @@ class TestDevice:
         costs = dev.host.costs
         expected = costs.reg_mr_fixed_ns + costs.reg_mr_per_page_ns * 16
         assert dev.host.cpu.busy_ns - before == expected
+
+    @pytest.mark.parametrize("per_page_ns", [350, 350.7])
+    def test_reg_mrs_charges_like_reg_mr_calls(self, per_page_ns):
+        """One pool charge leaves the CPU where ``count`` single
+        registrations would, also with a fractional per-page cost that
+        each registration truncates to whole nanoseconds."""
+        costs = default_cost_model().with_overrides(reg_mr_per_page_ns=per_page_ns)
+
+        def cpu_after(register):
+            dev = RnicDevice(install_stacks(build_testbed(2, costs=costs))[0])
+            dev.host.cpu.charge(1_000)  # work already queued ahead of the pool
+            register(dev)
+            return dev.host.cpu
+
+        single = cpu_after(lambda d: [d.reg_mr(65_537, Access.local_only(), 1) for _ in range(5)])
+        pooled = cpu_after(lambda d: d.reg_mrs(5, 65_537, Access.local_only(), 1))
+        assert (pooled.busy_ns, pooled.free_at) == (single.busy_ns, single.free_at)
+        assert (single.work_items, pooled.work_items) == (6, 2)
+
+    def test_reg_mrs_stags_are_distinct_and_resolvable(self, zero_devices):
+        dev = zero_devices[0]
+        mrs = dev.reg_mrs(8, 4096, Access.remote_write(), 3)
+        assert len({mr.stag for mr in mrs}) == 8
+        for mr in mrs:
+            assert dev.registry.resolve(mr.stag, 0, 4096, REMOTE_WRITE_BIT, 3) is mr
+        items = dev.host.cpu.work_items
+        assert dev.reg_mrs(0, 4096) == []
+        assert dev.host.cpu.work_items == items
 
     def test_dereg_mr(self, zero_devices):
         dev = zero_devices[0]

@@ -8,9 +8,12 @@ from repro.core.socketif import (
 )
 from repro.core.socketif import interface
 from repro.core.verbs import RnicDevice, WcStatus
+from repro.models.costs import zero_cost_model
 from repro.obs.spans import spans
 from repro.simnet.engine import MS, SEC
+from repro.simnet.topology import build_testbed
 from repro.simnet.trace import Tracer
+from repro.transport.stacks import install_stacks
 
 RUN_LIMIT = 600 * SEC
 
@@ -74,7 +77,7 @@ class TestDgram:
             host.wr_tracer = Tracer(tb.sim)
         assert _echo_once(tb, a, b, b"payload") == b"echo:payload"
         for host, api in zip(tb.hosts, (a, b)):
-            stags = {mr.stag for sock in api._fds.values() for mr in sock._pool}
+            stags = {stag for sock in api._fds.values() for stag in sock._slots}
             wr_ids = [rec.fields["wr_id"] for rec in spans(host.wr_tracer, stage="cqe", queue="rq")]
             assert wr_ids and set(wr_ids) <= stags
 
@@ -189,18 +192,18 @@ class TestDgram:
             # Pool plus one ring for the peer that wrote to it.
             assert len(sock._rings) == 1
             grown = len(api.device.registry) - base[api] - len(api._scratch)
-            assert grown == len(sock._pool) + 1
+            assert grown == len(sock._slots) + 1
             api.close(fds[api])
         tb.sim.run(until=tb.sim.now + 1 * MS)
         for api, sock in socks.items():
             assert len(api.device.registry) == base[api] + len(api._scratch)
-            assert all(mr.invalidated for mr in sock._pool)
+            assert all(mr.invalidated for mr in sock._slots.values())
             # The socket's drain callback took the first flushed receive;
             # the rest wait in the CQ, one per pool slot.
             flushed = sock.cq.poll(64)
-            assert len(flushed) == len(sock._pool) - 1
+            assert len(flushed) == len(sock._slots) - 1
             assert all(wc.status is WcStatus.FLUSHED for wc in flushed)
-            assert {wc.wr_id for wc in flushed} < set(sock._slot_by_stag)
+            assert {wc.wr_id for wc in flushed} < set(sock._slots)
 
 
 class TestStream:
@@ -353,6 +356,43 @@ class TestStream:
         fd = a.socket(SOCK_DGRAM)
         with pytest.raises(SocketError):
             a.send(fd, b"x")
+
+
+class TestReceivePools:
+    """A socket's receive pool is registered as one CPU work item, so
+    its size does not change how many events opening the socket costs."""
+
+    @staticmethod
+    def _events(slots, open_sockets):
+        tb = build_testbed(2, costs=zero_cost_model())
+        a, b = (
+            IwSocketInterface(RnicDevice(n), rdma_mode=False, pool_slots=slots,
+                              pool_slot_bytes=8192)
+            for n in install_stacks(tb)
+        )
+        opened = open_sockets(a, b)
+        tb.sim.run(until=1 * SEC)
+        assert opened.done
+        return tb.sim.events_processed
+
+    @staticmethod
+    def _open_dgram(a, b):
+        a.socket(SOCK_DGRAM, port=7000)
+        done = a.sim.future()
+        done.set_result(None)
+        return done
+
+    @staticmethod
+    def _connect_stream(a, b):
+        lfd = b.socket(SOCK_STREAM)
+        b.listen(lfd, 8090)
+        b.accept_future(lfd)
+        return a.connect_future(a.socket(SOCK_STREAM), (1, 8090))
+
+    @pytest.mark.parametrize("open_sockets", ["_open_dgram", "_connect_stream"])
+    def test_pool_size_leaves_event_count_unchanged(self, open_sockets):
+        opener = getattr(self, open_sockets)
+        assert self._events(1, opener) == self._events(32, opener)
 
 
 class TestNativeAndInterceptor:
