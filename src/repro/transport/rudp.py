@@ -130,6 +130,8 @@ class _PeerTx:
 
     def __init__(self, estimator: RtoEstimator) -> None:
         self.next_seq = 1
+        # Always exactly the seqs [lowest unacked, next_seq), in order:
+        # they enter in sequence order and leave as a cumulative prefix.
         self.unacked: Dict[int, bytes] = {}
         self.queue: Deque[Tuple[bytes, Optional[ResultCallback]]] = deque()
         self.timer = None
@@ -190,6 +192,7 @@ class RudpSocket:
         ("transport.rudp.rto_samples", "counter", "rto_samples"),
         ("transport.rudp.sack_blocks_received", "counter", "sack_blocks_received"),
         ("transport.rudp.duplicates_dropped", "counter", "duplicates_dropped"),
+        ("transport.rudp.out_of_window_drops", "counter", "out_of_window_drops"),
         ("transport.rudp.acks_sent", "counter", "acks_sent"),
         ("transport.rudp.peer_failures", "counter", "peer_failures"),
         ("transport.rudp.messages_failed", "counter", "messages_failed"),
@@ -246,6 +249,7 @@ class RudpSocket:
         self.rto_samples = 0
         self.sack_blocks_received = 0
         self.duplicates_dropped = 0
+        self.out_of_window_drops = 0
         self.acks_sent = 0
         self.peer_failures = 0
         self.messages_failed = 0
@@ -416,12 +420,12 @@ class RudpSocket:
         ):
             tx.estimator.sample(self.sim.now - tx.sent_at[echo])
             self.rto_samples += 1
+        # Both walks stay inside the window, whatever spans the peer names.
+        lowest = next(iter(tx.unacked), tx.next_seq)
         for start, end in sacks:
             self.sack_blocks_received += 1
-            for seq in tx.unacked:
-                if start <= seq <= end:
-                    tx.sacked.add(seq)
-        newly_acked = sorted([s for s in tx.unacked if s < ack_seq])
+            tx.sacked.update(range(max(start, lowest), min(end + 1, tx.next_seq)))
+        newly_acked = range(lowest, min(ack_seq, tx.next_seq))
         if newly_acked:
             self._on_ack_progress(src, tx, ack_seq, newly_acked)
         elif ack_seq == tx.ack_floor and tx.unacked:
@@ -434,7 +438,7 @@ class RudpSocket:
         self._pump(src, tx)
 
     def _on_ack_progress(
-        self, src: Address, tx: _PeerTx, ack_seq: int, newly_acked: List[int]
+        self, src: Address, tx: _PeerTx, ack_seq: int, newly_acked: range
     ) -> None:
         callbacks: List[ResultCallback] = []
         for seq in newly_acked:
@@ -513,6 +517,12 @@ class RudpSocket:
             # acknowledged lazily; everything else must flush now so the
             # sender's dup-ACK/SACK machinery sees each anomaly.
             anomaly = bool(rx.ooo)
+        elif seq >= rx.rcv_nxt + self.window_msgs:
+            # Beyond our own window, where a sender using the same window
+            # never reaches: parking it would let a peer grow ``ooo``
+            # without bound.  Dropped unacknowledged.
+            self.out_of_window_drops += 1
+            return
         else:
             rx.ooo[seq] = payload
         rx.pending_acks += 1

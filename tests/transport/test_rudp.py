@@ -5,7 +5,9 @@ import pytest
 from repro.simnet.engine import MS, SEC
 from repro.simnet.loss import BernoulliLoss, ExplicitLoss
 from repro.transport.ip import IpStack
-from repro.transport.rudp import RUDP_MAX_PAYLOAD, RudpError, RudpSocket
+from repro.transport.rudp import (
+    _HEADER, KIND_DATA, RUDP_MAX_PAYLOAD, RudpError, RudpSocket, encode_ack,
+)
 from repro.transport.udp import UdpStack
 
 
@@ -421,3 +423,51 @@ def test_ack_batching_parameters_validated(zero_testbed):
         _host_socket(zero_testbed, 0, 6000, ack_every=0)
     with pytest.raises(RudpError):
         _host_socket(zero_testbed, 1, 6000, ack_delay_ns=0)
+
+
+# ---------------------------------------------------------------------------
+# Hostile peers
+# ---------------------------------------------------------------------------
+
+
+def _raw_socket(zero_testbed, index, port):
+    """A plain UDP socket: a peer that speaks RUDP's wire format by hand."""
+    host = zero_testbed.hosts[index]
+    return UdpStack(host, IpStack(host)).socket(port)
+
+
+def test_far_ahead_data_is_dropped_not_parked(zero_testbed):
+    """A peer spraying sequence numbers past the receive window cannot
+    grow the out-of-order buffer; each such datagram is counted."""
+    b = _host_socket(zero_testbed, 1, 6000, window_msgs=8)
+    raw = _raw_socket(zero_testbed, 0, 7000)
+    got = []
+    b.on_message = lambda d, src: got.append(d)
+    # Far ahead (only seq 2 is inside the window), then the window's
+    # edge: 2 is a duplicate, 3..8 are parked, 9..11 lie beyond it.
+    for seq in [2 + 1000 * i for i in range(50)] + list(range(2, 12)):
+        raw.sendto(_HEADER.pack(KIND_DATA, seq) + bytes([seq & 0xFF]), (1, 6000))
+    zero_testbed.sim.run(until=1 * SEC)
+    rx = b._rx[(0, 7000)]
+    assert sorted(rx.ooo) == list(range(2, 9))
+    assert len(rx.ooo) <= b.window_msgs
+    assert b.stats()["out_of_window_drops"] == 49 + 3
+    assert b.duplicates_dropped == 1
+    # The hole fills and the parked run is delivered in order.
+    raw.sendto(_HEADER.pack(KIND_DATA, 1) + b"\x01", (1, 6000))
+    zero_testbed.sim.run(until=2 * SEC)
+    assert got == [bytes([i]) for i in range(1, 9)]
+    assert not rx.ooo and rx.rcv_nxt == 9
+
+
+def test_sack_spans_are_clipped_to_the_window(zero_testbed):
+    """A SACK block may name any span; the sender marks only the
+    messages it has in flight."""
+    a = _host_socket(zero_testbed, 0, 6000)
+    raw = _raw_socket(zero_testbed, 1, 6000)
+    for i in range(4):
+        a.sendto(bytes([i]), (1, 6000))
+    raw.sendto(encode_ack(1, 0, [(0, 10**6)]), (0, 6000))
+    zero_testbed.sim.run(until=1 * MS)
+    assert a._tx[(1, 6000)].sacked == {1, 2, 3, 4}
+    assert a.sack_blocks_received == 1
