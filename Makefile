@@ -1,7 +1,7 @@
 PYTHON ?= python
 ARTIFACTS ?= artifacts
 
-.PHONY: lint test check verify-fsm obs-check results-check digest-check
+.PHONY: lint test check verify-fsm obs-check results-check digest-check perfbench
 
 lint:
 	bash scripts/check.sh
@@ -53,3 +53,13 @@ digest-check:
 		tests/integration/test_wire_digest.py \
 		tests/integration/test_cross_process_determinism.py \
 		tests/properties/test_determinism_matrix.py
+
+# Benchmark smoke: the tracer and driver tests, short runs at two seeds
+# (every round is checked against perfbench/reference.json, which no seed
+# may change, and any drift exits nonzero) and a short traced run that
+# writes the per-layer ledger and spans to .perfbench_out/.
+perfbench:
+	$(PYTHON) -m pytest perfbench/tests -q
+	$(PYTHON) perfbench/run.py --workload all --seconds 2 --seed 1
+	$(PYTHON) perfbench/run.py --workload all --seconds 2 --seed 2
+	$(PYTHON) perfbench/run.py --workload all --seconds 2 --trace 1
