@@ -1,7 +1,7 @@
 PYTHON ?= python
 ARTIFACTS ?= artifacts
 
-.PHONY: lint test check verify-fsm obs-check results-check digest-check perfbench
+.PHONY: lint test check examples verify-fsm obs-check results-check digest-check perfbench
 
 lint:
 	bash scripts/check.sh
@@ -10,6 +10,13 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 check: lint test
+
+# Run the six examples/*.py scripts end to end; any nonzero exit fails.
+examples:
+	@for f in examples/*.py; do \
+		echo "==> $$f"; \
+		PYTHONPATH=src $(PYTHON) $$f || exit 1; \
+	done
 
 # Full FSM pipeline: model-check the four machines + the RC product,
 # run the suite under the transition-coverage sanitizer, then gate the

@@ -383,7 +383,7 @@ class RdmapRx:
         sim = self.qp.sim
         timer = self._spare_reapers.pop(reap, None)
         if timer is None:
-            return sim.schedule(UD_REASSEMBLY_TIMEOUT_NS, reap, key)
+            return sim.at(sim.now + UD_REASSEMBLY_TIMEOUT_NS, reap, key)
         sim.rearm(timer, sim.now + UD_REASSEMBLY_TIMEOUT_NS, key)
         return timer
 
@@ -555,9 +555,7 @@ class RdmapRx:
             self._reads_fifo.append(pending)
         else:
             self._reads_by_id[msg_id] = pending
-            pending.timer = self.qp.sim.schedule(
-                UD_REASSEMBLY_TIMEOUT_NS, self._reap_read, msg_id
-            )
+            pending.timer = self._arm_reap(self._reap_read, msg_id)
 
     def _on_read_request(self, seg: DdpSegment, src: Optional[Address]) -> None:
         sink_stag, sink_to, length, src_stag, src_to = decode_read_request(seg.payload)
@@ -622,6 +620,7 @@ class RdmapRx:
     def _finish_read_ud(self, msg_id: int, pending: _PendingRead, src) -> None:
         if pending.timer is not None:
             pending.timer.cancel()
+            self._spare_reapers[self._reap_read] = pending.timer
         self._reads_by_id.pop(msg_id, None)
         status = (
             WcStatus.SUCCESS if pending.validity.complete else WcStatus.PARTIAL_MESSAGE

@@ -426,7 +426,7 @@ class IwSocketInterface:
         if timeout_ns is not None:
             timer = self._spare_timer
             if timer is None:
-                timer = self.sim.schedule(timeout_ns, _expire_waiter, waiter)
+                timer = self.sim.at(self.sim.now + timeout_ns, _expire_waiter, waiter)
             else:
                 self._spare_timer = None
                 self.sim.rearm(timer, self.sim.now + timeout_ns, waiter)

@@ -53,22 +53,33 @@ class NativeSocketApi:
         except KeyError:
             raise NativeSocketError(f"bad file descriptor {fd}") from None
 
-    def _timed_future(
-        self, timeout_ns: Optional[int]
-    ) -> Tuple[Future, Callable[[Any], None]]:
-        """A future that resolves None after ``timeout_ns``, and the
-        function that resolves it first and cancels that timeout."""
+    def _timed_recv(
+        self, sock: Any, timeout_ns: Optional[int], convert: Callable[[Any], Any]
+    ) -> Future:
+        """``convert`` of ``sock``'s next receive, or None once
+        ``timeout_ns`` passes first.  A receive that times out withdraws
+        its waiter from the socket, so the data it would have taken goes
+        to the next receive instead."""
         fut = self.sim.future()
-        timer = (None if timeout_ns is None
-                 else self.sim.schedule(timeout_ns, fut.set_result, None))
+        inner = sock.recv_future()
+        if timeout_ns is None:
+            inner.add_callback(lambda value: fut.set_result(convert(value)))
+            return fut
+
+        def expire() -> None:
+            # Data the socket already handed over wins a tie with the timer.
+            if not inner.done:
+                sock.cancel_recv(inner)
+                fut.set_result(None)
+
+        timer = self.sim.at(self.sim.now + timeout_ns, expire)
 
         def settle(value: Any) -> None:
-            if not fut.done:
-                if timer is not None:
-                    timer.cancel()
-                fut.set_result(value)
+            timer.cancel()
+            fut.set_result(convert(value))
 
-        return fut, settle
+        inner.add_callback(settle)
+        return fut
 
     def getsockname(self, fd: int) -> Address:
         entry = self._entry(fd)
@@ -85,12 +96,10 @@ class NativeSocketApi:
     def recvfrom_future(
         self, fd: int, bufsize: int, timeout_ns: Optional[int] = 5000 * MS
     ) -> Future:
-        udp = self._entry(fd)["udp"]
-        fut, settle = self._timed_future(timeout_ns)
-        udp.recv_future().add_callback(
-            lambda result: settle((result[0][:bufsize], result[1]))
+        return self._timed_recv(
+            self._entry(fd)["udp"], timeout_ns,
+            lambda result: (result[0][:bufsize], result[1]),
         )
-        return fut
 
     # -- stream ------------------------------------------------------------------
 
@@ -124,10 +133,9 @@ class NativeSocketApi:
     def recv_future(
         self, fd: int, bufsize: int, timeout_ns: Optional[int] = None
     ) -> Future:
-        tcp = self._entry(fd)["tcp"]
-        fut, settle = self._timed_future(timeout_ns)
-        tcp.recv_future().add_callback(lambda data: settle(data[:bufsize]))
-        return fut
+        return self._timed_recv(
+            self._entry(fd)["tcp"], timeout_ns, lambda data: data[:bufsize]
+        )
 
     def close(self, fd: int) -> None:
         entry = self._fds.pop(fd, None)

@@ -87,7 +87,7 @@ class CompletionQueue:
         if self.on_event is not None:
             # Events are interrupt-like: delivered through the queue so
             # the handler never runs inside the pushing stack frame.
-            self.sim.call_after(0, self.on_event, self)
+            self.sim.call_at(self.sim.now, self.on_event, self)
 
     # -- producer side (the stack) ------------------------------------------
 

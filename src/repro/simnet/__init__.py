@@ -8,7 +8,7 @@ links.
 """
 
 from .cpu import CpuResource
-from .engine import MS, NS, SEC, US, AnyOf, Event, Future, Process, SimulationError, Simulator, Timeout
+from .engine import MS, NS, SEC, US, Event, Future, Process, SimulationError, Simulator
 from .faults import (
     DelayJitter, Duplicate, FaultModel, FaultPipeline, LinkFlap, LossFault,
     Reorder, seeded_chaos,
@@ -23,7 +23,7 @@ from .topology import Testbed, build_testbed
 from .trace import TraceRecord, Tracer
 
 __all__ = [
-    "AnyOf", "BROADCAST", "BernoulliLoss", "BitErrorModel", "CpuResource",
+    "BROADCAST", "BernoulliLoss", "BitErrorModel", "CpuResource",
     "DelayJitter", "Duplicate", "ETH_MTU",
     "ETH_OVERHEAD", "Event", "ExplicitLoss", "FaultModel", "FaultPipeline",
     "Frame", "Future",
@@ -31,6 +31,6 @@ __all__ = [
     "LossModel", "MS", "NS",
     "NicPort", "NoLoss", "PatternLoss", "Process", "Reorder", "SEC",
     "SimulationError",
-    "Simulator", "Switch", "Testbed", "Timeout", "TraceRecord", "Tracer",
+    "Simulator", "Switch", "Testbed", "TraceRecord", "Tracer",
     "US", "build_testbed", "cable", "seeded_chaos", "serialization_ns",
 ]

@@ -7,19 +7,22 @@ runs are bit-for-bit reproducible.
 
 Two programming styles are supported:
 
-* **callback style** — ``sim.schedule(delay_ns, fn, *args)``; used by the
-  protocol stacks, which are naturally event-driven.
+* **callback style** — ``sim.call_at(sim.now + delay_ns, fn, *args)``,
+  or ``sim.at(...)`` when the caller keeps a handle to cancel or move
+  the timer; used by the protocol stacks, which are naturally
+  event-driven.
 * **process style** — generator coroutines driven by :class:`Process`
   (a deliberately small simpy-like facility); used by applications and
   benchmarks, which read much better as sequential code::
 
       def client(sim, sock):
-          yield sim.timeout(1 * MS)
+          yield 1 * MS
           fut = sock.recv_future()
           data, src = yield fut
 
 Yielding an ``int`` sleeps that many nanoseconds; yielding a
-:class:`Future` suspends until its result is set.
+:class:`Future` suspends until its result is set; yielding a
+:class:`Process` suspends until it returns.
 
 Hot-path notes
 --------------
@@ -29,16 +32,16 @@ ordering is decided by C-level integer comparisons (``seq`` is unique,
 so comparison never reaches the callback).  :meth:`Simulator.run` and
 :meth:`Simulator.run_until` share one pop/fire loop.
 
-Most events are fire-and-forget: :meth:`Simulator.call_after` /
-:meth:`Simulator.call_at` push ``handle=None`` and allocate nothing but
-the tuple.  Only :meth:`Simulator.schedule` / :meth:`Simulator.at`
-build an :class:`Event`, the handle a caller keeps to cancel or move a
-timer.
+Most events are fire-and-forget: :meth:`Simulator.call_at` pushes
+``handle=None`` and allocates nothing but the tuple.  Only
+:meth:`Simulator.at` builds an :class:`Event`, the handle a caller keeps
+to cancel or move a timer.
 
-Cancellation is *lazy*: :meth:`Event.cancel` marks a tombstone that the
-run loop discards when popped, before it moves the clock, so a
-cancelled timer never decides ``now``.  A dead-entry counter triggers
-an in-place compaction once tombstones dominate the heap.
+Cancellation is *lazy*: :meth:`Event.cancel` marks a tombstone that
+stays queued until its own time comes, when the run loop discards it
+before it moves the clock, so a cancelled timer never decides ``now``.
+After ``run(until=T)`` every entry still queued, live or tombstone,
+lies after ``T``.
 
 Timers that are re-armed on every segment (retransmission, delayed
 ACK, CQ poll timeouts) keep their handle and move it with
@@ -56,8 +59,8 @@ had, and only keys decide order.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 # Convenient time-unit multipliers (all in nanoseconds).
 NS = 1
@@ -65,18 +68,15 @@ US = 1_000
 MS = 1_000_000
 SEC = 1_000_000_000
 
-#: Tombstone count below which compaction is never attempted (small heaps
-#: are cheap to pop through; rebuilding them would cost more than it saves).
-_COMPACT_MIN_DEAD = 256
 
 class SimulationError(RuntimeError):
     """Raised for invalid uses of the simulation engine."""
 
 
 class Event:
-    """Handle to a scheduled callback.  Returned by :meth:`Simulator.schedule`
-    and :meth:`Simulator.at` so the caller can cancel the timer, or move
-    it with :meth:`Simulator.rearm`.
+    """Handle to a scheduled callback.  Returned by :meth:`Simulator.at`
+    so the caller can cancel the timer, or move it with
+    :meth:`Simulator.rearm`.
 
     ``time`` and ``seq`` are the due key, the key the callback fires at.
     ``_qtime``/``_qseq`` are the key of the heap entry queued for the
@@ -144,34 +144,13 @@ class Future:
             self._callbacks.append(cb)
 
 
-class Timeout:
-    """Yieldable sleep marker (``yield sim.timeout(10 * US)``)."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: int):
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        self.delay = int(delay)
-
-
-class AnyOf:
-    """Wait for the first of several futures; yields ``(index, value)``."""
-
-    __slots__ = ("futures",)
-
-    def __init__(self, futures: Iterable[Future]):
-        self.futures = list(futures)
-
-
 class Process:
     """Drives a generator coroutine inside the simulation.
 
     The generator may yield:
 
-    * an ``int`` or :class:`Timeout` — sleep,
+    * an ``int`` — sleep that many nanoseconds,
     * a :class:`Future` — wait for its value (sent back into the generator),
-    * an :class:`AnyOf` — wait for the first of several futures,
     * another :class:`Process` — wait for it to finish (its return value is
       sent back).
 
@@ -185,8 +164,7 @@ class Process:
         self.name = name or getattr(gen, "__name__", "process")
         self.result: Any = None
         self.finished = Future(sim)
-        self._fired = False
-        sim.call_after(0, self._step, None)
+        sim.call_at(sim.now, self._step, None)
 
     def _step(self, send_value: Any) -> None:
         try:
@@ -201,39 +179,20 @@ class Process:
         if isinstance(yielded, int):
             # A negative delay lands before now, which call_at rejects.
             self.sim.call_at(self.sim.now + yielded, self._step, None)
-        elif isinstance(yielded, Timeout):
-            self.sim.call_after(yielded.delay, self._step, None)
         elif isinstance(yielded, Future):
             yielded.add_callback(self._step)
         elif isinstance(yielded, Process):
             yielded.finished.add_callback(self._step)
-        elif isinstance(yielded, AnyOf):
-            self._wait_any(yielded)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded unsupported value {yielded!r}"
             )
 
-    def _wait_any(self, anyof: AnyOf) -> None:
-        fired = {"done": False}
-
-        def make_cb(i: int) -> Callable[[Any], None]:
-            def cb(value: Any) -> None:
-                if fired["done"]:
-                    return
-                fired["done"] = True
-                self._step((i, value))
-
-            return cb
-
-        for i, fut in enumerate(anyof.futures):
-            fut.add_callback(make_cb(i))
-
 
 #: Heap entry: ``(time, seq, fn, args, handle)``, where ``handle`` is
-#: the :class:`Event` returned by ``at``/``schedule`` or None for a
-#: fire-and-forget callback.  Ordering is settled by the two leading
-#: ints; nothing after them is ever compared.
+#: the :class:`Event` returned by ``at`` or None for a fire-and-forget
+#: callback.  Ordering is settled by the two leading ints; nothing after
+#: them is ever compared.
 _HeapEntry = Tuple[int, int, Callable[..., None], tuple, Optional[Event]]
 
 
@@ -252,8 +211,6 @@ class Simulator:
         self._heap: List[_HeapEntry] = []
         self._seq: int = 0
         self.events_processed: int = 0
-        # Tombstone accounting for lazily-cancelled entries still queued.
-        self._dead: int = 0
         # Lazily populated by repro.obs.sim_registry (a support layer the
         # engine must not import); None means no registry attached yet.
         self.obs_registry: Optional[Any] = None
@@ -262,12 +219,6 @@ class Simulator:
         self.tracer: Optional[Any] = None
 
     # -- scheduling ------------------------------------------------------
-
-    def schedule(self, delay_ns: int, fn: Callable[..., None], *args: Any) -> Event:
-        """Run ``fn(*args)`` ``delay_ns`` nanoseconds from now."""
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
-        return self.at(self.now + int(delay_ns), fn, *args)
 
     def at(self, time_ns: int, fn: Callable[..., None], *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulated time ``time_ns``."""
@@ -297,9 +248,7 @@ class Simulator:
         ev.args = args
         queued = ev._qseq is not None
         if queued and ev._qtime <= t:
-            if not ev.armed:
-                self._dead -= 1  # the cancelled entry carries it again
-                ev.armed = True
+            ev.armed = True  # a cancelled entry carries it again
             return
         heappush(self._heap, (t, self._seq, ev.fn, args, ev))
         ev._qtime = t
@@ -308,15 +257,9 @@ class Simulator:
             self._note_cancel()  # the later entry it left behind
         ev.armed = True
 
-    def call_after(self, delay_ns: int, fn: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`schedule`: no cancellable handle is
-        returned, so no :class:`Event` is built."""
-        if delay_ns < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay_ns})")
-        self.call_at(self.now + int(delay_ns), fn, *args)
-
     def call_at(self, time_ns: int, fn: Callable[..., None], *args: Any) -> None:
-        """Fire-and-forget :meth:`at`: no cancellable handle is returned."""
+        """Fire-and-forget :meth:`at`: no cancellable handle is returned,
+        so no :class:`Event` is built."""
         if time_ns < self.now:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
@@ -327,41 +270,18 @@ class Simulator:
     # -- tombstone bookkeeping ------------------------------------------
 
     def _note_cancel(self) -> None:
-        """Count one more tombstone: a queued entry was cancelled or
-        superseded by :meth:`rearm`."""
-        self._dead += 1
-        if self._dead >= _COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify in place (the heap list
-        identity is preserved so a run loop holding a reference keeps
-        seeing the live heap)."""
-        heap = self._heap
-        live = []
-        for entry in heap:
-            ev = entry[4]
-            if ev is None or (ev.armed and entry[1] == ev._qseq):
-                live.append(entry)
-            elif entry[1] == ev._qseq:
-                ev._qseq = None  # a cancelled handle's entry: nothing queued
-        heap[:] = live
-        heapify(heap)
-        self._dead = 0
+        """Called once per new tombstone: a queued entry was cancelled or
+        superseded by :meth:`rearm`.  The engine keeps no count (a
+        tombstone leaves the heap when its own time comes); the hook
+        stays so a profiler can count cancellations by wrapping it."""
 
     # -- process/future helpers -----------------------------------------
-
-    def timeout(self, delay_ns: int) -> Timeout:
-        return Timeout(delay_ns)
 
     def future(self) -> Future:
         return Future(self)
 
     def process(self, gen: Generator[Any, Any, Any], name: str = "") -> Process:
         return Process(self, gen, name)
-
-    def any_of(self, futures: Iterable[Future]) -> AnyOf:
-        return AnyOf(futures)
 
     # -- running ---------------------------------------------------------
 
@@ -406,11 +326,9 @@ class Simulator:
             t, s, fn, args, ev = pop(heap)
             if ev is not None:
                 if s != ev._qseq:
-                    self._dead -= 1  # superseded by a rearm to earlier
-                    continue
+                    continue  # superseded by a rearm to earlier
                 if not ev.armed:
                     ev._qseq = None
-                    self._dead -= 1
                     continue
                 if s != ev.seq:
                     # Queued before a rearm to later: wait for the due key.

@@ -126,7 +126,7 @@ class NicPort:
                 accepted = self._admit(out) or accepted
             else:
                 self.held_frames += 1
-                self.sim.call_after(delay, self._admit, out)
+                self.sim.call_at(self.sim.now + delay, self._admit, out)
                 accepted = True
         return accepted
 

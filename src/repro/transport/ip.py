@@ -214,7 +214,7 @@ class IpStack:
             self._reassembly[key] = state
             timer = self._spare_timer
             if timer is None:
-                timer = self.sim.schedule(self.reassembly_timeout_ns, self._timeout, key)
+                timer = self.sim.at(self.sim.now + self.reassembly_timeout_ns, self._timeout, key)
             else:
                 self._spare_timer = None
                 self.sim.rearm(timer, self.sim.now + self.reassembly_timeout_ns, key)

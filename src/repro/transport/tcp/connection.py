@@ -637,7 +637,7 @@ class TcpConnection:
         self._set_state(TIME_WAIT)
         self._send_ack()
         # 2*MSL shortened: long enough to ack a retransmitted FIN in-sim.
-        self.sim.call_after(50_000_000, self._become_closed)
+        self.sim.call_at(self.sim.now + 50_000_000, self._become_closed)
 
     def _become_closed(self, error: bool = False) -> None:
         if self.state == CLOSED:

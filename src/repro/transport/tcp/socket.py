@@ -281,6 +281,11 @@ class TcpSocket:
             self._rx_waiters.append(fut)
         return fut
 
+    def cancel_recv(self, fut: Future) -> None:
+        """Withdraw a :meth:`recv_future` that is still waiting (its
+        caller gave up), so the next chunk goes to the next receive."""
+        self._rx_waiters.remove(fut)
+
     def close(self) -> None:
         # Ordered behind any queued send syscalls on the same CPU, so
         # send(); close() flushes the data before the FIN.

@@ -147,6 +147,11 @@ class UdpSocket:
             self._waiters.append(fut)
         return fut
 
+    def cancel_recv(self, fut: Future) -> None:
+        """Withdraw a :meth:`recv_future` that is still waiting (its
+        caller gave up), so the next datagram goes to the next receive."""
+        self._waiters.remove(fut)
+
     def close(self) -> None:
         if not self.closed:
             self.closed = True

@@ -38,7 +38,7 @@ class TestCompletionQueue:
     def test_poll_wait_resolves_on_push(self):
         sim, cq = self._cq()
         fut = cq.poll_wait(timeout_ns=100 * MS)
-        sim.schedule(5 * MS, cq.push, _wc(9))
+        sim.call_at(5 * MS, cq.push, _wc(9))
         sim.run()
         assert fut.value[0].wr_id == 9
 

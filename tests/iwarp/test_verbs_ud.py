@@ -478,7 +478,7 @@ class TestReapTimers:
         ud["sim"].run(until=1 * MS)
         wcs = ud["cqs"][1].poll()
         assert wcs and wcs[0].ok and wcs[0].byte_len == 11
-        assert ud["sim"]._dead == 0
+        assert len(ud["sim"]._heap) - ud["sim"].pending() == 0
         assert not ud["qps"][1].rx._ud_timers
 
     def test_single_segment_write_record_leaves_no_cancelled_timer(self, ud):
@@ -489,7 +489,28 @@ class TestReapTimers:
         ud["sim"].run(until=1 * MS)
         wcs = ud["cqs"][1].poll()
         assert wcs and wcs[0].ok and wcs[0].validity.complete
-        assert ud["sim"]._dead == 0
+        assert len(ud["sim"]._heap) - ud["sim"].pending() == 0
+
+    def test_back_to_back_reads_share_one_reap_timer(self, ud):
+        """A finished UD RDMA Read parks its cancelled reap timer for the
+        next read, so reads in a row leave at most one tombstone queued
+        rather than one per read."""
+        devA, devB = ud["devs"]
+        data = b"remote-content" * 4
+        region = devB.reg_mr(bytearray(data), Access.remote_read(), ud["pds"][1])
+        sink = devA.reg_mr(len(data), Access.local_only(), ud["pds"][0])
+        sim = ud["sim"]
+        for _ in range(8):
+            ud["qps"][0].post_send(SendWR(
+                opcode=WrOpcode.RDMA_READ, sges=[Sge(sink)],
+                dest=ud["qps"][1].address,
+                remote_stag=region.stag, remote_offset=0,
+            ))
+            sim.run(until=sim.now + 1 * MS)
+            wcs = ud["cqs"][0].poll()
+            assert [wc.status for wc in wcs] == [WcStatus.SUCCESS]
+        assert bytes(sink.view()) == data
+        assert len(sim._heap) - sim.pending() <= 1
 
     def test_multi_segment_send_with_lost_last_segment_is_reaped(self, ud):
         devA, devB = ud["devs"]

@@ -123,7 +123,7 @@ def test_engine_event_order_is_total(schedule):
     fired = []
     expected = []
     for i, (delay, _jitter) in enumerate(schedule):
-        sim.schedule(delay, lambda i=i, d=delay: fired.append((d, i)))
+        sim.call_at(delay, lambda i=i, d=delay: fired.append((d, i)))
         expected.append((delay, i))
     sim.run()
     assert fired == sorted(expected)

@@ -32,7 +32,7 @@ def test_queueing_behind_busy_cpu():
     out = []
     cpu.submit(1_000, lambda: None)
     # Submitted later in sim time but while CPU is busy.
-    sim.schedule(500, lambda: cpu.submit(100, lambda: out.append(sim.now)))
+    sim.call_at(500, lambda: cpu.submit(100, lambda: out.append(sim.now)))
     sim.run()
     assert out == [1_100]
 
@@ -41,7 +41,7 @@ def test_idle_cpu_starts_immediately():
     sim = Simulator()
     cpu = CpuResource(sim)
     out = []
-    sim.schedule(5_000, lambda: cpu.submit(10, lambda: out.append(sim.now)))
+    sim.call_at(5_000, lambda: cpu.submit(10, lambda: out.append(sim.now)))
     sim.run()
     assert out == [5_010]
 

@@ -2,16 +2,16 @@
 
 import pytest
 
-from repro.simnet.engine import MS, SEC, US, Future, Process, SimulationError, Simulator, Timeout
+from repro.simnet.engine import MS, SEC, US, SimulationError, Simulator
 
 
 class TestScheduling:
     def test_events_run_in_time_order(self):
         sim = Simulator()
         out = []
-        sim.schedule(30, out.append, "c")
-        sim.schedule(10, out.append, "a")
-        sim.schedule(20, out.append, "b")
+        sim.at(30, out.append, "c")
+        sim.at(10, out.append, "a")
+        sim.at(20, out.append, "b")
         sim.run()
         assert out == ["a", "b", "c"]
 
@@ -19,35 +19,30 @@ class TestScheduling:
         sim = Simulator()
         out = []
         for tag in "abcd":
-            sim.schedule(5, out.append, tag)
+            sim.at(5, out.append, tag)
         sim.run()
         assert out == ["a", "b", "c", "d"]
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
         seen = {}
-        sim.schedule(1234, lambda: seen.setdefault("t", sim.now))
+        sim.at(1234, lambda: seen.setdefault("t", sim.now))
         sim.run()
         assert seen["t"] == 1234
         assert sim.now == 1234
 
     def test_at_absolute_time(self):
         sim = Simulator()
-        sim.schedule(100, lambda: None)
+        sim.at(100, lambda: None)
         sim.run()
         seen = {}
         sim.at(500, lambda: seen.setdefault("t", sim.now))
         sim.run()
         assert seen["t"] == 500
 
-    def test_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule(-1, lambda: None)
-
     def test_scheduling_in_past_rejected(self):
         sim = Simulator()
-        sim.schedule(100, lambda: None)
+        sim.at(100, lambda: None)
         sim.run()
         with pytest.raises(SimulationError):
             sim.at(50, lambda: None)
@@ -55,7 +50,7 @@ class TestScheduling:
     def test_cancelled_event_does_not_run(self):
         sim = Simulator()
         out = []
-        ev = sim.schedule(10, out.append, "x")
+        ev = sim.at(10, out.append, "x")
         ev.cancel()
         sim.run()
         assert out == []
@@ -63,7 +58,7 @@ class TestScheduling:
     def test_cancel_after_fire_is_noop(self):
         sim = Simulator()
         out = []
-        ev = sim.schedule(10, out.append, "x")
+        ev = sim.at(10, out.append, "x")
         sim.run()
         ev.cancel()  # must not raise
         assert out == ["x"]
@@ -71,8 +66,8 @@ class TestScheduling:
     def test_run_until_time_bound(self):
         sim = Simulator()
         out = []
-        sim.schedule(10, out.append, "a")
-        sim.schedule(100, out.append, "b")
+        sim.at(10, out.append, "a")
+        sim.at(100, out.append, "b")
         sim.run(until=50)
         assert out == ["a"]
         assert sim.now == 50
@@ -109,16 +104,16 @@ class TestScheduling:
         out = []
 
         def first():
-            sim.schedule(5, out.append, "second")
+            sim.at(sim.now + 5, out.append, "second")
 
-        sim.schedule(1, first)
+        sim.at(1, first)
         sim.run()
         assert out == ["second"]
 
     def test_pending_counts_live_events(self):
         sim = Simulator()
-        e1 = sim.schedule(10, lambda: None)
-        sim.schedule(20, lambda: None)
+        e1 = sim.at(10, lambda: None)
+        sim.at(20, lambda: None)
         e1.cancel()
         assert sim.pending() == 1
 
@@ -166,7 +161,7 @@ class TestFutures:
     def test_run_until_returns_value(self):
         sim = Simulator()
         fut = sim.future()
-        sim.schedule(100, fut.set_result, "done")
+        sim.at(100, fut.set_result, "done")
         assert sim.run_until(fut) == "done"
 
     def test_run_until_raises_on_drained_queue(self):
@@ -178,7 +173,7 @@ class TestFutures:
     def test_run_until_raises_past_limit(self):
         sim = Simulator()
         fut = sim.future()
-        sim.schedule(10_000, fut.set_result, 1)
+        sim.at(10_000, fut.set_result, 1)
         with pytest.raises(SimulationError):
             sim.run_until(fut, limit=1_000)
 
@@ -209,7 +204,7 @@ class TestProcesses:
             got.append((sim.now, value))
 
         sim.process(proc())
-        sim.schedule(77, fut.set_result, "ok")
+        sim.at(77, fut.set_result, "ok")
         sim.run()
         assert got == [(77, "ok")]
 
@@ -240,31 +235,6 @@ class TestProcesses:
         sim.run()
         assert p.result == (100, "child-result")
 
-    def test_timeout_object_yield(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(250)
-            return sim.now
-
-        p = sim.process(proc())
-        sim.run()
-        assert p.result == 250
-
-    def test_any_of_resumes_on_first(self):
-        sim = Simulator()
-        f1, f2 = sim.future(), sim.future()
-
-        def proc():
-            index, value = yield sim.any_of([f1, f2])
-            return (index, value, sim.now)
-
-        p = sim.process(proc())
-        sim.schedule(30, f2.set_result, "second")
-        sim.schedule(60, f1.set_result, "first")
-        sim.run()
-        assert p.result == (1, "second", 30)
-
     def test_unsupported_yield_raises(self):
         sim = Simulator()
 
@@ -286,7 +256,3 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             sim.run()
         assert sim.now == 10
-
-    def test_negative_timeout_rejected(self):
-        with pytest.raises(SimulationError):
-            Timeout(-5)

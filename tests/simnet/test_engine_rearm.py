@@ -12,7 +12,6 @@ the property runs random programs against a reference simulator whose
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simnet import engine
 from repro.simnet.engine import SimulationError, Simulator
 
 
@@ -20,10 +19,14 @@ def _log(sim, fired):
     return lambda label: fired.append((sim.now, label))
 
 
+def _tombstones(sim):
+    return len(sim._heap) - sim.pending()
+
+
 def test_rearm_later_pushes_nothing_and_fires_at_the_new_time():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(10, _log(sim, fired), "a")
+    ev = sim.at(10, _log(sim, fired), "a")
     sim.rearm(ev, 30, "b")
     assert len(sim._heap) == 1
     assert sim.pending() == 1
@@ -36,7 +39,7 @@ def test_rearm_later_pushes_nothing_and_fires_at_the_new_time():
 def test_early_pop_does_not_move_the_clock_or_count():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(10, _log(sim, fired), "a")
+    ev = sim.at(10, _log(sim, fired), "a")
     sim.rearm(ev, 30, "b")
     # The entry queued at t=10 pops inside this window; it must not run,
     # count, or leave the clock anywhere but at ``until``.
@@ -52,16 +55,15 @@ def test_early_pop_does_not_move_the_clock_or_count():
 def test_rearm_earlier_leaves_a_tombstone():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(50, _log(sim, fired), "a")
+    ev = sim.at(50, _log(sim, fired), "a")
     sim.rearm(ev, 20, "b")
     assert len(sim._heap) == 2
-    assert sim._dead == 1
+    assert _tombstones(sim) == 1
     assert sim.pending() == 1
     assert sim.run() == 1
     assert fired == [(20, "b")]
     # The superseded entry was discarded without moving the clock.
     assert sim.now == 20
-    assert sim._dead == 0
     assert sim._heap == []
 
 
@@ -71,7 +73,7 @@ def test_rearm_to_the_same_time_takes_a_later_seq():
     sim = Simulator()
     fired = []
     log = _log(sim, fired)
-    ev = sim.schedule(10, log, "timer")
+    ev = sim.at(10, log, "timer")
     sim.call_at(10, log, "other")
     sim.rearm(ev, 10, "timer-again")
     assert len(sim._heap) == 2
@@ -82,19 +84,19 @@ def test_rearm_to_the_same_time_takes_a_later_seq():
 def test_rearm_fired_and_cancelled_handles():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(5, _log(sim, fired), "first")
+    ev = sim.at(5, _log(sim, fired), "first")
     sim.run()
     sim.rearm(ev, 15, "second")
     assert ev.armed
     sim.run()
     ev.cancel()  # after firing: a no-op
-    assert sim._dead == 0
+    assert sim._heap == []
     sim.rearm(ev, 20, "third")
     ev.cancel()
-    assert sim._dead == 1
+    assert _tombstones(sim) == 1
     assert sim.pending() == 0
     sim.rearm(ev, 40, "fourth")  # revives the entry queued at t=20
-    assert sim._dead == 0
+    assert _tombstones(sim) == 0
     assert len(sim._heap) == 1
     sim.run()
     assert fired == [(5, "first"), (15, "second"), (40, "fourth")]
@@ -104,10 +106,10 @@ def test_rearm_fired_and_cancelled_handles():
 def test_rearm_cancelled_to_earlier_keeps_the_old_entry_dead():
     sim = Simulator()
     fired = []
-    ev = sim.schedule(50, _log(sim, fired), "a")
+    ev = sim.at(50, _log(sim, fired), "a")
     ev.cancel()
     sim.rearm(ev, 10, "b")
-    assert sim._dead == 1
+    assert _tombstones(sim) == 1
     assert sim.pending() == 1
     sim.run()
     assert fired == [(10, "b")]
@@ -124,7 +126,7 @@ def test_rearm_from_inside_its_own_callback():
         if n < 3:
             sim.rearm(holder["ev"], sim.now + 10, n + 1)
 
-    holder["ev"] = sim.schedule(10, tick, 0)
+    holder["ev"] = sim.at(10, tick, 0)
     sim.run()
     assert fired == [(10, 0), (20, 1), (30, 2), (40, 3)]
     assert sim._heap == []
@@ -132,26 +134,10 @@ def test_rearm_from_inside_its_own_callback():
 
 def test_rearm_into_the_past_raises():
     sim = Simulator()
-    ev = sim.schedule(10, lambda: None)
+    ev = sim.at(10, lambda: None)
     sim.run(until=20)
     with pytest.raises(SimulationError):
         sim.rearm(ev, 19)
-
-
-def test_rearm_survives_compaction():
-    sim = Simulator()
-    fired = []
-    log = _log(sim, fired)
-    ev = sim.schedule(500, log, "kept")
-    sim.rearm(ev, 100, "moved")  # leaves a superseded entry at t=500
-    cancelled = sim.schedule(300, log, "cancelled")
-    cancelled.cancel()
-    sim._compact()
-    assert len(sim._heap) == 1
-    sim.rearm(cancelled, 200, "revived")  # its entry was compacted away
-    assert len(sim._heap) == 2
-    sim.run()
-    assert fired == [(100, "moved"), (200, "revived")]
 
 
 def test_rearm_churn_never_compacts():
@@ -159,14 +145,15 @@ def test_rearm_churn_never_compacts():
     keeps one heap entry, however many ACKs arrive."""
     sim = Simulator()
     fired = []
-    timer = sim.schedule(100, _log(sim, fired), 0)
-    for ack in range(1, 4 * engine._COMPACT_MIN_DEAD):
+    timer = sim.at(100, _log(sim, fired), 0)
+    acks = 1024
+    for ack in range(1, acks):
         sim.run(until=ack)
         sim.rearm(timer, sim.now + 100, ack)
         assert len(sim._heap) <= 1
-        assert sim._dead == 0
+        assert _tombstones(sim) == 0
     sim.run()
-    assert fired == [(4 * engine._COMPACT_MIN_DEAD - 1 + 100, 4 * engine._COMPACT_MIN_DEAD - 1)]
+    assert fired == [(acks - 1 + 100, acks - 1)]
 
 
 # ----------------------------------------------------------------------
@@ -178,11 +165,10 @@ SLOTS = 2
 _delay = st.integers(min_value=0, max_value=40)
 _label = st.integers(min_value=0, max_value=7)
 _op = st.one_of(
-    st.tuples(st.just("schedule"), st.integers(0, SLOTS - 1), _delay, _label),
+    st.tuples(st.just("at"), st.integers(0, SLOTS - 1), _delay, _label),
     st.tuples(st.just("call_at"), _delay, _label),
     st.tuples(st.just("cancel"), st.integers(0, SLOTS - 1)),
     st.tuples(st.just("rearm"), st.integers(0, SLOTS - 1), _delay, _label),
-    st.tuples(st.just("compact")),
 )
 _top_op = st.one_of(_op, st.tuples(st.just("run"), st.integers(0, 60)))
 
@@ -209,9 +195,9 @@ class _Harness:
     def apply(self, op):
         sim = self.sim
         kind = op[0]
-        if kind == "schedule":
+        if kind == "at":
             _, slot, delay, label = op
-            self.slots[slot] = sim.schedule(delay, self.fire, label)
+            self.slots[slot] = sim.at(sim.now + delay, self.fire, label)
         elif kind == "call_at":
             _, delay, label = op
             sim.call_at(sim.now + delay, self.fire, label)
@@ -229,12 +215,12 @@ class _Harness:
                 self.slots[slot] = sim.at(sim.now + delay, self.fire, label)
             else:
                 sim.rearm(ev, sim.now + delay, label)
-        elif kind == "compact":
-            sim._compact()
         elif kind == "run":
-            sim.run(until=sim.now + op[1])
-        # The tombstone count always matches what is queued.
-        assert sim._dead == sum(1 for e in sim._heap if not engine._live(e))
+            until = sim.now + op[1]
+            sim.run(until=until)
+            # Nothing, live or tombstone, stays queued at or before the
+            # bound a run stopped at: the heap holds no dead past.
+            assert all(entry[0] > until for entry in sim._heap)
 
     def observe(self):
         sim = self.sim
@@ -245,21 +231,15 @@ class _Harness:
 @given(
     program=st.lists(_top_op, min_size=4, max_size=40),
     reactions=st.dictionaries(_label, st.lists(_op, max_size=3), max_size=8),
-    compact_floor=st.sampled_from([2, 4, engine._COMPACT_MIN_DEAD]),
 )
-def test_rearm_matches_cancel_then_at(program, reactions, compact_floor):
-    saved = engine._COMPACT_MIN_DEAD
-    engine._COMPACT_MIN_DEAD = compact_floor
-    try:
-        real = _Harness(reactions, reference=False)
-        ref = _Harness(reactions, reference=True)
-        for op in program:
-            real.apply(op)
-            ref.apply(op)
-            assert real.observe() == ref.observe()
-        real.sim.run()
-        ref.sim.run()
-        assert real.fired == ref.fired
+def test_rearm_matches_cancel_then_at(program, reactions):
+    real = _Harness(reactions, reference=False)
+    ref = _Harness(reactions, reference=True)
+    for op in program:
+        real.apply(op)
+        ref.apply(op)
         assert real.observe() == ref.observe()
-    finally:
-        engine._COMPACT_MIN_DEAD = saved
+    real.sim.run()
+    ref.sim.run()
+    assert real.fired == ref.fired
+    assert real.observe() == ref.observe()

@@ -256,7 +256,7 @@ class TestNicIntegration:
             zero_testbed.set_egress_faults(0, None)  # unimpeded
             a.sendto(b"second", (1, 5000))
 
-        zero_testbed.sim.schedule(100 * US, send_second)
+        zero_testbed.sim.call_at(zero_testbed.sim.now + 100 * US, send_second)
         zero_testbed.sim.run(until=1 * SEC)
         assert [d for d, _ in got] == [b"second", b"first"]
         assert got[1][1] >= 1 * MS

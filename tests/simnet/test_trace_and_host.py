@@ -14,7 +14,7 @@ class TestTracer:
         sim = Simulator()
         t = Tracer(sim)
         t.record("tx", port="a", size=10)
-        sim.schedule(100, lambda: t.record("rx", port="b", size=10))
+        sim.call_at(100, lambda: t.record("rx", port="b", size=10))
         sim.run()
         assert t.count("tx") == 1
         assert t.select("rx")[0].time == 100

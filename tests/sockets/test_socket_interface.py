@@ -440,6 +440,46 @@ class TestNativeAndInterceptor:
         tb.sim.run_until(done, limit=RUN_LIMIT)
         assert result["got"] == b"cba"
 
+    def test_native_timed_out_recvfrom_loses_no_datagram(self, zero_testbed, zero_stacks):
+        """A native receive that times out withdraws its waiter from the
+        socket: the datagram the peer sends next goes to the next
+        receive."""
+        sim = zero_testbed.sim
+        a = NativeSocketApi(zero_stacks[0])
+        b = NativeSocketApi(zero_stacks[1])
+        fd_a, fd_b = a.socket(SOCK_DGRAM), b.socket(SOCK_DGRAM, port=7200)
+        timed_out = b.recvfrom_future(fd_b, 64, timeout_ns=1 * MS)
+        assert sim.run_until(timed_out, limit=RUN_LIMIT) is None
+        a.sendto(fd_a, b"hello", (1, 7200))
+        got = sim.run_until(b.recvfrom_future(fd_b, 64), limit=RUN_LIMIT)
+        assert got[0] == b"hello"
+
+    def test_native_timed_out_stream_recv_loses_no_bytes(self, zero_testbed, zero_stacks):
+        """The stream counterpart: bytes sent after a timed-out
+        ``recv_future`` reach the next one instead of vanishing."""
+        tb = zero_testbed
+        a = NativeSocketApi(zero_stacks[0])
+        b = NativeSocketApi(zero_stacks[1])
+        result = {}
+
+        def server():
+            lfd = b.socket(SOCK_STREAM)
+            b.listen(lfd, 8083)
+            cfd = yield b.accept_future(lfd)
+            result["timed_out"] = yield b.recv_future(cfd, 100, timeout_ns=1 * MS)
+            result["got"] = yield b.recv_future(cfd, 100)
+
+        def client():
+            fd = a.socket(SOCK_STREAM)
+            yield a.connect_future(fd, (1, 8083))
+            yield 10 * MS
+            a.send(fd, b"hello")
+
+        done = tb.sim.process(server()).finished
+        tb.sim.process(client())
+        tb.sim.run_until(done, limit=RUN_LIMIT)
+        assert result == {"timed_out": None, "got": b"hello"}
+
     def test_interceptor_routes_dgram_to_iwarp(self, zero_testbed, zero_stacks):
         tb = zero_testbed
         devs = [RnicDevice(n) for n in zero_stacks]

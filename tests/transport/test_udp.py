@@ -95,7 +95,7 @@ class TestSockets:
 
         tb.sim.process(proc())
         a.socket().sendto(b"first", (1, 4000))
-        tb.sim.schedule(2 * MS, lambda: a.socket().sendto(b"second", (1, 4000)))
+        tb.sim.call_at(tb.sim.now + 2 * MS, lambda: a.socket().sendto(b"second", (1, 4000)))
         tb.sim.run()
         assert results == [b"first", b"second"]
 
