@@ -43,10 +43,13 @@ obs-check:
 		tests/obs/test_spans.py
 
 # Figure gate: regenerate every results/*.json from the simulated
-# benchmarks and fail if any paper figure number moved.
+# benchmarks (each checks its rows of repro.bench.claims.CLAIMS), render
+# the EXPERIMENTS.md tables from them, and fail if any paper figure
+# number or table moved.
 results-check:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
-	git diff --exit-code results/
+	PYTHONPATH=src $(PYTHON) -m repro.bench.claims
+	git diff --exit-code results/ EXPERIMENTS.md
 
 # Behaviour contract for hot-path changes: the wire digests and the
 # events/calls/peak-heap cost counters of the scenario catalogue's digest

@@ -1,69 +1,30 @@
-"""Figure 9: VLC streaming initial buffering time, UD vs RC/HTTP.
+"""Figure 9: VLC streaming initial buffering time, UD vs RC/HTTP;
+claims 14 and 15 of ``repro.bench.claims``.
 
-Paper anchors: UD (send/recv and Write-Record effectively identical
-through the socket shim) reduces initial buffering time by 74.1 % versus
-HTTP-over-RC; the gap is "due only partially to the datagram-iWARP to
-RC-iWARP difference" (HTTP adds its own overhead).
+The paper attributes the gap "only partially" to the datagram-iWARP to
+RC-iWARP difference (HTTP adds its own overhead).
 """
 
-from conftest import RESULTS_DIR, run_once
+from conftest import buffering_ms, run_once
 
-from repro.apps.streaming import MediaSource, StreamingClient, StreamingServer
-from repro.bench.report import print_table, save_json
-from repro.core.socketif import IwSocketInterface
-from repro.core.verbs import RnicDevice
-from repro.simnet.engine import SEC
-from repro.simnet.topology import build_testbed
-from repro.transport.stacks import install_stacks
+from repro.apps.streaming import MediaSource
+from repro.bench.claims import RESULTS_DIR, check
+from repro.bench.report import save_json
 
+MEDIA = MediaSource(bitrate_bps=8e6, duration_s=60)
 PREBUFFER = 2 << 20  # 2 MB prebuffer, an 8 Mb/s stream
-
-
-def _session(mode: str, rdma_mode: bool) -> float:
-    tb = build_testbed()
-    nets = install_stacks(tb)
-    devs = [RnicDevice(n) for n in nets]
-    api_s = IwSocketInterface(devs[0], rdma_mode=rdma_mode,
-                              pool_slots=64, pool_slot_bytes=4096)
-    api_c = IwSocketInterface(devs[1], rdma_mode=rdma_mode,
-                              pool_slots=64, pool_slot_bytes=65536)
-    media = MediaSource(bitrate_bps=8e6, duration_s=60)
-    server = StreamingServer(api_s, tb.hosts[0], 5004, media, mode)
-    server.start()
-    client = StreamingClient(api_c, tb.hosts[1], (0, 5004), media, mode,
-                             prebuffer_bytes=PREBUFFER)
-    proc = client.run()
-    tb.sim.run_until(proc.finished, limit=600 * SEC)
-    assert not client.failed
-    return client.buffering_time_ms
 
 
 def test_fig09_vlc_buffering(benchmark):
     def run():
         return {
-            "ud_sendrecv_ms": round(_session("udp", rdma_mode=False), 1),
-            "ud_write_record_ms": round(_session("udp", rdma_mode=True), 1),
-            "rc_http_ms": round(_session("http", rdma_mode=True), 1),
+            "ud_sendrecv_ms": round(buffering_ms("udp", MEDIA, PREBUFFER, rdma_mode=False), 1),
+            "ud_write_record_ms": round(buffering_ms("udp", MEDIA, PREBUFFER), 1),
+            "rc_http_ms": round(buffering_ms("http", MEDIA, PREBUFFER), 1),
         }
 
     data = run_once(benchmark, run)
     ud_best = min(data["ud_sendrecv_ms"], data["ud_write_record_ms"])
-    improvement = 100 * (1 - ud_best / data["rc_http_ms"])
-    data["improvement_percent"] = round(improvement, 1)
-    print_table(
-        "Fig. 9 VLC initial buffering time",
-        ["transport", "buffering (ms)"],
-        [
-            ["UD send/recv", data["ud_sendrecv_ms"]],
-            ["UD Write-Record", data["ud_write_record_ms"]],
-            ["RC (HTTP)", data["rc_http_ms"]],
-        ],
-    )
-    print(f"UD improvement: {improvement:.1f}% (paper: 74.1%)")
+    data["improvement_percent"] = round(100 * (1 - ud_best / data["rc_http_ms"]), 1)
     save_json(RESULTS_DIR / "fig09_vlc.json", data)
-
-    # Shape: UD is far ahead; the two UD modes are near-identical
-    # through the shim (§VI.B.1).
-    assert improvement > 50
-    ratio = data["ud_sendrecv_ms"] / data["ud_write_record_ms"]
-    assert 0.8 < ratio < 1.25
+    check("fig09")

@@ -1,8 +1,8 @@
-"""Figure 11: SIP server memory-usage improvement, UD vs RC.
+"""Figure 11: SIP server memory-usage improvement, UD vs RC; claims 18
+and 19 of ``repro.bench.claims``.
 
-Paper anchors: improvement grows with concurrent calls, reaching 24.1 %
-at 10 000; socket-size-only theory predicts 28.1 %, the ~4 % gap being
-UD's extra application bookkeeping.
+The improvement grows with concurrent calls; the socket-size-only
+theory predicts more, the gap being UD's extra application bookkeeping.
 
 100 and 1000 calls are measured live (full simulated call ramp against
 the real server, with the memory meter counting actual object
@@ -11,10 +11,11 @@ tests/apps/test_sip.py), so the 10 000-call point uses the closed form
 to keep the benchmark fast.
 """
 
-from conftest import RESULTS_DIR, run_once
+from conftest import run_once
 
 from repro.apps.sip.workload import measure_memory
-from repro.bench.report import print_table, save_json
+from repro.bench.claims import RESULTS_DIR, check
+from repro.bench.report import save_json
 from repro.memory.accounting import FootprintModel
 
 LIVE_POINTS = (100, 1000)
@@ -41,23 +42,5 @@ def test_fig11_sip_memory(benchmark):
         return data
 
     data = run_once(benchmark, run)
-    rows = [
-        [n, data["live"].get(n, "-"), data["model"][n]]
-        for n in MODEL_POINTS
-    ]
-    print_table(
-        "Fig. 11 UD memory improvement (%)",
-        ["concurrent calls", "measured", "model"],
-        rows,
-    )
-    print(f"socket-only theoretical: {data['socket_only_percent']}% "
-          f"(paper: 28.1%); at 10000: {data['model'][10_000]}% (paper: 24.1%)")
     save_json(RESULTS_DIR / "fig11_sip_memory.json", data)
-
-    # Live == model at the measured points.
-    for n in LIVE_POINTS:
-        assert abs(data["live"][n] - data["model"][n]) < 0.2
-    # Rising curve, paper-zone endpoints.
-    assert data["model"][100] < data["model"][1000] < data["model"][10_000]
-    assert 22.0 < data["model"][10_000] < 26.0
-    assert 26.0 < data["socket_only_percent"] < 30.0
+    check("fig11")

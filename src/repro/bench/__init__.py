@@ -1,9 +1,8 @@
 """Benchmark harnesses reproducing the paper's evaluation."""
 
 from .harness import MODES, POLL_TIMEOUT_NS, BenchError, VerbsEndpointPair
-from .report import ComparisonReport, format_table, load_json, print_table, save_json
+from .report import load_json, save_json
 
 __all__ = [
-    "BenchError", "ComparisonReport", "MODES", "POLL_TIMEOUT_NS",
-    "VerbsEndpointPair", "format_table", "load_json", "print_table", "save_json",
+    "BenchError", "MODES", "POLL_TIMEOUT_NS", "VerbsEndpointPair", "load_json", "save_json",
 ]

@@ -1,33 +1,11 @@
-"""Result formatting and persistence for benchmark runs.
-
-Small, dependency-free helpers shared by the ``benchmarks/`` suite and
-the calibration tool: aligned text tables for terminal output and JSON
-persistence for EXPERIMENTS.md bookkeeping.
-"""
+"""Result persistence for benchmark runs: the JSON files under
+``results/`` that the ``benchmarks/`` suite writes."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence
-
-
-def format_table(header: Sequence[Any], rows: Iterable[Sequence[Any]]) -> str:
-    """Right-aligned text table."""
-    rows = [list(map(str, row)) for row in rows]
-    header = list(map(str, header))
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(header, widths))]
-    lines += ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in rows]
-    return "\n".join(lines)
-
-
-def print_table(title: str, header: Sequence[Any], rows: Iterable[Sequence[Any]]) -> None:
-    print(f"\n=== {title} ===")
-    print(format_table(header, rows))
+from typing import Any, Dict
 
 
 def save_json(path: Path, data: Any) -> Path:
@@ -44,57 +22,9 @@ def load_json(path: Path) -> Any:
         return json.load(fh)
 
 
-def attach_metrics(row: Dict[str, Any], snapshot: Dict[str, Any],
-                   prefix: Optional[str] = None) -> Dict[str, Any]:
+def attach_metrics(row: Dict[str, Any], snapshot: Dict[str, Any]) -> None:
     """Attach a :meth:`repro.obs.Registry.snapshot` to a saved result
-    row under the ``"metrics"`` key (optionally filtered to series keys
-    starting with ``prefix``).  Returns the row for chaining; a no-op
-    when the snapshot is empty (metrics disabled)."""
-    if prefix is not None:
-        snapshot = {k: v for k, v in snapshot.items() if k.startswith(prefix)}
+    row under the ``"metrics"`` key; a no-op when the snapshot is empty
+    (metrics disabled)."""
     if snapshot:
         row["metrics"] = snapshot
-    return row
-
-
-def percent_delta(measured: float, reference: float) -> float:
-    """Signed percent difference of measured vs reference."""
-    if reference == 0:
-        return float("inf") if measured else 0.0
-    return 100.0 * (measured - reference) / reference
-
-
-class ComparisonReport:
-    """Collects (metric, paper value, measured value) triples and renders
-    the paper-vs-measured table EXPERIMENTS.md is built from."""
-
-    def __init__(self, title: str):
-        self.title = title
-        self.rows: List[Dict[str, Any]] = []
-
-    def add(self, metric: str, paper: Optional[float], measured: float,
-            unit: str = "") -> None:
-        self.rows.append({
-            "metric": metric,
-            "paper": paper,
-            "measured": round(measured, 3),
-            "unit": unit,
-            "delta_percent": (
-                round(percent_delta(measured, paper), 1)
-                if paper not in (None, 0) else None
-            ),
-        })
-
-    def render(self) -> str:
-        header = ["metric", "paper", "measured", "unit", "delta %"]
-        rows = [
-            [r["metric"],
-             "-" if r["paper"] is None else r["paper"],
-             r["measured"], r["unit"],
-             "-" if r["delta_percent"] is None else r["delta_percent"]]
-            for r in self.rows
-        ]
-        return f"=== {self.title} ===\n" + format_table(header, rows)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"title": self.title, "rows": self.rows}

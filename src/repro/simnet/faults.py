@@ -29,7 +29,7 @@ so chaos runs are bit-for-bit reproducible.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Sequence, Tuple
 
 from .loss import LossModel
 from .packet import Frame
@@ -64,11 +64,6 @@ class FaultModel:
 
     def _counters(self) -> List[str]:
         return ["seen", "dropped"] + [row[2] for row in self.METRICS if row[1] == "counter"]
-
-    def stats(self) -> Dict[str, int]:
-        """Uniform counter dict: ``seen``, ``dropped`` and the declared
-        model-specific counters."""
-        return {name: getattr(self, name) for name in self._counters()}
 
     def reset(self) -> None:
         """Restore the model to its initial state (reseeding RNGs)."""
@@ -270,18 +265,6 @@ class FaultPipeline(FaultModel):
             if not emissions:
                 break
         return emissions
-
-    def stats(self) -> Dict[str, int]:
-        """Pipeline-level seen/dropped plus every stage's model-specific
-        counters summed by key (``seen``/``dropped`` of individual stages
-        are *not* folded in — they would double-count the pipeline's)."""
-        out = super().stats()
-        for stage in self.stages:
-            for key, value in stage.stats().items():
-                if key in ("seen", "dropped"):
-                    continue
-                out[key] = out.get(key, 0) + value
-        return out
 
     def reset(self) -> None:
         super().reset()

@@ -480,6 +480,33 @@ class TestNativeAndInterceptor:
         tb.sim.run_until(done, limit=RUN_LIMIT)
         assert result == {"timed_out": None, "got": b"hello"}
 
+    def test_native_short_stream_recv_keeps_the_rest_of_the_chunk(
+        self, zero_testbed, zero_stacks
+    ):
+        """A stream receive smaller than the chunk that arrived leaves the
+        chunk's tail for the next receive."""
+        tb = zero_testbed
+        a = NativeSocketApi(zero_stacks[0])
+        b = NativeSocketApi(zero_stacks[1])
+        result = {}
+
+        def server():
+            lfd = b.socket(SOCK_STREAM)
+            b.listen(lfd, 8084)
+            cfd = yield b.accept_future(lfd)
+            result["head"] = yield b.recv_future(cfd, 5)
+            result["tail"] = yield b.recv_future(cfd, 100, timeout_ns=50 * MS)
+
+        def client():
+            fd = a.socket(SOCK_STREAM)
+            yield a.connect_future(fd, (1, 8084))
+            a.send(fd, b"hello world")
+
+        done = tb.sim.process(server()).finished
+        tb.sim.process(client())
+        tb.sim.run_until(done, limit=RUN_LIMIT)
+        assert result == {"head": b"hello", "tail": b" world"}
+
     def test_interceptor_routes_dgram_to_iwarp(self, zero_testbed, zero_stacks):
         tb = zero_testbed
         devs = [RnicDevice(n) for n in zero_stacks]
