@@ -22,7 +22,7 @@ def main() -> None:
     rc = measure_response_time("rc", calls=12)
     print(f"  UD: {ud['mean_ms']:.3f} ms    RC: {rc['mean_ms']:.3f} ms    "
           f"improvement {100 * (1 - ud['mean_ms'] / rc['mean_ms']):.1f}%  "
-          f"(paper Fig. 10: 43.1%)")
+          f"(paper: claim 17 in EXPERIMENTS.md)")
 
     print("\nMemory with concurrent held calls (live measurement):")
     model = FootprintModel()
@@ -37,7 +37,7 @@ def main() -> None:
     for n in (100, 1000, 10_000, 100_000):
         print(f"  {n:7d} calls -> {model.improvement_percent(n):5.2f}%")
     print(f"  socket-size-only bound: {model.socket_only_improvement_percent():.2f}% "
-          f"(paper: 28.1%); at 10 000: paper measured 24.1%")
+          f"(paper: claims 18-19 in EXPERIMENTS.md)")
 
 
 if __name__ == "__main__":

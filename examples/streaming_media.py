@@ -61,14 +61,14 @@ def main() -> None:
     ud = min(rows[0][1].buffering_time_ms, rows[1][1].buffering_time_ms)
     http = rows[2][1].buffering_time_ms
     print(f"\nUD vs RC/HTTP buffering-time improvement: "
-          f"{100 * (1 - ud / http):.1f}%  (paper Fig. 9: 74.1%)")
+          f"{100 * (1 - ud / http):.1f}%  (paper: claim 14 in EXPERIMENTS.md)")
 
     # Shim overhead is measured against a *paced* live stream (§VI.B.2).
     nat = run_session("udp", native=True, paced=True)
     shim = run_session("udp", rdma_mode=True, paced=True)
     print(f"shim overhead on a live (bitrate-paced) stream: "
           f"{100 * (shim.buffering_time_ms / nat.buffering_time_ms - 1):.2f}%  "
-          f"(paper: ~2%)")
+          f"(paper: claim 16 in EXPERIMENTS.md)")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ Memory accounting mirrors the paper's measurement ("the sum of the SIPp
 application memory usage and the allocated slab buffer space used to
 create the required sockets"): each new client costs a kernel socket, an
 iWARP QP context and per-call application state, with UD mode paying the
-extra call-state bookkeeping the paper blames for the 4 % gap between
-predicted and measured savings.  Objects are freed when the call ends,
+extra call-state bookkeeping the paper blames for the gap between
+predicted and measured savings (claims 18–19 of :mod:`repro.bench.claims`).  Objects are freed when the call ends,
 so the meter's high-water mark is the concurrent-call footprint.
 """
 

@@ -3,11 +3,11 @@
 The paper measures "the sum of the SIPp application memory usage and the
 allocated slab buffer space used to create the required sockets"
 (§VI.B.2) for a server handling N concurrent calls, one UDP port per
-client, and reports:
+client, and reports (claims 18 and 19 of :mod:`repro.bench.claims`):
 
-* 24.1 % whole-application memory improvement for UD at 10 000 calls;
-* 28.1 % predicted from socket sizes alone;
-* the ~4 % difference attributed to extra application bookkeeping UD
+* the whole-application memory improvement for UD at 10 000 calls;
+* a larger improvement predicted from socket sizes alone;
+* the difference attributed to extra application bookkeeping UD
   needs (tracking call state to know when to close ports).
 
 This module reproduces that arithmetic from per-object footprints.  The
@@ -32,7 +32,7 @@ class FootprintModel:
     #: rounded to the 2 KB slab — Linux 2.6.31 era).
     tcp_socket_bytes: int = 2048
     #: Kernel slab for one UDP socket.  CALIBRATED together with the QP
-    #: contexts so the socket-only prediction lands at the paper's 28.1 %.
+    #: contexts so the socket-only prediction lands on claim 19.
     udp_socket_bytes: int = 1280
     #: iWARP RC QP context: QP state plus per-connection MPA/DDP stream
     #: state (marker position, FPDU reassembly, untagged MSN tracking).

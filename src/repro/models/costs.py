@@ -147,7 +147,7 @@ class CostModel:
     #: (Fig. 6), far below what MPA+TCP costs alone explain; the
     #: OSC-derived software stack stages tagged messages through an
     #: intermediate buffer on both sides.  Calibrated to reproduce the
-    #: 256 % headline gap.
+    #: headline gap (claim 7 of :mod:`repro.bench.claims`).
     rc_tagged_staging_per_byte_ns: float = 8.0
 
     # ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.claims import broken, load_results
 from repro.apps.streaming import (
     MediaSource, StreamingClient, StreamingServer, UDP_MEDIA_PAYLOAD,
 )
@@ -84,11 +85,14 @@ class TestStreaming:
         assert udp_client.buffering_time_ms < http_client.buffering_time_ms
 
     def test_sendrecv_and_write_record_equivalent_through_shim(self):
-        """§VI.B.1: 'almost identical in terms of performance'."""
+        """§VI.B.1: 'almost identical in terms of performance' (claim 15,
+        with this session's times in place of the committed Fig. 9 ones)."""
         sr, _ = _run_session("udp", rdma_mode=False)
         wr, _ = _run_session("udp", rdma_mode=True)
-        ratio = sr.buffering_time_ms / wr.buffering_time_ms
-        assert 0.8 < ratio < 1.2
+        results = load_results()
+        results["fig09_vlc"]["ud_sendrecv_ms"] = sr.buffering_time_ms
+        results["fig09_vlc"]["ud_write_record_ms"] = wr.buffering_time_ms
+        assert broken(results, "15") == []
 
     def test_native_udp_works(self):
         client, _ = _run_session("udp", native=True)
@@ -97,8 +101,10 @@ class TestStreaming:
     def test_shim_overhead_small_when_paced(self):
         nat, _ = _run_session("udp", native=True, paced=True, prebuffer=128 * 1024)
         shim, _ = _run_session("udp", rdma_mode=True, paced=True, prebuffer=128 * 1024)
-        overhead = shim.buffering_time_ms / nat.buffering_time_ms - 1
-        assert overhead < 0.10  # paper: ~2 %
+        results = load_results()
+        results["shim_overhead"]["overhead_percent"] = (
+            100 * (shim.buffering_time_ms / nat.buffering_time_ms - 1))
+        assert broken(results, "16") == []  # claim 16, with this session's overhead
 
     def test_udp_tolerates_loss(self):
         client, _ = _run_session(

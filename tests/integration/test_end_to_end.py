@@ -1,6 +1,7 @@
 """Cross-layer integration tests: every layer at once, under stress."""
 
 
+from repro.bench.claims import broken, load_results
 from repro.bench.harness import VerbsEndpointPair
 from repro.core.verbs import RecvWR, SendWR, Sge, WrOpcode
 from repro.memory.region import Access
@@ -12,14 +13,13 @@ RUN_LIMIT = 3000 * SEC
 
 class TestLatencyOrdering:
     """The paper's headline latency relationships hold by construction of
-    the calibrated model; these tests pin them against regression."""
+    the calibrated model; these tests pin them against regression.  The
+    64 B values themselves are claims 1–2, checked live by
+    tests/bench/test_bench_tools.py::TestCalibrationAnchors."""
 
     def test_small_message_ud_beats_rc(self):
         ud = VerbsEndpointPair.build("ud_sendrecv").pingpong_latency_us(64, iters=8)
         rc = VerbsEndpointPair.build("rc_sendrecv").pingpong_latency_us(64, iters=8)
-        # Paper: ~27-28 us vs ~33 us.
-        assert 22 < ud < 32
-        assert 28 < rc < 40
         assert ud < rc
 
     def test_write_record_tracks_ud_sendrecv(self):
@@ -28,10 +28,13 @@ class TestLatencyOrdering:
         assert abs(sr - wr) / sr < 0.1
 
     def test_midrange_crossover_rc_wins(self):
-        """Fig. 5 medium panel: RC send/recv slightly best at 16-64 KB."""
-        ud = VerbsEndpointPair.build("ud_sendrecv").pingpong_latency_us(32768, iters=6)
-        rc = VerbsEndpointPair.build("rc_sendrecv").pingpong_latency_us(32768, iters=6)
-        assert rc < ud
+        """Fig. 5 medium panel: RC send/recv slightly best at 16-64 KB
+        (claim 5, with live 32 KB points in place of the committed ones)."""
+        results = load_results()
+        for mode in ("ud_sendrecv", "rc_sendrecv"):
+            results["fig05_medium"][mode]["32768"] = (
+                VerbsEndpointPair.build(mode).pingpong_latency_us(32768, iters=6))
+        assert broken(results, "5") == []
 
     def test_large_messages_ud_wins(self):
         """Fig. 5 large panel: UD better >= 128 KB."""
@@ -41,22 +44,34 @@ class TestLatencyOrdering:
 
 
 class TestBandwidthOrdering:
+    """Claims 7 and 8 with live Fig. 6 points in place of the committed
+    ones."""
+
+    @staticmethod
+    def _overlay(name, fast, slow, size):
+        results = load_results()
+        fig06 = results["fig06_bandwidth"]
+        bw = {mode: VerbsEndpointPair.build(mode).bandwidth_mbs(size)["mbs"]
+              for mode in (fast, slow)}
+        for mode, mbs in bw.items():
+            fig06["series"][mode][str(size)] = mbs
+        fig06["ratios"][name] = bw[fast] / bw[slow]
+        return results
+
     def test_write_record_dominates_large_messages(self):
         """Fig. 6: WR-R best at 512 KB, RC Write worst by ~3.5x."""
-        wr = VerbsEndpointPair.build("ud_write_record").bandwidth_mbs(524288)["mbs"]
-        rcw = VerbsEndpointPair.build("rc_rdma_write").bandwidth_mbs(524288)["mbs"]
-        assert wr / rcw > 2.5
-        assert 200 < wr < 300  # CPU-bound software-stack territory
+        results = self._overlay("wrr_vs_rcw_512K", "ud_write_record", "rc_rdma_write", 524288)
+        assert broken(results, "7") == []
 
     def test_ud_sendrecv_beats_rc_sendrecv(self):
-        ud = VerbsEndpointPair.build("ud_sendrecv").bandwidth_mbs(262144)["mbs"]
-        rc = VerbsEndpointPair.build("rc_sendrecv").bandwidth_mbs(262144)["mbs"]
-        assert 1.05 < ud / rc < 2.0  # paper: +33.4 %
+        results = self._overlay("udsr_vs_rcsr_256K", "ud_sendrecv", "rc_sendrecv", 262144)
+        assert broken(results, "8") == []
 
 
 class TestLossBehaviour:
     def test_sendrecv_collapses_write_record_survives(self):
-        """Figs. 7 vs 8 at 1 MB / 1 % loss."""
+        """Figs. 7 vs 8 at 1 MB / 1 % loss: claim 12 with this seed's
+        points in place of the committed ones."""
         size, rate = 1 << 20, 0.01
         sr = VerbsEndpointPair.build(
             "ud_sendrecv", loss=BernoulliLoss(rate, seed=3)
@@ -65,7 +80,10 @@ class TestLossBehaviour:
             "ud_write_record", loss=BernoulliLoss(rate, seed=3)
         ).bandwidth_mbs(size, messages=30)
         assert sr["mbs"] < 30  # whole-message delivery collapsed
-        assert wr["mbs"] > 150  # partial placement sustained
+        results = load_results()
+        results["fig08_loss_writerecord"][str(size)][str(rate)] = wr["mbs"]
+        results["fig08_contrast"] = {"ud_sendrecv": sr["mbs"], "ud_write_record": wr["mbs"]}
+        assert broken(results, "12") == []  # partial placement sustained
 
     def test_write_record_data_integrity_under_loss(self):
         """Every byte range a completion declares valid really holds the

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.claims import broken, load_results
 from repro.memory.accounting import FootprintModel, MemoryMeter
 from repro.memory.region import Access, MemoryAccessError, MemoryRegion
 from repro.memory.registry import StagRegistry
@@ -243,14 +244,21 @@ class TestValidityMap:
 
 class TestFootprintModel:
     def test_socket_only_prediction_near_paper(self):
-        m = FootprintModel()
-        assert 26.0 < m.socket_only_improvement_percent() < 30.0
+        """Claim 19, with the model's value in place of the committed one."""
+        results = load_results()
+        fig11 = results["fig11_sip_memory"]
+        fig11["socket_only_percent"] = FootprintModel().socket_only_improvement_percent()
+        assert broken(results, "19") == []
 
     def test_improvement_grows_with_clients(self):
-        m = FootprintModel()
-        vals = [m.improvement_percent(n) for n in (100, 1000, 10_000)]
-        assert vals[0] < vals[1] < vals[2]
-        assert 22.0 < vals[2] < 26.0  # paper: 24.1 %
+        """Claim 18 (the 10 000-call point, growth with clients, agreement
+        with the live points), with the model's values in place of the
+        committed ones."""
+        results = load_results()
+        model = results["fig11_sip_memory"]["model"]
+        for n in model:
+            model[n] = FootprintModel().improvement_percent(int(n))
+        assert broken(results, "18") == []
 
     def test_ud_cheaper_per_client(self):
         m = FootprintModel()
