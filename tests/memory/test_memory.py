@@ -1,12 +1,29 @@
 """Tests for registered memory, STag registry, validity maps, accounting."""
 
+import tracemalloc
+
 import pytest
 
 from repro.bench.claims import broken, load_results
+from repro.core.verbs.device import RnicDevice
 from repro.memory.accounting import FootprintModel, MemoryMeter
 from repro.memory.region import Access, MemoryAccessError, MemoryRegion
 from repro.memory.registry import StagRegistry
 from repro.memory.validity import ValidityMap
+from repro.simnet.topology import build_testbed
+from repro.transport.stacks import install_stacks
+
+MIB = 1 << 20
+
+
+def peak_allocated(fn):
+    """Run ``fn``; return its result and the peak bytes it held allocated."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestAccess:
@@ -83,6 +100,8 @@ class TestMemoryRegion:
     def test_requires_bytearray(self):
         with pytest.raises(TypeError):
             MemoryRegion(1, b"immutable", Access.full(), 0)
+        with pytest.raises(TypeError):
+            StagRegistry().register(b"immutable")
 
     def test_write_watch_fires_on_overlap(self):
         mr = self._mr(size=100)
@@ -94,6 +113,55 @@ class TestMemoryRegion:
         mr.remove_write_watch(handle)
         mr.write(50, b"z")
         assert len(hits) == 1
+
+
+class TestFirstTouch:
+    """A region registered by size is backed by its first access."""
+
+    def test_registering_by_size_allocates_no_backing(self):
+        reg = StagRegistry()
+        mr, peak = peak_allocated(lambda: reg.register(64 * MIB, Access.full()))
+        assert len(mr) == 64 * MIB
+        assert peak < MIB
+
+    def test_untouched_region_reads_as_zeros_and_first_write_lands(self):
+        reg = StagRegistry()
+        mr = reg.register(64, Access.full())
+        assert bytes(mr.read(0, 64)) == bytes(64)
+        assert bytes(reg.register(64).view()) == bytes(64)
+        fresh = reg.register(64, Access.remote_write())
+        fresh.write(60, b"tail", remote=True)
+        assert bytes(fresh.view()) == bytes(60) + b"tail"
+
+    @pytest.mark.parametrize("case", ["bounds", "rights", "invalidated"])
+    def test_rejected_write_allocates_nothing(self, case):
+        reg = StagRegistry()
+        access = Access.local_only() if case == "rights" else Access.remote_write()
+        mr = reg.register(64 * MIB, access)
+        if case == "invalidated":
+            reg.deregister(mr)
+        offset = 64 * MIB - 2 if case == "bounds" else 0
+
+        def bad_tagged_write():
+            with pytest.raises(MemoryAccessError):
+                mr.write(offset, b"peer", remote=True)
+
+        _, peak = peak_allocated(bad_tagged_write)
+        assert peak < MIB
+
+    def test_pages_and_registration_cost_match_a_backed_region(self):
+        # Registration is charged from the declared pages, backed or not:
+        # 1 MiB is 256 pages, as when every region was zero-filled.
+        dev = RnicDevice(install_stacks(build_testbed(2))[0])
+        costs, cpu = dev.host.costs, dev.host.cpu
+        charged = []
+        for buffer in (MIB, bytearray(MIB)):
+            before = cpu.busy_ns
+            mr = dev.reg_mr(buffer)
+            charged.append((mr.pages, cpu.busy_ns - before))
+        cost = int(costs.reg_mr_fixed_ns + costs.reg_mr_per_page_ns * 256)
+        assert charged == [(256, cost), (256, cost)]
+        assert StagRegistry().register(4097).pages == 2
 
 
 class TestStagRegistry:

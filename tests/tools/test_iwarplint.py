@@ -119,7 +119,7 @@ class TestDriver:
         table = all_rules()
         for code in ("IW001", "IW101", "IW102", "IW103", "IW201", "IW202",
                      "IW203", "IW204", "IW301", "IW302", "IW303", "IW401",
-                     "IW402", "IW403", "IW501"):
+                     "IW402", "IW403", "IW404", "IW501"):
             assert code in table
 
     def test_syntax_error_reported_as_iw001(self, tmp_path):
@@ -482,6 +482,52 @@ class TestDeterminism:
                     for i in sorted(indices):
                         print(i)
                     return bad, total, {i * 2 for i in indices}
+            """,
+        })
+        assert lint_paths([root]) == []
+
+    def test_process_global_state_fires_iw404(self, tmp_path):
+        # IW404 covers apps too: a SIP header feeds the simulation.
+        root = write_tree(tmp_path, {
+            "repro/apps/agent.py": """
+                import itertools
+                from itertools import count as counter
+
+                _ids = itertools.count(1)  # module counter
+
+                class Client:
+                    serial = counter()  # class counter
+
+                    def tag(self, user):
+                        return hash(user)  # salted hash
+
+                def next_id(ids=itertools.count()):  # default counter
+                    return next(ids)
+            """,
+        })
+        found = lint_paths([root])
+        assert codes(found) == ["IW404"] * 4
+        assert [v.line for v in found] == [
+            line_of(root, "repro/apps/agent.py", marker)
+            for marker in ("module counter", "class counter", "salted hash",
+                           "default counter")
+        ]
+
+    def test_per_object_counters_and_digests_are_silent(self, tmp_path):
+        root = write_tree(tmp_path, {
+            "repro/apps/agent.py": """
+                import hashlib
+                import itertools
+
+                class Client:
+                    def __init__(self):
+                        self._ids = itertools.count(1)
+
+                    def tag(self, user):
+                        return hashlib.sha256(user.encode()).digest()[0]
+
+                    def __hash__(self):
+                        return id(self)
             """,
         })
         assert lint_paths([root]) == []

@@ -13,8 +13,10 @@ invariants that ordinary linters cannot see but that the reproduction of
 * **Wire format** (IW3xx) — every ``struct`` format string in the
   protocol modules matches the declared header manifest byte-for-byte.
 * **Determinism** (IW4xx) — no wall-clock reads, unseeded randomness, or
-  set-ordering-dependent iteration inside the simulated stack, so that
-  seeded runs (including PR 1's chaos tests) stay replayable.
+  set-ordering-dependent iteration inside the simulated stack, and no
+  process-global state (builtin ``hash()``, module-level counters)
+  anywhere in ``repro``, so that seeded runs (the chaos tests included)
+  stay replayable.
 
 Usage::
 

@@ -203,6 +203,10 @@ DETERMINISM_SCOPES: Sequence[str] = (
     "repro.simnet", "repro.transport", "repro.core", "repro.obs",
 )
 
+# IW404 covers the whole package: apps feed the simulation too (a SIP
+# header's length is part of every message it sends).
+PROCESS_STATE_SCOPES: Sequence[str] = ("repro",)
+
 # Wall-clock and environment entropy: (module, function) pairs.
 WALL_CLOCK_CALLS: FrozenSet[Tuple[str, str]] = frozenset(
     {

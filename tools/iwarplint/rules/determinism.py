@@ -15,12 +15,20 @@ Inside the simulation-critical packages (``simnet``, ``transport``,
   hash salting of prior runs' object graph, so it can silently reorder
   retransmissions or completions.  Wrap in ``sorted(...)`` (or use an
   order-insensitive reduction like ``len``/``min``/``sum``).
+
+Anywhere in ``repro`` (apps included) it forbids:
+
+* **IW404** — process-global state: builtin ``hash()`` (salted per
+  process by ``PYTHONHASHSEED``) and an ``itertools.count()`` created at
+  module level, which numbers across every simulation the process runs.
+  Derive values from stable digests and keep counters on the object
+  that owns the numbering (a device, a host, a socket).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Sequence, Set, Tuple
 
 from iwarplint import invariants as inv
 from iwarplint.driver import SourceModule, Violation
@@ -29,17 +37,20 @@ RULES = {
     "IW401": "wall-clock or entropy read inside the simulated stack",
     "IW402": "unseeded randomness (module-level random.* or random.Random())",
     "IW403": "iteration over a set (order depends on hashing); use sorted(...)",
+    "IW404": "process-global state (builtin hash() or module-level itertools.count())",
 }
 
 
-def _in_scope(name: Optional[str]) -> bool:
+def _in_scope(name: Optional[str], scopes: Sequence[str]) -> bool:
     return name is not None and any(
-        name == p or name.startswith(p + ".") for p in inv.DETERMINISM_SCOPES
+        name == p or name.startswith(p + ".") for p in scopes
     )
 
 
 def check(module: SourceModule) -> Iterator[Violation]:
-    if not _in_scope(module.name):
+    if _in_scope(module.name, inv.PROCESS_STATE_SCOPES):
+        yield from _check_process_state(module)
+    if not _in_scope(module.name, inv.DETERMINISM_SCOPES):
         return
     yield from _check_entropy(module)
     yield from _check_set_iteration(module)
@@ -261,3 +272,54 @@ def _check_set_iteration(module: SourceModule) -> Iterator[Violation]:
                         "comprehension iterates a set; order depends on hashing — "
                         "iterate sorted(...) instead",
                     )
+
+
+# -- IW404 --------------------------------------------------------------------
+
+
+def _module_level(tree: ast.Module) -> Iterator[ast.AST]:
+    """Nodes evaluated once, at import: everything outside function
+    bodies (class bodies, decorators and argument defaults included)."""
+    stack: list = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list)
+            stack.extend(node.args.defaults)
+            stack.extend(d for d in node.args.kw_defaults if d is not None)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _check_process_state(module: SourceModule) -> Iterator[Violation]:
+    modules = {"itertools"}  # names bound to the itertools module
+    counters: Set[str] = set()  # names bound to itertools.count
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "itertools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            counters.update(a.asname or a.name for a in node.names if a.name == "count")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "hash"):
+            yield module.violation(
+                "IW404", node,
+                "builtin hash() is salted per process (PYTHONHASHSEED); "
+                "derive the value from a stable digest or per-object state",
+            )
+    for node in _module_level(module.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id in counters) or (
+            isinstance(func, ast.Attribute) and func.attr == "count"
+            and isinstance(func.value, ast.Name) and func.value.id in modules
+        ):
+            yield module.violation(
+                "IW404", node,
+                "module-level itertools.count() numbers across every "
+                "simulation in the process; keep the counter on the object "
+                "that owns the numbering",
+            )
