@@ -1,7 +1,7 @@
 PYTHON ?= python
 ARTIFACTS ?= artifacts
 
-.PHONY: lint test check examples verify-fsm obs-check results-check digest-check perfbench
+.PHONY: lint test check examples verify-fsm obs-check results-check digest-check perfbench reach-check
 
 lint:
 	bash scripts/check.sh
@@ -50,6 +50,14 @@ results-check:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
 	PYTHONPATH=src $(PYTHON) -m repro.bench.claims
 	git diff --exit-code results/ EXPERIMENTS.md
+
+# Offline reach pass (not in CI; several minutes): run tier-1, then
+# benchmarks/, under sys.settrace and fail on any repro function neither
+# calls that scripts/reach_check.py's ALLOWED table (one reason per
+# entry) does not name, or on an allowed one that is called after all.
+# The benchmark pass regenerates results/ as results-check does.
+reach-check:
+	PYTHONPATH=src $(PYTHON) scripts/reach_check.py
 
 # Behaviour contract for hot-path changes: the wire digests and the
 # events/calls/peak-heap cost counters of the scenario catalogue's digest

@@ -345,7 +345,7 @@ class _StreamSocket:
         if self.qp is None or self.qp.state != "RTS":
             raise SocketError("send on unconnected stream socket")
         view = memoryview(bytes(data))
-        for off in range(0, max(len(view), 1), self.CHUNK):
+        for off in range(0, len(view), self.CHUNK):
             chunk = bytes(view[off : off + self.CHUNK])
             mr = iface.scratch_for(len(chunk))
             mr.write(0, chunk)

@@ -9,10 +9,7 @@ links.
 
 from .cpu import CpuResource
 from .engine import MS, NS, SEC, US, Event, Future, Process, SimulationError, Simulator
-from .faults import (
-    DelayJitter, Duplicate, FaultModel, FaultPipeline, LinkFlap, LossFault,
-    Reorder, seeded_chaos,
-)
+from .faults import DelayJitter, Duplicate, FaultModel, FaultPipeline, LinkFlap, Reorder, seeded_chaos
 from .host import Host
 from .link import Link
 from .loss import BernoulliLoss, BitErrorModel, ExplicitLoss, GilbertElliottLoss, LossModel, NoLoss, PatternLoss
@@ -27,8 +24,7 @@ __all__ = [
     "DelayJitter", "Duplicate", "ETH_MTU",
     "ETH_OVERHEAD", "Event", "ExplicitLoss", "FaultModel", "FaultPipeline",
     "Frame", "Future",
-    "GilbertElliottLoss", "Host", "Link", "LinkFlap", "LossFault",
-    "LossModel", "MS", "NS",
+    "GilbertElliottLoss", "Host", "Link", "LinkFlap", "LossModel", "MS", "NS",
     "NicPort", "NoLoss", "PatternLoss", "Process", "Reorder", "SEC",
     "SimulationError",
     "Simulator", "Switch", "Testbed", "TraceRecord", "Tracer",

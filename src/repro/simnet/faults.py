@@ -5,7 +5,9 @@ configuration; real networks also **reorder**, **duplicate**, **delay**
 and **flap**.  The models here express those faults at the same
 injection point — the NIC egress queue, before any wire time is spent —
 so every experiment that sweeps loss can sweep the rest of the failure
-space too (the netem feature set, seeded and reproducible).
+space too (the netem feature set, seeded and reproducible).  A loss
+model is itself a fault stage: it maps a frame to ``[]`` or
+``[(0, frame)]``.
 
 A :class:`FaultModel` maps one offered frame to zero or more scheduled
 emissions ``(delay_ns, frame)``:
@@ -19,19 +21,18 @@ emissions ``(delay_ns, frame)``:
 
 Models compose with :class:`FaultPipeline`, which feeds each emission of
 one stage through the next and accumulates hold times.  Every model
-keeps the same ``seen``/``dropped`` counters as the loss models, plus
-the model-specific ones its ``METRICS`` table declares (``reordered``,
-``duplicated``, ``delayed``).  All
-randomness comes from per-model seeded :class:`random.Random` instances,
-so chaos runs are bit-for-bit reproducible.
+keeps the same ``seen``/``dropped`` counters, plus the model-specific
+ones its ``METRICS`` table declares (``reordered``, ``duplicated``,
+``delayed``).  All randomness comes from per-model seeded
+:class:`random.Random` instances, so chaos runs are bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable, List, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from .loss import LossModel
 from .packet import Frame
 
 #: One scheduled emission: (extra delay before entering the egress
@@ -69,24 +70,6 @@ class FaultModel:
         """Restore the model to its initial state (reseeding RNGs)."""
         for name in self._counters():
             setattr(self, name, 0)
-
-
-class LossFault(FaultModel):
-    """Adapter: run any :class:`~repro.simnet.loss.LossModel` inside a
-    fault pipeline (so loss composes with reorder/dup/delay/flap)."""
-
-    def __init__(self, loss: LossModel):
-        super().__init__()
-        self.loss = loss
-
-    def _admit(self, frame: Frame, now: int) -> List[Emission]:
-        if self.loss.should_drop(frame):
-            return []
-        return [(0, frame)]
-
-    def reset(self) -> None:
-        super().reset()
-        self.loss.reset()
 
 
 class DelayJitter(FaultModel):
@@ -274,7 +257,7 @@ class FaultPipeline(FaultModel):
 
 def seeded_chaos(
     seed: int,
-    loss: LossModel = None,
+    loss: Optional[FaultModel] = None,
     reorder_prob: float = 0.0,
     reorder_hold_ns: int = 0,
     dup_prob: float = 0.0,
@@ -282,10 +265,12 @@ def seeded_chaos(
     flap_windows: Iterable[Tuple[int, int]] = (),
 ) -> FaultPipeline:
     """Convenience builder for the chaos harness: compose whichever
-    faults are enabled into one pipeline, all derived from ``seed``."""
+    faults are enabled into one pipeline, all derived from ``seed``.
+    ``loss`` (a :class:`~repro.simnet.loss.LossModel`) is the first
+    stage."""
     stages: List[FaultModel] = []
     if loss is not None:
-        stages.append(LossFault(loss))
+        stages.append(loss)
     if reorder_prob > 0.0:
         stages.append(Reorder(reorder_prob, reorder_hold_ns, seed=seed + 1))
     if dup_prob > 0.0:

@@ -9,55 +9,45 @@ dropped packet never consumes wire time, exactly like ``tc`` netem.
 All models draw from their own seeded :class:`random.Random` so loss
 patterns are reproducible and independent of any other randomness.
 
-Every :class:`LossModel` exposes the same two counters — ``seen`` (all
-frames offered) and ``dropped`` (frames the model discarded) — kept by
-the shared base class; subclasses only implement the per-frame decision
-in :meth:`LossModel._decide`.  :class:`NoLoss`, which sees every frame
-of a lossless run, overrides :meth:`LossModel.should_drop` to count
-without the decision call.
+A :class:`LossModel` is a fault stage (:class:`~repro.simnet.faults.FaultModel`)
+that passes or drops each frame, so it attaches to a port on its own or
+stands in a :class:`~repro.simnet.faults.FaultPipeline`.  It keeps the
+``seen`` (all frames offered) and ``dropped`` counters every stage
+keeps; subclasses only implement the per-frame decision in
+:meth:`LossModel._decide`.
 """
 
 from __future__ import annotations
 
 import random
+from typing import List
 
+from .faults import Emission, FaultModel
 from .packet import Frame
 
 
-class LossModel:
+class LossModel(FaultModel):
     """Base class: decides, per frame, whether the egress queue drops it.
 
-    Maintains the uniform ``seen``/``dropped`` counters for every
-    subclass; the drop decision itself lives in :meth:`_decide`.  When
-    :meth:`_decide` runs, ``seen`` has already been incremented, so it
-    doubles as the 1-based index of the frame under consideration.
+    When :meth:`_decide` runs, ``seen`` has already been incremented, so
+    it doubles as the 1-based index of the frame under consideration.
     """
 
-    def __init__(self) -> None:
-        self.seen = 0
-        self.dropped = 0
-
     def should_drop(self, frame: Frame) -> bool:
-        self.seen += 1
-        if self._decide(frame):
-            self.dropped += 1
-            return True
-        return False
+        """Offer ``frame`` outside any port; True if the model drops it."""
+        return not self.admit(frame, 0)
+
+    def _admit(self, frame: Frame, now: int) -> List[Emission]:
+        return [] if self._decide(frame) else [(0, frame)]
 
     def _decide(self, frame: Frame) -> bool:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        """Restore the model to its initial state (reseeding RNGs)."""
-        self.seen = 0
-        self.dropped = 0
-
 
 class NoLoss(LossModel):
-    """Lossless egress (the default): counts every frame, drops none."""
+    """Lossless: counts every frame, drops none."""
 
-    def should_drop(self, frame: Frame) -> bool:
-        self.seen += 1
+    def _decide(self, frame: Frame) -> bool:
         return False
 
 

@@ -4,9 +4,10 @@ The NIC is where the paper's loss injection lives (a ``tc`` FIFO queue in
 front of the hardware, §VI.A.2), so the egress path is modelled
 explicitly:
 
-1. the protocol stack enqueues a frame (drop-tail if the queue is full,
-   loss-model drop if one is attached — both before any wire time is
-   spent, like ``tc``);
+1. the protocol stack enqueues a frame: the port's one injector (a loss
+   model, a fault model or a pipeline of them), if one is attached,
+   drops, holds or duplicates it, and the FIFO drops it tail-first if
+   full — both before any wire time is spent, like ``tc``;
 2. when the transmitter is idle the head frame is serialized for
    ``wire_size * 8 / bandwidth``;
 3. after propagation delay the frame arrives at the link peer's
@@ -20,30 +21,29 @@ stacks, which know what processing each frame actually needs.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
-
-from typing import TYPE_CHECKING
+from typing import Deque, Optional, Tuple
 
 from ..obs import sim_registry
 from .engine import Simulator
+from .faults import FaultModel
 from .link import Link
-from .loss import LossModel, NoLoss
+from .loss import LossModel
 from .packet import Frame
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from .faults import FaultModel
 
 #: Maximum number of back-to-back frames whose serialization-finish
 #: events are scheduled in one go when the transmitter wakes up.
 TX_BATCH = 8
+
+_LOSS_DROP = ("drop.loss", "drops_loss_model")
+_FAULT_DROP = ("drop.fault", "drops_fault")
 
 
 class NicPort:
     """One port: egress queue + transmitter + attachment to a link."""
 
     #: Exported series (see :mod:`repro.obs.metrics`), labelled port: the
-    #: port's counters, the seen/dropped pair every loss and fault model
-    #: keeps, and whatever else the fault model declares.
+    #: port's counters (``simnet.loss.*`` reads the frames offered and
+    #: the loss-model drops), and an attached fault model's series.
     METRICS = (
         ("simnet.port.tx_frames", "counter", "tx_frames"),
         ("simnet.port.tx_bytes", "counter", "tx_bytes"),
@@ -55,8 +55,8 @@ class NicPort:
         ("simnet.port.dup_frames", "counter", "dup_frames"),
         ("simnet.port.held_frames", "counter", "held_frames"),
         ("simnet.port.queue_hwm", "gauge", "queue_hwm"),
-        ("simnet.loss.seen", "counter", "loss_model.seen"),
-        ("simnet.loss.dropped", "counter", "loss_model.dropped"),
+        ("simnet.loss.seen", "counter", "offered"),
+        ("simnet.loss.dropped", "counter", "drops_loss_model"),
         ("simnet.faults.seen", "counter", "fault_model.seen"),
         ("simnet.faults.dropped", "counter", "fault_model.dropped"),
         (None, "table", "fault_model"),
@@ -76,13 +76,16 @@ class NicPort:
         self.name = name
         self.queue_frames = queue_frames
         self.link: Optional[Link] = None
-        self.loss_model: LossModel = NoLoss()
-        self.fault_model: Optional["FaultModel"] = None
+        #: The one egress injection slot (None: nothing is called per
+        #: frame), and the trace kind and counter of a frame it drops.
+        self.injector: Optional[FaultModel] = None
+        self._drop = _FAULT_DROP
         self._queue: Deque[Frame] = deque()
         self._transmitting = False
         self._batch_left = 0               # finish events outstanding in the batch
         self._peer: Optional["NicPort"] = None  # lazily cached link peer
         # Counters for tests and reports.
+        self.offered = 0                       # frames given to enqueue
         self.tx_frames = 0
         self.tx_bytes = 0
         self.rx_frames = 0
@@ -100,26 +103,36 @@ class NicPort:
     def enqueue(self, frame: Frame) -> bool:
         """Queue a frame for transmission.  Returns False if dropped.
 
-        A frame held back by the fault model (delay/reorder) counts as
+        A frame held back by the injector (delay/reorder) counts as
         accepted: it enters the FIFO when its hold time elapses.
         """
         if self.link is None:
             raise RuntimeError(f"port {self.name!r} is not cabled to a link")
-        if self.loss_model.should_drop(frame):
-            self.drops_loss_model += 1
-            if self.sim.tracer:
-                self.sim.tracer.record("drop.loss", port=self.name, frame=frame)
-            return False
-        if self.fault_model is None:
-            return self._admit(frame)
-        emissions = self.fault_model.admit(frame, self.sim.now)
+        self.offered += 1
+        injector = self.injector
+        if injector is None:
+            # Nothing attached: the body of _admit, inline.
+            queue = self._queue
+            depth = len(queue)
+            if depth >= self.queue_frames:
+                self.drops_queue_full += 1
+                if self.sim.tracer:
+                    self.sim.tracer.record("drop.queue", port=self.name, frame=frame)
+                return False
+            queue.append(frame)
+            if depth >= self.queue_hwm:
+                self.queue_hwm = depth + 1
+            if not self._transmitting:
+                self._start_next()
+            return True
+        emissions = injector.admit(frame, self.sim.now)
         if not emissions:
-            self.drops_fault += 1
+            kind, counter = self._drop
+            setattr(self, counter, getattr(self, counter) + 1)
             if self.sim.tracer:
-                self.sim.tracer.record("drop.fault", port=self.name, frame=frame)
+                self.sim.tracer.record(kind, port=self.name, frame=frame)
             return False
-        if len(emissions) > 1:
-            self.dup_frames += len(emissions) - 1
+        self.dup_frames += len(emissions) - 1
         accepted = False
         for delay, out in emissions:
             if delay <= 0:
@@ -209,13 +222,27 @@ class NicPort:
 
     # -- configuration ----------------------------------------------------
 
-    def set_loss_model(self, model: LossModel) -> None:
-        self.loss_model = model
+    @property
+    def fault_model(self) -> Optional[FaultModel]:
+        """The injector unless a loss model fills the slot."""
+        return None if self._drop is _LOSS_DROP else self.injector
 
-    def set_fault_model(self, model: Optional["FaultModel"]) -> None:
-        """Attach a composable fault model (reorder/dup/delay/flap) at
-        the same egress point as the loss model; None detaches."""
-        self.fault_model = model
+    def set_loss_model(self, model: Optional[LossModel]) -> None:
+        """Fill the slot with a loss model (its drops count in
+        ``drops_loss_model`` and trace as ``drop.loss``); None empties it."""
+        self._attach(model, _LOSS_DROP)
+
+    def set_fault_model(self, model: Optional[FaultModel]) -> None:
+        """Fill the slot with a fault model or pipeline (its drops count
+        in ``drops_fault`` and trace as ``drop.fault``); None empties it."""
+        self._attach(model, _FAULT_DROP)
+
+    def _attach(self, model: Optional[FaultModel], drop: Tuple[str, str]) -> None:
+        if self.injector is not None and drop is not self._drop:
+            if model is None:
+                return                         # nothing of this kind to detach
+            raise ValueError(f"port {self.name!r}: compose loss and faults in one FaultPipeline")
+        self.injector, self._drop = model, drop
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<NicPort {self.name!r} q={len(self._queue)} tx={self.tx_frames} rx={self.rx_frames}>"

@@ -40,16 +40,16 @@ class Testbed:
         """The simulator's metrics registry (see :mod:`repro.obs`)."""
         return sim_registry(self.sim)
 
-    def set_egress_loss(self, host_index: int, model: LossModel) -> None:
+    def set_egress_loss(self, host_index: int, model: Optional[LossModel]) -> None:
         """Drop frames leaving ``hosts[host_index]`` per ``model`` —
-        equivalent to the paper's ``tc`` FIFO-with-drop on that node."""
+        equivalent to the paper's ``tc`` FIFO-with-drop on that node.
+        ``None`` detaches (see :meth:`NicPort.set_loss_model`)."""
         self.hosts[host_index].port.set_loss_model(model)
 
     def set_egress_faults(self, host_index: int, model: Optional[FaultModel]) -> None:
-        """Attach a composable fault model (reorder, duplication, delay
-        jitter, link flap — see :mod:`repro.simnet.faults`) at
-        ``hosts[host_index]``'s NIC egress, the same injection point as
-        :meth:`set_egress_loss`.  ``None`` detaches."""
+        """Attach a fault model or pipeline (see :mod:`repro.simnet.faults`)
+        at ``hosts[host_index]``'s NIC egress, the one injection slot
+        :meth:`set_egress_loss` also fills.  ``None`` detaches."""
         self.hosts[host_index].port.set_fault_model(model)
 
 

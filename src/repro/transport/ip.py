@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..obs import sim_registry
 from ..simnet.engine import MS, Event, Simulator
 from ..simnet.host import Host
 from ..simnet.packet import Frame
@@ -26,6 +27,10 @@ IP_HEADER = 20
 #: Default kernel reassembly timeout (Linux: 30 s; shortened to keep
 #: simulations snappy while still far exceeding any in-flight window).
 REASSEMBLY_TIMEOUT_NS = 200 * MS
+#: Most datagrams one host reassembles at once.  A fragment that would
+#: open one more is dropped and counted, so a peer spraying distinct
+#: idents cannot grow the table; fig07's UD loss sweep peaks at 438.
+MAX_REASSEMBLIES = 4096
 
 
 class IpPacket:
@@ -121,6 +126,11 @@ class IpStack:
     """Per-host IP: fragments on transmit, reassembles on receive, and
     demultiplexes complete datagrams to registered upper protocols."""
 
+    #: Exported series (see :mod:`repro.obs.metrics`), labelled host.
+    METRICS = (
+        ("transport.ip.reassembly_overflows", "counter", "reassembly_overflows"),
+    )
+
     def __init__(self, host: Host, reassembly_timeout_ns: int = REASSEMBLY_TIMEOUT_NS):
         self.host = host
         self.sim: Simulator = host.sim
@@ -135,7 +145,9 @@ class IpStack:
         self.tx_packets = 0
         self.rx_fragments = 0
         self.reassembly_timeouts = 0
+        self.reassembly_overflows = 0
         self.delivered = 0
+        sim_registry(self.sim).watch(self, {"host": host.name})
 
     # -- upward interface ---------------------------------------------------
 
@@ -210,6 +222,9 @@ class IpStack:
         key = (pkt.src, pkt.ident)
         state = self._reassembly.get(key)
         if state is None:
+            if len(self._reassembly) >= MAX_REASSEMBLIES:
+                self.reassembly_overflows += 1
+                return
             state = _Reassembly(pkt.payload, pkt.proto, pkt.total_size, self.sim.now)
             self._reassembly[key] = state
             timer = self._spare_timer

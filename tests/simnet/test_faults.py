@@ -5,7 +5,7 @@ import pytest
 
 from repro.simnet.engine import MS, SEC, US
 from repro.simnet.faults import (
-    DelayJitter, Duplicate, FaultPipeline, LinkFlap, LossFault,
+    DelayJitter, Duplicate, FaultPipeline, LinkFlap,
     Reorder, seeded_chaos,
 )
 from repro.simnet.loss import (
@@ -111,8 +111,8 @@ class TestPatternLossOffsets:
 # ----------------------------------------------------------------------
 
 class TestFaultModels:
-    def test_loss_fault_adapts_loss_models(self):
-        fault = LossFault(ExplicitLoss([2]))
+    def test_loss_models_are_fault_stages(self):
+        fault = ExplicitLoss([2])
         f = _frame()
         assert fault.admit(f, 0) == [(0, f)]
         assert fault.admit(f, 0) == []
@@ -156,6 +156,21 @@ class TestFaultModels:
             False, True, False, True, True, False,
         ]
 
+    @pytest.mark.parametrize("make", [
+        lambda: Reorder(prob=0.4, hold_ns=300, seed=3),
+        lambda: Duplicate(prob=0.4, seed=3),
+        lambda: DelayJitter(jitter_ns=100, spike_ns=1_000, spike_prob=0.2, seed=3),
+    ], ids=["Reorder", "Duplicate", "DelayJitter"])
+    def test_reset_replays_the_same_emissions(self, make):
+        fault = make()
+        f = _frame()
+        first = [fault.admit(f, 0) for _ in range(40)]
+        fault.reset()
+        assert fault.seen == 0 and all(
+            getattr(fault, row[2]) == 0 for row in fault.METRICS
+        )
+        assert [fault.admit(f, 0) for _ in range(40)] == first
+
     def test_flap_validation(self):
         with pytest.raises(ValueError):
             LinkFlap([(5, 5)])
@@ -174,14 +189,14 @@ class TestFaultPipeline:
 
     def test_drop_short_circuits(self):
         dup = Duplicate(prob=1.0, seed=1)
-        pipe = FaultPipeline(LossFault(ExplicitLoss([1])), dup)
+        pipe = FaultPipeline(ExplicitLoss([1]), dup)
         assert pipe.admit(_frame(), 0) == []
         assert pipe.dropped == 1
         assert dup.seen == 0  # never reached
 
     def test_duplicate_then_loss_can_halve(self):
         # Both copies offered to the second stage independently.
-        pipe = FaultPipeline(Duplicate(prob=1.0, seed=1), LossFault(ExplicitLoss([1])))
+        pipe = FaultPipeline(Duplicate(prob=1.0, seed=1), ExplicitLoss([1]))
         f = _frame()
         assert pipe.admit(f, 0) == [(0, f)]  # one copy dropped, one lives
 
@@ -191,7 +206,7 @@ class TestFaultPipeline:
 
     def test_reset_cascades(self):
         loss = ExplicitLoss([1])
-        pipe = FaultPipeline(LossFault(loss))
+        pipe = FaultPipeline(loss)
         pipe.admit(_frame(), 0)
         pipe.reset()
         assert pipe.seen == 0 and loss.seen == 0

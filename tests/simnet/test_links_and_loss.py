@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simnet.engine import Simulator
+from repro.simnet.faults import Duplicate
 from repro.simnet.link import Link
 from repro.simnet.loss import (
     BernoulliLoss, ExplicitLoss, GilbertElliottLoss, NoLoss, PatternLoss,
@@ -121,6 +122,34 @@ class TestNic:
         assert len(sink.got) == 2
         assert pa.drops_loss_model == 2
         assert pa.tx_frames == 2  # dropped frames never consumed wire time
+
+    def test_port_with_nothing_attached_calls_nothing_per_frame(self, monkeypatch):
+        sim = Simulator()
+        pa, pb, _, sink = _two_ports(sim)
+        assert pa.injector is None
+
+        def unexpected(*args):
+            raise AssertionError("a port with nothing attached made a per-frame call")
+
+        monkeypatch.setattr(NicPort, "_admit", unexpected)
+        for _ in range(3):
+            assert pa.enqueue(_frame())
+        sim.run()
+        assert len(sink.got) == 3 and pa.offered == 3
+
+    def test_one_slot_holds_one_kind_of_model(self):
+        sim = Simulator()
+        pa, _, _, _ = _two_ports(sim)
+        loss = ExplicitLoss([1])
+        pa.set_loss_model(loss)
+        with pytest.raises(ValueError):
+            pa.set_fault_model(Duplicate(prob=1.0))
+        pa.set_fault_model(None)  # no fault model to detach
+        assert pa.injector is loss and pa.fault_model is None
+        pa.set_loss_model(None)
+        pa.set_fault_model(Duplicate(prob=1.0))
+        with pytest.raises(ValueError):
+            pa.set_loss_model(ExplicitLoss([1]))
 
     def test_counters(self):
         sim = Simulator()

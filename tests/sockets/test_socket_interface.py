@@ -345,6 +345,35 @@ class TestStream:
         a.close(fds[a])
         assert sim.run_until(fut, limit=sim.now + 20 * SEC) == b""
 
+    def test_zero_byte_send_puts_nothing_on_the_wire(self, apis):
+        """Like a native TCP socket, ``send(fd, b"")`` returns 0 and posts
+        nothing, so it spends no frame and no peer receive slot."""
+        tb, a, b = apis
+        sim = tb.sim
+        fds = {}
+
+        def server():
+            lfd = b.socket(SOCK_STREAM)
+            b.listen(lfd, 8085)
+            fds[b] = yield b.accept_future(lfd)
+
+        def client():
+            fds[a] = fd = a.socket(SOCK_STREAM)
+            yield a.connect_future(fd, (1, 8085))
+
+        srv = sim.process(server())
+        sim.process(client())
+        sim.run_until(srv.finished, limit=RUN_LIMIT)
+        sim.run(until=sim.now + 1 * SEC)
+        port = tb.hosts[0].port
+        frames = port.tx_frames
+        assert a.send(fds[a], b"") == 0
+        sim.run(until=sim.now + 1 * SEC)
+        assert port.tx_frames == frames
+        fut = b.recv_future(fds[b], 1 << 16, timeout_ns=2 * SEC)
+        a.send(fds[a], b"next")
+        assert sim.run_until(fut, limit=sim.now + 1 * SEC) == b"next"
+
     def test_send_before_connect_raises(self, apis):
         _, a, _ = apis
         fd = a.socket(SOCK_STREAM)
@@ -518,6 +547,21 @@ class TestNativeAndInterceptor:
         assert _echo_once(tb, ia, ib, b"through-shim") == b"echo:through-shim"
         # The iWARP devices saw the traffic (registrations happened).
         assert devs[0].registry.registrations > 0
+
+    @pytest.mark.parametrize("intercept", [True, False], ids=["iwarp", "native"])
+    def test_interceptor_getsockname_and_close_reach_the_backend(
+        self, zero_stacks, intercept
+    ):
+        native = NativeSocketApi(zero_stacks[0])
+        iwarp = IwSocketInterface(RnicDevice(zero_stacks[0]), pool_slots=4,
+                                  pool_slot_bytes=4096)
+        shim = Interceptor(native, iwarp, intercept_dgram=intercept)
+        backend = iwarp if intercept else native
+        fd = shim.socket(SOCK_DGRAM, port=7100)
+        assert shim.getsockname(fd) == (0, 7100)
+        assert backend.open_fds() == 1
+        shim.close(fd)
+        assert backend.open_fds() == 0
 
     def test_interceptor_passthrough_when_disabled(self, zero_testbed, zero_stacks):
         tb = zero_testbed

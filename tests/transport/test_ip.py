@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.models.costs import zero_cost_model
 from repro.simnet.engine import MS
-from repro.transport.ip import IP_HEADER, IpStack
+from repro.simnet.topology import build_testbed
+from repro.transport.ip import (
+    IP_HEADER, MAX_REASSEMBLIES, REASSEMBLY_TIMEOUT_NS, IpPacket, IpStack,
+)
 
 
 class _Obj:
@@ -112,3 +116,30 @@ class TestFragmentation:
         a.send(1, "t", _Obj(), 0)
         zero_testbed.sim.run()
         assert got == [0]
+
+
+class TestHostilePeer:
+    def test_spraying_distinct_idents_is_capped_and_counted(self):
+        """A peer that opens reassemblies with first fragments it never
+        completes holds at most MAX_REASSEMBLIES of them; each fragment
+        past the cap is dropped and counted, and the table frees up when
+        the held ones time out."""
+        tb = build_testbed(2, costs=zero_cost_model(), metrics=True)
+        b = IpStack(tb.hosts[1])
+        got = []
+        b.register("t", lambda p, src, size: got.append(size))
+        extra = 50
+        for ident in range(MAX_REASSEMBLIES + extra):
+            pkt = IpPacket(0, 1, "t", _Obj(), 9000, ident, 0, 1480, True)
+            b.on_packet(pkt, None)
+        assert b.pending_reassemblies() == MAX_REASSEMBLIES
+        assert b.reassembly_overflows == extra
+        snapshot = tb.registry.snapshot("transport.ip")
+        assert snapshot['transport.ip.reassembly_overflows{host="host1"}'] == extra
+        tb.sim.run(until=tb.sim.now + 2 * REASSEMBLY_TIMEOUT_NS)
+        assert b.pending_reassemblies() == 0
+        a = IpStack(tb.hosts[0])
+        a.send(1, "t", _Obj(), 9000)
+        tb.sim.run(until=tb.sim.now + 1 * MS)
+        assert got == [9000]
+        assert b.reassembly_overflows == extra

@@ -55,6 +55,12 @@ class TestAssociation:
         with pytest.raises(SctpError):
             b.listen(3000)
 
+    def test_closed_listener_frees_its_port(self, sctp_pair):
+        tb, a, b = sctp_pair
+        b.listen(3000).close()
+        cli, srv = _associate(tb, a, b, port=3000)
+        assert cli.state == ESTABLISHED
+
     def test_shutdown(self, sctp_pair):
         tb, a, b = sctp_pair
         cli, srv = _associate(tb, a, b)
