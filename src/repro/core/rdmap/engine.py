@@ -52,6 +52,11 @@ from ..verbs.wr import Address, SendWR, WcStatus, WorkCompletion, WrOpcode, gath
 #: PARTIAL_MESSAGE completion — the paper's poll-timeout contract).
 UD_REASSEMBLY_TIMEOUT_NS = 200 * MS
 
+#: Open Write-Record logs per QP.  A log needs no posted receive, so
+#: without a cap a peer spraying message ids at a valid STag grows the
+#: table until the reap timeout.  Honest runs hold at most 3 at once.
+MAX_WRITE_RECORD_LOGS = 1024
+
 #: DDP opcode of each message-carrying verbs opcode, keyed by the
 #: member's ``_name_`` (an enum key would hash through Python code).
 _OPCODE_FOR_WR = {
@@ -255,6 +260,7 @@ class RdmapRx:
         ("rdmap.write_record.placements", "counter", "write_record_placements"),
         ("rdmap.write_record.placed_bytes", "counter", "write_record_placed_bytes"),
         ("rdmap.write_record.completions", "counter", "write_record_completions"),
+        ("rdmap.write_record.log_overflows", "counter", "write_record_log_overflows"),
     )
 
     def __init__(self, qp):
@@ -283,6 +289,7 @@ class RdmapRx:
         self.write_record_placements = 0
         self.write_record_placed_bytes = 0
         self.write_record_completions = 0
+        self.write_record_log_overflows = 0
 
     # ------------------------------------------------------------------
     # Entry point (CPU costs already charged by the channel glue)
@@ -350,6 +357,10 @@ class RdmapRx:
         state = self._write_records.get(key)
         new = state is None
         if new:
+            if len(self._write_records) >= MAX_WRITE_RECORD_LOGS:
+                # No log, so no completion: the message is lost as if reaped.
+                self.write_record_log_overflows += 1
+                return
             # Any segment fixes the message's base TO: the UD extension
             # carries the segment's message offset, and TO = base + offset.
             base_to = seg.to - seg.msg_offset

@@ -42,8 +42,8 @@ class NicPort:
     """One port: egress queue + transmitter + attachment to a link."""
 
     #: Exported series (see :mod:`repro.obs.metrics`), labelled port: the
-    #: port's counters (``simnet.loss.*`` reads the frames offered and
-    #: the loss-model drops), and an attached fault model's series.
+    #: port's counters, one series each, and an attached fault model's
+    #: series.
     METRICS = (
         ("simnet.port.tx_frames", "counter", "tx_frames"),
         ("simnet.port.tx_bytes", "counter", "tx_bytes"),
@@ -55,8 +55,7 @@ class NicPort:
         ("simnet.port.dup_frames", "counter", "dup_frames"),
         ("simnet.port.held_frames", "counter", "held_frames"),
         ("simnet.port.queue_hwm", "gauge", "queue_hwm"),
-        ("simnet.loss.seen", "counter", "offered"),
-        ("simnet.loss.dropped", "counter", "drops_loss_model"),
+        ("simnet.port.offered", "counter", "offered"),
         ("simnet.faults.seen", "counter", "fault_model.seen"),
         ("simnet.faults.dropped", "counter", "fault_model.dropped"),
         (None, "table", "fault_model"),

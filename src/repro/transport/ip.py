@@ -24,7 +24,7 @@ from ..simnet.host import Host
 from ..simnet.packet import Frame
 
 IP_HEADER = 20
-#: Default kernel reassembly timeout (Linux: 30 s; shortened to keep
+#: Kernel reassembly timeout (Linux: 30 s; shortened to keep
 #: simulations snappy while still far exceeding any in-flight window).
 REASSEMBLY_TIMEOUT_NS = 200 * MS
 #: Most datagrams one host reassembles at once.  A fragment that would
@@ -131,10 +131,9 @@ class IpStack:
         ("transport.ip.reassembly_overflows", "counter", "reassembly_overflows"),
     )
 
-    def __init__(self, host: Host, reassembly_timeout_ns: int = REASSEMBLY_TIMEOUT_NS):
+    def __init__(self, host: Host):
         self.host = host
         self.sim: Simulator = host.sim
-        self.reassembly_timeout_ns = reassembly_timeout_ns
         self._ident = itertools.count(1)
         self._upper: Dict[str, Callable[[Any, int, int], None]] = {}
         self._reassembly: Dict[Tuple[int, int], _Reassembly] = {}
@@ -229,10 +228,10 @@ class IpStack:
             self._reassembly[key] = state
             timer = self._spare_timer
             if timer is None:
-                timer = self.sim.at(self.sim.now + self.reassembly_timeout_ns, self._timeout, key)
+                timer = self.sim.at(self.sim.now + REASSEMBLY_TIMEOUT_NS, self._timeout, key)
             else:
                 self._spare_timer = None
-                self.sim.rearm(timer, self.sim.now + self.reassembly_timeout_ns, key)
+                self.sim.rearm(timer, self.sim.now + REASSEMBLY_TIMEOUT_NS, key)
             state.timer = timer
         state.add(pkt.frag_offset, pkt.frag_size)
         if state.complete:

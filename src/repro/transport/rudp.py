@@ -19,15 +19,19 @@ properly rather than minimally:
   applied (retransmitted sequence numbers never produce samples) and
   expiries back off exponentially with a cap.
 * **Fast retransmit** — duplicate cumulative ACKs (the receiver acks
-  every arrival) resend the missing message after ``dup_ack_threshold``
-  duplicates, so a single drop costs roughly one RTT instead of an RTO.
-* **SACK ranges** — ACKs optionally carry up to ``sack_ranges``
-  ``(start, end)`` blocks describing out-of-order data already held, so
-  the sender never retransmits messages that arrived behind a hole.
+  every arrival) resend the missing message after
+  :data:`DUP_ACK_THRESHOLD` duplicates, so a single drop costs roughly
+  one RTT instead of an RTO.
+* **SACK ranges** — ACKs carry up to :data:`SACK_RANGES` ``(start,
+  end)`` blocks describing out-of-order data already held, so the
+  sender never retransmits messages that arrived behind a hole.
 * **Failure surfacing** — per-message ``on_result`` callbacks report
   delivery (cumulatively ACKed) or failure (peer declared dead, socket
   closed), which the verbs layer turns into FLUSH_ERR completions
   instead of silently dropping queued data.
+
+The window itself is the core in :mod:`repro.transport.rto` that SCTP
+drives too; this module adds the header and the recovery policy.
 
 Headers are genuinely encoded into the datagram bytes (struct-packed),
 so tests exercise real parsing, and the 9-byte header participates in
@@ -42,7 +46,7 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..obs import sim_registry, wr_span
 from ..simnet.engine import MS, SEC, US, Future, Simulator
-from .rto import RtoEstimator
+from .rto import BEYOND, DUPLICATE, IN_ORDER, ReceiveWindow, RtoEstimator, SendWindow
 from .udp import UDP_MAX_PAYLOAD, UdpSocket
 
 Address = Tuple[int, int]
@@ -62,6 +66,11 @@ RUDP_MAX_PAYLOAD = UDP_MAX_PAYLOAD - RUDP_HEADER
 
 #: SACK range count travels in one byte, capping ranges per ACK.
 SACK_RANGES_MAX = 255
+
+#: Parked runs each ACK reports, and duplicate ACKs that trigger a fast
+#: retransmit (adaptive mode; the fixed-RTO baseline uses neither).
+SACK_RANGES = 3
+DUP_ACK_THRESHOLD = 3
 
 
 def encode_ack(
@@ -119,22 +128,18 @@ class RudpError(Exception):
     """Reliable-UDP usage errors."""
 
 
-class _PeerTx:
-    """Sender-side state toward one peer."""
+class _PeerTx(SendWindow):
+    """Sender-side state toward one peer: the shared send window plus
+    the queue beyond it and this transport's recovery bookkeeping."""
 
     __slots__ = (
-        "next_seq", "unacked", "queue", "timer", "sent_at", "rtx", "sacked",
-        "retries", "cbs", "estimator", "ack_floor", "dup_acks",
-        "fast_rtx_armed", "recover",
+        "queue", "sent_at", "rtx", "sacked", "retries", "cbs", "estimator",
+        "ack_floor", "dup_acks", "fast_rtx_armed", "recover",
     )
 
-    def __init__(self, estimator: RtoEstimator) -> None:
-        self.next_seq = 1
-        # Always exactly the seqs [lowest unacked, next_seq), in order:
-        # they enter in sequence order and leave as a cumulative prefix.
-        self.unacked: Dict[int, bytes] = {}
+    def __init__(self, limit: int, estimator: RtoEstimator) -> None:
+        super().__init__(limit)
         self.queue: Deque[Tuple[bytes, Optional[ResultCallback]]] = deque()
-        self.timer = None
         self.sent_at: Dict[int, int] = {}       # first-transmission time
         self.rtx: Set[int] = set()              # retransmitted (Karn: no samples)
         self.sacked: Set[int] = set()           # held by the peer beyond a hole
@@ -147,39 +152,19 @@ class _PeerTx:
         self.recover = 0                        # NewReno recovery horizon
 
 
-class _PeerRx:
-    """Receiver-side state from one peer."""
-
-    __slots__ = ("rcv_nxt", "ooo", "pending_acks", "ack_timer")
-
-    def __init__(self) -> None:
-        self.rcv_nxt = 1
-        self.ooo: Dict[int, bytes] = {}
-        self.pending_acks = 0   # in-order arrivals not yet acknowledged
-        self.ack_timer = None   # pending-ACK flush timer (batched mode)
-
-
 class RudpSocket:
     """Reliable, ordered, message-preserving endpoint over a UdpSocket.
 
     One RudpSocket can converse with many peers (per-peer sequence
     spaces), matching how a datagram QP serves many remote endpoints.
 
-    ``rto_ns`` seeds the per-peer estimator (it is the timeout used
-    before the first RTT sample lands).  With ``adaptive=False`` the
-    socket degrades to the original fixed-RTO design — no estimator, no
-    backoff, no fast retransmit, no SACK — kept as the baseline the
-    robustness benchmarks compare against.
-
-    ``ack_every`` > 1 batches acknowledgements: in-order arrivals are
-    acknowledged once per ``ack_every`` datagrams (or after
-    ``ack_delay_ns``, whichever comes first — one pending-ACK timer per
-    peer, not one per datagram), while anything anomalous — a gap, a
-    duplicate, out-of-order data — still flushes an ACK immediately so
-    fast retransmit and SACK recovery keep their one-ACK-per-anomaly
-    timing.  Timer-fired ACKs echo sequence 0, which never produces an
-    RTT sample (the delay would otherwise contaminate SRTT).  The
-    default of 1 is the paper's ack-every-arrival behaviour.
+    ``window_msgs`` bounds both each peer's send window and the
+    out-of-order data held from each peer.  ``rto_ns`` seeds the
+    per-peer estimator (it is the timeout used before the first RTT
+    sample lands).  With ``adaptive=False`` the socket degrades to the
+    original fixed-RTO design — no estimator, no backoff, no fast
+    retransmit, no SACK — kept as the baseline the robustness
+    benchmarks compare against.  Every arrival is acknowledged at once.
     """
 
     #: Exported series (see :mod:`repro.obs.metrics`), labelled
@@ -208,17 +193,9 @@ class RudpSocket:
         adaptive: bool = True,
         min_rto_ns: int = RD_MIN_RTO_NS,
         max_rto_ns: int = RD_MAX_RTO_NS,
-        sack_ranges: int = 3,
-        dup_ack_threshold: int = 3,
-        ack_every: int = 1,
-        ack_delay_ns: int = 100 * US,
     ):
         if window_msgs < 1:
             raise RudpError("window must be at least 1 message")
-        if ack_every < 1:
-            raise RudpError("ack_every must be at least 1")
-        if ack_delay_ns <= 0:
-            raise RudpError("ack_delay_ns must be positive")
         self.udp = udp
         self.sim: Simulator = udp.stack.sim
         self.window_msgs = window_msgs
@@ -227,15 +204,9 @@ class RudpSocket:
         self.adaptive = adaptive
         self.min_rto_ns = min(min_rto_ns, rto_ns)
         self.max_rto_ns = max(max_rto_ns, rto_ns)
-        self.sack_ranges = min(sack_ranges, SACK_RANGES_MAX) if adaptive else 0
-        self.dup_ack_threshold = dup_ack_threshold if adaptive else 0
-        # The fixed-RTO baseline predates delayed ACKs; it keeps the
-        # original ack-every-arrival behaviour regardless of ack_every.
-        self.ack_every = ack_every if adaptive else 1
-        self.ack_delay_ns = ack_delay_ns
         self.closed = False
         self._tx: Dict[Address, _PeerTx] = {}
-        self._rx: Dict[Address, _PeerRx] = {}
+        self._rx: Dict[Address, ReceiveWindow] = {}
         self.on_message: Optional[Callable[[bytes, Address], None]] = None
         self.on_peer_failed: Optional[Callable[[Address], None]] = None
         self._queue: Deque[Tuple[bytes, Address]] = deque()
@@ -267,13 +238,6 @@ class RudpSocket:
     def port(self) -> int:
         return self.udp.port
 
-    def _new_estimator(self) -> RtoEstimator:
-        return RtoEstimator(
-            initial_rto_ns=self.rto_ns,
-            min_rto_ns=self.min_rto_ns,
-            max_rto_ns=self.max_rto_ns,
-        )
-
     # -- send ------------------------------------------------------------
 
     def sendto(
@@ -296,7 +260,8 @@ class RudpSocket:
             )
         tx = self._tx.get(addr)
         if tx is None:
-            tx = self._tx.setdefault(addr, _PeerTx(self._new_estimator()))
+            estimator = RtoEstimator(self.rto_ns, self.min_rto_ns, self.max_rto_ns)
+            tx = self._tx[addr] = _PeerTx(self.window_msgs, estimator)
         # Snapshot mutable buffers so later caller-side writes can't
         # alias into the retransmission store; immutable bytes are
         # enqueued as-is (bytes(data) on bytes would copy for nothing).
@@ -306,11 +271,9 @@ class RudpSocket:
         self._pump(addr, tx)
 
     def _pump(self, addr: Address, tx: _PeerTx) -> None:
-        while tx.queue and len(tx.unacked) < self.window_msgs:
+        while tx.queue and len(tx.unacked) < tx.limit:
             data, cb = tx.queue.popleft()
-            seq = tx.next_seq
-            tx.next_seq += 1
-            tx.unacked[seq] = data
+            seq = tx.push(data)
             tx.cbs[seq] = cb
             tx.sent_at[seq] = self.sim.now
             self._emit(addr, seq, data)
@@ -324,12 +287,7 @@ class RudpSocket:
         return tx.estimator.rto_ns if self.adaptive else self.rto_ns
 
     def _arm_timer(self, addr: Address, tx: _PeerTx) -> None:
-        # The handle is kept once made: every later arm moves it.
-        due = self.sim.now + self._current_rto(tx)
-        if tx.timer is None:
-            tx.timer = self.sim.at(due, self._on_timeout, addr)
-        else:
-            self.sim.rearm(tx.timer, due, addr)
+        tx.arm(self.sim, self.sim.now + self._current_rto(tx), self._on_timeout, addr)
 
     def _on_timeout(self, addr: Address) -> None:
         tx = self._tx.get(addr)
@@ -338,8 +296,7 @@ class RudpSocket:
         # Retransmit the earliest message the peer has not SACKed; fall
         # back to the overall earliest (an all-SACKed window means the
         # cumulative ACKs themselves were lost — provoke a fresh one).
-        unsacked = [s for s in tx.unacked if s not in tx.sacked]
-        seq = min(unsacked) if unsacked else min(tx.unacked)
+        seq = next((s for s in tx.unacked if s not in tx.sacked), tx.lowest)
         retries = tx.retries.get(seq, 0) + 1
         if retries > self.max_retries:
             self._fail_peer(addr, tx)
@@ -362,27 +319,22 @@ class RudpSocket:
         )
         self._emit(addr, seq, tx.unacked[seq])
 
+    def _fail_all(self, tx: _PeerTx) -> List[ResultCallback]:
+        """Stop ``tx``'s timer and count every in-flight and queued
+        message failed; returns their callbacks, oldest first."""
+        tx.stop()
+        self.messages_failed += len(tx.unacked) + len(tx.queue)
+        return [cb for cb in tx.cbs.values() if cb is not None] + [
+            cb for _, cb in tx.queue if cb is not None
+        ]
+
     def _fail_peer(self, addr: Address, tx: _PeerTx) -> None:
         """Peer unreachable: drop all state toward it and notify — every
         queued or in-flight message is reported failed, never silently
         discarded."""
-        if tx.timer is not None:
-            tx.timer.cancel()
         del self._tx[addr]
         self.peer_failures += 1
-        callbacks: List[ResultCallback] = []
-        for seq in sorted(tx.unacked):
-            cb = tx.cbs.get(seq)
-            if cb is not None:
-                callbacks.append(cb)
-        for _, cb in tx.queue:
-            if cb is not None:
-                callbacks.append(cb)
-        self.messages_failed += len(tx.unacked) + len(tx.queue)
-        tx.unacked.clear()
-        tx.queue.clear()
-        tx.cbs.clear()
-        for cb in callbacks:
+        for cb in self._fail_all(tx):
             cb(False)
         if self.on_peer_failed is not None:
             self.on_peer_failed(addr)
@@ -421,11 +373,12 @@ class RudpSocket:
             tx.estimator.sample(self.sim.now - tx.sent_at[echo])
             self.rto_samples += 1
         # Both walks stay inside the window, whatever spans the peer names.
-        lowest = next(iter(tx.unacked), tx.next_seq)
-        for start, end in sacks:
-            self.sack_blocks_received += 1
-            tx.sacked.update(range(max(start, lowest), min(end + 1, tx.next_seq)))
-        newly_acked = range(lowest, min(ack_seq, tx.next_seq))
+        if sacks:
+            lowest = tx.lowest
+            for start, end in sacks:
+                self.sack_blocks_received += 1
+                tx.sacked.update(range(max(start, lowest), min(end + 1, tx.next_seq)))
+        newly_acked = tx.ack(ack_seq)
         if newly_acked:
             self._on_ack_progress(src, tx, ack_seq, newly_acked)
         elif ack_seq == tx.ack_floor and tx.unacked:
@@ -442,7 +395,6 @@ class RudpSocket:
     ) -> None:
         callbacks: List[ResultCallback] = []
         for seq in newly_acked:
-            del tx.unacked[seq]
             tx.sent_at.pop(seq, None)
             tx.retries.pop(seq, None)
             tx.rtx.discard(seq)
@@ -456,7 +408,7 @@ class RudpSocket:
             # Recovery (if any) is over: re-arm the fast-retransmit path.
             tx.fast_rtx_armed = True
         elif (
-            self.dup_ack_threshold > 0
+            self.adaptive
             and ack_seq in tx.unacked
             and ack_seq not in tx.sacked
         ):
@@ -470,18 +422,18 @@ class RudpSocket:
             tx.estimator.reset_backoff()
         if tx.unacked:
             self._arm_timer(src, tx)
-        elif tx.timer is not None:
-            tx.timer.cancel()
+        else:
+            tx.stop()
         for cb in callbacks:
             cb(True)
 
     def _on_dup_ack(self, src: Address, tx: _PeerTx, ack_seq: int) -> None:
         """The peer re-asserted its cumulative point: something after it
         arrived while ``ack_seq`` is still missing."""
-        if self.dup_ack_threshold <= 0:
+        if not self.adaptive:
             return
         tx.dup_acks += 1
-        if not tx.fast_rtx_armed or tx.dup_acks < self.dup_ack_threshold:
+        if not tx.fast_rtx_armed or tx.dup_acks < DUP_ACK_THRESHOLD:
             return
         missing = ack_seq
         if missing not in tx.unacked or missing in tx.sacked:
@@ -493,8 +445,10 @@ class RudpSocket:
         # unSACKed seq below something the peer does hold — in one RTT,
         # not one hole per (backed-off) timeout.
         horizon = max(tx.sacked, default=missing)
-        for seq in sorted(tx.unacked):
-            if seq > horizon or seq in tx.sacked:
+        for seq in tx.unacked:
+            if seq > horizon:
+                break
+            if seq in tx.sacked:
                 continue
             tx.rtx.add(seq)
             # The dup-ACK-named hole is the classic fast retransmit; the
@@ -503,73 +457,29 @@ class RudpSocket:
         self._arm_timer(src, tx)
 
     def _on_data(self, seq: int, payload: bytes, src: Address) -> None:
-        rx = self._rx.setdefault(src, _PeerRx())
-        anomaly = True
-        if seq < rx.rcv_nxt or seq in rx.ooo:
-            self.duplicates_dropped += 1
-        elif seq == rx.rcv_nxt:
-            rx.rcv_nxt += 1
+        rx = self._rx.get(src)
+        if rx is None:
+            rx = self._rx[src] = ReceiveWindow(self.window_msgs)
+        verdict = rx.arrive(seq, payload)
+        if verdict == IN_ORDER:
             self._deliver(payload, src)
-            while rx.rcv_nxt in rx.ooo:
-                self._deliver(rx.ooo.pop(rx.rcv_nxt), src)
-                rx.rcv_nxt += 1
-            # Clean in-order progress (no gap still parked) may be
-            # acknowledged lazily; everything else must flush now so the
-            # sender's dup-ACK/SACK machinery sees each anomaly.
-            anomaly = bool(rx.ooo)
-        elif seq >= rx.rcv_nxt + self.window_msgs:
+            if rx.parked:
+                for data in rx.drain():
+                    self._deliver(data, src)
+        elif verdict == DUPLICATE:
+            self.duplicates_dropped += 1
+        elif verdict == BEYOND:
             # Beyond our own window, where a sender using the same window
-            # never reaches: parking it would let a peer grow ``ooo``
-            # without bound.  Dropped unacknowledged.
+            # never reaches.  Dropped unacknowledged.
             self.out_of_window_drops += 1
             return
-        else:
-            rx.ooo[seq] = payload
-        rx.pending_acks += 1
-        if anomaly or rx.pending_acks >= self.ack_every:
-            # Ack with the cumulative in-order point, echoing the seq
-            # that triggered this ACK (plus SACK ranges for whatever is
-            # parked out of order).
-            self._flush_ack(rx, src, seq)
-        elif rx.ack_timer is None:
-            rx.ack_timer = self.sim.at(
-                self.sim.now + self.ack_delay_ns, self._on_ack_timer, src
-            )
-        elif not rx.ack_timer.armed:
-            self.sim.rearm(rx.ack_timer, self.sim.now + self.ack_delay_ns, src)
+        # Ack with the cumulative in-order point, echoing the seq that
+        # triggered this ACK (plus SACK ranges for whatever is parked).
+        self._flush_ack(rx, src, seq)
 
-    def _on_ack_timer(self, src: Address) -> None:
-        """Pending-ACK timer: acknowledge whatever arrived in-order since
-        the last ACK.  Echoes seq 0 — never a valid trigger — so the
-        sender takes no RTT sample from a deliberately delayed ACK."""
-        rx = self._rx.get(src)
-        if rx is not None and rx.pending_acks:
-            self._flush_ack(rx, src, 0)
-
-    def _ooo_ranges(self, rx: _PeerRx) -> List[Tuple[int, int]]:
-        """First ``sack_ranges`` contiguous runs of out-of-order data."""
-        if not self.sack_ranges or not rx.ooo:
-            return []
-        seqs = sorted(rx.ooo)
-        ranges: List[Tuple[int, int]] = []
-        start = prev = seqs[0]
-        for s in seqs[1:]:
-            if s == prev + 1:
-                prev = s
-                continue
-            ranges.append((start, prev))
-            if len(ranges) >= self.sack_ranges:
-                return ranges
-            start = prev = s
-        ranges.append((start, prev))
-        return ranges[: self.sack_ranges]
-
-    def _flush_ack(self, rx: _PeerRx, src: Address, trigger_seq: int) -> None:
-        if rx.ack_timer is not None and rx.ack_timer.armed:
-            rx.ack_timer.cancel()
-        rx.pending_acks = 0
+    def _flush_ack(self, rx: ReceiveWindow, src: Address, trigger_seq: int) -> None:
         self.acks_sent += 1
-        ranges = self._ooo_ranges(rx) if rx.ooo else []
+        ranges = rx.runs(SACK_RANGES) if rx.parked and self.adaptive else []
         self.udp.sendto(encode_ack(rx.rcv_nxt, trigger_seq, ranges), src)
 
     def _deliver(self, data: bytes, src: Address) -> None:
@@ -617,25 +527,8 @@ class RudpSocket:
         if self.closed:
             return
         self.closed = True
-        callbacks: List[ResultCallback] = []
-        for tx in self._tx.values():
-            if tx.timer is not None:
-                tx.timer.cancel()
-            for seq in sorted(tx.unacked):
-                cb = tx.cbs.get(seq)
-                if cb is not None:
-                    callbacks.append(cb)
-            for _, cb in tx.queue:
-                if cb is not None:
-                    callbacks.append(cb)
-            self.messages_failed += len(tx.unacked) + len(tx.queue)
-            tx.unacked.clear()
-            tx.queue.clear()
-            tx.cbs.clear()
+        callbacks = [cb for tx in self._tx.values() for cb in self._fail_all(tx)]
         self._tx.clear()
-        for rx in self._rx.values():
-            if rx.ack_timer is not None:
-                rx.ack_timer.cancel()
         # Detach before failing callbacks: nothing may re-enter a closed
         # socket through a stale UDP delivery path.
         if self.udp.on_datagram == self._on_datagram:

@@ -12,6 +12,8 @@ subset that matters for iWARP-over-SCTP (RFC 5043's picture):
   message TSNs, cumulative SACKs with a gap report, fast retransmit on
   repeated gap reports, RTO retransmission with go-back semantics, and
   Reno congestion control (reusing the TCP implementation's machinery);
+  the TSN space is the send/receive window core RD shares
+  (:mod:`repro.transport.rto`), bounded at :data:`SCTP_WINDOW_MSGS`;
 * ordered delivery (one stream — iWARP uses a single SCTP stream);
 * graceful SHUTDOWN.
 
@@ -28,14 +30,14 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, FrozenSet, Optional, Tuple
 
 from ..core.fsm import pair_table, transition as _fsm_transition
 from ..simnet.engine import Future, Simulator
 from ..simnet.host import Host
 from .ip import IpStack
 from .tcp.congestion import RenoCongestion
-from .rto import RtoEstimator
+from .rto import BEYOND, IN_ORDER, ReceiveWindow, RtoEstimator, SendWindow
 
 Address = Tuple[int, int]
 
@@ -43,6 +45,11 @@ SCTP_COMMON_HEADER = 12
 DATA_CHUNK_HEADER = 16
 SACK_CHUNK_SIZE = 20
 CONTROL_CHUNK_SIZE = 20
+
+#: Messages in flight per direction, and so the out-of-order TSNs a
+#: receiver parks.  Honest runs peak far below it (1,514 unacked TSNs in
+#: the TCP-vs-SCTP ablation's bulk run), so only a hostile peer reaches it.
+SCTP_WINDOW_MSGS = 4096
 
 # Chunk types.
 CH_DATA = "DATA"
@@ -103,7 +110,7 @@ class SctpChunk:
     dst_port: int
     tsn: int = 0
     cum_ack: int = 0
-    gap_start: int = 0          # first missing TSN after cum_ack (0 = none)
+    gap_start: int = 0          # lowest TSN held beyond cum_ack (0 = none)
     payload: bytes = b""
     cookie: int = 0
 
@@ -130,26 +137,25 @@ class SctpAssociation:
         self.on_close: Optional[Callable[[], None]] = None
 
         self.max_message = stack.max_message
-        # Transmit side: per-message TSNs.
-        self._next_tsn = 1
-        self._unacked: Dict[int, bytes] = {}
+        # Transmit side: per-message TSNs; the window's timer also
+        # retransmits the handshake chunks.
+        self._tx = SendWindow(SCTP_WINDOW_MSGS)
         self._queue: Deque[bytes] = deque()
         self.cong = RenoCongestion(mss=self.max_message)
         self.rto = RtoEstimator()
-        self._rtx_timer = None
         self._rtt_tsn: Optional[int] = None
         self._rtt_sent_at = 0
         self._gap_reports = 0
         self._last_gap = 0
-        # Receive side.
-        self._cum_tsn = 0
-        self._ooo: Dict[int, bytes] = {}
+        # Receive side: the cumulative TSN is ``_rx.rcv_nxt - 1``.
+        self._rx = ReceiveWindow(SCTP_WINDOW_MSGS)
         self._msgs_since_sack = 0
         self._cookie = 0
         # Statistics.
         self.messages_sent = 0
         self.messages_received = 0
         self.retransmissions = 0
+        self.out_of_window_drops = 0
 
     # ------------------------------------------------------------------
     # Establishment (INIT -> INIT-ACK -> COOKIE-ECHO -> COOKIE-ACK)
@@ -168,8 +174,7 @@ class SctpAssociation:
         if self.state != CLOSED:
             raise SctpError(f"open_active in state {self.state}")
         self._set_state(COOKIE_WAIT)
-        self._send_chunk(SctpChunk(kind=CH_INIT, src_port=self.local_port,
-                                   dst_port=self.remote[1]))
+        self._send_chunk(CH_INIT)
         self._arm_rtx()
         return self.established
 
@@ -177,16 +182,14 @@ class SctpAssociation:
         # Stateless INIT handling: issue a cookie, keep no association
         # state until COOKIE-ECHO (SYN-flood resistance, modelled).
         cookie = self.stack.issue_cookie(self.remote)
-        self._send_chunk(SctpChunk(kind=CH_INIT_ACK, src_port=self.local_port,
-                                   dst_port=self.remote[1], cookie=cookie))
+        self._send_chunk(CH_INIT_ACK, cookie=cookie)
 
     def _on_init_ack(self, chunk: SctpChunk) -> None:
         if self.state != COOKIE_WAIT:
             return
         self._set_state(COOKIE_ECHOED)
         self._cookie = chunk.cookie
-        self._send_chunk(SctpChunk(kind=CH_COOKIE_ECHO, src_port=self.local_port,
-                                   dst_port=self.remote[1], cookie=chunk.cookie))
+        self._send_chunk(CH_COOKIE_ECHO, cookie=chunk.cookie)
         self._arm_rtx()
 
     def _on_cookie_echo(self, chunk: SctpChunk) -> None:
@@ -196,13 +199,12 @@ class SctpAssociation:
             self._set_state(ESTABLISHED)
             if not self.established.done:
                 self.established.set_result(self)
-        self._send_chunk(SctpChunk(kind=CH_COOKIE_ACK, src_port=self.local_port,
-                                   dst_port=self.remote[1]))
+        self._send_chunk(CH_COOKIE_ACK)
 
     def _on_cookie_ack(self, chunk: SctpChunk) -> None:
         if self.state == COOKIE_ECHOED:
             self._set_state(ESTABLISHED)
-            self._cancel_rtx()
+            self._tx.stop()
             if not self.established.done:
                 self.established.set_result(self)
             self._pump()
@@ -230,45 +232,38 @@ class SctpAssociation:
     def _pump(self) -> None:
         if self.state != ESTABLISHED:
             return
-        while self._queue:
-            flight = sum(map(len, self._unacked.values()))
-            if not self.cong.send_allowance(flight, peer_window=1 << 30):
-                break
+        tx = self._tx
+        while (self._queue and len(tx.unacked) < tx.limit
+               and self.cong.send_allowance(tx.flight_bytes, peer_window=1 << 30)):
             data = self._queue.popleft()
-            tsn = self._next_tsn
-            self._next_tsn += 1
-            self._unacked[tsn] = data
+            tsn = tx.push(data)
             self._emit_data(tsn, data)
             if self._rtt_tsn is None:
                 self._rtt_tsn = tsn
                 self._rtt_sent_at = self.sim.now
-        if self._unacked and (self._rtx_timer is None or not self._rtx_timer.armed):
+        if tx.unacked and (tx.timer is None or not tx.timer.armed):
             self._arm_rtx()
 
     def _emit_data(self, tsn: int, data: bytes) -> None:
         self.messages_sent += 1
-        self._send_chunk(SctpChunk(
-            kind=CH_DATA, src_port=self.local_port, dst_port=self.remote[1],
-            tsn=tsn, payload=data,
-        ))
+        self._send_chunk(CH_DATA, tsn=tsn, payload=data)
 
     def _on_data(self, chunk: SctpChunk) -> None:
-        tsn = chunk.tsn
-        if tsn <= self._cum_tsn or tsn in self._ooo:
-            self._send_sack()  # duplicate: re-announce state
-            return
-        if tsn == self._cum_tsn + 1:
-            self._cum_tsn = tsn
+        rx = self._rx
+        verdict = rx.arrive(chunk.tsn, chunk.payload)
+        if verdict == IN_ORDER:
             self._deliver(chunk.payload)
-            while self._cum_tsn + 1 in self._ooo:
-                self._cum_tsn += 1
-                self._deliver(self._ooo.pop(self._cum_tsn))
+            if rx.parked:
+                for data in rx.drain():
+                    self._deliver(data)
             self._msgs_since_sack += 1
-            if self._msgs_since_sack >= 2 or self._ooo:
+            if self._msgs_since_sack >= 2 or rx.parked:
                 self._send_sack()
+        elif verdict == BEYOND:
+            self.out_of_window_drops += 1  # no honest sender gets here
         else:
-            self._ooo[tsn] = chunk.payload
-            self._send_sack()  # immediate gap report
+            # A gap report on parking; a duplicate re-announces state.
+            self._send_sack()
 
     def _deliver(self, data: bytes) -> None:
         self.messages_received += 1
@@ -277,42 +272,38 @@ class SctpAssociation:
 
     def _send_sack(self) -> None:
         self._msgs_since_sack = 0
-        gap = min(self._ooo) if self._ooo else 0
-        self._send_chunk(SctpChunk(
-            kind=CH_SACK, src_port=self.local_port, dst_port=self.remote[1],
-            cum_ack=self._cum_tsn, gap_start=gap,
-        ))
+        rx = self._rx
+        self._send_chunk(CH_SACK, cum_ack=rx.rcv_nxt - 1, gap_start=rx.lowest_parked())
 
     def _on_sack(self, chunk: SctpChunk) -> None:
-        newly = 0
-        for tsn in [t for t in self._unacked if t <= chunk.cum_ack]:
-            newly += len(self._unacked.pop(tsn))
+        tx = self._tx
+        flight = tx.flight_bytes
+        tx.ack(chunk.cum_ack + 1)
+        newly = flight - tx.flight_bytes
         if newly:
             self.rto.reset_backoff()
             if self._rtt_tsn is not None and chunk.cum_ack >= self._rtt_tsn:
                 self.rto.sample(self.sim.now - self._rtt_sent_at)
                 self._rtt_tsn = None
-            flight = sum(map(len, self._unacked.values()))
             self.cong.on_ack(newly, chunk.cum_ack)
             self._gap_reports = 0
         if chunk.gap_start and chunk.gap_start == self._last_gap and not newly:
             self._gap_reports += 1
             if self._gap_reports == 3:
-                flight = sum(map(len, self._unacked.values()))
-                if self.cong.on_dup_acks(flight, self._next_tsn):
+                if self.cong.on_dup_acks(tx.flight_bytes, tx.next_seq):
                     self._fast_retransmit(chunk.cum_ack + 1)
         self._last_gap = chunk.gap_start
         if self.cong.in_recovery and newly and chunk.gap_start:
             # Partial progress with a remaining hole: resend it now.
             self._fast_retransmit(chunk.cum_ack + 1)
-        if not self._unacked:
-            self._cancel_rtx()
+        if not tx.unacked:
+            tx.stop()
         else:
             self._arm_rtx()
         self._pump()
 
     def _fast_retransmit(self, tsn: int) -> None:
-        data = self._unacked.get(tsn)
+        data = self._tx.unacked.get(tsn)
         if data is not None:
             self.retransmissions += 1
             self._emit_data(tsn, data)
@@ -320,40 +311,27 @@ class SctpAssociation:
     # -- timers ---------------------------------------------------------------
 
     def _arm_rtx(self) -> None:
-        # The handle is kept once made: every later arm moves it.
-        due = self.sim.now + self.rto.rto_ns
-        if self._rtx_timer is None:
-            self._rtx_timer = self.sim.at(due, self._on_rtx_timeout)
-        else:
-            self.sim.rearm(self._rtx_timer, due)
-
-    def _cancel_rtx(self) -> None:
-        if self._rtx_timer is not None:
-            self._rtx_timer.cancel()
+        self._tx.arm(self.sim, self.sim.now + self.rto.rto_ns, self._on_rtx_timeout)
 
     def _on_rtx_timeout(self) -> None:
-        if self.state == COOKIE_WAIT:
-            self._send_chunk(SctpChunk(kind=CH_INIT, src_port=self.local_port,
-                                       dst_port=self.remote[1]))
+        if self.state in (COOKIE_WAIT, COOKIE_ECHOED):
+            # Resend the handshake chunk (an INIT carries no cookie yet).
+            kind = CH_INIT if self.state == COOKIE_WAIT else CH_COOKIE_ECHO
+            self._send_chunk(kind, cookie=self._cookie)
             self.retransmissions += 1
             self._arm_rtx()
             return
-        if self.state == COOKIE_ECHOED:
-            self._send_chunk(SctpChunk(kind=CH_COOKIE_ECHO, src_port=self.local_port,
-                                       dst_port=self.remote[1], cookie=self._cookie))
-            self.retransmissions += 1
-            self._arm_rtx()
+        tx = self._tx
+        if not tx.unacked:
             return
-        if not self._unacked:
-            return
-        self.cong.on_timeout(sum(map(len, self._unacked.values())))
+        self.cong.on_timeout(tx.flight_bytes)
         self.rto.on_timeout()
         self._rtt_tsn = None
         # Go-back: resend every outstanding message from the hole forward
         # (they are whole messages, so this is cheap bookkeeping).
-        for tsn in sorted(self._unacked):
+        for tsn, data in tx.unacked.items():
             self.retransmissions += 1
-            self._emit_data(tsn, self._unacked[tsn])
+            self._emit_data(tsn, data)
         self._arm_rtx()
 
     # ------------------------------------------------------------------
@@ -365,28 +343,28 @@ class SctpAssociation:
             self._become_closed()
             return
         self._set_state(SHUTDOWN_SENT)
-        self._send_chunk(SctpChunk(kind=CH_SHUTDOWN, src_port=self.local_port,
-                                   dst_port=self.remote[1], cum_ack=self._cum_tsn))
+        self._send_chunk(CH_SHUTDOWN, cum_ack=self._rx.rcv_nxt - 1)
 
     def abort(self) -> None:
         if self.state != CLOSED:
-            self._send_chunk(SctpChunk(kind=CH_ABORT, src_port=self.local_port,
-                                       dst_port=self.remote[1]))
+            self._send_chunk(CH_ABORT)
         self._become_closed()
 
     def _on_shutdown(self, chunk: SctpChunk) -> None:
-        self._send_chunk(SctpChunk(kind=CH_SHUTDOWN_ACK, src_port=self.local_port,
-                                   dst_port=self.remote[1]))
+        self._send_chunk(CH_SHUTDOWN_ACK)
         self._become_closed()
 
     def _on_shutdown_ack(self, chunk: SctpChunk) -> None:
+        self._become_closed()
+
+    def _on_abort(self, chunk: SctpChunk) -> None:
         self._become_closed()
 
     def _become_closed(self) -> None:
         if self.state == CLOSED:
             return
         self._set_state(CLOSED)
-        self._cancel_rtx()
+        self._tx.stop()
         self.stack.forget(self)
         if not self.established.done:
             self.established.set_result(None)
@@ -397,23 +375,23 @@ class SctpAssociation:
     # Chunk I/O
     # ------------------------------------------------------------------
 
-    def _send_chunk(self, chunk: SctpChunk) -> None:
-        self.stack.transmit_chunk(self, chunk)
+    def _send_chunk(self, kind: str, **fields: Any) -> None:
+        self.stack.transmit_chunk(
+            self, SctpChunk(kind, self.local_port, self.remote[1], **fields)
+        )
 
     def on_chunk(self, chunk: SctpChunk) -> None:
-        handler = {
-            CH_DATA: self._on_data,
-            CH_INIT: self._on_init,
-            CH_INIT_ACK: self._on_init_ack,
-            CH_COOKIE_ECHO: self._on_cookie_echo,
-            CH_COOKIE_ACK: self._on_cookie_ack,
-            CH_SACK: self._on_sack,
-            CH_SHUTDOWN: self._on_shutdown,
-            CH_SHUTDOWN_ACK: self._on_shutdown_ack,
-            CH_ABORT: lambda c: self._become_closed(),
-        }.get(chunk.kind)
+        handler = _CHUNK_HANDLERS.get(chunk.kind)
         if handler is not None:
-            handler(chunk)
+            handler(self, chunk)
+
+
+#: Chunk dispatch, built once: each kind's handler is ``_on_<kind>``.
+_CHUNK_HANDLERS: Dict[str, Callable[[SctpAssociation, SctpChunk], None]] = {
+    kind: getattr(SctpAssociation, "_on_" + kind.lower())
+    for kind in (CH_DATA, CH_INIT, CH_INIT_ACK, CH_COOKIE_ECHO, CH_COOKIE_ACK,
+                 CH_SACK, CH_SHUTDOWN, CH_SHUTDOWN_ACK, CH_ABORT)
+}
 
 
 class SctpListener:
@@ -458,15 +436,12 @@ class SctpStack:
     EPHEMERAL_BASE = 52000
     COMPLEXITY = 1.25
 
-    def __init__(self, host: Host, ip: IpStack, max_message: Optional[int] = None):
+    def __init__(self, host: Host, ip: IpStack):
         self.host = host
         self.sim: Simulator = host.sim
         self.ip = ip
         # No-fragmentation subset: one message per MTU-sized packet.
-        self.max_message = (
-            max_message if max_message is not None
-            else ip.mtu() - 20 - SCTP_COMMON_HEADER - DATA_CHUNK_HEADER
-        )
+        self.max_message = ip.mtu() - 20 - SCTP_COMMON_HEADER - DATA_CHUNK_HEADER
         self._assocs: Dict[Tuple[int, int, int], SctpAssociation] = {}
         self._listeners: Dict[int, SctpListener] = {}
         self._ephemeral = itertools.count(self.EPHEMERAL_BASE)

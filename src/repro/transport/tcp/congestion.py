@@ -10,16 +10,18 @@ window growth on LANs) rather than like an idealized pipe.
 
 from __future__ import annotations
 
+#: RFC 6928 initial window (Linux default since 2.6.39), in segments.
+INITIAL_WINDOW_SEGMENTS = 10
+
 
 class RenoCongestion:
     """Byte-counting Reno (RFC 5681 style)."""
 
-    def __init__(self, mss: int, initial_window_segments: int = 10):
+    def __init__(self, mss: int):
         if mss <= 0:
             raise ValueError(f"mss must be positive, got {mss}")
         self.mss = mss
-        # RFC 6928 initial window (Linux default since 2.6.39).
-        self.cwnd = initial_window_segments * mss
+        self.cwnd = INITIAL_WINDOW_SEGMENTS * mss
         self.ssthresh = 1 << 62
         self.in_recovery = False
         self.recovery_point = 0  # snd_nxt at loss detection

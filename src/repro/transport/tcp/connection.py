@@ -3,7 +3,7 @@
 A deliberately faithful (if SACK-less) TCP: three-way handshake, MSS
 segmentation, sliding window against both the peer's advertised window
 and Reno's cwnd, cumulative ACKs with duplicate-ACK fast retransmit,
-RFC 6298 retransmission timeouts with Karn's rule, optional Nagle, and
+RFC 6298 retransmission timeouts with Karn's rule, delayed ACKs, and
 orderly FIN teardown.
 
 Faithfulness matters to the reproduction: the paper's case for
@@ -31,6 +31,11 @@ from .segment import ACK, FIN, PSH, RST, SYN, TcpSegment
 #: Below this, ACK processing advances an offset instead of memmoving
 #: the whole buffer, which is what made large-message RC runs O(n^2).
 _SNDBUF_COMPACT = 256 * 1024
+
+#: Receive buffer that bounds the advertised window.
+RCVBUF_BYTES = 16 * 1024 * 1024
+#: In-order segments per delayed ACK.
+ACK_EVERY = 2
 
 # Connection states.
 CLOSED = "CLOSED"
@@ -109,17 +114,12 @@ class TcpConnection:
         remote: Tuple[int, int],
         iss: int,
         mss: int,
-        nagle: bool = False,
-        rcvbuf_bytes: int = 16 * 1024 * 1024,
-        ack_every: int = 2,
     ):
         self.stack = stack
         self.sim: Simulator = stack.sim
         self.local_port = local_port
         self.remote = remote
         self.mss = mss
-        self.nagle = nagle
-        self.ack_every = max(1, ack_every)
         self.state = CLOSED
 
         # Send side.
@@ -149,7 +149,7 @@ class TcpConnection:
         # Receive side.
         self.irs = 0
         self.rcv_nxt = 0
-        self.rcvbuf_bytes = rcvbuf_bytes
+        self.rcvbuf_bytes = RCVBUF_BYTES
         self._ooo: Dict[int, bytes] = {}   # seq -> payload (out of order)
         self._ooo_fin: Optional[int] = None  # seq of a FIN parked beyond a gap
         self._segs_since_ack = 0
@@ -288,9 +288,6 @@ class TcpConnection:
             if allowance <= 0:
                 break
             take = min(unsent, allowance, self.mss)
-            if self.nagle and take < self.mss and flight > 0:
-                # Nagle: hold sub-MSS data while anything is unacked.
-                break
             off = self._snd_head + self.snd_nxt - self._snd_base
             # One copy, not two: a memoryview slice is zero-copy and
             # bytes() materializes the immutable segment payload.
@@ -423,7 +420,7 @@ class TcpConnection:
 
     def _schedule_ack(self, force: bool) -> None:
         self._segs_since_ack += 1
-        if force or self._segs_since_ack >= self.ack_every:
+        if force or self._segs_since_ack >= ACK_EVERY:
             self._send_ack()
             return
         timer = self._delack_timer

@@ -7,7 +7,8 @@ injection.
 
 import pytest
 
-from repro.core.rdmap.engine import UD_REASSEMBLY_TIMEOUT_NS
+from repro.core.ddp.headers import OP_WRITE_RECORD, DdpSegment
+from repro.core.rdmap.engine import MAX_WRITE_RECORD_LOGS, UD_REASSEMBLY_TIMEOUT_NS
 from repro.core.verbs import (
     QpError, RecvWR, SendWR, Sge, WcStatus, WrOpcode,
 )
@@ -329,6 +330,42 @@ class TestWriteRecord:
         assert sorted(seen) == [0, 100, 200, 300]
         for i in range(4):
             assert bytes(sink.view(i * 100, 100)) == bytes([i + 1]) * 100
+
+    def test_spraying_message_ids_is_capped_and_counted(self, ud):
+        """A peer spraying first segments with distinct message ids at a
+        valid STag opens at most MAX_WRITE_RECORD_LOGS logs; the rest
+        open none, are counted, and never complete."""
+        qpA, qpB = ud["qps"]
+        sink = self._sink(ud)
+        extra = 50
+
+        def forge(msg_id, last):
+            qpA.channel_send(DdpSegment(
+                opcode=OP_WRITE_RECORD, last=last, payload=b"x" if last else b"h",
+                tagged=True, stag=sink.stag, to=1 if last else 0,
+                msg_id=msg_id, msg_total=2, msg_offset=1 if last else 0,
+            ), qpB.address)
+
+        for msg_id in range(MAX_WRITE_RECORD_LOGS + extra):
+            forge(msg_id, last=False)
+            if msg_id % 100 == 99:  # in bursts the egress queue holds
+                ud["sim"].run(until=ud["sim"].now + 1 * MS)
+        ud["sim"].run(until=ud["sim"].now + 10 * MS)
+        assert len(qpB.rx._write_records) == MAX_WRITE_RECORD_LOGS
+        assert qpB.rx.write_record_log_overflows == extra
+        # The LAST segment of a refused message finds no log to finish.
+        forge(MAX_WRITE_RECORD_LOGS, last=True)
+        ud["sim"].run(until=ud["sim"].now + 10 * MS)
+        assert ud["cqs"][1].poll() == []
+        assert qpB.rx.write_record_log_overflows == extra + 1
+        # Reaping frees the table, and honest Write-Records complete again.
+        ud["sim"].run(until=ud["sim"].now + UD_REASSEMBLY_TIMEOUT_NS)
+        assert not qpB.rx._write_records
+        assert qpB.rx.reaped_partial == MAX_WRITE_RECORD_LOGS
+        forge(10**6, last=False)
+        forge(10**6, last=True)
+        wc = _poll(ud, 1)[0]
+        assert wc.ok and wc.validity.complete and wc.byte_len == 2
 
 
 class TestUdRdmaRead:

@@ -94,8 +94,7 @@ class OraclePort(NicPort):
         ("simnet.port.dup_frames", "counter", "dup_frames"),
         ("simnet.port.held_frames", "counter", "held_frames"),
         ("simnet.port.queue_hwm", "gauge", "queue_hwm"),
-        ("simnet.loss.seen", "counter", "loss_model.seen"),
-        ("simnet.loss.dropped", "counter", "loss_model.dropped"),
+        ("simnet.port.offered", "counter", "loss_model.seen"),
         ("simnet.faults.seen", "counter", "fault_model.seen"),
         ("simnet.faults.dropped", "counter", "fault_model.dropped"),
         (None, "table", "fault_model"),
@@ -270,6 +269,6 @@ def test_one_injection_slot_matches_the_two_slot_oracle(kind, pick, seed, queue,
     assert counters == oracle[2]
     assert trace == oracle[3]
     assert metrics == oracle[4]
-    assert any(k.startswith("simnet.loss.seen") for k in metrics)
+    assert any(k.startswith("simnet.port.offered") for k in metrics)
     has_faults = any(k.startswith("simnet.faults.") for k in metrics)
     assert has_faults == (kind in ("fault", "pipeline", "chaos"))

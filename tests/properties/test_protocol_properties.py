@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.mpa.crc import CrcError, append_crc, split_and_verify
 from repro.memory.validity import ValidityMap
 from repro.models.costs import default_cost_model, zero_cost_model
-from repro.simnet.engine import SEC, Simulator
+from repro.simnet.engine import SEC, US, Simulator
+from repro.simnet.faults import seeded_chaos
 from repro.simnet.loss import BernoulliLoss
 from repro.simnet.topology import build_testbed
 from repro.transport.ip import IpStack
@@ -17,18 +18,33 @@ from repro.transport.rudp import RudpSocket
 from repro.transport.sctp import SctpStack
 from repro.transport.udp import UdpStack
 
+#: Reorder and duplication probabilities, drawn with the loss rate.
+_chaos = st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 0.2))
+
+
+def _chaos_testbed(loss_rate, seed, chaos):
+    """A testbed whose host-0 egress drops, reorders and duplicates."""
+    reorder_prob, dup_prob = chaos
+    tb = build_testbed(costs=zero_cost_model())
+    tb.set_egress_faults(0, seeded_chaos(
+        seed, loss=BernoulliLoss(loss_rate, seed=seed), reorder_prob=reorder_prob,
+        reorder_hold_ns=20 * US, dup_prob=dup_prob,
+    ))
+    return tb
+
 
 @settings(max_examples=15, deadline=None)
 @given(
     st.lists(st.binary(min_size=1, max_size=400), min_size=1, max_size=25),
     st.floats(0.0, 0.2),
     st.integers(0, 1000),
+    _chaos,
 )
-def test_rudp_exactly_once_in_order_under_any_loss(messages, loss_rate, seed):
+def test_rudp_exactly_once_in_order_under_any_loss(messages, loss_rate, seed, chaos):
     """RUDP delivers every message exactly once, in order, for any loss
-    rate it can survive within its retry budget."""
-    tb = build_testbed(costs=zero_cost_model())
-    tb.set_egress_loss(0, BernoulliLoss(loss_rate, seed=seed))
+    rate it can survive within its retry budget, whatever the network
+    reorders or duplicates."""
+    tb = _chaos_testbed(loss_rate, seed, chaos)
     socks = []
     for h in tb.hosts:
         ip = IpStack(h)
@@ -48,11 +64,12 @@ def test_rudp_exactly_once_in_order_under_any_loss(messages, loss_rate, seed):
     st.lists(st.binary(min_size=1, max_size=1000), min_size=1, max_size=30),
     st.floats(0.0, 0.08),
     st.integers(0, 1000),
+    _chaos,
 )
-def test_sctp_boundaries_and_order_under_any_loss(messages, loss_rate, seed):
-    """SCTP preserves message boundaries and order under loss."""
-    tb = build_testbed(costs=zero_cost_model())
-    tb.set_egress_loss(0, BernoulliLoss(loss_rate, seed=seed))
+def test_sctp_boundaries_and_order_under_any_loss(messages, loss_rate, seed, chaos):
+    """SCTP preserves message boundaries and delivers each message once,
+    in order, under loss, reordering and duplication."""
+    tb = _chaos_testbed(loss_rate, seed, chaos)
     stacks = []
     for h in tb.hosts:
         ip = IpStack(h)

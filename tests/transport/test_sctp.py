@@ -5,7 +5,9 @@ import pytest
 from repro.simnet.engine import SEC
 from repro.simnet.loss import BernoulliLoss, ExplicitLoss
 from repro.transport.ip import IpStack
-from repro.transport.sctp import ESTABLISHED, CLOSED, SctpError, SctpStack
+from repro.transport.sctp import (
+    CH_DATA, CLOSED, ESTABLISHED, SCTP_WINDOW_MSGS, SctpChunk, SctpError, SctpStack,
+)
 
 
 @pytest.fixture
@@ -147,3 +149,38 @@ class TestDataTransfer:
         _associate(tb, a, b)
         assert a.open_associations() == 1
         assert b.open_associations() == 1
+
+
+class TestHostilePeer:
+    def test_far_ahead_tsns_are_dropped_not_parked(self, sctp_pair):
+        """A peer spraying TSNs past the receive window cannot grow the
+        out-of-order buffer; each such chunk is counted, and the hole
+        still drains in order."""
+        tb, a, b = sctp_pair
+        cli, srv = _associate(tb, a, b)
+        got = []
+        srv.on_message = got.append
+
+        def forge(tsn):
+            a.transmit_chunk(cli, SctpChunk(
+                kind=CH_DATA, src_port=cli.local_port, dst_port=srv.local_port,
+                tsn=tsn, payload=bytes([tsn & 0xFF]),
+            ))
+
+        window = SCTP_WINDOW_MSGS
+        # TSN 1 is the hole.  Far ahead (only 2 lies inside the window),
+        # then 3..9 inside it and 3 TSNs at and past its edge.
+        for tsn in [2 + window * i for i in range(50)] + list(range(3, 10)):
+            forge(tsn)
+        for tsn in range(window + 1, window + 4):
+            forge(tsn)
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+        parked = srv._rx.parked
+        assert sorted(parked) == list(range(2, 10))
+        assert all(tsn < srv._rx.rcv_nxt + window for tsn in parked)
+        assert srv.out_of_window_drops == 49 + 3
+        assert got == []
+        forge(1)
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+        assert got == [bytes([i]) for i in range(1, 10)]
+        assert not parked and srv._rx.rcv_nxt == 10

@@ -48,22 +48,6 @@ class TestWindows:
         tb.sim.run(until=tb.sim.now + 5 * SEC)
         assert cli.conn.cong.cwnd > start
 
-    def test_nagle_coalesces_small_writes(self, zero_testbed):
-        nets = install_stacks(zero_testbed)
-        listener = nets[1].tcp.listen(80)
-        got = []
-        listener.on_accept = lambda sock: setattr(sock, "on_data", got.append)
-        cli = nets[0].tcp.connect((1, 80))
-        zero_testbed.sim.run_until(cli.established, limit=5 * SEC)
-        cli.conn.nagle = True
-        segs_before = cli.conn.segments_sent
-        for _ in range(20):
-            cli.send(b"t")  # 20 tinygrams
-        zero_testbed.sim.run(until=zero_testbed.sim.now + 1 * SEC)
-        assert b"".join(got) == b"t" * 20
-        # Nagle coalesced: far fewer data segments than writes.
-        assert cli.conn.segments_sent - segs_before < 20
-
 
 class TestRecovery:
     def test_go_back_n_after_timeout_with_burst_loss(self, tcp_pair):
