@@ -47,6 +47,21 @@ class BenchError(RuntimeError):
     pass
 
 
+#: Byte values 0..255, and the send pattern's period for host 0.
+_BYTES = bytes(range(256))
+_PERIOD = bytes(j * 31 & 0xFF for j in range(256))
+
+
+def send_pattern(host: int, size: int) -> bytes:
+    """The first ``size`` bytes of every harness send from ``host``:
+    byte ``j`` is ``(j*31 + host) mod 256``.  The pattern has period 256
+    in ``j``; host 0's period is shifted by ``host`` and tiled, so no
+    byte is computed in Python."""
+    shift = host & 0xFF
+    period = _PERIOD.translate(_BYTES[shift:] + _BYTES[:shift])
+    return (period * -(-size // 256))[:size]
+
+
 @dataclass
 class VerbsEndpointPair:
     """Two hosts, devices and QPs configured for one benchmark mode."""
@@ -59,6 +74,8 @@ class VerbsEndpointPair:
     sinks: list = field(default_factory=list)    # remote-writable MRs (tagged modes)
     send_mrs: list = field(default_factory=list)
     recv_mrs: list = field(default_factory=list)
+    #: Per host, how many leading send-buffer bytes hold send_pattern.
+    staged: List[int] = field(default_factory=lambda: [0, 0])
 
     MAX_MSG = 1 << 20  # 1 MB, the largest size in Figs. 5-8
 
@@ -112,23 +129,15 @@ class VerbsEndpointPair:
                 raise BenchError("RC connection failed")
             pair.qps = [qp0, accepted.value]
 
-        # Message buffers, registered already filled, and, for tagged
-        # modes, remote-writable sinks.  The send payload byte pattern
-        # (j*31 + i) mod 256 has period 256 in j, so one period tiled to
-        # MAX_MSG is bit-identical to evaluating it per byte — and about
-        # 4000x cheaper, which matters because every benchmark point
-        # builds a fresh pair.
+        # Message buffers and, for tagged modes, remote-writable sinks,
+        # all registered by size.  Send bytes are written when they are
+        # first sent (_post_message), so a pair holds only the pages its
+        # messages use.
         for i in (0, 1):
-            period = bytearray((j * 31 + i) & 0xFF for j in range(256))
-            pair.send_mrs.append(devices[i].reg_mr(
-                period * (cls.MAX_MSG // 256), Access.local_only(), pds[i]
-            ))
-            pair.recv_mrs.append(
-                devices[i].reg_mr(cls.MAX_MSG, Access.local_only(), pds[i])
-            )
-            pair.sinks.append(
-                devices[i].reg_mr(cls.MAX_MSG, Access.remote_write(), pds[i])
-            )
+            for mrs, access in ((pair.send_mrs, Access.local_only()),
+                                (pair.recv_mrs, Access.local_only()),
+                                (pair.sinks, Access.remote_write())):
+                mrs.append(devices[i].reg_mr(cls.MAX_MSG, access, pds[i]))
         return pair
 
     @property
@@ -194,6 +203,10 @@ class VerbsEndpointPair:
 
     def _post_message(self, src: int, size: int, signaled: bool = False) -> None:
         """Post one message of ``size`` bytes from host ``src``."""
+        staged = self.staged[src]
+        if size > staged:  # write the send bytes on their first use
+            self.send_mrs[src].view()[staged:size] = send_pattern(src, size)[staged:]
+            self.staged[src] = size
         dst = 1 - src
         qp = self.qps[src]
         if self.mode.endswith("sendrecv"):

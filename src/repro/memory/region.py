@@ -8,19 +8,31 @@ valid memory region" (§II) — are security-critical, so this module
 implements them for real: every remote access is checked against the
 region's bounds and rights before a byte moves.
 
-Regions are backed by ``bytearray`` and accessed through ``memoryview``
-slices, keeping the zero-copy *semantics* of the hardware design: data
-written by the stack is immediately visible to the application holding
-the buffer, with no intermediate application-level copy.  A region
-registered by size is backed on first touch, the way demand-zero pages
-are: its zero-filled ``bytearray`` is allocated by the first
-:meth:`~MemoryRegion.write`, :meth:`~MemoryRegion.read` or
-:meth:`~MemoryRegion.view` that passes the region's checks.  Its length,
-pinned pages and registration cost are fixed at registration.
+Regions are accessed through ``memoryview`` slices, keeping the
+zero-copy *semantics* of the hardware design: data written by the stack
+is immediately visible to the application holding the buffer, with no
+intermediate application-level copy.  A region registered with a
+caller's ``bytearray`` keeps that buffer.  A region registered by size
+is backed on first touch: the first :meth:`~MemoryRegion.write`,
+:meth:`~MemoryRegion.read` or :meth:`~MemoryRegion.view` that passes the
+region's checks allocates its zero-filled backing, and then only the
+pages a run touches cost memory:
+
+* at or above :data:`MAPPED_MIN_BYTES`, the backing is an anonymous
+  ``MAP_PRIVATE`` mapping, so the kernel supplies demand-zero pages one
+  at a time as they are written (a read of an untouched page maps the
+  shared zero page).  Python's default ``MAP_SHARED`` would make each
+  touched page shared memory, backed by a real page even on a read;
+* below it, the backing is a zero-filled ``bytearray`` of the whole
+  region.
+
+Either way the region's bytes, length, pinned pages and registration
+cost are the same; only the host's resident memory differs.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from enum import IntFlag
 from typing import Optional, Union
@@ -59,6 +71,26 @@ LOCAL_WRITE_BIT = int(Access.LOCAL_WRITE)
 REMOTE_READ_BIT = int(Access.REMOTE_READ)
 REMOTE_WRITE_BIT = int(Access.REMOTE_WRITE)
 
+#: Regions registered by size at or above this many bytes are backed by
+#: an anonymous mapping, smaller ones by a ``bytearray`` (module
+#: docstring).  Each mapping is a kernel memory area, and a process may
+#: hold only so many (65,530 by default on Linux).  Receive-pool slots
+#: (64 KiB by default, 4 KiB in the SIP workload) stay below the
+#: constant: a SIP call registers 64 of them, so at 10,000 calls they
+#: would otherwise be hundreds of thousands of mappings.  The bench
+#: harness's 1 MiB buffers and the socket interface's 4 MiB
+#: Write-Record rings are mapped.
+MAPPED_MIN_BYTES = 256 * 1024
+
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+def _zero_backing(size: int) -> Union[bytearray, mmap.mmap]:
+    """A region's zero-filled backing, allocated on its first touch."""
+    if size >= MAPPED_MIN_BYTES:
+        return mmap.mmap(-1, size, **_PRIVATE)
+    return bytearray(size)
+
 
 class MemoryAccessError(Exception):
     """Out-of-bounds or rights-violating access to a registered region.
@@ -89,7 +121,7 @@ class MemoryRegion:
     def __init__(self, stag: int, buffer: Union[bytearray, int], access: Access,
                  pd_handle: int):
         if isinstance(buffer, bytearray):
-            self._buffer: Optional[bytearray] = buffer
+            self._buffer: Optional[Union[bytearray, mmap.mmap]] = buffer
             self.size = len(buffer)
         elif isinstance(buffer, int):
             # Registered by size: backed on first touch (module docstring).
@@ -137,10 +169,11 @@ class MemoryRegion:
         if (self.invalidated or not self.access_bits & needed
                 or offset < 0 or end > self.size):
             self._check(offset, len(data), needed)
-        # First touch backs the region; inline, so a write costs no call.
+        # First touch backs the region; the test is inline, so a write
+        # to a backed region costs no call.
         buf = self._buffer
         if buf is None:
-            buf = self._buffer = bytearray(self.size)
+            buf = self._buffer = _zero_backing(self.size)
         buf[offset:end] = data
         if self._watches:
             for w_off, w_end, fn in list(self._watches):
@@ -167,7 +200,7 @@ class MemoryRegion:
             self._check(offset, length, needed)
         buf = self._buffer
         if buf is None:
-            buf = self._buffer = bytearray(self.size)
+            buf = self._buffer = _zero_backing(self.size)
         return memoryview(buf)[offset : offset + length]
 
     def view(self, offset: int = 0, length: int = -1) -> memoryview:
@@ -176,7 +209,7 @@ class MemoryRegion:
             length = self.size - offset
         buf = self._buffer
         if buf is None:
-            buf = self._buffer = bytearray(self.size)
+            buf = self._buffer = _zero_backing(self.size)
         return memoryview(buf)[offset : offset + length]
 
     def key(self, offset: int = 0, length: int = -1) -> RegionKey:

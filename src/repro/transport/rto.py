@@ -15,7 +15,8 @@ report and go-back for SCTP) stay in the transports.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from bisect import insort
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..simnet.engine import MS, SEC, Event, Simulator
 
@@ -140,13 +141,16 @@ class ReceiveWindow:
     (everything below it was delivered), and ``parked`` holds arrivals
     beyond a hole, only inside ``(rcv_nxt, rcv_nxt + limit)``: a sender
     with the same window never sends past it, so a peer spraying
-    far-ahead numbers cannot grow the buffer."""
+    far-ahead numbers cannot grow the buffer.  ``order`` lists the
+    parked numbers ascending, so an acknowledgement reads only the
+    parked runs it reports."""
 
-    __slots__ = ("rcv_nxt", "parked", "limit")
+    __slots__ = ("rcv_nxt", "parked", "order", "limit")
 
     def __init__(self, limit: int) -> None:
         self.rcv_nxt = 1
         self.parked: Dict[int, bytes] = {}
+        self.order: List[int] = []
         self.limit = limit
 
     def arrive(self, seq: int, data: bytes) -> int:
@@ -161,22 +165,27 @@ class ReceiveWindow:
         if seq >= self.rcv_nxt + self.limit:
             return BEYOND
         self.parked[seq] = data
+        insort(self.order, seq)
         return PARKED
 
-    def drain(self) -> Iterator[bytes]:
-        """Yield, in order, every parked message the cumulative point
-        now reaches, advancing it past each."""
+    def drain(self) -> List[bytes]:
+        """Every parked message the cumulative point now reaches, in
+        order; the point moves past them all."""
         parked = self.parked
-        while self.rcv_nxt in parked:
-            seq = self.rcv_nxt
-            self.rcv_nxt = seq + 1
-            yield parked.pop(seq)
+        seq = self.rcv_nxt
+        out = []
+        while seq in parked:
+            out.append(parked.pop(seq))
+            seq += 1
+        del self.order[:len(out)]  # the drained numbers are the lowest parked
+        self.rcv_nxt = seq
+        return out
 
     def runs(self, count: int) -> List[Tuple[int, int]]:
         """The first ``count`` contiguous runs of parked messages, as
         inclusive ``(start, end)`` pairs."""
         runs: List[Tuple[int, int]] = []
-        for seq in sorted(self.parked):
+        for seq in self.order:
             if runs and seq == runs[-1][1] + 1:
                 runs[-1] = (runs[-1][0], seq)
             elif len(runs) < count:
@@ -187,4 +196,4 @@ class ReceiveWindow:
 
     def lowest_parked(self) -> int:
         """The lowest parked sequence number, 0 if none."""
-        return min(self.parked) if self.parked else 0
+        return self.order[0] if self.order else 0

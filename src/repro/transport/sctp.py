@@ -51,6 +51,12 @@ CONTROL_CHUNK_SIZE = 20
 #: the TCP-vs-SCTP ablation's bulk run), so only a hostile peer reaches it.
 SCTP_WINDOW_MSGS = 4096
 
+#: Cookies a stack holds issued but not yet echoed; past it the oldest
+#: is evicted.  An honest peer echoes its cookie one round trip after
+#: the INIT, so a listener holds about one per handshake in progress;
+#: only an INIT spray reaches the cap.
+SCTP_MAX_COOKIES = 1024
+
 # Chunk types.
 CH_DATA = "DATA"
 CH_INIT = "INIT"
@@ -151,6 +157,10 @@ class SctpAssociation:
         self._rx = ReceiveWindow(SCTP_WINDOW_MSGS)
         self._msgs_since_sack = 0
         self._cookie = 0
+        # The cookie whose echo established this association passively:
+        # a retransmitted echo of it (its COOKIE ACK was lost) is
+        # answered again, though the stack has consumed it.
+        self._echoed_cookie: Optional[int] = None
         # Statistics.
         self.messages_sent = 0
         self.messages_received = 0
@@ -193,12 +203,14 @@ class SctpAssociation:
         self._arm_rtx()
 
     def _on_cookie_echo(self, chunk: SctpChunk) -> None:
-        if not self.stack.validate_cookie(self.remote, chunk.cookie):
-            return
-        if self.state in (CLOSED, COOKIE_WAIT):
-            self._set_state(ESTABLISHED)
-            if not self.established.done:
-                self.established.set_result(self)
+        if chunk.cookie != self._echoed_cookie:
+            if not self.stack.consume_cookie(self.remote, chunk.cookie):
+                return
+            self._echoed_cookie = chunk.cookie
+            if self.state in (CLOSED, COOKIE_WAIT):
+                self._set_state(ESTABLISHED)
+                if not self.established.done:
+                    self.established.set_result(self)
         self._send_chunk(CH_COOKIE_ACK)
 
     def _on_cookie_ack(self, chunk: SctpChunk) -> None:
@@ -446,19 +458,35 @@ class SctpStack:
         self._listeners: Dict[int, SctpListener] = {}
         self._ephemeral = itertools.count(self.EPHEMERAL_BASE)
         self._cookie_seq = itertools.count(0x1000)
+        # Issued, unechoed cookies, oldest first (SCTP_MAX_COOKIES).
         self._valid_cookies: Dict[int, Address] = {}
         ip.register("sctp", self._on_ip_delivery)
         self.rx_no_association = 0
+        self.cookie_evictions = 0
+        self.bogus_cookie_echoes = 0
 
     # -- cookies -----------------------------------------------------------
 
     def issue_cookie(self, peer: Address) -> int:
+        cookies = self._valid_cookies
+        if len(cookies) >= SCTP_MAX_COOKIES:
+            del cookies[next(iter(cookies))]
+            self.cookie_evictions += 1
         cookie = next(self._cookie_seq)
-        self._valid_cookies[cookie] = peer
+        cookies[cookie] = peer
         return cookie
 
     def validate_cookie(self, peer: Address, cookie: int) -> bool:
         return self._valid_cookies.get(cookie) == peer
+
+    def consume_cookie(self, peer: Address, cookie: int) -> bool:
+        """Validate ``cookie`` and retire it: one echo, one association.
+        A bogus echo is counted."""
+        if not self.validate_cookie(peer, cookie):
+            self.bogus_cookie_echoes += 1
+            return False
+        del self._valid_cookies[cookie]
+        return True
 
     # -- association management ------------------------------------------------
 
@@ -539,10 +567,15 @@ class SctpStack:
             temp._on_init(chunk)
             return
         if chunk.kind == CH_COOKIE_ECHO:
-            assoc = self._new_association(chunk.dst_port, (src_host, chunk.src_port))
-            assoc.on_chunk(chunk)
-            if assoc.state == ESTABLISHED:
-                listener._deliver(assoc)
+            # The cookie is checked before any state is kept, so a bogus
+            # echo leaves no association behind.
+            peer = (src_host, chunk.src_port)
+            if not self.validate_cookie(peer, chunk.cookie):
+                self.bogus_cookie_echoes += 1
+                return
+            assoc = self._new_association(chunk.dst_port, peer)
+            assoc.on_chunk(chunk)  # consumes the cookie: ESTABLISHED
+            listener._deliver(assoc)
             return
         self.rx_no_association += 1
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.claims import VERBS_MODES, broken, load_results
-from repro.bench.harness import BenchError, MODES, VerbsEndpointPair
+from repro.bench.harness import BenchError, MODES, VerbsEndpointPair, send_pattern
 from repro.bench.report import load_json, save_json
 from repro.models.costs import CostModel, default_cost_model, zero_cost_model
 from repro.models.platform import Platform, paper_defaults
@@ -99,6 +99,15 @@ class TestHarness:
         ).pingpong_latency_us(64, iters=6)
         normal = VerbsEndpointPair.build("ud_sendrecv").pingpong_latency_us(64, iters=6)
         assert fast < normal / 5  # only wire time remains
+
+    def test_send_bytes_are_written_when_first_sent(self):
+        pair = VerbsEndpointPair.build("ud_sendrecv")
+        for src, size in ((0, 300), (1, 64), (0, 5000), (0, 100)):
+            pair._post_message(src, size)
+            assert bytes(pair.send_mrs[src].view(0, size)) == send_pattern(src, size)
+        assert bytes(pair.send_mrs[0].view(5000, 64)) == bytes(64)  # never sent
+        assert send_pattern(1, 512) == send_pattern(1, 256) * 2
+        assert send_pattern(0, 3) == bytes([0, 31, 62])
 
 
 class TestCalibrationAnchors:

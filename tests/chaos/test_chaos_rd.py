@@ -9,7 +9,7 @@ surfacing (never silent loss) when a peer is genuinely gone.
 
 import pytest
 
-from repro.bench.harness import VerbsEndpointPair
+from repro.bench.harness import VerbsEndpointPair, send_pattern
 from repro.core.verbs import QpError, RTS, WcStatus, WrOpcode
 from repro.models.costs import zero_cost_model
 from repro.obs import spans
@@ -150,7 +150,7 @@ def test_write_record_validity_maps_stay_correct_under_chaos():
         dup_prob=0.10,
     ))
     size = 256 * 1024
-    sent_payload = bytes(pair.send_mrs[0].view(0, size))
+    sent_payload = send_pattern(0, size)
     completions = []
 
     def receiver():

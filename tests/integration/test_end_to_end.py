@@ -2,7 +2,7 @@
 
 
 from repro.bench.claims import broken, load_results
-from repro.bench.harness import VerbsEndpointPair
+from repro.bench.harness import VerbsEndpointPair, send_pattern
 from repro.core.verbs import RecvWR, SendWR, Sge, WrOpcode
 from repro.memory.region import Access
 from repro.simnet.engine import MS, SEC
@@ -93,7 +93,7 @@ class TestLossBehaviour:
         )
         sim = pair.sim
         size = 300_000
-        sent_payload = bytes(pair.send_mrs[0].view(0, size))
+        sent_payload = send_pattern(0, size)
         completions = []
 
         def receiver():

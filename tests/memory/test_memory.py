@@ -1,5 +1,7 @@
 """Tests for registered memory, STag registry, validity maps, accounting."""
 
+import mmap
+import os
 import tracemalloc
 
 import pytest
@@ -14,6 +16,12 @@ from repro.simnet.topology import build_testbed
 from repro.transport.stacks import install_stacks
 
 MIB = 1 << 20
+
+
+def resident_bytes():
+    """This process's resident memory, from ``/proc/self/statm``."""
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * mmap.PAGESIZE
 
 
 def peak_allocated(fn):
@@ -123,6 +131,16 @@ class TestFirstTouch:
         mr, peak = peak_allocated(lambda: reg.register(64 * MIB, Access.full()))
         assert len(mr) == 64 * MIB
         assert peak < MIB
+        assert mr._buffer is None  # tracemalloc cannot see a mapping
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs /proc/self/statm")
+    def test_large_region_costs_only_the_pages_touched(self):
+        mr = StagRegistry().register(64 * MIB, Access.full())
+        before = resident_bytes()
+        mr.write(64 * MIB - 1, b"x")
+        assert resident_bytes() - before < MIB
+        assert bytes(mr.read(64 * MIB - 2, 2)) == b"\0x"
 
     def test_untouched_region_reads_as_zeros_and_first_write_lands(self):
         reg = StagRegistry()
@@ -141,6 +159,7 @@ class TestFirstTouch:
         if case == "invalidated":
             reg.deregister(mr)
         offset = 64 * MIB - 2 if case == "bounds" else 0
+        assert mr._buffer is None
 
         def bad_tagged_write():
             with pytest.raises(MemoryAccessError):
@@ -148,6 +167,7 @@ class TestFirstTouch:
 
         _, peak = peak_allocated(bad_tagged_write)
         assert peak < MIB
+        assert mr._buffer is None
 
     def test_pages_and_registration_cost_match_a_backed_region(self):
         # Registration is charged from the declared pages, backed or not:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.simnet.engine import SEC
+from repro.simnet.engine import MS, SEC
 from repro.simnet.loss import BernoulliLoss, ExplicitLoss
 from repro.transport.ip import IpStack
 from repro.transport.sctp import (
-    CH_DATA, CLOSED, ESTABLISHED, SCTP_WINDOW_MSGS, SctpChunk, SctpError, SctpStack,
+    CH_COOKIE_ECHO, CH_DATA, CH_INIT, CLOSED, ESTABLISHED, SCTP_MAX_COOKIES,
+    SCTP_WINDOW_MSGS, SctpAssociation, SctpChunk, SctpError, SctpStack,
 )
 
 
@@ -50,6 +51,14 @@ class TestAssociation:
         tb.sim.run_until(cli.established, limit=30 * SEC)
         assert cli.state == ESTABLISHED
         assert cli.retransmissions >= 1
+
+    def test_lost_cookie_ack_is_answered_on_the_echo_retransmission(self, sctp_pair):
+        tb, a, b = sctp_pair
+        tb.set_egress_loss(1, ExplicitLoss([2]))  # INIT-ACK passes, COOKIE-ACK drops
+        cli, srv = _associate(tb, a, b)
+        assert cli.state == srv.state == ESTABLISHED
+        assert cli.retransmissions >= 1
+        assert b.open_associations() == 1 and b.bogus_cookie_echoes == 0
 
     def test_duplicate_listen_rejected(self, sctp_pair):
         _, _, b = sctp_pair
@@ -184,3 +193,67 @@ class TestHostilePeer:
         tb.sim.run(until=tb.sim.now + 1 * SEC)
         assert got == [bytes([i]) for i in range(1, 10)]
         assert not parked and srv._rx.rcv_nxt == 10
+
+    @staticmethod
+    def _forge(stack, kind, src_port, dst_port=3000, cookie=0):
+        """Send one chunk from ``stack``'s host, owned by no association."""
+        sender = SctpAssociation(stack, src_port, (1, dst_port))
+        stack.transmit_chunk(sender, SctpChunk(kind, src_port, dst_port, cookie=cookie))
+
+    def test_bogus_cookie_echo_leaves_no_association(self, sctp_pair):
+        tb, a, b = sctp_pair
+        b.listen(3000)
+        self._forge(a, CH_COOKIE_ECHO, 4000, cookie=0xBAD)
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+        assert b.open_associations() == 0
+        assert b.bogus_cookie_echoes == 1
+
+    def test_connect_from_a_port_a_bogus_echo_used_is_accepted(self, sctp_pair):
+        tb, a, b = sctp_pair
+        listener = b.listen(3000)
+        self._forge(a, CH_COOKIE_ECHO, 4000, cookie=0xBAD)
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+        accepted = listener.accept_future()
+        cli = a.connect((1, 3000), local_port=4000)
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+        assert cli.state == ESTABLISHED
+        assert accepted.done and accepted.value.state == ESTABLISHED
+
+    def test_bogus_echo_spray_creates_nothing(self, sctp_pair):
+        tb, a, b = sctp_pair
+        cli, _ = _associate(tb, a, b)
+        before = b.open_associations()
+        for port in range(4000, 4500):
+            self._forge(a, CH_COOKIE_ECHO, port, cookie=0x1000 + port)
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+        assert b.open_associations() == before == 1
+        assert b.bogus_cookie_echoes == 500
+
+    def test_init_spray_is_capped_and_counted(self, sctp_pair):
+        tb, a, b = sctp_pair
+        b.listen(3000)
+        sprayed = 2 * SCTP_MAX_COOKIES
+        for port in range(4000, 4000 + sprayed):
+            self._forge(a, CH_INIT, port)
+            if port % 256 == 0:  # in bursts the NIC queue holds
+                tb.sim.run(until=tb.sim.now + 10 * MS)
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+        assert len(b._valid_cookies) == SCTP_MAX_COOKIES
+        assert b.cookie_evictions == sprayed - SCTP_MAX_COOKIES
+        # An honest peer still gets in: its cookie is the newest.
+        accepted = b._listeners[3000].accept_future()
+        cli = a.connect((1, 3000))
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+        assert cli.state == ESTABLISHED and accepted.done
+
+    def test_echo_replayed_after_close_is_rejected(self, sctp_pair):
+        tb, a, b = sctp_pair
+        cli, _ = _associate(tb, a, b)
+        cookie, port = cli._cookie, cli.local_port
+        cli.shutdown()
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+        assert b.open_associations() == 0
+        self._forge(a, CH_COOKIE_ECHO, port, cookie=cookie)
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+        assert b.open_associations() == 0
+        assert b.bogus_cookie_echoes == 1
