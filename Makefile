@@ -51,7 +51,7 @@ results-check:
 	PYTHONPATH=src $(PYTHON) -m repro.bench.claims
 	git diff --exit-code results/ EXPERIMENTS.md
 
-# Offline reach pass (not in CI; several minutes): run tier-1, then
+# Reach pass (CI's reach-check job; several minutes): run tier-1, then
 # benchmarks/, under sys.settrace and fail on any repro function neither
 # calls that scripts/reach_check.py's ALLOWED table (one reason per
 # entry) does not name, or on an allowed one that is called after all.

@@ -6,10 +6,13 @@ on UD — §IV.B.4's "it is preferable to package each message ... as a
 complete unit that spans only one datagram", with stack-level
 segmentation above 64 KB).
 
-Receive side: :class:`UntaggedReassembly` tracks one in-flight untagged
-message — which posted receive it matched, which byte ranges landed —
-and says when it is deliverable.  RC uses it trivially (segments arrive
-in order); UD uses its full generality (any order, any subset).
+Receive side: :class:`UntaggedReassembly` tracks one in-flight UD
+untagged message of several segments — which posted receive it matched,
+which byte ranges landed, in any order and any subset — and says when
+it is deliverable.  Nothing else needs one: RC segments arrive in order
+behind the MSN check, so the RDMAP receive engine scatters each straight
+into its receive WR, and a UD message that arrives whole in one segment
+is placed and completed at once.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class ReassemblyError(Exception):
 
 
 class UntaggedReassembly:
-    """One untagged message being scattered into a posted receive.
+    """One multi-segment UD untagged message being scattered into a
+    posted receive.
 
     ``wr`` is any object with ``sges`` and ``capacity`` (a verbs RecvWR
     in practice; typed loosely to keep DDP below the verbs layer).

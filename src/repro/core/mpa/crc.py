@@ -16,8 +16,9 @@ CRC_SIZE = 4
 _CRC = struct.Struct("!I")
 
 
-def crc32(data: bytes, seed: int = 0) -> int:
-    return zlib.crc32(data, seed) & 0xFFFFFFFF
+#: ``crc32(data[, value])`` is zlib's own: Python 3 already returns it
+#: unsigned, so no wrapper call sits on the per-segment path.
+crc32 = zlib.crc32
 
 
 def append_crc(data: bytes) -> bytes:

@@ -9,7 +9,11 @@ paper specifies about operation semantics lives here:
   packets at the DDP layer with the appropriate receive WR" in arrival
   order, reassembles multi-segment messages in any order, reports the
   source address in the completion, and times out partial messages
-  instead of erroring the QP (§IV.B items 2–4, §IV.B.1).
+  instead of erroring the QP (§IV.B items 2–4, §IV.B.1).  A message
+  that arrives whole — every RC segment, in order behind the MSN check,
+  and a UD message sent "as a complete unit that spans only one
+  datagram" (§IV.B.4) — is scattered straight into its receive WR with
+  no reassembly record.
 
 * **RDMA Write** (tagged): direct placement through the STag registry.
   On RC, target-side visibility needs a follow-up send (Fig. 3 top).
@@ -40,12 +44,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ...memory.region import (
     LOCAL_WRITE_BIT, REMOTE_READ_BIT, REMOTE_WRITE_BIT, MemoryAccessError,
 )
+from ...memory.sge import scatter
 from ...memory.validity import ValidityMap
 from ...obs import wr_span
 from ...simnet.engine import MS, Event
 from ..ddp.headers import DdpSegment, HeaderError, OP_READ_REQUEST, OP_READ_RESPONSE, OP_SEND, OP_SEND_SE, OP_TERMINATE, OP_WRITE, OP_WRITE_RECORD, QN_READ_REQUEST, QN_SEND, QN_TERMINATE, decode_read_request, encode_read_request
 from ..ddp.segmentation import ReassemblyError, UntaggedReassembly, plan_segments
-from ..verbs.wr import Address, SendWR, WcStatus, WorkCompletion, WrOpcode, gather
+from ..verbs.wr import Address, RecvWR, SendWR, WcStatus, WorkCompletion, WrOpcode, gather
 
 #: How long UD reassembly / write-record state lives without completing
 #: before it is reaped (the application-visible effect is a missing or
@@ -266,9 +271,12 @@ class RdmapRx:
     def __init__(self, qp):
         self.qp = qp
         # RC: strict MSN ordering, one untagged message open at a time.
+        # Its segments arrive in order, so the open message is only its
+        # receive WR, that WR's capacity and the message length.
         self._rc_expected_msn = 1
-        self._rc_current: Optional[UntaggedReassembly] = None
-        # UD: unordered reassembly keyed by (source, message id).
+        self._rc_current: Optional[Tuple[RecvWR, int, int]] = None
+        # UD: unordered reassembly of multi-segment messages keyed by
+        # (source, message id); a whole one-segment message keeps none.
         self._ud_untagged: Dict[Tuple[Address, int], UntaggedReassembly] = {}
         self._ud_timers: Dict[Tuple[Address, int], object] = {}
         # Reap timers finished messages left, by callback, for the next
@@ -434,7 +442,8 @@ class RdmapRx:
             raise HeaderError(
                 f"MSN {seg.msn} out of order (expected {self._rc_expected_msn})"
             )
-        if self._rc_current is None:
+        current = self._rc_current
+        if current is None:
             rq = self.qp.rq
             if not rq:
                 # RC semantics: untagged arrival with no posted receive is
@@ -443,24 +452,29 @@ class RdmapRx:
                 return
             wr = rq.popleft()
             # Message length is only certain at LAST on RC (no UD header);
-            # reassemble against the posted capacity.
+            # place against the posted capacity.
             capacity = wr.capacity
-            total = seg.msg_total if seg.msg_total is not None else capacity
-            self._rc_current = UntaggedReassembly(wr, min(total, capacity))
-        state = self._rc_current
-        if seg.mo + len(seg.payload) > state.capacity:
+            total = capacity if seg.msg_total is None else seg.msg_total
+            current = self._rc_current = (wr, capacity, total)
+        wr, capacity, total = current
+        payload = seg.payload
+        end = seg.mo + len(payload)
+        if end > capacity:
             self.qp.terminate("send overruns posted receive")
             return
-        state.place(seg.mo, seg.payload, seg.last)
+        if end > total:
+            raise ReassemblyError(f"segment [{seg.mo}, {end}) overruns message of {total}")
+        if payload:
+            scatter(wr.sges, seg.mo, payload)
         if seg.last:
             self._rc_expected_msn += 1
             self._rc_current = None
             self.qp.push_rq_completion(
                 WorkCompletion(
-                    wr_id=state.wr.wr_id,
+                    wr_id=wr.wr_id,
                     opcode=WrOpcode.SEND,
                     status=WcStatus.SUCCESS,
-                    byte_len=seg.mo + len(seg.payload),
+                    byte_len=end,
                     src=src,
                     solicited=seg.opcode == OP_SEND_SE,
                 )
@@ -479,24 +493,54 @@ class RdmapRx:
                 self.drops_no_recv_posted += 1
                 return
             wr = rq.popleft()
+            payload = seg.payload
+            total = seg.msg_total
+            if (seg.last and not seg.mo and len(payload) == total
+                    and total <= self.qp.max_seg_payload and total <= wr.capacity):
+                # The whole message in one segment that fits the receive:
+                # one placement and one completion, with no reassembly
+                # record, validity map or reap timer to keep.
+                if payload:
+                    try:
+                        scatter(wr.sges, 0, payload)
+                    except MemoryAccessError:
+                        # The receive buffer was deregistered: reap the
+                        # message, and with it the consumed receive, as
+                        # if it had stayed partial.
+                        self._ud_untagged[key] = UntaggedReassembly(wr, total)
+                        self._ud_timers[key] = self._arm_reap(self._reap_untagged, key)
+                        raise
+                self.qp.push_rq_completion(
+                    WorkCompletion(
+                        wr_id=wr.wr_id,
+                        opcode=WrOpcode.SEND,
+                        status=WcStatus.SUCCESS,
+                        byte_len=total,
+                        src=src,
+                        msg_id=seg.msg_id,
+                        solicited=seg.opcode == OP_SEND_SE,
+                    )
+                )
+                return
             try:
-                state = UntaggedReassembly(wr, seg.msg_total)
+                state = UntaggedReassembly(wr, total)
             except ReassemblyError:  # the message is larger than the receive
                 self.qp.push_rq_completion(
                     WorkCompletion(
                         wr_id=wr.wr_id,
                         opcode=WrOpcode.SEND,
                         status=WcStatus.LOCAL_LENGTH_ERROR,
-                        byte_len=seg.msg_total,
+                        byte_len=total,
                         src=src,
                         msg_id=seg.msg_id,
                     )
                 )
                 return
             self._ud_untagged[key] = state
-            if not (seg.last and seg.mo == 0 and len(seg.payload) == seg.msg_total):
-                # A segment that is the whole message completes it below,
-                # so only a message it does not complete needs a reap timer.
+            if not (seg.last and not seg.mo and len(payload) == total):
+                # A segment that is the whole message (one larger than
+                # ``max_seg_payload`` here) completes it below, so only a
+                # message it does not complete needs a reap timer.
                 self._ud_timers[key] = self._arm_reap(self._reap_untagged, key)
         elif seg.payload and state.validity.covered(seg.mo, len(seg.payload)):
             self.duplicate_segments += 1

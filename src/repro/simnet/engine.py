@@ -30,7 +30,10 @@ Hot-path notes
 The heap stores plain ``(time, seq, fn, args, handle)`` tuples, so
 ordering is decided by C-level integer comparisons (``seq`` is unique,
 so comparison never reaches the callback).  :meth:`Simulator.run` and
-:meth:`Simulator.run_until` share one pop/fire loop.
+:meth:`Simulator.run_until` share one pop/fire loop, which tests one
+stop time and one future per event: a run with no bound passes
+``_FOREVER`` and a run with no future a future that never resolves,
+so the loop never asks whether either was given.
 
 Most events are fire-and-forget: :meth:`Simulator.call_at` pushes
 ``handle=None`` and allocates nothing but the tuple.  Only
@@ -189,6 +192,12 @@ class Process:
             )
 
 
+#: The stop time of a run with no bound: later than any event time a
+#: simulation uses (nanoseconds; about 292 years).
+_FOREVER = 1 << 63
+#: The future of a run that waits for none: it never resolves.
+_UNRESOLVED = Future(None)  # type: ignore[arg-type]
+
 #: Heap entry: ``(time, seq, fn, args, handle)``, where ``handle`` is
 #: the :class:`Event` returned by ``at`` or None for a fire-and-forget
 #: callback.  Ordering is settled by the two leading ints; nothing after
@@ -290,11 +299,12 @@ class Simulator:
         ``until``, then leave the clock at ``until`` if one was given.
         Returns the number of events processed by this call.  The clock
         never moves backwards: ``until`` before ``now`` raises."""
-        if until is not None and until < self.now:
+        if until is None:
+            return self._loop(_FOREVER, _UNRESOLVED)
+        if until < self.now:
             raise SimulationError(f"cannot run until t={until} before now={self.now}")
-        processed = self._loop(until, None)
-        if until is not None:
-            self.now = until
+        processed = self._loop(until, _UNRESOLVED)
+        self.now = until
         return processed
 
     def run_until(self, fut: Future, limit: Optional[int] = None) -> Any:
@@ -304,14 +314,14 @@ class Simulator:
         optional time ``limit`` passes) first — that always indicates a
         deadlock in the experiment being simulated.
         """
-        self._loop(limit, fut)
+        self._loop(_FOREVER if limit is None else limit, fut)
         if fut.done:
             return fut.value
         if not self._heap:
             raise SimulationError("event queue drained before future resolved")
         raise SimulationError(f"future unresolved at time limit {limit}")
 
-    def _loop(self, until: Optional[int], fut: Optional[Future]) -> int:
+    def _loop(self, until: int, fut: Future) -> int:
         """The pop/fire loop: stops when the queue is empty, the next
         entry lies past ``until``, or ``fut`` has resolved.  Returns the
         number of events fired."""
@@ -319,9 +329,7 @@ class Simulator:
         heap = self._heap
         pop = heappop
         while heap:
-            if fut is not None and fut.done:
-                break
-            if until is not None and heap[0][0] > until:
+            if fut.done or heap[0][0] > until:
                 break
             t, s, fn, args, ev = pop(heap)
             if ev is not None:

@@ -111,6 +111,11 @@ class NicPort:
         injector = self.injector
         if injector is None:
             # Nothing attached: the body of _admit, inline.
+            if not self._transmitting:
+                if not self.queue_hwm:
+                    self.queue_hwm = 1
+                self._start_next(frame)
+                return True
             queue = self._queue
             depth = len(queue)
             if depth >= self.queue_frames:
@@ -121,8 +126,6 @@ class NicPort:
             queue.append(frame)
             if depth >= self.queue_hwm:
                 self.queue_hwm = depth + 1
-            if not self._transmitting:
-                self._start_next()
             return True
         emissions = injector.admit(frame, self.sim.now)
         if not emissions:
@@ -143,7 +146,17 @@ class NicPort:
         return accepted
 
     def _admit(self, frame: Frame) -> bool:
-        """Append to the egress FIFO (drop-tail) and kick the transmitter."""
+        """Append to the egress FIFO (drop-tail) and kick the transmitter.
+
+        An idle transmitter has an empty FIFO (``_finish_tx`` goes idle
+        only then), so the frame is its head: it starts serializing at
+        once and never enters the FIFO, as if appended and popped in
+        the same instant."""
+        if not self._transmitting:
+            if not self.queue_hwm:
+                self.queue_hwm = 1
+            self._start_next(frame)
+            return True
         queue = self._queue
         depth = len(queue)
         if depth >= self.queue_frames:
@@ -154,25 +167,26 @@ class NicPort:
         queue.append(frame)
         if depth >= self.queue_hwm:
             self.queue_hwm = depth + 1
-        if not self._transmitting:
-            self._start_next()
         return True
 
-    def _start_next(self) -> None:
-        """Wake the transmitter: serialize the head frame and pre-schedule
+    def _start_next(self, head: Optional[Frame] = None) -> None:
+        """Wake the transmitter: serialize ``head`` (by default the
+        FIFO's head frame, which leaves the FIFO now) and pre-schedule
         finish events for up to :data:`TX_BATCH` back-to-back frames.
 
         Only the head frame leaves the FIFO here; each successor is
         popped by its predecessor's ``_finish_tx`` — the exact instant
         its own serialization starts — so drop-tail occupancy is
-        identical to a chained one-frame-at-a-time scheduler.  The
-        FIFO must not be empty.
+        identical to a chained one-frame-at-a-time scheduler.  With no
+        ``head`` the FIFO must not be empty.
         """
         queue = self._queue
+        if head is None:
+            head = queue.popleft()
         self._transmitting = True
         sim = self.sim
         link = self.link
-        n = len(queue)
+        n = len(queue) + 1
         if n > TX_BATCH:
             n = TX_BATCH
         self._batch_left = n
@@ -182,7 +196,7 @@ class NicPort:
         finish = self._finish_tx
         t = sim.now
         for i in range(n):
-            frame = queue.popleft() if i == 0 else queue[i - 1]
+            frame = queue[i - 1] if i else head
             size = frame.wire_size
             ns = ser.get(size)
             t += link.serialization_ns(size) if ns is None else ns

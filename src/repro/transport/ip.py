@@ -11,6 +11,12 @@ Fragments carry a reference to the original payload object plus exact
 byte extents; the payload is delivered upward only once every byte of
 the datagram has arrived, so loss semantics are exact while the
 simulator avoids materializing per-fragment byte slices.
+
+A fragment that overlaps bytes already received only in part drops its
+whole datagram, as RFC 5722 has it for IPv6 and Linux does for IPv4
+(``inet_frag_queue_insert``); one that lies inside received bytes is a
+duplicate and changes nothing.  Honest senders cut every copy of a
+datagram at the same offsets, so they never overlap.
 """
 
 from __future__ import annotations
@@ -21,6 +27,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..obs import sim_registry
 from ..simnet.engine import MS, Event, Simulator
 from ..simnet.host import Host
+from ..simnet.link import Link
+from ..simnet.nic import NicPort
 from ..simnet.packet import Frame
 
 IP_HEADER = 20
@@ -68,20 +76,26 @@ class IpPacket:
         self.more_frags = more_frags
 
 
+class FragmentOverlap(Exception):
+    """A fragment overlaps the bytes received so far only in part."""
+
+
 class _Reassembly:
     """State for one in-progress fragmented datagram."""
 
-    __slots__ = ("ranges", "total", "payload", "proto", "timer", "first_seen")
+    __slots__ = ("ranges", "total", "payload", "proto", "timer")
 
-    def __init__(self, payload: Any, proto: str, total: int, now: int):
+    def __init__(self, payload: Any, proto: str, total: int):
         self.ranges: List[Tuple[int, int]] = []  # merged (start, end) intervals
         self.total = total
         self.payload = payload
         self.proto = proto
         self.timer = None
-        self.first_seen = now
 
-    def add(self, start: int, size: int) -> None:
+    def add(self, start: int, size: int) -> bool:
+        """Record bytes ``[start, start + size)``; True once they make the
+        datagram whole.  Raises :class:`FragmentOverlap` for a fragment
+        that overlaps a received range without lying inside it."""
         end = start + size
         ranges = self.ranges
         if ranges:
@@ -89,16 +103,24 @@ class _Reassembly:
             if start > last_end:
                 # In order past a gap: ranges stay sorted and disjoint.
                 ranges.append((start, end))
-                return
+                return False
             if start >= last_start:
                 # In order, touching the last range: only it can grow
                 # (every earlier range ends before ``last_start``).
-                if end > last_end:
-                    ranges[-1] = (last_start, end)
-                return
+                if end <= last_end:
+                    return False  # a duplicate
+                if start < last_end:
+                    raise FragmentOverlap(f"[{start}, {end}) overlaps [{last_start}, {last_end})")
+                ranges[-1] = (last_start, end)
+                return not last_start and end == self.total and len(ranges) == 1
         else:
             ranges.append((start, end))
-            return
+            return not start and end == self.total
+        for s, e in ranges:
+            if min(e, end) > max(s, start):
+                if s <= start and end <= e:
+                    return False  # a duplicate
+                raise FragmentOverlap(f"[{start}, {end}) overlaps [{s}, {e})")
         merged: List[Tuple[int, int]] = []
         for s, e in ranges:
             if e < start or s > end:
@@ -116,10 +138,7 @@ class _Reassembly:
             else:
                 out.append((s, e))
         self.ranges = out
-
-    @property
-    def complete(self) -> bool:
-        return len(self.ranges) == 1 and self.ranges[0] == (0, self.total)
+        return len(out) == 1 and out[0] == (0, self.total)
 
 
 class IpStack:
@@ -128,7 +147,11 @@ class IpStack:
 
     #: Exported series (see :mod:`repro.obs.metrics`), labelled host.
     METRICS = (
+        ("transport.ip.rx_fragments", "counter", "rx_fragments"),
+        ("transport.ip.delivered", "counter", "delivered"),
+        ("transport.ip.reassembly_timeouts", "counter", "reassembly_timeouts"),
         ("transport.ip.reassembly_overflows", "counter", "reassembly_overflows"),
+        ("transport.ip.overlap_drops", "counter", "overlap_drops"),
     )
 
     def __init__(self, host: Host):
@@ -139,12 +162,16 @@ class IpStack:
         self._reassembly: Dict[Tuple[int, int], _Reassembly] = {}
         # The timer a completed reassembly left, for the next to rearm.
         self._spare_timer: Optional[Event] = None
+        # The host's primary port and its link, kept once it is cabled
+        # (nothing undoes a cable).
+        self._egress: Optional[Tuple[NicPort, Link]] = None
         host.register_protocol("ip", self)
         # Statistics.
         self.tx_packets = 0
         self.rx_fragments = 0
         self.reassembly_timeouts = 0
         self.reassembly_overflows = 0
+        self.overlap_drops = 0
         self.delivered = 0
         sim_registry(self.sim).watch(self, {"host": host.name})
 
@@ -158,18 +185,23 @@ class IpStack:
 
     # -- transmit -------------------------------------------------------------
 
-    def mtu(self) -> int:
-        link = self.host.port.link
+    def _cabled(self) -> Tuple[NicPort, Link]:
+        """The host's primary port and its link, kept once it is cabled,
+        so a datagram reaches them without ``Host.port``; RuntimeError
+        before that."""
+        port = self.host.port
+        link = port.link
         if link is None:
             raise RuntimeError(f"{self.host.name} NIC is not cabled")
-        return link.mtu
+        self._egress = (port, link)
+        return self._egress
+
+    def mtu(self) -> int:
+        return (self._egress or self._cabled())[1].mtu
 
     def fragments_needed(self, payload_size: int) -> int:
         """How many IP fragments a payload of this size produces."""
-        link = self.host.port.link
-        if link is None:
-            raise RuntimeError(f"{self.host.name} NIC is not cabled")
-        mtu = link.mtu
+        mtu = (self._egress or self._cabled())[1].mtu
         if payload_size + IP_HEADER <= mtu:
             return 1
         # Fragment data sizes are multiples of 8 except the last.
@@ -183,13 +215,9 @@ class IpStack:
         """
         if payload_size < 0:
             raise ValueError(f"negative payload size: {payload_size}")
-        host = self.host
-        port = host.port
-        link = port.link
-        if link is None:
-            raise RuntimeError(f"{host.name} NIC is not cabled")
+        port, link = self._egress or self._cabled()
         mtu = link.mtu
-        src = host.host_id
+        src = self.host.host_id
         ident = next(self._ident)
         if payload_size + IP_HEADER <= mtu:
             pkt = IpPacket(src, dst, proto, payload, payload_size, ident, 0, payload_size)
@@ -215,7 +243,10 @@ class IpStack:
 
     def on_packet(self, pkt: IpPacket, frame: Frame) -> None:
         if not pkt.more_frags and not pkt.frag_offset:
-            self._deliver(pkt.proto, pkt.payload, pkt.src, pkt.total_size)
+            handler = self._upper.get(pkt.proto)
+            if handler is not None:
+                self.delivered += 1
+                handler(pkt.payload, pkt.src, pkt.total_size)
             return
         self.rx_fragments += 1
         key = (pkt.src, pkt.ident)
@@ -224,7 +255,7 @@ class IpStack:
             if len(self._reassembly) >= MAX_REASSEMBLIES:
                 self.reassembly_overflows += 1
                 return
-            state = _Reassembly(pkt.payload, pkt.proto, pkt.total_size, self.sim.now)
+            state = _Reassembly(pkt.payload, pkt.proto, pkt.total_size)
             self._reassembly[key] = state
             timer = self._spare_timer
             if timer is None:
@@ -233,19 +264,23 @@ class IpStack:
                 self._spare_timer = None
                 self.sim.rearm(timer, self.sim.now + REASSEMBLY_TIMEOUT_NS, key)
             state.timer = timer
-        state.add(pkt.frag_offset, pkt.frag_size)
-        if state.complete:
+        try:
+            whole = state.add(pkt.frag_offset, pkt.frag_size)
+        except FragmentOverlap:
+            # The datagram is dropped whole; its timer is free again.
+            self.overlap_drops += 1
             state.timer.cancel()
             self._spare_timer = state.timer
             del self._reassembly[key]
-            self._deliver(state.proto, state.payload, pkt.src, state.total)
-
-    def _deliver(self, proto: str, payload: Any, src: int, size: int) -> None:
-        handler = self._upper.get(proto)
-        if handler is None:
             return
-        self.delivered += 1
-        handler(payload, src, size)
+        if whole:
+            state.timer.cancel()
+            self._spare_timer = state.timer
+            del self._reassembly[key]
+            handler = self._upper.get(state.proto)
+            if handler is not None:
+                self.delivered += 1
+                handler(state.payload, pkt.src, state.total)
 
     def _timeout(self, key: Tuple[int, int]) -> None:
         if key in self._reassembly:

@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, FrozenSet, Optional, Tuple
 
 from ..core.fsm import pair_table, transition as _fsm_transition
+from ..obs import sim_registry
 from ..simnet.engine import Future, Simulator
 from ..simnet.host import Host
 from .ip import IpStack
@@ -132,6 +133,14 @@ class SctpChunk:
 class SctpAssociation:
     """One endpoint of an SCTP association (single ordered stream)."""
 
+    #: Exported series (see :mod:`repro.obs.metrics`), labelled host/assoc.
+    METRICS = (
+        ("transport.sctp.retransmissions", "counter", "retransmissions"),
+        ("transport.sctp.out_of_window_drops", "counter", "out_of_window_drops"),
+        ("transport.sctp.cwnd_bytes", "gauge", "cong.cwnd"),
+        ("transport.sctp.rto_ns", "gauge", "rto.rto_ns"),
+    )
+
     def __init__(self, stack: "SctpStack", local_port: int, remote: Address):
         self.stack = stack
         self.sim: Simulator = stack.sim
@@ -166,6 +175,10 @@ class SctpAssociation:
         self.messages_received = 0
         self.retransmissions = 0
         self.out_of_window_drops = 0
+        sim_registry(self.sim).watch(self, {
+            "host": stack.host.name,
+            "assoc": f"{local_port}-{remote[0]}:{remote[1]}",
+        })
 
     # ------------------------------------------------------------------
     # Establishment (INIT -> INIT-ACK -> COOKIE-ECHO -> COOKIE-ACK)
@@ -448,6 +461,12 @@ class SctpStack:
     EPHEMERAL_BASE = 52000
     COMPLEXITY = 1.25
 
+    #: Exported series (see :mod:`repro.obs.metrics`), labelled host.
+    METRICS = (
+        ("transport.sctp.bogus_cookie_echoes", "counter", "bogus_cookie_echoes"),
+        ("transport.sctp.cookie_evictions", "counter", "cookie_evictions"),
+    )
+
     def __init__(self, host: Host, ip: IpStack):
         self.host = host
         self.sim: Simulator = host.sim
@@ -464,6 +483,7 @@ class SctpStack:
         self.rx_no_association = 0
         self.cookie_evictions = 0
         self.bogus_cookie_echoes = 0
+        sim_registry(self.sim).watch(self, {"host": host.name})
 
     # -- cookies -----------------------------------------------------------
 

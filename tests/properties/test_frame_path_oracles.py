@@ -7,7 +7,10 @@ fragment arrives in order.  Each oracle below is the earlier
 implementation, kept verbatim (as a function over the same state), and
 every observable of the live code must equal the oracle's after every
 step: wire bytes, stripped bytes, stream positions and marker counters
-for MPA; ``ranges`` and ``complete`` after every ``add`` for IP.  The
+for MPA; for IP, ``ranges`` after every ``add`` and what ``add``
+returns, which says whether the datagram is whole.  IP also refuses a
+fragment that overlaps received bytes without lying inside them;
+:func:`oracle_overlaps` states that rule over the merged ranges.  The
 DDP validity map answers ``complete`` in O(1) from its merged
 intervals; it must agree with the byte count of its ranges.
 """
@@ -19,7 +22,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.mpa.markers import MARKER_SIZE, MarkedStreamReader, MarkedStreamWriter
 from repro.memory.validity import ValidityMap
-from repro.transport.ip import _Reassembly
+import pytest
+
+from repro.transport.ip import FragmentOverlap, _Reassembly
 
 _MARKER = struct.Struct("!HH")
 
@@ -110,6 +115,14 @@ def oracle_add(ranges: List[Tuple[int, int]], start: int, size: int) -> List[Tup
         else:
             out.append((s, e))
     return out
+
+
+def oracle_overlaps(ranges: List[Tuple[int, int]], start: int, size: int) -> bool:
+    """True if ``[start, start + size)`` shares bytes with a received
+    range but does not lie inside one."""
+    end = start + size
+    hits = [(s, e) for s, e in ranges if min(e, end) > max(s, start)]
+    return bool(hits) and not any(s <= start and end <= e for s, e in hits)
 
 
 # -- markers -------------------------------------------------------------------
@@ -206,13 +219,21 @@ def fragment_sequences(draw):
 @given(fragment_sequences())
 def test_reassembly_ranges_match_the_merge_oracle(case):
     total, frags = case
-    state = _Reassembly(payload=None, proto="udp", total=total, now=0)
+    state = _Reassembly(payload=None, proto="udp", total=total)
     expected: List[Tuple[int, int]] = []
     for start, size in frags:
-        state.add(start, size)
+        if oracle_overlaps(expected, start, size):
+            with pytest.raises(FragmentOverlap):
+                state.add(start, size)
+            assert state.ranges == expected
+            return  # the stack drops the datagram here
+        was_whole = expected == [(0, total)]
+        whole = state.add(start, size)
         expected = oracle_add(expected, start, size)
         assert state.ranges == expected
-        assert state.complete == (len(expected) == 1 and expected[0] == (0, total))
+        # True from the fragment that completes the datagram (the stack
+        # then delivers it and drops the state), not from a later copy.
+        assert whole == (expected == [(0, total)] and not was_whole)
 
 
 @settings(max_examples=300, deadline=None)

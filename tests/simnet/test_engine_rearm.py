@@ -6,13 +6,21 @@ the same times in the same order, ``events_processed`` and
 ``pending()`` agree, and the clock never stops at an entry that was
 only waiting for its due key.  The unit tests pin each case by hand;
 the property runs random programs against a reference simulator whose
-``rearm`` is literally cancel-then-at.
+``rearm`` is literally cancel-then-at and whose run loop is the earlier
+one, which tested ``until`` and the awaited future for None before
+every event.  Programs mix ``run(until)`` with ``run_until(fut,
+limit)``, and a random callback resolves the awaited future, so the
+stop point, the clock, ``run()``'s return value and
+``events_processed`` are compared after every run.
 """
+
+from heapq import heappop, heappush
+from typing import Any, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simnet.engine import SimulationError, Simulator
+from repro.simnet.engine import Future, SimulationError, Simulator
 
 
 def _log(sim, fired):
@@ -157,8 +165,59 @@ def test_rearm_churn_never_compacts():
 
 
 # ----------------------------------------------------------------------
-# Property: rearm == cancel() + at()
+# Property: rearm == cancel() + at(), and the loop == the earlier loop
 # ----------------------------------------------------------------------
+
+class ReferenceSimulator(Simulator):
+    """The engine with the earlier ``run``, ``run_until`` and ``_loop``,
+    kept verbatim."""
+
+    def run(self, until: Optional[int] = None) -> int:
+        if until is not None and until < self.now:
+            raise SimulationError(f"cannot run until t={until} before now={self.now}")
+        processed = self._loop(until, None)
+        if until is not None:
+            self.now = until
+        return processed
+
+    def run_until(self, fut: Future, limit: Optional[int] = None) -> Any:
+        self._loop(limit, fut)
+        if fut.done:
+            return fut.value
+        if not self._heap:
+            raise SimulationError("event queue drained before future resolved")
+        raise SimulationError(f"future unresolved at time limit {limit}")
+
+    def _loop(self, until: Optional[int], fut: Optional[Future]) -> int:
+        processed = 0
+        heap = self._heap
+        pop = heappop
+        while heap:
+            if fut is not None and fut.done:
+                break
+            if until is not None and heap[0][0] > until:
+                break
+            t, s, fn, args, ev = pop(heap)
+            if ev is not None:
+                if s != ev._qseq:
+                    continue  # superseded by a rearm to earlier
+                if not ev.armed:
+                    ev._qseq = None
+                    continue
+                if s != ev.seq:
+                    # Queued before a rearm to later: wait for the due key.
+                    ev._qtime = ev.time
+                    ev._qseq = ev.seq
+                    heappush(heap, (ev.time, ev.seq, fn, ev.args, ev))
+                    continue
+                ev._qseq = None
+                ev.armed = False
+            self.now = t
+            fn(*args)
+            processed += 1
+            self.events_processed += 1
+        return processed
+
 
 SLOTS = 2
 
@@ -169,22 +228,31 @@ _op = st.one_of(
     st.tuples(st.just("call_at"), _delay, _label),
     st.tuples(st.just("cancel"), st.integers(0, SLOTS - 1)),
     st.tuples(st.just("rearm"), st.integers(0, SLOTS - 1), _delay, _label),
+    st.tuples(st.just("resolve"), _label),
 )
-_top_op = st.one_of(_op, st.tuples(st.just("run"), st.integers(0, 60)))
+_top_op = st.one_of(
+    _op,
+    st.tuples(st.just("run"), st.integers(0, 60)),
+    st.tuples(st.just("run"), st.none()),
+    st.tuples(st.just("run_until"), st.one_of(st.none(), st.integers(0, 60))),
+)
 
 
 class _Harness:
-    """One simulator driven by a program.  ``reference`` swaps rearm for
-    cancel() + at() on a fresh handle."""
+    """One simulator driven by a program.  ``reference`` runs the
+    reference simulator and swaps rearm for cancel() + at() on a fresh
+    handle.  ``results`` logs what each run returned or raised."""
 
     FIRE_LIMIT = 150
 
     def __init__(self, reactions, reference):
-        self.sim = Simulator()
+        self.sim = ReferenceSimulator() if reference else Simulator()
         self.reactions = reactions
         self.reference = reference
         self.slots = [None] * SLOTS
         self.fired = []
+        self.awaited: Optional[Future] = None
+        self.results = []
 
     def fire(self, label):
         self.fired.append((self.sim.now, label))
@@ -215,16 +283,31 @@ class _Harness:
                 self.slots[slot] = sim.at(sim.now + delay, self.fire, label)
             else:
                 sim.rearm(ev, sim.now + delay, label)
+        elif kind == "resolve":
+            if self.awaited is not None and not self.awaited.done:
+                self.awaited.set_result(op[1])
         elif kind == "run":
+            if op[1] is None:
+                self.results.append(sim.run())
+                assert sim._heap == []
+                return
             until = sim.now + op[1]
-            sim.run(until=until)
+            self.results.append(sim.run(until=until))
             # Nothing, live or tombstone, stays queued at or before the
             # bound a run stopped at: the heap holds no dead past.
             assert all(entry[0] > until for entry in sim._heap)
+        elif kind == "run_until":
+            self.awaited = fut = sim.future()
+            limit = None if op[1] is None else sim.now + op[1]
+            try:
+                self.results.append(("value", sim.run_until(fut, limit)))
+            except SimulationError as exc:
+                self.results.append(("raised", str(exc)))
 
     def observe(self):
         sim = self.sim
-        return (sim.now, sim.events_processed, sim.pending(), len(self.fired))
+        return (sim.now, sim.events_processed, sim.pending(), len(self.fired),
+                self.results)
 
 
 @settings(max_examples=400, deadline=None)

@@ -143,3 +143,41 @@ class TestHostilePeer:
         tb.sim.run(until=tb.sim.now + 1 * MS)
         assert got == [9000]
         assert b.reassembly_overflows == extra
+
+    def test_overlapping_fragment_drops_its_datagram(self):
+        """A fragment that shares bytes with what arrived without lying
+        inside it drops the whole datagram, frees its state and is
+        counted; a fragment inside the received bytes (an exact copy
+        among them) changes nothing, and later fragments of the dropped
+        datagram only open a reassembly that times out."""
+        tb = build_testbed(2, costs=zero_cost_model(), metrics=True)
+        b = IpStack(tb.hosts[1])
+        got = []
+        b.register("t", lambda p, src, size: got.append(size))
+
+        def frag(ident, offset, size, more=True):
+            b.on_packet(IpPacket(0, 1, "t", _Obj(), 3000, ident, offset, size, more), None)
+
+        frag(1, 0, 1480)
+        frag(1, 0, 1480)        # an exact copy
+        frag(1, 1480, 1480)
+        frag(1, 100, 2000)      # inside [0, 2960)
+        frag(1, 2960, 40, more=False)
+        assert got == [3000] and b.overlap_drops == 0
+
+        frag(2, 0, 1480)
+        frag(2, 1000, 1480)     # straddles the end of [0, 1480)
+        assert b.overlap_drops == 1 and b.pending_reassemblies() == 0
+        frag(3, 1480, 1480)
+        frag(3, 2960, 40, more=False)
+        frag(3, 0, 1488)        # overlaps [1480, 3000) from below
+        assert b.overlap_drops == 2 and b.pending_reassemblies() == 0
+        frag(2, 2960, 40, more=False)
+        assert b.pending_reassemblies() == 1
+        tb.sim.run(until=tb.sim.now + 2 * REASSEMBLY_TIMEOUT_NS)
+        assert got == [3000] and b.reassembly_timeouts == 1
+        snapshot = tb.registry.snapshot("transport.ip")
+        assert snapshot['transport.ip.overlap_drops{host="host1"}'] == 2
+        assert snapshot['transport.ip.reassembly_timeouts{host="host1"}'] == 1
+        assert snapshot['transport.ip.rx_fragments{host="host1"}'] == b.rx_fragments == 11
+        assert snapshot['transport.ip.delivered{host="host1"}'] == 1

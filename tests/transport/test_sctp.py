@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.harness import VerbsEndpointPair
 from repro.simnet.engine import MS, SEC
 from repro.simnet.loss import BernoulliLoss, ExplicitLoss
 from repro.transport.ip import IpStack
@@ -257,3 +258,29 @@ class TestHostilePeer:
         tb.sim.run(until=tb.sim.now + 1 * SEC)
         assert b.open_associations() == 0
         assert b.bogus_cookie_echoes == 1
+
+
+class TestMetrics:
+    def test_rcsctp_run_exports_the_association_and_stack_counters(self):
+        """With metrics on, an RC-over-SCTP run at 1 % loss exports each
+        association's repair counters and gauges and each stack's cookie
+        counters, equal to the live attributes."""
+        pair = VerbsEndpointPair.build(
+            "rcsctp_sendrecv", loss=BernoulliLoss(0.01, seed=1), metrics=True,
+        )
+        assert pair.bandwidth_mbs(16384, messages=40, window=16)["received_msgs"] == 40
+        snap = pair.metrics_snapshot("transport.sctp")
+        retransmissions = 0
+        for qp in pair.qps:
+            assoc = qp.assoc
+            host = assoc.stack.host.name
+            labels = f'{{assoc="{assoc.local_port}-{assoc.remote[0]}:{assoc.remote[1]}",host="{host}"}}'
+            assert snap["transport.sctp.retransmissions" + labels] == assoc.retransmissions
+            assert snap["transport.sctp.out_of_window_drops" + labels] == assoc.out_of_window_drops
+            assert snap["transport.sctp.cwnd_bytes" + labels] == assoc.cong.cwnd
+            assert snap["transport.sctp.rto_ns" + labels] == assoc.rto.rto_ns
+            stack = f'{{host="{host}"}}'
+            assert snap["transport.sctp.bogus_cookie_echoes" + stack] == assoc.stack.bogus_cookie_echoes
+            assert snap["transport.sctp.cookie_evictions" + stack] == assoc.stack.cookie_evictions
+            retransmissions += assoc.retransmissions
+        assert retransmissions > 0
