@@ -1,7 +1,7 @@
 PYTHON ?= python
 ARTIFACTS ?= artifacts
 
-.PHONY: lint test check examples verify-fsm obs-check results-check digest-check perfbench reach-check
+.PHONY: lint test check examples verify-fsm explore obs-check results-check digest-check perfbench reach-check
 
 lint:
 	bash scripts/check.sh
@@ -18,7 +18,7 @@ examples:
 		PYTHONPATH=src $(PYTHON) $$f || exit 1; \
 	done
 
-# Full FSM pipeline: model-check the four machines + the RC product,
+# Full FSM pipeline: model-check the four machines,
 # run the suite under the transition-coverage sanitizer, then gate the
 # recording against the declared tables (waivers in
 # tools/iwarpcheck/waivers.txt). Reports land in $(ARTIFACTS)/.
@@ -29,6 +29,22 @@ verify-fsm:
 		$(PYTHON) -m pytest -q
 	$(PYTHON) -m iwarpcheck coverage $(ARTIFACTS)/fsm-records.json \
 		--output $(ARTIFACTS)/coverage-report.json
+
+# Fault-schedule explorer (CI's explore job; a few minutes): run each
+# short explore-* catalogue row on the live stack under every schedule
+# of up to 2 faults over its first 24 frames and check the oracles
+# (DESIGN.md §7). One process per row; each writes its runs, the RC
+# composites it reached and any counterexample (row + replayable
+# schedule) to $(ARTIFACTS)/explore-<row>.json.
+EXPLORE_ROWS = rc_sendrecv rd_sendrecv ud_write_record ud_sendrecv
+
+explore:
+	mkdir -p $(ARTIFACTS)
+	$(MAKE) -j4 -k $(EXPLORE_ROWS:%=explore-%)
+
+explore-%:
+	PYTHONPATH=src $(PYTHON) -m iwarpcheck explore --row explore-$* \
+		--output $(ARTIFACTS)/explore-$*.json
 
 # Observability gate: metrics must not perturb the simulation (the
 # determinism test), exporters and the python -m repro.obs CLI must hold

@@ -30,6 +30,7 @@ from ..models.costs import CostModel
 from ..models.platform import Platform
 from ..obs import Registry
 from ..simnet.engine import MS, SEC, Simulator
+from ..simnet.faults import FaultModel
 from ..simnet.loss import LossModel
 from ..simnet.topology import Testbed, build_testbed
 from ..simnet.trace import Tracer
@@ -95,12 +96,18 @@ class VerbsEndpointPair:
         rd_opts: Optional[dict] = None,
         metrics: Optional[bool] = None,
         sim: Optional[Simulator] = None,
+        faults: Optional[FaultModel] = None,
     ) -> "VerbsEndpointPair":
+        """``faults``, if given, sits in both hosts' egress slots
+        before any frame is sent, so it also sees the RC handshake."""
         if mode not in MODES:
             raise BenchError(f"unknown mode {mode!r} (want one of {MODES})")
         tb = build_testbed(2, platform=platform, costs=costs, sim=sim, metrics=metrics)
         if loss is not None:
             tb.set_egress_loss(loss_on_host, loss)
+        if faults is not None:
+            for host in (0, 1):
+                tb.set_egress_faults(host, faults)
         nets = install_stacks(tb)
         devices = [RnicDevice(n) for n in nets]
         pds = [d.alloc_pd() for d in devices]

@@ -25,7 +25,7 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..simnet.engine import SEC, US, Simulator
-from ..simnet.faults import seeded_chaos
+from ..simnet.faults import FaultModel, seeded_chaos
 from ..simnet.loss import BernoulliLoss
 from ..simnet.trace import Tracer
 from .harness import VerbsEndpointPair
@@ -113,7 +113,43 @@ SCENARIOS: Dict[str, Scenario] = {
         for seed in FIG07_SEEDS
         for metrics in (False, True)
     },
+    # Short runs for the fault-schedule explorer (tools/iwarpcheck):
+    # unpinned.  Write-Record messages span two DDP segments, so a
+    # completion can be checked against the LAST segment's arrival.
+    **{
+        f"explore-{mode}": Scenario(mode, size=size, count=4)
+        for mode, size in (("rc_sendrecv", 16384), ("rd_sendrecv", 16384),
+                           ("ud_write_record", 65536), ("ud_sendrecv", 16384))
+    },
 }
+
+
+def build(
+    row: Scenario, sim: Simulator, faults: Optional[FaultModel] = None
+) -> VerbsEndpointPair:
+    """The connected pair row ``row`` runs on, built in ``sim``: its
+    mode, build options and host-0 loss or chaos recipe, plus
+    ``faults`` on both hosts from the first frame on."""
+    loss = BernoulliLoss(row.loss, seed=row.seed) if row.loss else None
+    pair = VerbsEndpointPair.build(
+        row.mode, loss=None if row.chaos else loss, rd_opts=row.rd_opts,
+        metrics=row.metrics, sim=sim, faults=faults,
+    )
+    if row.chaos:
+        pair.testbed.set_egress_faults(0, seeded_chaos(
+            row.seed, loss=loss, reorder_prob=0.02, reorder_hold_ns=20 * US,
+            dup_prob=0.01,
+        ))
+    return pair
+
+
+def workload(row: Scenario, pair: VerbsEndpointPair) -> Callable[[], Any]:
+    """Row ``row``'s workload on ``pair``, ready to call."""
+    if row.workload == "pingpong":
+        return partial(pair.pingpong_latency_us, row.size, iters=row.count,
+                       warmup=PINGPONG_WARMUP)
+    return partial(pair.bandwidth_mbs, row.size, messages=row.count,
+                   window=row.window)
 
 
 def run(name: str) -> RunRecord:
@@ -121,22 +157,8 @@ def run(name: str) -> RunRecord:
     row = SCENARIOS[name]
     sim = Simulator()
     sim.tracer = tracer = Tracer(sim)
-    loss = BernoulliLoss(row.loss, seed=row.seed) if row.loss else None
-    pair = VerbsEndpointPair.build(
-        row.mode, loss=None if row.chaos else loss, rd_opts=row.rd_opts,
-        metrics=row.metrics, sim=sim,
-    )
-    if row.chaos:
-        pair.testbed.set_egress_faults(0, seeded_chaos(
-            row.seed, loss=loss, reorder_prob=0.02, reorder_hold_ns=20 * US,
-            dup_prob=0.01,
-        ))
-    if row.workload == "pingpong":
-        phase = partial(pair.pingpong_latency_us, row.size, iters=row.count,
-                        warmup=PINGPONG_WARMUP)
-    else:
-        phase = partial(pair.bandwidth_mbs, row.size, messages=row.count,
-                        window=row.window)
+    pair = build(row, sim)
+    phase = workload(row, pair)
     calls: Optional[int] = None
     peak_heap: Optional[int] = None
     if "calls" in row.pins:

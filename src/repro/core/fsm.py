@@ -24,18 +24,19 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Mapping, Protocol, Set, Tuple
 
-#: ``observer(machine, from_state, to_state)`` — called after the write,
-#: only for real moves (same-state no-ops are invisible, matching the
-#: declared tables, which do not contain self-loops).
-TransitionObserver = Callable[[str, str, str], None]
-
-_observers: List[TransitionObserver] = []
-
-
 class Stateful(Protocol):
     """Anything carrying a guarded ``state`` attribute."""
 
     state: str
+
+
+#: ``observer(machine, from_state, to_state, obj)`` — ``machine`` is the
+#: machine's name and ``obj`` the object that moved; called after the
+#: write, only for real moves (same-state no-ops are invisible, matching
+#: the declared tables, which do not contain self-loops).
+TransitionObserver = Callable[[str, str, str, Stateful], None]
+
+_observers: List[TransitionObserver] = []
 
 
 def pair_table(
@@ -96,5 +97,5 @@ def transition(
         )
     machine.state = new_state
     for observer in tuple(_observers):
-        observer(name, current, new_state)
+        observer(name, current, new_state, machine)
     return True

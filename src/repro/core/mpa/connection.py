@@ -86,6 +86,7 @@ class MpaConnection:
         self.ulpdus_received = 0
 
         sock.on_data = self._on_bytes
+        sock.conn.on_close = self._on_tcp_close
         if initiator:
             sock.established.add_callback(lambda _: self._send_negotiation(_TYPE_REQ))
 
@@ -130,6 +131,14 @@ class MpaConnection:
         self._set_state(OPERATIONAL)
         if not self.ready.done:
             self.ready.set_result(self)
+
+    def _on_tcp_close(self) -> None:
+        """TCP saw the peer's FIN, or a reset: an RST that ``abort``
+        sent or the peer did.  Only a reset leaves the connection
+        CLOSED here, and it fails the stream at once, in the same
+        callback, so the QP errors and flushes with it."""
+        if self.sock.conn.state == "CLOSED" and self.state != FAILED:
+            self._fail(MpaError("TCP connection reset"))
 
     def _fail(self, exc: Exception) -> None:
         self._set_state(FAILED)

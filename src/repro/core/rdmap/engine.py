@@ -460,6 +460,18 @@ class RdmapRx:
         payload = seg.payload
         end = seg.mo + len(payload)
         if end > capacity:
+            # The message overran its receive: that WR completes in
+            # error now, ahead of the FLUSHED ones terminate leaves.
+            self._rc_current = None
+            self.qp.fail_recv(
+                WorkCompletion(
+                    wr_id=wr.wr_id,
+                    opcode=WrOpcode.SEND,
+                    status=WcStatus.LOCAL_LENGTH_ERROR,
+                    byte_len=end,
+                    src=src,
+                )
+            )
             self.qp.terminate("send overruns posted receive")
             return
         if end > total:
@@ -479,6 +491,14 @@ class RdmapRx:
                     solicited=seg.opcode == OP_SEND_SE,
                 )
             )
+
+    def take_open_receive(self) -> Optional[RecvWR]:
+        """The receive WR an RC message is being placed into, if any,
+        which the engine then lets go: the QP is erroring mid-message
+        and completes it."""
+        current = self._rc_current
+        self._rc_current = None
+        return None if current is None else current[0]
 
     def _on_send_ud(self, seg: DdpSegment, src: Optional[Address]) -> None:
         if seg.msg_id is None or seg.msg_total is None:

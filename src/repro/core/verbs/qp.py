@@ -32,7 +32,7 @@ from ..ddp.headers import (
     DdpSegment, HeaderError, decode_segment,
 )
 from ..mpa.connection import MpaConnection
-from ..mpa.crc import CRC_SIZE, CrcError, append_crc, split_and_verify
+from ..mpa.crc import CRC_SIZE, CrcError, append_crc, crc32, split_and_verify
 from ..rdmap.engine import RdmapRx, RdmapTx
 from .cq import CompletionQueue
 from .wr import Address, RecvWR, SendWR, WcStatus, WorkCompletion, WrOpcode
@@ -237,6 +237,12 @@ class QueuePair:
         self._note_completion("rq", wc)
         self.host.cpu.submit(self.host.costs.cqe_ns, self.rq_cq.push, wc)
 
+    def fail_recv(self, wc: WorkCompletion) -> None:
+        """Complete a receive in error at once, not after the CQE cost,
+        so it lands ahead of the FLUSHED ones of the error it causes."""
+        self._note_completion("rq", wc)
+        self.rq_cq.push(wc)
+
     def push_sq_completion(self, wc: WorkCompletion) -> None:
         self._note_completion("sq", wc)
         self.host.cpu.submit(self.host.costs.cqe_ns, self.sq_cq.push, wc)
@@ -298,8 +304,14 @@ class QueuePair:
             self.ready.set_result(None)
 
     def _flush_recv_queue(self) -> None:
-        """Complete every still-posted receive with FLUSHED so pollers
-        observe the teardown instead of waiting forever."""
+        """Complete every receive WR the QP still holds with FLUSHED so
+        pollers observe the teardown instead of waiting forever: first
+        the one an RC message was being placed into when it errored
+        (taken from ``rq`` at the message's first segment), then every
+        still-posted one, in post order."""
+        placing = self.rx.take_open_receive()
+        if placing is not None:
+            self.rq.appendleft(placing)
         self.flushes += len(self.rq)
         while self.rq:
             wr = self.rq.popleft()
@@ -360,6 +372,7 @@ class UdQp(QueuePair):
         if reliable:
             self.rd = RudpSocket(udp_sock, **(rd_opts or {}))
             self.rd.on_message = self._on_datagram
+            self.rd.accepts = self._crc_intact
             self.rd.on_peer_failed = self._on_rd_peer_failed
             self._sock = self.rd
             overhead = MAX_HEADER + CRC_SIZE + RUDP_HEADER
@@ -509,9 +522,20 @@ class UdQp(QueuePair):
 
     # -- receive ------------------------------------------------------------
 
+    def _crc_intact(self, data: bytes) -> bool:
+        """RD's admission check: a segment whose DDP CRC fails is
+        counted here and never enters the window, so it is not
+        acknowledged and its sender repairs it like a loss."""
+        size = len(data) - CRC_SIZE
+        if size >= 0 and crc32(memoryview(data)[:size]) == int.from_bytes(data[size:], "big"):
+            return True
+        self.crc_drops += 1
+        return False
+
     def _on_datagram(self, data: bytes, src: Address) -> None:
         try:
-            body = split_and_verify(data)
+            # RD checked the CRC before its window took the segment.
+            body = data[:-CRC_SIZE] if self.reliable else split_and_verify(data)
             seg = decode_segment(body, ud=True)
         except (CrcError, HeaderError):
             self.crc_drops += 1

@@ -312,12 +312,15 @@ class Simulator:
 
         Raises :class:`SimulationError` if the event queue drains (or the
         optional time ``limit`` passes) first — that always indicates a
-        deadlock in the experiment being simulated.
+        deadlock in the experiment being simulated.  "Drained" means no
+        live event is left: tombstones past ``limit`` do not count, so
+        the diagnostic is the same whether a timer was moved by
+        :meth:`rearm` or by ``cancel()`` and :meth:`at`.
         """
         self._loop(_FOREVER if limit is None else limit, fut)
         if fut.done:
             return fut.value
-        if not self._heap:
+        if not any(map(_live, self._heap)):
             raise SimulationError("event queue drained before future resolved")
         raise SimulationError(f"future unresolved at time limit {limit}")
 

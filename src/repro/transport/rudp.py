@@ -208,6 +208,11 @@ class RudpSocket:
         self._tx: Dict[Address, _PeerTx] = {}
         self._rx: Dict[Address, ReceiveWindow] = {}
         self.on_message: Optional[Callable[[bytes, Address], None]] = None
+        #: The check a data payload must pass before it enters the
+        #: window (the RD QP's DDP CRC, which counts what it rejects):
+        #: one that fails is dropped unacknowledged, and its sender
+        #: repairs it like a loss.
+        self.accepts: Optional[Callable[[bytes], bool]] = None
         self.on_peer_failed: Optional[Callable[[Address], None]] = None
         self._queue: Deque[Tuple[bytes, Address]] = deque()
         self._waiters: Deque[Future] = deque()
@@ -457,6 +462,9 @@ class RudpSocket:
         self._arm_timer(src, tx)
 
     def _on_data(self, seq: int, payload: bytes, src: Address) -> None:
+        accepts = self.accepts
+        if accepts is not None and not accepts(payload):
+            return
         rx = self._rx.get(src)
         if rx is None:
             rx = self._rx[src] = ReceiveWindow(self.window_msgs)

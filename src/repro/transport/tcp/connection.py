@@ -53,8 +53,8 @@ TIME_WAIT = "TIME_WAIT"
 #: (RFC 793 figure 6 subset and arc labels).  ``reset`` covers both an
 #: arriving RST and a local abort, so CLOSED is reachable from every
 #: state; losing, duplicating, or reordering a data segment never moves
-#: this machine (retransmission absorbs it), which the product model in
-#: iwarpcheck states explicitly.
+#: this machine (retransmission absorbs it), which iwarpcheck's
+#: fault-schedule explorer checks on the running stack.
 TCP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (CLOSED, "active_open"): SYN_SENT,
     (CLOSED, "passive_syn"): SYN_RCVD,
@@ -255,10 +255,11 @@ class TcpConnection:
         self._try_output()
 
     def abort(self) -> None:
-        """Send RST and drop all state."""
+        """Send RST and drop all state: a reset, for this end as for
+        the peer that receives the RST."""
         if self.state not in (CLOSED, TIME_WAIT):
             self._transmit(self.snd_nxt, RST | ACK, b"")
-        self._become_closed()
+        self._become_closed(error=True)
 
     # ------------------------------------------------------------------
     # Output engine

@@ -1,12 +1,18 @@
 """End-to-end CRC protection: corrupted datagrams are detected and
 dropped by the DDP-layer CRC32, never placed into memory."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.verbs import RecvWR, RnicDevice, SendWR, Sge, WrOpcode
+from repro.bench.harness import VerbsEndpointPair
+from repro.core.verbs import RecvWR, RnicDevice, SendWR, Sge, WcStatus, WrOpcode
 from repro.memory.region import Access
 from repro.models.costs import zero_cost_model
-from repro.simnet.engine import MS
+from repro.simnet.engine import MS, SEC
+from repro.simnet.faults import FaultModel
+from repro.simnet.packet import Frame
+from repro.transport.ip import IpPacket
 from repro.simnet.loss import BitErrorModel
 from repro.simnet.topology import build_testbed
 from repro.transport.stacks import install_stacks
@@ -106,3 +112,34 @@ def test_partial_corruption_rate_partially_delivers():
     delivered = cqB.completions_total
     assert delivered + qpB.crc_drops == n
     assert 0 < qpB.crc_drops < n
+
+
+class _CorruptFirstDatagram(FaultModel):
+    """Flips the last byte (the DDP CRC trailer) of the first datagram."""
+
+    def _admit(self, frame, now):
+        if self.seen == 1:
+            pkt = frame.payload
+            dgram = pkt.payload
+            data = dgram.data[:-1] + bytes([dgram.data[-1] ^ 0xFF])
+            pkt = IpPacket(pkt.src, pkt.dst, pkt.proto, replace(dgram, data=data),
+                           pkt.total_size, pkt.ident, pkt.frag_offset, pkt.frag_size,
+                           pkt.more_frags)
+            frame = Frame(frame.src, frame.dst, pkt, frame.payload_size)
+        return [(0, frame)]
+
+
+def test_rd_repairs_a_corrupted_segment_like_a_loss():
+    """RD checks the DDP CRC before a segment enters its window, so a
+    corrupted one is not acknowledged: the sender retransmits it and the
+    message arrives once, instead of completing SUCCESS undelivered."""
+    pair = VerbsEndpointPair.build("rd_sendrecv")
+    pair.testbed.set_egress_faults(0, _CorruptFirstDatagram())
+    pair._prepost_recvs(1, 2, 1000)
+    pair._post_message(0, 1000, signaled=True)
+    pair.sim.run(until=pair.sim.now + SEC)
+    qp0, qp1 = pair.qps
+    assert [wc.status for wc in pair.cqs[0].poll(4)] == [WcStatus.SUCCESS]
+    assert [(wc.status, wc.byte_len) for wc in pair.cqs[1].poll(4)] == [(WcStatus.SUCCESS, 1000)]
+    assert qp1.crc_drops == 1
+    assert qp0.rd.retransmissions == 1

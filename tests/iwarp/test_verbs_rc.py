@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench.harness import VerbsEndpointPair
 from repro.core.verbs import (
     QpError, RecvWR, SendWR, Sge, WcStatus, WrOpcode,
 )
@@ -299,3 +300,48 @@ class TestBothTransports:
         qpB.close()  # idempotent
         rc_any["sim"].run(until=rc_any["sim"].now + 5 * SEC)
         assert _llp_closed(qpA) and _llp_closed(qpB)
+
+
+class TestErrorCompletesEveryReceive:
+    """§IV.B item 2 on the harness's rc_sendrecv pair: a stream error
+    errors both QPs and completes every receive WR they accepted."""
+
+    def test_tcp_reset_errors_both_qps_and_flushes(self):
+        pair = VerbsEndpointPair.build("rc_sendrecv")
+        q0, q1 = pair.qps
+        q1.post_recv(RecvWR(sges=[Sge(pair.recv_mrs[1], 0, 100)], wr_id=7))
+        q0.mpa.sock.abort()
+        pair.sim.run(until=pair.sim.now + SEC)
+        assert (q0.state, q1.state) == ("ERROR", "ERROR")
+        assert (q0.mpa.state, q1.mpa.state) == ("FAILED", "FAILED")
+        assert [(wc.wr_id, wc.status) for wc in pair.cqs[1].poll(4)] == [
+            (7, WcStatus.FLUSHED)
+        ]
+
+    def test_overrun_receive_completes_before_the_flush(self):
+        pair = VerbsEndpointPair.build("rc_sendrecv")
+        q1 = pair.qps[1]
+        q1.post_recv(RecvWR(sges=[Sge(pair.recv_mrs[1], 0, 100)], wr_id=111))
+        q1.post_recv(RecvWR(sges=[Sge(pair.recv_mrs[1], 0, 4000)], wr_id=222))
+        pair._post_message(0, 20_000)
+        pair.sim.run(until=pair.sim.now + SEC)
+        assert q1.state == "ERROR"
+        assert q1.terminate_reason == "send overruns posted receive"
+        assert [(wc.wr_id, wc.status) for wc in pair.cqs[1].poll(4)] == [
+            (111, WcStatus.LOCAL_LENGTH_ERROR), (222, WcStatus.FLUSHED),
+        ]
+
+    def test_error_mid_message_flushes_the_receive_being_placed(self):
+        pair = VerbsEndpointPair.build("rc_sendrecv")
+        q1 = pair.qps[1]
+        for wr_id in (1, 2):
+            q1.post_recv(RecvWR(sges=[Sge(pair.recv_mrs[1], 0, 20_000)], wr_id=wr_id))
+        pair._post_message(0, 20_000)
+        sim = pair.sim
+        while q1.rx._rc_current is None:
+            sim.run(until=sim.now + 1000)
+        q1.mpa.sock.abort()
+        sim.run(until=sim.now + SEC)
+        assert [(wc.wr_id, wc.status) for wc in pair.cqs[1].poll(4)] == [
+            (1, WcStatus.FLUSHED), (2, WcStatus.FLUSHED),
+        ]

@@ -5,7 +5,9 @@ receive WR and completed with no reassembly record, validity map or
 reap timer, and an RC message is placed segment by segment straight
 into its receive WR.  :class:`OracleRx` keeps the earlier
 ``_on_send_rc`` and ``_on_send_ud`` verbatim, which open an
-:class:`UntaggedReassembly` for every message.  Both engines are driven
+:class:`UntaggedReassembly` for every message (its ``_on_send_rc``
+also completes an overrun receive LOCAL_LENGTH_ERROR, as the live
+engine does).  Both engines are driven
 with the same random segment streams: whole and split messages,
 duplicates, lost segments, segments that overrun their message, a
 missing receive, a too-small receive, a deregistered receive buffer
@@ -53,6 +55,16 @@ class OracleRx(RdmapRx):
             self._rc_current = UntaggedReassembly(wr, min(total, capacity))
         state = self._rc_current
         if seg.mo + len(seg.payload) > state.capacity:
+            self._rc_current = None
+            self.qp.fail_recv(
+                WorkCompletion(
+                    wr_id=state.wr.wr_id,
+                    opcode=WrOpcode.SEND,
+                    status=WcStatus.LOCAL_LENGTH_ERROR,
+                    byte_len=seg.mo + len(seg.payload),
+                    src=src,
+                )
+            )
             self.qp.terminate("send overruns posted receive")
             return
         state.place(seg.mo, seg.payload, seg.last)
@@ -145,6 +157,9 @@ class _Qp:
                 self.buffers.append(buf)
                 sges.append(Sge(mr))
             self.rq.append(RecvWR(sges=sges, wr_id=wr_id))
+
+    def fail_recv(self, wc: WorkCompletion) -> None:
+        self.push_rq_completion(wc)
 
     def push_rq_completion(self, wc: WorkCompletion) -> None:
         self.completions.append((

@@ -164,13 +164,37 @@ def test_rearm_churn_never_compacts():
     assert fired == [(acks - 1 + 100, acks - 1)]
 
 
+def test_run_until_ignores_tombstones_past_the_limit():
+    """A timer moved later and then cancelled leaves nothing live: the
+    queue counts as drained, as it would after cancel() + at() +
+    cancel(), though that leaves a tombstone past the limit."""
+    sim = Simulator()
+    ev = sim.at(1, lambda: None)
+    sim.rearm(ev, 2)
+    ev.cancel()
+    with pytest.raises(SimulationError, match="drained"):
+        sim.run_until(sim.future(), 1)
+    sim = Simulator()
+    ev = sim.at(1, lambda: None)
+    ev.cancel()
+    sim.at(2, lambda: None).cancel()
+    with pytest.raises(SimulationError, match="drained"):
+        sim.run_until(sim.future(), 1)
+    sim.at(3, lambda: None)
+    with pytest.raises(SimulationError, match="time limit 2"):
+        sim.run_until(sim.future(), 2)
+
+
 # ----------------------------------------------------------------------
 # Property: rearm == cancel() + at(), and the loop == the earlier loop
 # ----------------------------------------------------------------------
 
 class ReferenceSimulator(Simulator):
     """The engine with the earlier ``run``, ``run_until`` and ``_loop``,
-    kept verbatim."""
+    kept verbatim but for one line: ``run_until`` calls the queue
+    drained when no live event is left, as the engine does.  Testing
+    the raw heap made the diagnostic depend on tombstones, which a
+    rearm that pushes fewer entries cannot reproduce."""
 
     def run(self, until: Optional[int] = None) -> int:
         if until is not None and until < self.now:
@@ -184,7 +208,7 @@ class ReferenceSimulator(Simulator):
         self._loop(limit, fut)
         if fut.done:
             return fut.value
-        if not self._heap:
+        if not self.pending():
             raise SimulationError("event queue drained before future resolved")
         raise SimulationError(f"future unresolved at time limit {limit}")
 

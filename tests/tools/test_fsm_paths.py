@@ -100,7 +100,7 @@ def test_same_state_set_is_silent_noop(name):
     machine = MACHINES[name]
     observed = []
 
-    def observer(machine_name, src, dst):
+    def observer(machine_name, src, dst, obj):
         observed.append((machine_name, src, dst))
 
     add_transition_observer(observer)

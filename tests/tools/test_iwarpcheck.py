@@ -1,7 +1,8 @@
 """iwarpcheck self-tests: every rule code fires exactly where a seeded
 fixture plants a violation (with the promised counterexample trace),
-stays silent on the real machines and the real RC product, and the
-coverage sanitizer + waiver manifest behave per DESIGN §7."""
+stays silent on the real machines, and the coverage sanitizer + waiver
+manifest behave per DESIGN §7.  The fault-schedule explorer has its own
+tests in ``test_iwarpcheck_schedules.py``."""
 
 import json
 import subprocess
@@ -20,14 +21,7 @@ from iwarpcheck.explore import (  # noqa: E402
     event_paths_covering_all_edges,
     reachable_paths,
 )
-from iwarpcheck.model import Machine, load_machines, machines_by_name  # noqa: E402
-from iwarpcheck.product import (  # noqa: E402
-    ProductInvariant,
-    ProductMachine,
-    ProductRule,
-    check_product,
-    rc_product,
-)
+from iwarpcheck.model import MACHINE_NAMES, Machine, load_machines  # noqa: E402
 from iwarpcheck.sanitizer import (  # noqa: E402
     RecordsError,
     TransitionRecorder,
@@ -115,89 +109,6 @@ def test_real_machines_are_clean():
 
 
 # ---------------------------------------------------------------------------
-# Product rules (IC2xx)
-# ---------------------------------------------------------------------------
-
-
-def comp(name, initial, events, terminals=()):
-    return make_machine(events, initial=initial, terminals=terminals, name=name)
-
-
-A = comp("A", "X", {("X", "adv"): "Y"}, terminals=("Y",))
-B = comp("B", "P", {("P", "adv"): "Q"}, terminals=("Q",))
-
-ADV_A = ProductRule("adv_a", guard={"a": frozenset({"X"})}, update={"a": "Y"})
-
-
-def make_product(rules, invariants=(), terminal=None):
-    return ProductMachine(
-        name="FIXTURE",
-        components=("a", "b"),
-        machines={"a": A, "b": B},
-        initial={"a": "X", "b": "P"},
-        rules=tuple(rules),
-        invariants=tuple(invariants),
-        terminal=terminal or {},
-    )
-
-
-def test_ic201_rule_moves_component_illegally():
-    back = ProductRule("back_a", guard={"a": frozenset({"Y"})}, update={"a": "X"})
-    findings = check_product(make_product([ADV_A, back]))
-    assert codes(findings) == ["IC201"]
-    assert "moves a Y -> X" in findings[0].message
-    assert findings[0].trace[-1] == ("Y/P", "back_a", "<illegal>")
-
-
-def test_ic202_always_invariant_violation_with_trace():
-    invariant = ProductInvariant(
-        "y-implies-q",
-        kind="always",
-        when={"a": frozenset({"Y"})},
-        require={"b": frozenset({"Q"})},
-    )
-    findings = check_product(make_product([ADV_A], invariants=[invariant]))
-    assert codes(findings) == ["IC202"]
-    assert "y-implies-q" in findings[0].message
-    assert findings[0].trace == (("X/P", "adv_a", "Y/P"),)
-
-
-def test_ic203_leads_to_invariant_violation():
-    invariant = ProductInvariant(
-        "y-leads-to-q",
-        kind="leads-to",
-        when={"a": frozenset({"Y"})},
-        require={"b": frozenset({"Q"})},
-    )
-    findings = check_product(make_product([ADV_A], invariants=[invariant]))
-    assert codes(findings) == ["IC203"]
-
-
-def test_ic204_no_path_to_terminal_composite():
-    findings = check_product(
-        make_product([ADV_A], terminal={"a": frozenset({"X"})})
-    )
-    assert codes(findings) == ["IC204"]
-    assert findings[0].trace == (("X/P", "adv_a", "Y/P"),)
-
-
-def test_ic205_dead_product_rule():
-    never = ProductRule("never", guard={"a": frozenset({"Z"})})
-    findings = check_product(make_product([ADV_A, never]))
-    assert codes(findings) == ["IC205"]
-    assert "'never'" in findings[0].message
-
-
-def test_state_explosion_is_a_hard_error():
-    with pytest.raises(RuntimeError, match="exceeded"):
-        check_product(make_product([ADV_A]), max_states=1)
-
-
-def test_real_rc_product_is_clean():
-    assert check_product(rc_product(machines_by_name())) == []
-
-
-# ---------------------------------------------------------------------------
 # Runtime sanitizer (IC3xx)
 # ---------------------------------------------------------------------------
 
@@ -232,8 +143,8 @@ def test_recorder_observes_shared_transition_helper():
 
 def test_records_round_trip(tmp_path):
     recorder = TransitionRecorder()
-    recorder("QP", "RESET", "INIT")
-    recorder("QP", "RESET", "INIT")
+    recorder("QP", "RESET", "INIT", None)
+    recorder("QP", "RESET", "INIT", None)
     path = tmp_path / "records.json"
     recorder.write(str(path))
     assert load_records(str(path)) == {("QP", "RESET", "INIT"): 2}
@@ -319,7 +230,7 @@ def test_cli_check_clean_json():
     payload = json.loads(proc.stdout)
     assert payload["tool"] == "iwarpcheck"
     assert payload["count"] == 0
-    assert "RC-PRODUCT" in payload["machines"]
+    assert payload["machines"] == list(MACHINE_NAMES)
 
 
 def test_cli_unknown_machine_is_usage_error():

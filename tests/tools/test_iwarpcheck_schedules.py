@@ -1,0 +1,210 @@
+"""The fault-schedule explorer (``iwarpcheck.schedules``): clean on the
+tree at one fault per schedule, and each oracle catches the mutant
+written against it, as does reverting either RC error fix."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+TOOLS = REPO_ROOT / "tools"
+if str(TOOLS) not in sys.path:
+    sys.path.insert(0, str(TOOLS))
+
+from iwarpcheck import cli, schedules  # noqa: E402
+
+from repro.core.mpa.connection import MpaConnection  # noqa: E402
+from repro.core.rdmap.engine import RdmapRx  # noqa: E402
+from repro.core.verbs.qp import QueuePair, RcQp, UdQp  # noqa: E402
+from repro.transport.rudp import RudpSocket  # noqa: E402
+
+#: Smaller than the module's bounds, so the whole file stays a few seconds.
+FRAMES = 8
+
+
+def expected_runs(row, setup, frames):
+    """1 + the one-fault schedules over ``frames`` frames, the first
+    ``setup`` of which (the RC handshake) take no close or drain."""
+    kinds = schedules.fault_kinds(row)
+    early = [kind for kind in kinds if not kind.startswith(("close@", "drain@"))]
+    return 1 + setup * len(early) + (frames - setup) * len(kinds)
+
+
+def test_one_fault_over_every_row_is_clean():
+    composites = set()
+    for row in schedules.ROWS:
+        runs = list(schedules.explore(row, max_faults=1, max_frames=FRAMES))
+        setup = runs[0].setup
+        assert setup == (5 if row == "explore-rc_sendrecv" else 0)
+        assert len(runs) == expected_runs(row, setup, FRAMES)
+        assert [f for run in runs for f in run.findings] == []
+        composites |= set().union(*(run.composites for run in runs))
+    # The handshake, a reset, a close from either side, a drain.
+    for composite in (
+        ("RESET", "NEGOTIATING", "SYN_SENT"),
+        ("RTS", "OPERATIONAL", "ESTABLISHED"),
+        ("ERROR", "FAILED", "CLOSED"),
+        ("ERROR", "OPERATIONAL", "FIN_WAIT_1"),
+        ("RTS", "OPERATIONAL", "CLOSE_WAIT"),
+        ("SQD", "OPERATIONAL", "ESTABLISHED"),
+    ):
+        assert composite in composites
+
+
+def test_faults_sit_only_at_frames_the_run_reached():
+    # A fault at a frame index the run never reaches would repeat it.
+    runs = list(schedules.explore("explore-ud_sendrecv", max_faults=1, max_frames=10_000))
+    frames = runs[0].frames
+    assert runs[0].schedule == () and 0 < frames < 10_000
+    assert len(runs) == expected_runs("explore-ud_sendrecv", 0, frames)
+
+
+def test_a_reset_during_the_handshake_fails_the_qp():
+    # Host 0's connection is reset as the SYN leaves: MPA fails while
+    # still negotiating, the QP errors, and the build gives up cleanly.
+    run = schedules.run_schedule("explore-rc_sendrecv", ((0, "reset@0"),))
+    assert run.findings == [] and run.setup == run.frames
+    assert ("ERROR", "FAILED", "CLOSED") in run.composites
+
+
+def test_schedule_text_round_trips():
+    schedule = ((3, "drop"), (7, "reset@1"))
+    text = schedules.render(schedule)
+    assert text == "3:drop,7:reset@1"
+    assert schedules.parse(text, "explore-rc_sendrecv") == schedule
+    assert schedules.parse("-", "explore-rc_sendrecv") == ()
+    with pytest.raises(ValueError):
+        schedules.parse("2:reset@0", "explore-ud_sendrecv")
+
+
+def first_finding(row, rule, frames=FRAMES):
+    """The first counterexample for ``rule`` on ``row`` at one fault."""
+    for run in schedules.explore(row, max_faults=1, max_frames=frames):
+        hits = [f for f in run.findings if f.rule == rule]
+        if hits:
+            return run, hits[0]
+    raise AssertionError(f"{rule} never fired on {row}")
+
+
+# -- one mutant per oracle ------------------------------------------------------
+
+
+def test_qp_ignoring_mpa_errors_is_caught(monkeypatch):
+    attach = RcQp._attach
+
+    def deaf(self, mpa):
+        ready = attach(self, mpa)
+        mpa.on_error = lambda exc: None
+        return ready
+
+    monkeypatch.setattr(RcQp, "_attach", deaf)
+    run, finding = first_finding("explore-rc_sendrecv", "IC402")
+    assert "FAILED" in finding.message
+    assert finding.machine == "explore-rc_sendrecv"
+    assert schedules.render(run.schedule) in finding.message
+
+
+def test_qp_ready_before_mpa_is_caught(monkeypatch):
+    attach = RcQp._attach
+
+    def eager(self, mpa):
+        attach(self, mpa)
+        ready = self.sim.future()
+        ready.set_result(mpa)
+        return ready
+
+    monkeypatch.setattr(RcQp, "_attach", eager)
+    run, finding = first_finding("explore-rc_sendrecv", "IC401")
+    assert run.schedule == ()
+    assert "RTS/NEGOTIATING" in finding.message
+
+
+def test_a_flush_that_does_nothing_is_caught(monkeypatch):
+    monkeypatch.setattr(QueuePair, "_flush_recv_queue", lambda self: None)
+    run, finding = first_finding("explore-rc_sendrecv", "IC403")
+    assert "completed 0 times" in finding.message
+
+
+def test_rd_delivering_a_retransmitted_duplicate_is_caught(monkeypatch):
+    on_data = RudpSocket._on_data
+
+    def redeliver(self, seq, payload, src):
+        rx = self._rx.get(src)
+        if rx is not None and seq < rx.rcv_nxt:
+            self._deliver(payload, src)
+        on_data(self, seq, payload, src)
+
+    monkeypatch.setattr(RudpSocket, "_on_data", redeliver)
+    run, _ = first_finding("explore-rd_sendrecv", "IC404", frames=16)
+    assert run.schedule
+
+
+def test_write_record_completing_without_last_is_caught(monkeypatch):
+    on_write_record = RdmapRx._on_write_record
+
+    def hasty(self, seg, src):
+        on_write_record(self, seg, src)
+        state = self._write_records.get((src, seg.msg_id))
+        if state is not None:
+            self._finish_write_record((src, seg.msg_id), state)
+
+    monkeypatch.setattr(RdmapRx, "_on_write_record", hasty)
+    _, finding = first_finding("explore-ud_write_record", "IC405")
+    assert "before its LAST segment" in finding.message
+
+
+def test_ud_reporting_the_wrong_source_is_caught(monkeypatch):
+    on_datagram = UdQp._on_datagram
+    monkeypatch.setattr(
+        UdQp, "_on_datagram", lambda self, data, src: on_datagram(self, data, self.address)
+    )
+    for row in ("explore-ud_sendrecv", "explore-ud_write_record", "explore-rd_sendrecv"):
+        _, finding = first_finding(row, "IC406")
+        assert "reports source" in finding.message
+
+
+# -- the two RC error fixes, reverted -------------------------------------------
+
+
+def test_reverting_the_reset_coupling_is_caught(monkeypatch):
+    monkeypatch.setattr(MpaConnection, "_on_tcp_close", lambda self: None)
+    run, finding = first_finding("explore-rc_sendrecv", "IC401")
+    assert run.schedule[0][1].startswith("reset@")
+    assert "RTS/OPERATIONAL/CLOSED" in finding.message
+
+
+def test_reverting_the_open_receive_flush_is_caught(monkeypatch):
+    monkeypatch.setattr(RdmapRx, "take_open_receive", lambda self: None)
+    run, finding = first_finding("explore-rc_sendrecv", "IC403")
+    assert run.schedule
+    assert "completed 0 times" in finding.message
+
+
+# -- the command line ------------------------------------------------------------
+
+
+def test_cli_reports_a_replayable_counterexample(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(MpaConnection, "_on_tcp_close", lambda self: None)
+    monkeypatch.setattr(schedules, "MAX_FAULTS", 1)
+    monkeypatch.setattr(schedules, "MAX_FRAMES", 6)
+    report = tmp_path / "explore.json"
+    args = ["explore", "--row", "explore-rc_sendrecv", "--output", str(report)]
+    assert cli.main(args) == 1
+    out = capsys.readouterr().out
+    assert "explore-rc_sendrecv: IC401 schedule 5:reset@0:" in out
+    payload = json.loads(report.read_text())
+    assert payload["runs"] == {
+        "explore-rc_sendrecv": expected_runs("explore-rc_sendrecv", 5, 6)
+    }
+    replay = ["explore", "--row", "explore-rc_sendrecv", "--schedule", "5:reset@0"]
+    assert cli.main(replay) == 1
+    monkeypatch.undo()
+    assert cli.main(replay) == 0
+
+
+def test_cli_rejects_bad_rows_and_schedules():
+    assert cli.main(["explore", "--row", "nope"]) == 2
+    assert cli.main(["explore", "--schedule", "0:drop"]) == 2
+    assert cli.main(["explore", "--row", "explore-ud_sendrecv", "--schedule", "x"]) == 2

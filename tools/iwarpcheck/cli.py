@@ -1,8 +1,8 @@
-"""Command-line entry point: ``python -m iwarpcheck [check|coverage]``.
+"""Command-line entry point: ``python -m iwarpcheck [check|coverage|explore]``.
 
 Exit codes match iwarplint's contract: 0 clean, 1 findings, 2
 configuration or usage errors (unknown machine, unreadable records
-file, malformed waiver manifest).
+file, malformed waiver manifest, unknown explorer row or schedule).
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from iwarpcheck import schedules
 from iwarpcheck.explore import check_machine
 from iwarpcheck.model import MACHINE_NAMES, Finding, load_machines
-from iwarpcheck.product import check_product, rc_product
 from iwarpcheck.sanitizer import (
     RecordsError,
     WaiverError,
@@ -27,7 +27,7 @@ from iwarpcheck.sanitizer import (
 
 DEFAULT_WAIVERS = Path(__file__).resolve().parent / "waivers.txt"
 
-PRODUCT_COMPONENTS = ("QP", "MPA", "TCP")
+COMMANDS = ("check", "coverage", "explore")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="model-check the four machines and the RC product machine",
+        help="model-check the four machines",
     )
     check.add_argument(
         "--machine",
@@ -60,7 +60,22 @@ def _build_parser() -> argparse.ArgumentParser:
         help="waiver manifest (default: tools/iwarpcheck/waivers.txt)",
     )
 
-    for sub_parser in (check, coverage):
+    explore = sub.add_parser(
+        "explore",
+        help="run catalogue rows under every bounded fault schedule and check the oracles",
+    )
+    explore.add_argument(
+        "--row",
+        action="append",
+        metavar="NAME",
+        help=f"restrict to one row (repeatable; one of {', '.join(schedules.ROWS)})",
+    )
+    explore.add_argument(
+        "--schedule", metavar="SCHEDULE",
+        help="replay one schedule, as a counterexample prints it, on one --row",
+    )
+
+    for sub_parser in (check, coverage, explore):
         sub_parser.add_argument(
             "--format",
             choices=("text", "json"),
@@ -122,14 +137,9 @@ def _run_check(args: argparse.Namespace) -> int:
 
     by_name = {machine.name: machine for machine in machines}
     findings: List[Finding] = []
-    checked: List[str] = []
     for name in selected:
         findings.extend(check_machine(by_name[name]))
-        checked.append(name)
-    if all(component in selected for component in PRODUCT_COMPONENTS):
-        findings.extend(check_product(rc_product(by_name)))
-        checked.append("RC-PRODUCT")
-    return _report("check", findings, args, extra={"machines": checked})
+    return _report("check", findings, args, extra={"machines": selected})
 
 
 def _run_coverage(args: argparse.Namespace) -> int:
@@ -151,16 +161,53 @@ def _run_coverage(args: argparse.Namespace) -> int:
     return _report("coverage", findings, args, extra={"summary": summary})
 
 
+def _run_explore(args: argparse.Namespace) -> int:
+    rows = args.row or list(schedules.ROWS)
+    for row in rows:
+        if row not in schedules.ROWS:
+            print(f"iwarpcheck: {row!r} is not one of {', '.join(schedules.ROWS)}",
+                  file=sys.stderr)
+            return 2
+    if args.schedule is not None:
+        if len(rows) != 1:
+            print("iwarpcheck: --schedule replays one --row", file=sys.stderr)
+            return 2
+        try:
+            schedule = schedules.parse(args.schedule, rows[0])
+        except ValueError as exc:
+            print(f"iwarpcheck: bad schedule {args.schedule!r}: {exc}", file=sys.stderr)
+            return 2
+        runs = [schedules.run_schedule(rows[0], schedule)]
+    else:
+        runs = (
+            run for row in rows
+            for run in schedules.explore(row, schedules.MAX_FAULTS, schedules.MAX_FRAMES)
+        )
+    findings: List[Finding] = []
+    composites: Set[Tuple[str, ...]] = set()
+    counts: Dict[str, int] = {}
+    for run in runs:
+        counts[run.row] = counts.get(run.row, 0) + 1
+        composites |= run.composites
+        findings.extend(run.findings)
+    for row, count in counts.items():
+        print(f"iwarpcheck: {row}: {count} schedule(s) run", file=sys.stderr)
+    return _report("explore", findings, args, extra={
+        "runs": counts,
+        "composites": sorted("/".join(c) for c in composites),
+    })
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or (
-        argv[0] not in ("check", "coverage") and argv[0] not in ("-h", "--help")
-    ):
+    if not argv or (argv[0] not in COMMANDS and argv[0] not in ("-h", "--help")):
         argv.insert(0, "check")
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "coverage":
         return _run_coverage(args)
+    if args.command == "explore":
+        return _run_explore(args)
     return _run_check(args)
 
 

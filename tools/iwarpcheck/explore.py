@@ -5,8 +5,8 @@ event names a declared state, every declared pair has an event that
 takes it, and no arc is a self-loop (:func:`repro.core.fsm.pair_table`
 rejects one) — by construction, with no rule to check it.
 
-Rule codes (the IC2xx product rules live in :mod:`iwarpcheck.product`,
-the IC3xx coverage rules in :mod:`iwarpcheck.sanitizer`):
+Rule codes (the IC3xx coverage rules live in :mod:`iwarpcheck.sanitizer`,
+the IC4xx fault-schedule oracles in :mod:`iwarpcheck.schedules`):
 
 * **IC104** — a declared state unreachable from the initial state via
   events.

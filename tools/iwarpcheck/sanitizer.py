@@ -101,7 +101,7 @@ class TransitionRecorder:
 
     counts: Dict[Tuple[str, str, str], int] = field(default_factory=dict)
 
-    def __call__(self, machine: str, src: str, dst: str) -> None:
+    def __call__(self, machine: str, src: str, dst: str, obj: object) -> None:
         key = (machine, src, dst)
         self.counts[key] = self.counts.get(key, 0) + 1
 

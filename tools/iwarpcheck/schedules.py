@@ -1,0 +1,442 @@
+"""Bounded fault-schedule explorer: short scenario-catalogue rows run on
+the live stack under every schedule of up to k faults over their first
+N frames, with the cross-layer oracles checked on every run.
+
+A schedule pins each fault to a frame index, counting the frames both
+hosts offer to their NIC egress from the first one on, the RC
+handshake and MPA negotiation included.  ``drop``,
+``dup``, ``delay`` (held :data:`DELAY_NS`, so later frames overtake it)
+and ``corrupt`` (the last byte of its transport payload flipped: a bit
+error no checksum below DDP or MPA catches; a frame with no payload is
+dropped, as its header checksum would drop it) act on frame i.
+``reset@h`` (``abort()`` host h's TCP connection; RC only), ``close@h``
+and ``drain@h`` (SQD) act at the instant frame i is offered, as a fresh
+event.  A reset can land in the handshake or the MPA negotiation; a
+close or drain acts on host h's QP, which the pair build hands out only
+once it is RTS, so one at a frame offered before that does nothing.
+Runs are deterministic, so the row and the schedule replay a
+counterexample: ``python -m iwarpcheck explore --row ROW --schedule
+3:drop,7:reset@1``.  The oracles (DESIGN.md §7):
+
+* IC400 — the run raised (a verb refused on a QP a fault broke is not
+  a finding);
+* IC401 — an RC QP in RTS/SQD without an OPERATIONAL MPA stream over
+  ESTABLISHED or CLOSE_WAIT TCP;  IC402 — MPA FAILED under a QP not in
+  ERROR.  Both read each RC endpoint's (QP, MPA, TCP) composite at the
+  end of every simulated instant, never inside a callback chain;
+* IC403 — an RC receive WR not completed exactly once;
+* IC404 — RD: a message delivered twice or out of order, or not
+  delivered although its sender did not complete it FLUSHED;
+* IC405 — a Write-Record completion without its LAST segment, or with
+  a validity map other than the union of the ranges that arrived;
+* IC406 — a UD or RD completion whose source is not the peer QP.
+"""
+
+from __future__ import annotations
+
+import traceback
+from collections import deque
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
+
+from repro.bench import scenarios
+from repro.bench.harness import BenchError, VerbsEndpointPair
+from repro.core import fsm
+from repro.core.ddp.headers import OP_WRITE_RECORD
+from repro.core.verbs import WcStatus, WorkCompletion, WrOpcode
+from repro.core.verbs.qp import ERROR, RTS, SQD, QpError, RcQp
+from repro.simnet.engine import SEC, US, SimulationError, Simulator
+from repro.simnet.faults import Emission, FaultModel
+from repro.simnet.packet import Frame
+from repro.transport.ip import IpPacket
+
+from iwarpcheck.model import Finding
+
+#: The bound ``make explore`` runs: every schedule of up to
+#: MAX_FAULTS faults over the first MAX_FRAMES frames of each row.
+MAX_FAULTS = 2
+MAX_FRAMES = 24
+ROWS: Tuple[str, ...] = tuple(
+    f"explore-{mode}"
+    for mode in ("rc_sendrecv", "rd_sendrecv", "ud_write_record", "ud_sendrecv")
+)
+
+#: Hold time of a delayed frame: a few MTU frames' wire time.
+DELAY_NS = 50 * US
+
+FRAME_FAULTS = ("drop", "dup", "delay", "corrupt")
+
+Fault = Tuple[int, str]
+Schedule = Tuple[Fault, ...]
+Composite = Tuple[str, str, str]
+Violations = List[Tuple[str, str]]
+
+
+def fault_kinds(row: str) -> Tuple[str, ...]:
+    """The faults that can sit at one frame index of ``row``."""
+    steps: Tuple[str, ...] = ("reset", "close", "drain")
+    if not scenarios.SCENARIOS[row].mode.startswith("rc_"):
+        steps = steps[1:]
+    return FRAME_FAULTS + tuple(f"{step}@{host}" for step in steps for host in (0, 1))
+
+
+def render(schedule: Schedule) -> str:
+    return ",".join(f"{index}:{kind}" for index, kind in schedule) or "-"
+
+
+def parse(text: str, row: str) -> Schedule:
+    """The schedule :func:`render` wrote for ``row`` (``-`` is the
+    empty one); ValueError if it names a fault the row has not."""
+    if text.strip() in ("", "-"):
+        return ()
+    faults = []
+    for item in text.split(","):
+        index, _, kind = item.strip().partition(":")
+        if kind not in fault_kinds(row):
+            raise ValueError(f"no fault {kind!r} on row {row}")
+        faults.append((int(index), kind))
+    return tuple(sorted(faults))
+
+
+# -- the schedule as a fault stage ------------------------------------------------
+
+
+def _corrupt(frame: Frame) -> Optional[Frame]:
+    packet = frame.payload
+    upper = packet.payload
+    name = "data" if getattr(upper, "data", b"") else "payload"
+    data = getattr(upper, name, b"")
+    if not data:
+        return None
+    upper = replace(upper, **{name: data[:-1] + bytes([data[-1] ^ 0xFF])})
+    copy = IpPacket(
+        packet.src, packet.dst, packet.proto, upper, packet.total_size,
+        packet.ident, packet.frag_offset, packet.frag_size, packet.more_frags,
+    )
+    return Frame(frame.src, frame.dst, copy, frame.payload_size)
+
+
+class _ScheduleStage(FaultModel):
+    """One schedule, in both hosts' injector slots: ``seen`` numbers
+    the frames in the order they are offered."""
+
+    def __init__(self, schedule: Schedule, step: Callable[[str], None]) -> None:
+        super().__init__()
+        self.faults = dict(schedule)
+        self.step = step
+
+    def _admit(self, frame: Frame, now: int) -> List[Emission]:
+        kind = self.faults.get(self.seen - 1)
+        if kind == "drop":
+            return []
+        if kind == "dup":
+            return [(0, frame), (0, frame)]
+        if kind == "delay":
+            return [(DELAY_NS, frame)]
+        if kind == "corrupt":
+            bad = _corrupt(frame)
+            return [] if bad is None else [(0, bad)]
+        if kind is not None:
+            self.step(kind)
+        return [(0, frame)]
+
+
+# -- what a run observes ---------------------------------------------------------
+
+
+class _Composites:
+    """Each RC endpoint's (QP, MPA, TCP) states, keyed by its TCP
+    connection; IC401/IC402 over the composites each instant ends with.
+
+    The states only move through :func:`repro.core.fsm.transition`,
+    which hands its observers every object that moves, so the
+    composites the last move of an instant left are the ones the
+    instant ends with.  Objects are found as they first move; one that
+    has not moved yet is still in its initial state, and the composite
+    before an endpoint's first move is counted too."""
+
+    def __init__(self, sim: Simulator, violations: Violations) -> None:
+        self.sim = sim
+        self.violations = violations
+        self.endpoints: Dict[int, List[Any]] = {}   # id(conn) -> [conn, mpa, qp]
+        self.reached: Set[Composite] = set()
+        self._instant = -1
+        self._latest: List[Tuple[Any, Composite]] = []
+
+    def observe(self, name: str, src: str, dst: str, obj: Any) -> None:
+        if self.sim.now != self._instant:
+            self.end_instant()
+            self._instant = self.sim.now
+        if name == "QP" and isinstance(obj, RcQp) and hasattr(obj, "mpa"):
+            conn, mpa, qp = obj.mpa.sock.conn, obj.mpa, obj
+        elif name == "MPA":
+            conn, mpa, qp = obj.sock.conn, obj, None
+        elif name == "TCP":
+            conn, mpa, qp = obj, None, None
+        else:
+            return
+        endpoint = self.endpoints.get(id(conn))
+        if endpoint is None:
+            endpoint = self.endpoints[id(conn)] = [conn, mpa, qp]
+            before = list(self._composite(endpoint))
+            before[("QP", "MPA", "TCP").index(name)] = src
+            self.reached.add((before[0], before[1], before[2]))
+        endpoint[1] = mpa or endpoint[1]
+        endpoint[2] = qp or endpoint[2]
+        self._latest = [(ep[0], self._composite(ep)) for ep in self.endpoints.values()]
+
+    def connection(self, host: int) -> Any:
+        """Host ``host``'s TCP connection, once it has moved."""
+        conns = (ep[0] for ep in self.endpoints.values())
+        return next((c for c in conns if c.stack.host.host_id == host), None)
+
+    @staticmethod
+    def _composite(endpoint: List[Any]) -> Composite:
+        conn, mpa, qp = endpoint
+        return (
+            "RESET" if qp is None else qp.state,
+            "NEGOTIATING" if mpa is None else mpa.state,
+            conn.state,
+        )
+
+    def end_instant(self) -> None:
+        for conn, composite in self._latest:
+            self.reached.add(composite)
+            qp, mpa, tcp = composite
+            where = f"{conn.stack.host.name} at t={self._instant}: {'/'.join(composite)}"
+            if qp in (RTS, SQD) and (
+                mpa != "OPERATIONAL" or tcp not in ("ESTABLISHED", "CLOSE_WAIT")
+            ):
+                self.violations.append(("IC401", where))
+            if mpa == "FAILED" and qp != ERROR:
+                self.violations.append(("IC402", where))
+        self._latest = []
+
+
+def _tap(
+    fn: Callable[..., None], note: Callable[..., None], after: bool = False
+) -> Callable[..., None]:
+    """``fn``, calling ``note`` with the same arguments before it (or
+    after it, so that a call ``fn`` refuses is not noted)."""
+    def tapped(*args: Any) -> None:
+        if not after:
+            note(*args)
+        fn(*args)
+        if after:
+            note(*args)
+    return tapped
+
+
+def _union(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    out: List[Tuple[int, int]] = []
+    for start, end in sorted(ranges):
+        if out and start <= out[-1][1]:
+            out[-1] = (out[-1][0], max(out[-1][1], end))
+        elif end > start:
+            out.append((start, end))
+    return out
+
+
+class _Ledger:
+    """Every WR posted and completion pushed on both hosts, plus the
+    Write-Record segments each receive engine was handed; IC403–IC406."""
+
+    def __init__(self, pair: VerbsEndpointPair, violations: Violations) -> None:
+        self.pair = pair
+        self.violations = violations
+        self.sends: List[List[Any]] = [[], []]
+        self.recvs: List[List[Any]] = [[], []]
+        self.completions: List[List[WorkCompletion]] = [[], []]
+        # (source, msg_id) -> (ranges arrived since its last completion, LAST seen)
+        self.logs: Dict[Tuple[Any, int], Tuple[List[Tuple[int, int]], bool]] = {}
+        for host, qp in enumerate(pair.qps):
+            qp.post_send = _tap(qp.post_send, self.sends[host].append, after=True)
+            qp.post_recv = _tap(qp.post_recv, self.recvs[host].append, after=True)
+            cq = pair.cqs[host]
+            cq.push = _tap(cq.push, self.completions[host].append)
+            if pair.mode.endswith("write_record"):
+                qp.rx.on_segment = _tap(qp.rx.on_segment, self._segment)
+                qp.push_rq_completion = _tap(qp.push_rq_completion, self._write_record)
+
+    def _segment(self, seg: Any, src: Any) -> None:
+        if seg.tagged and seg.opcode == OP_WRITE_RECORD:
+            ranges, last = self.logs.get((src, seg.msg_id), ([], False))
+            ranges.append((seg.msg_offset, seg.msg_offset + len(seg.payload)))
+            self.logs[(src, seg.msg_id)] = (ranges, last or seg.last)
+
+    def _write_record(self, wc: WorkCompletion) -> None:
+        if wc.opcode is not WrOpcode.RDMA_WRITE_RECORD:
+            return
+        ranges, last = self.logs.pop((wc.src, wc.msg_id), ([], False))
+        what = f"Write-Record msg_id={wc.msg_id} from {wc.src}"
+        if not last:
+            self.violations.append(("IC405", f"{what} completed before its LAST segment arrived"))
+        valid = _union([(at, at + n) for at, n in (wc.validity or ())])
+        if valid != _union(ranges):
+            self.violations.append(
+                ("IC405", f"{what}: validity {valid} != arrived {_union(ranges)}")
+            )
+
+    def _completed(self, host: int, wrs: List[Any]) -> Dict[int, List[WorkCompletion]]:
+        """Each of ``wrs``, by wr_id, with the completions it got."""
+        got: Dict[int, List[WorkCompletion]] = {wr.wr_id: [] for wr in wrs}
+        for wc in self.completions[host]:
+            if wc.wr_id in got:
+                got[wc.wr_id].append(wc)
+        return got
+
+    def check(self) -> None:
+        pair = self.pair
+        for host, qp in enumerate(pair.qps):
+            if not qp.is_datagram:
+                for wr_id, wcs in self._completed(host, self.recvs[host]).items():
+                    if len(wcs) != 1:
+                        self.violations.append(
+                            ("IC403", f"host {host} receive wr_id={wr_id} "
+                                      f"completed {len(wcs)} times")
+                        )
+                continue
+            peer = pair.qps[1 - host].address
+            sends = {wr.wr_id for wr in self.sends[host]}
+            for wc in self.completions[host]:
+                if wc.wr_id not in sends and wc.status is not WcStatus.FLUSHED \
+                        and wc.src != peer:
+                    self.violations.append(
+                        ("IC406", f"host {host} {wc.opcode.name} msg_id={wc.msg_id} "
+                                  f"reports source {wc.src}, peer is {peer}")
+                    )
+        if pair.mode.startswith("rd"):
+            self._rd()
+
+    def _rd(self) -> None:
+        sent: Dict[Optional[int], List[str]] = {}
+        for wr_id, wcs in self._completed(0, self.sends[0]).items():
+            if len(wcs) != 1:
+                self.violations.append(("IC404", f"send wr_id={wr_id} completed {len(wcs)} times"))
+            for wc in wcs:
+                sent.setdefault(wc.msg_id, []).append(wc.status.name)
+        delivered: List[int] = []
+        for wc in self.completions[1]:
+            if wc.msg_id is None:
+                continue  # a receive the teardown flushed
+            if wc.status is WcStatus.SUCCESS and (not delivered or wc.msg_id > delivered[-1]):
+                delivered.append(wc.msg_id)
+            elif wc.status is WcStatus.SUCCESS or sent.get(wc.msg_id) != ["FLUSHED"] \
+                    or wc.msg_id in delivered:
+                self.violations.append(
+                    ("IC404", f"msg_id={wc.msg_id} completes {wc.status.name} at the receiver "
+                              f"after {delivered[-3:]}; its sender saw {sent.get(wc.msg_id)}")
+                )
+        for msg_id, statuses in sent.items():
+            if statuses == ["SUCCESS"] and msg_id not in delivered:
+                self.violations.append(
+                    ("IC404", f"msg_id={msg_id} completed SUCCESS but was never delivered")
+                )
+
+
+# -- running and exploring --------------------------------------------------------
+
+
+def _unless_refused(call: Callable[[], Any]) -> bool:
+    """``call()``, and whether it returned: the harness giving up on a
+    run a fault broke, or a verb refused on a QP a fault errored or
+    drained, ends it early instead."""
+    try:
+        call()
+    except BenchError:
+        return False
+    except QpError as exc:
+        if not str(exc).startswith(("post_send", "post_recv")):
+            raise
+        return False
+    return True
+
+
+@dataclass
+class Run:
+    """One row under one schedule."""
+
+    row: str
+    schedule: Schedule
+    frames: int
+    setup: int  # of ``frames``, those offered while the pair was connected
+    composites: Set[Composite]
+    findings: List[Finding]
+
+
+def run_schedule(row: str, schedule: Schedule) -> Run:
+    """Run catalogue row ``row`` under ``schedule`` as
+    :func:`repro.bench.scenarios.run` runs it (build, workload, both QPs
+    closed, one more simulated second) and check it.  A build that a
+    fault stops from connecting ends the run there, unchecked by the
+    ledger: no WR was posted."""
+    spec = scenarios.SCENARIOS[row]
+    sim = Simulator()
+    violations: Violations = []
+    composites = _Composites(sim, violations)
+    fsm.add_transition_observer(composites.observe)
+    pair: Optional[VerbsEndpointPair] = None
+
+    def step(kind: str) -> None:
+        name, _, host = kind.partition("@")
+        if name == "reset":
+            conn = composites.connection(int(host))
+            if conn is not None:
+                sim.call_at(sim.now, conn.abort)
+        elif pair is not None:  # before the build, no QP to close or drain
+            qp = pair.qps[int(host)]
+            drain = lambda: qp.state == RTS and qp.modify_qp(SQD)  # noqa: E731
+            sim.call_at(sim.now, qp.close if name == "close" else drain)
+
+    stage = _ScheduleStage(schedule, step)
+    setup = 0
+    try:
+        try:
+            pair = scenarios.build(spec, sim, faults=stage)
+        except (BenchError, SimulationError):
+            pass  # the handshake or negotiation a fault broke gave up
+        setup = stage.seen
+        if pair is not None:
+            ledger = _Ledger(pair, violations)
+            _unless_refused(scenarios.workload(spec, pair))
+            for qp in pair.qps:
+                qp.close()
+        end = sim.now + SEC
+        # A harness process the workload left behind may still post.
+        while not _unless_refused(lambda: sim.run(until=end)):
+            pass
+        composites.end_instant()
+        if pair is not None:
+            ledger.check()
+    except Exception as exc:  # noqa: BLE001 - any escape is the finding
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        violations.append(
+            ("IC400", f"{type(exc).__name__}: {exc} ({where.filename}:{where.lineno})")
+        )
+    finally:
+        fsm.remove_transition_observer(composites.observe)
+    label = render(schedule)
+    findings = [Finding(row, rule, f"schedule {label}: {detail}") for rule, detail in violations]
+    return Run(row, schedule, stage.seen, setup, composites.reached, findings)
+
+
+def explore(
+    row: str, max_faults: int = MAX_FAULTS, max_frames: int = MAX_FRAMES
+) -> Iterator[Run]:
+    """Every schedule of up to ``max_faults`` faults over the first
+    ``max_frames`` frames of ``row``, fewest faults first.  A schedule
+    is only extended at frame indices its own run reached, and with a
+    close or drain only at frames offered once the pair was built:
+    anywhere else the fault would do nothing and repeat a run."""
+    kinds = fault_kinds(row)
+    early = tuple(kind for kind in kinds if not kind.startswith(("close@", "drain@")))
+    queue: Deque[Schedule] = deque([()])
+    while queue:
+        schedule = queue.popleft()
+        run = run_schedule(row, schedule)
+        yield run
+        if len(schedule) < max_faults:
+            start = schedule[-1][0] + 1 if schedule else 0
+            for index in range(start, min(max_frames, run.frames)):
+                at = kinds if index >= run.setup else early
+                queue.extend(schedule + ((index, kind),) for kind in at)
