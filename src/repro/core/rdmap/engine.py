@@ -39,7 +39,7 @@ paper specifies about operation semantics lives here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ...memory.region import (
     LOCAL_WRITE_BIT, REMOTE_READ_BIT, REMOTE_WRITE_BIT, MemoryAccessError,
@@ -87,15 +87,19 @@ class _WriteRecordState:
     timer: object = None
 
 
-@dataclass
-class _PendingRead:
-    """Requester-side state for one outstanding RDMA Read."""
+class SendEntry:
+    """One posted send or RDMA Read, held on its QP's send queue
+    (``qp.sq``) in post order until :meth:`QueuePair.finish_send`
+    completes it.  A Read gathers its response's validity here."""
 
-    wr: SendWR
-    sink_stag: int
-    length: int
-    validity: ValidityMap
-    timer: object = None
+    __slots__ = ("wr", "byte_len", "msg_id", "validity", "timer")
+
+    def __init__(self, wr: SendWR) -> None:
+        self.wr = wr
+        self.byte_len = 0
+        self.msg_id: Optional[int] = None
+        self.validity: Optional[ValidityMap] = None
+        self.timer: Optional[Event] = None
 
 
 class RdmapTx:
@@ -128,20 +132,22 @@ class RdmapTx:
 
     # -- public ----------------------------------------------------------
 
-    def post(self, wr: SendWR) -> None:
+    def post(self, entry: SendEntry) -> None:
+        wr = entry.wr
         host = self.qp.host
         # Gather (snapshot) the payload at post time: ownership of the
         # SGE buffers transfers to the stack when the WR is posted, so a
         # caller reusing its buffer immediately afterwards must not
         # corrupt the in-flight message.
         payload = None if wr.opcode is WrOpcode.RDMA_READ else gather(wr.sges)
-        host.cpu.submit(host.costs.verbs_post_ns, self._start, wr, payload)
+        host.cpu.submit(host.costs.verbs_post_ns, self._start, entry, payload)
 
     # -- internals ----------------------------------------------------------
 
-    def _start(self, wr: SendWR, payload: Optional[bytes]) -> None:
+    def _start(self, entry: SendEntry, payload: Optional[bytes]) -> None:
+        wr = entry.wr
         if wr.opcode is WrOpcode.RDMA_READ:
-            self._start_read(wr)
+            self._start_read(entry)
             return
         opcode = _OPCODE_FOR_WR[wr.opcode._name_]
         tagged = wr.opcode in (WrOpcode.RDMA_WRITE, WrOpcode.RDMA_WRITE_RECORD)
@@ -155,6 +161,8 @@ class RdmapTx:
             self._send_msn += 1
             msn = self._send_msn
         msg_len = len(payload)
+        entry.byte_len = msg_len
+        entry.msg_id = msg_id
         specs = plan_segments(msg_len, qp.max_seg_payload)
         self.messages += 1
         self.segments += len(specs)
@@ -184,31 +192,36 @@ class RdmapTx:
                 seg.msg_id = msg_id
                 seg.msg_total = msg_len
                 seg.msg_offset = offset
-            qp.channel_send(seg, wr.dest, offset == 0, msg_len)
-        # The source "completes the operation at the moment that the last
-        # bit of the message is passed to the transport layer" (§IV.B.3):
-        # the segment emissions above are queued on this host CPU, so the
-        # default hook lands a completion right after the LLP handoff.
-        # Reliable-datagram QPs override the hook to defer the completion
-        # until the RD layer acknowledges (or fails) every segment.
-        qp.sent_to_llp(wr, msg_len, msg_id, len(specs))
+            qp.channel_send(seg, wr.dest, offset == 0, msg_len, entry)
+        if qp.rd is not None:
+            return  # RD completes the entry when it acknowledges the LAST segment
+        if wr.signaled:
+            # The source "completes the operation at the moment that the
+            # last bit of the message is passed to the transport layer"
+            # (§IV.B.3): this CQE work item queues right behind the
+            # segment emissions on the host CPU, so its cost is paid and
+            # it lands at once — SUCCESS, unless an error flushed the
+            # entry before its segments all reached the LLP.
+            qp.host.cpu.submit(
+                qp.host.costs.cqe_ns, qp.finish_send, entry, WcStatus.SUCCESS, True
+            )
+        else:
+            qp.finish_send(entry, WcStatus.SUCCESS)  # leaves the queue silently
 
-    def _start_read(self, wr: SendWR) -> None:
+    def _start_read(self, entry: SendEntry) -> None:
+        wr = entry.wr
+        qp = self.qp
         if len(wr.sges) != 1:
-            self._fail_send(wr, WcStatus.LOCAL_LENGTH_ERROR)
+            qp.finish_send(entry, WcStatus.LOCAL_LENGTH_ERROR)
             return
         sink = wr.sges[0]
         if not (sink.mr.access_bits & LOCAL_WRITE_BIT):
-            self._fail_send(wr, WcStatus.LOCAL_PROTECTION_ERROR)
+            qp.finish_send(entry, WcStatus.LOCAL_PROTECTION_ERROR)
             return
-        msg_id = self._next_msg_id() if self.qp.is_datagram else None
-        pending = _PendingRead(
-            wr=wr,
-            sink_stag=sink.mr.stag,
-            length=sink.length,
-            validity=ValidityMap(sink.length),
-        )
-        self.qp.rx.track_read(pending, msg_id)
+        entry.validity = ValidityMap(sink.length)
+        if qp.is_datagram:
+            entry.msg_id = self._next_msg_id()
+            qp.rx.arm_read_reap(entry)
         self._read_msn += 1
         payload = encode_read_request(
             sink.mr.stag, sink.offset, sink.length, wr.remote_stag, wr.remote_offset
@@ -222,19 +235,14 @@ class RdmapTx:
             msn=self._read_msn,
             mo=0,
         )
-        if self.qp.is_datagram:
-            seg.msg_id = msg_id
+        if qp.is_datagram:
+            seg.msg_id = entry.msg_id
             seg.msg_total = len(payload)
-        self.qp.channel_send(seg, wr.dest, first=True, msg_len=len(payload))
+        qp.channel_send(seg, wr.dest, first=True, msg_len=len(payload))
 
     def _next_msg_id(self) -> int:
         self._msg_id += 1
         return self._msg_id
-
-    def _fail_send(self, wr: SendWR, status: WcStatus) -> None:
-        self.qp.sq_cq.push(
-            WorkCompletion(wr_id=wr.wr_id, opcode=wr.opcode, status=status)
-        )
 
     def send_terminate(self, reason: str, dest: Optional[Address] = None) -> None:
         seg = DdpSegment(
@@ -285,9 +293,6 @@ class RdmapRx:
         # Write-Record logs keyed by (source, message id); RC uses a
         # None source key.
         self._write_records: Dict[Tuple[Optional[Address], int], _WriteRecordState] = {}
-        # Outstanding RDMA Reads: FIFO on RC, by msg_id on UD.
-        self._reads_fifo: List[_PendingRead] = []
-        self._reads_by_id: Dict[int, _PendingRead] = {}
         # Statistics the tests and benchmarks read.
         self.drops_no_recv_posted = 0
         self.drops_malformed = 0
@@ -413,7 +418,8 @@ class RdmapRx:
         self._write_records.pop(key, None)
         self.write_record_completions += 1
         src = key[0]
-        self.qp.push_rq_completion(
+        self.qp.complete(
+            "rq",
             WorkCompletion(
                 wr_id=0,
                 opcode=WrOpcode.RDMA_WRITE_RECORD,
@@ -463,14 +469,16 @@ class RdmapRx:
             # The message overran its receive: that WR completes in
             # error now, ahead of the FLUSHED ones terminate leaves.
             self._rc_current = None
-            self.qp.fail_recv(
+            self.qp.complete(
+                "rq",
                 WorkCompletion(
                     wr_id=wr.wr_id,
                     opcode=WrOpcode.SEND,
                     status=WcStatus.LOCAL_LENGTH_ERROR,
                     byte_len=end,
                     src=src,
-                )
+                ),
+                at_once=True,
             )
             self.qp.terminate("send overruns posted receive")
             return
@@ -481,7 +489,8 @@ class RdmapRx:
         if seg.last:
             self._rc_expected_msn += 1
             self._rc_current = None
-            self.qp.push_rq_completion(
+            self.qp.complete(
+                "rq",
                 WorkCompletion(
                     wr_id=wr.wr_id,
                     opcode=WrOpcode.SEND,
@@ -530,7 +539,8 @@ class RdmapRx:
                         self._ud_untagged[key] = UntaggedReassembly(wr, total)
                         self._ud_timers[key] = self._arm_reap(self._reap_untagged, key)
                         raise
-                self.qp.push_rq_completion(
+                self.qp.complete(
+                    "rq",
                     WorkCompletion(
                         wr_id=wr.wr_id,
                         opcode=WrOpcode.SEND,
@@ -545,7 +555,8 @@ class RdmapRx:
             try:
                 state = UntaggedReassembly(wr, total)
             except ReassemblyError:  # the message is larger than the receive
-                self.qp.push_rq_completion(
+                self.qp.complete(
+                    "rq",
                     WorkCompletion(
                         wr_id=wr.wr_id,
                         opcode=WrOpcode.SEND,
@@ -589,7 +600,8 @@ class RdmapRx:
             self.qp.host.cpu.charge(
                 int(self.qp.host.costs.reassembly_per_byte_ns * state.total)
             )
-        self.qp.push_rq_completion(
+        self.qp.complete(
+            "rq",
             WorkCompletion(
                 wr_id=state.wr.wr_id,
                 opcode=WrOpcode.SEND,
@@ -609,7 +621,8 @@ class RdmapRx:
         if state is None:
             return
         self.reaped_partial += 1
-        self.qp.push_rq_completion(
+        self.qp.complete(
+            "rq",
             WorkCompletion(
                 wr_id=state.wr.wr_id,
                 opcode=WrOpcode.SEND,
@@ -625,12 +638,10 @@ class RdmapRx:
     # RDMA Read
     # ------------------------------------------------------------------
 
-    def track_read(self, pending: _PendingRead, msg_id: Optional[int]) -> None:
-        if msg_id is None:
-            self._reads_fifo.append(pending)
-        else:
-            self._reads_by_id[msg_id] = pending
-            pending.timer = self._arm_reap(self._reap_read, msg_id)
+    def arm_read_reap(self, entry: SendEntry) -> None:
+        """A UD Read whose response stays partial completes
+        PARTIAL_MESSAGE after the reap timeout."""
+        entry.timer = self._arm_reap(self._reap_read, entry)
 
     def _on_read_request(self, seg: DdpSegment, src: Optional[Address]) -> None:
         sink_stag, sink_to, length, src_stag, src_to = decode_read_request(seg.payload)
@@ -657,6 +668,14 @@ class RdmapRx:
                 resp, src, first=spec.offset == 0, msg_len=len(data)
             )
 
+    def _outstanding_read(self, msg_id: Optional[int]) -> Optional[SendEntry]:
+        """The started Read a response belongs to: by message id on UD;
+        on RC (no id) the oldest, as responses come in request order."""
+        for entry in self.qp.sq:
+            if entry.validity is not None and entry.msg_id == msg_id:
+                return entry
+        return None
+
     def _on_read_response(self, seg: DdpSegment, src: Optional[Address]) -> None:
         # The response targets the *sink* buffer the requester advertised;
         # placement needs only local write rights there.
@@ -666,67 +685,26 @@ class RdmapRx:
         )
         if seg.payload:
             mr.write(seg.to, seg.payload)
-        if seg.msg_id is not None:
-            pending = self._reads_by_id.get(seg.msg_id)
-            if pending is None:
-                self.duplicate_segments += 1
-                return
-            base = pending.wr.sges[0].offset
-            pending.validity.add(seg.to - base, len(seg.payload))
-            if seg.last:
-                self._finish_read_ud(seg.msg_id, pending, src)
-        else:
-            if not self._reads_fifo:
+        entry = self._outstanding_read(seg.msg_id)
+        if entry is None:
+            if seg.msg_id is None:
                 raise HeaderError("read response with no outstanding read")
-            pending = self._reads_fifo[0]
-            base = pending.wr.sges[0].offset
-            pending.validity.add(seg.to - base, len(seg.payload))
-            if seg.last:
-                self._reads_fifo.pop(0)
-                self.qp.sq_cq.push(
-                    WorkCompletion(
-                        wr_id=pending.wr.wr_id,
-                        opcode=WrOpcode.RDMA_READ,
-                        status=WcStatus.SUCCESS,
-                        byte_len=pending.validity.valid_bytes(),
-                    )
-                )
-
-    def _finish_read_ud(self, msg_id: int, pending: _PendingRead, src) -> None:
-        if pending.timer is not None:
-            pending.timer.cancel()
-            self._spare_reapers[self._reap_read] = pending.timer
-        self._reads_by_id.pop(msg_id, None)
-        status = (
-            WcStatus.SUCCESS if pending.validity.complete else WcStatus.PARTIAL_MESSAGE
-        )
-        self.qp.sq_cq.push(
-            WorkCompletion(
-                wr_id=pending.wr.wr_id,
-                opcode=WrOpcode.RDMA_READ,
-                status=status,
-                byte_len=pending.validity.valid_bytes(),
-                src=src,
-                validity=pending.validity,
-                msg_id=msg_id,
-            )
-        )
-
-    def _reap_read(self, msg_id: int) -> None:
-        pending = self._reads_by_id.pop(msg_id, None)
-        if pending is None:
+            self.duplicate_segments += 1
             return
-        self.reaped_partial += 1
-        self.qp.sq_cq.push(
-            WorkCompletion(
-                wr_id=pending.wr.wr_id,
-                opcode=WrOpcode.RDMA_READ,
-                status=WcStatus.PARTIAL_MESSAGE,
-                byte_len=pending.validity.valid_bytes(),
-                validity=pending.validity,
-                msg_id=msg_id,
-            )
-        )
+        entry.validity.add(seg.to - entry.wr.sges[0].offset, len(seg.payload))
+        if not seg.last:
+            return
+        if entry.timer is not None:
+            entry.timer.cancel()
+            self._spare_reapers[self._reap_read] = entry.timer
+        entry.byte_len = entry.validity.valid_bytes()
+        status = WcStatus.SUCCESS if entry.validity.complete else WcStatus.PARTIAL_MESSAGE
+        self.qp.finish_send(entry, status, src=src, validity=entry.validity)
+
+    def _reap_read(self, entry: SendEntry) -> None:
+        entry.byte_len = entry.validity.valid_bytes()
+        if self.qp.finish_send(entry, WcStatus.PARTIAL_MESSAGE, validity=entry.validity):
+            self.reaped_partial += 1
 
     # ------------------------------------------------------------------
     # Terminate

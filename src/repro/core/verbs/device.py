@@ -49,9 +49,11 @@ class RnicDevice:
         self.rc_mulpdu = rc_mulpdu
         self.registry = StagRegistry()
         self._pds = itertools.count(1)
-        # QP and CQ numbers are the device's own, as on a real RNIC.
+        # QP and CQ numbers, and the wr_ids of WRs posted without one,
+        # are the device's own, as on a real RNIC.
         self._qp_nums = itertools.count(1)
         self._cq_nums = itertools.count(1)
+        self._wr_ids = itertools.count(1)
         self._listeners: Dict[int, RcListener] = {}
 
     # -- protection domains & memory -----------------------------------------

@@ -16,7 +16,7 @@ completions) but keeps working.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, FrozenSet, Optional, Set, Tuple
 
 from ..fsm import pair_table, transition as _fsm_transition
@@ -33,7 +33,7 @@ from ..ddp.headers import (
 )
 from ..mpa.connection import MpaConnection
 from ..mpa.crc import CRC_SIZE, CrcError, append_crc, crc32, split_and_verify
-from ..rdmap.engine import RdmapRx, RdmapTx
+from ..rdmap.engine import RdmapRx, RdmapTx, SendEntry
 from .cq import CompletionQueue
 from .wr import Address, RecvWR, SendWR, WcStatus, WorkCompletion, WrOpcode
 
@@ -87,16 +87,6 @@ QP_TRANSITIONS: Dict[str, FrozenSet[str]] = pair_table(QP_EVENT_TRANSITIONS)
 #: Worst-case DDP header: control + tagged/untagged + UD extension.
 MAX_HEADER = CTRL_SIZE + max(TAGGED_SIZE, UNTAGGED_SIZE) + UDEXT_SIZE
 
-@dataclass
-class _RdPendingSend:
-    """A message posted on a reliable-datagram QP whose completion is
-    deferred until the RD layer ACKs (or fails) all of its segments."""
-
-    wr: SendWR
-    byte_len: int
-    remaining: int
-
-
 #: ``(queue, status)`` keys of :attr:`QueuePair.completions`, built once
 #: so that counting a completion allocates nothing.  The per-message
 #: tables are keyed by the member's ``_name_`` string: an enum member as
@@ -124,6 +114,8 @@ class QueuePair:
     #: Datagram QPs only: RD peers declared unreachable (post_send
     #: rejects them).
     failed_peers: Set[Address]
+    #: The reliable-datagram LLP, on an RD QP only.
+    rd: Optional[RudpSocket] = None
 
     #: Exported series (see :mod:`repro.obs.metrics`), labelled qp/host;
     #: the RDMAP engines declare their own.
@@ -132,7 +124,6 @@ class QueuePair:
         ("verbs.qp.post_bytes", "counter", "post_bytes", "op"),
         ("verbs.qp.recv_posts", "counter", "recv_posts"),
         ("verbs.qp.completions", "counter", "completions", "queue,status"),
-        ("verbs.qp.flushes", "counter", "flushes"),
         (None, "table", "tx"),
         (None, "table", "rx"),
     )
@@ -149,6 +140,8 @@ class QueuePair:
         self.qp_num = next(device._qp_nums)
         self.state = RESET
         self.rq: Deque[RecvWR] = deque()
+        # Every posted send and Read, in post order, until it completes.
+        self.sq: Deque[SendEntry] = deque()
         self.tx = RdmapTx(self)
         self.rx = RdmapRx(self)
         self.ready: Future = self.sim.future()
@@ -159,7 +152,6 @@ class QueuePair:
         self.post_bytes: Dict[str, int] = {}
         self.recv_posts = 0
         self.completions: Dict[Tuple[str, str], int] = {}
-        self.flushes = 0
         sim_registry(device.sim).watch(
             self, {"qp": self.qp_num, "host": self.host.name}
         )
@@ -180,21 +172,14 @@ class QueuePair:
     def modify_qp(self, new_state: str) -> None:
         """Drive the standard verbs ladder (``ibv_modify_qp`` analogue):
         RESET -> INIT -> RTR -> RTS, RTS <-> SQD to drain/resume the
-        send queue, anything -> ERROR, ERROR -> RESET to recycle."""
+        send queue, anything -> ERROR (the error path, which flushes),
+        ERROR -> RESET to recycle."""
+        if new_state == ERROR:
+            self._enter_error()
+            return
         self._set_state(new_state)
         if new_state == RESET:
             self.terminate_reason = None
-
-    # -- metrics -----------------------------------------------------------
-
-    def _note_completion(self, queue: str, wc: WorkCompletion) -> None:
-        key = _COMPLETION_KEYS[queue][wc.status._name_]
-        self.completions[key] = self.completions.get(key, 0) + 1
-        if self.host.wr_tracer is not None:
-            wr_span(
-                self.host, "cqe", qp=self.qp_num, wr_id=wc.wr_id,
-                queue=queue, status=key[1], msg_id=wc.msg_id,
-            )
 
     # -- verbs ------------------------------------------------------------
 
@@ -215,12 +200,16 @@ class QueuePair:
                 )
         elif wr.dest is not None:
             raise QpError("connected QPs do not take per-WR destinations")
+        if wr.wr_id is None:
+            wr.wr_id = next(self.device._wr_ids)
         op = _POST_KEYS[wr.opcode._name_]
         self.posts[op] = self.posts.get(op, 0) + 1
         self.post_bytes[op] = self.post_bytes.get(op, 0) + length
         if self.host.wr_tracer is not None:
             wr_span(self.host, "post", qp=self.qp_num, wr_id=wr.wr_id, op=op)
-        self.tx.post(wr)
+        entry = SendEntry(wr)
+        self.sq.append(entry)
+        self.tx.post(entry)
 
     def post_recv(self, wr: RecvWR) -> None:
         if self.state == ERROR:
@@ -228,52 +217,68 @@ class QueuePair:
         for sge in wr.sges:
             if not (sge.mr.access_bits & LOCAL_WRITE_BIT):
                 raise QpError("receive SGE lacks LOCAL_WRITE")
+        if wr.wr_id is None:
+            wr.wr_id = next(self.device._wr_ids)
         self.recv_posts += 1
         self.rq.append(wr)
 
-    # -- hooks used by the engines ---------------------------------------------
+    # -- completions: the one route to a CQ -----------------------------------
 
-    def push_rq_completion(self, wc: WorkCompletion) -> None:
-        self._note_completion("rq", wc)
-        self.host.cpu.submit(self.host.costs.cqe_ns, self.rq_cq.push, wc)
-
-    def fail_recv(self, wc: WorkCompletion) -> None:
-        """Complete a receive in error at once, not after the CQE cost,
-        so it lands ahead of the FLUSHED ones of the error it causes."""
-        self._note_completion("rq", wc)
-        self.rq_cq.push(wc)
-
-    def push_sq_completion(self, wc: WorkCompletion) -> None:
-        self._note_completion("sq", wc)
-        self.host.cpu.submit(self.host.costs.cqe_ns, self.sq_cq.push, wc)
-
-    def sent_to_llp(
-        self, wr: SendWR, byte_len: int, msg_id: Optional[int], nsegs: int
-    ) -> None:
-        """All of a message's segments were handed to the LLP.  Default
-        contract (§IV.B.3): the source completes the operation "at the
-        moment that the last bit of the message is passed to the
-        transport layer".  Reliable-datagram QPs override this to defer
-        the completion until the RD layer ACKs (or fails) the message."""
-        if not wr.signaled:
-            return
-        self.push_sq_completion(
-            WorkCompletion(
-                wr_id=wr.wr_id,
-                opcode=wr.opcode,
-                status=WcStatus.SUCCESS,
-                byte_len=byte_len,
-                msg_id=msg_id,
+    def complete(self, queue: str, wc: WorkCompletion, at_once: bool = False) -> None:
+        """Count ``wc`` under ``(queue, status)``, span it, and push it
+        to the ``"sq"`` or ``"rq"`` CQ once the CQE cost is paid.  Two
+        kinds land ``at_once``: receive flushes, and the receive failure
+        that must land ahead of them; so does a send whose CQE cost was
+        queued with its segments (:meth:`RdmapTx._start`)."""
+        key = _COMPLETION_KEYS[queue][wc.status._name_]
+        self.completions[key] = self.completions.get(key, 0) + 1
+        if self.host.wr_tracer is not None:
+            wr_span(
+                self.host, "cqe", qp=self.qp_num, wr_id=wc.wr_id,
+                queue=queue, status=key[1], msg_id=wc.msg_id,
             )
-        )
+        cq = self.rq_cq if queue == "rq" else self.sq_cq
+        if at_once:
+            cq.push(wc)
+        else:
+            self.host.cpu.submit(self.host.costs.cqe_ns, cq.push, wc)
+
+    def finish_send(
+        self, entry: SendEntry, status: WcStatus, at_once: bool = False, **fields: Any
+    ) -> bool:
+        """Take ``entry`` off the send queue and complete it with
+        ``status`` (``fields`` extend its completion).  Only the first
+        call for an entry does anything and returns True: a later one
+        (a CQE, ACK, response or reap after a flush) finds it gone.  An
+        unsignaled send leaves with no completion; a Read always
+        completes."""
+        try:
+            self.sq.remove(entry)
+        except ValueError:
+            return False
+        if status is WcStatus.FLUSHED and self.rd is not None:
+            self.rd_flushed_wrs += 1
+        wr = entry.wr
+        if wr.signaled or wr.opcode is WrOpcode.RDMA_READ:
+            self.complete(
+                "sq",
+                WorkCompletion(
+                    wr.wr_id, wr.opcode, status, entry.byte_len,
+                    msg_id=entry.msg_id, **fields,
+                ),
+                at_once,
+            )
+        return True
 
     def channel_send(
-        self, seg: DdpSegment, dest: Optional[Address], first: bool = True, msg_len: int = 0
+        self, seg: DdpSegment, dest: Optional[Address], first: bool = True,
+        msg_len: int = 0, entry: Optional[SendEntry] = None,
     ) -> None:
         """Emit one DDP segment.  ``first`` marks the first segment of an
         RDMAP message and ``msg_len`` its total length — used to charge
         per-message (as opposed to per-segment) costs at the right
-        moment."""
+        moment.  ``entry`` is the send-queue entry of a posted message's
+        segments."""
         raise NotImplementedError
 
     # -- teardown ---------------------------------------------------------------
@@ -296,49 +301,54 @@ class QueuePair:
             return
         self._enter_error(reason)
 
-    def _enter_error(self, reason: str) -> None:
+    def _enter_error(self, reason: Optional[str] = None) -> None:
+        """The one error path: ERROR, then FLUSHED for every receive WR
+        and then every send-queue entry the QP still holds, so pollers
+        observe the teardown instead of waiting forever.  ``reason``
+        (None keeps the current record) is the terminate reason."""
         self._set_state(ERROR)
-        self.terminate_reason = reason
+        if reason is not None:
+            self.terminate_reason = reason
         self._flush_recv_queue()
+        self._flush_send_queue()
         if not self.ready.done:
+            # Nobody will ever connect/complete this QP now.
             self.ready.set_result(None)
 
     def _flush_recv_queue(self) -> None:
-        """Complete every receive WR the QP still holds with FLUSHED so
-        pollers observe the teardown instead of waiting forever: first
-        the one an RC message was being placed into when it errored
-        (taken from ``rq`` at the message's first segment), then every
-        still-posted one, in post order."""
+        """FLUSHED, at once, first for the receive an RC message was
+        being placed into when it errored (taken from ``rq`` at the
+        message's first segment), then for every still-posted one, in
+        post order."""
         placing = self.rx.take_open_receive()
         if placing is not None:
             self.rq.appendleft(placing)
-        self.flushes += len(self.rq)
-        while self.rq:
-            wr = self.rq.popleft()
-            self.rq_cq.push(
-                WorkCompletion(
-                    wr_id=wr.wr_id, opcode=WrOpcode.SEND, status=WcStatus.FLUSHED
-                )
-            )
+        rq = self.rq
+        while rq:
+            wc = WorkCompletion(rq.popleft().wr_id, WrOpcode.SEND, WcStatus.FLUSHED)
+            self.complete("rq", wc, True)
+
+    def _flush_send_queue(self) -> None:
+        """FLUSHED for every entry still on the send queue, in post
+        order: a send whose CQE has not landed yet (so it never lands
+        SUCCESS), an RD message not yet acknowledged, a Read whose
+        response is incomplete."""
+        while self.sq:
+            self.finish_send(self.sq[0], WcStatus.FLUSHED)
 
     def _release_channel(self) -> None:
         """Close the underlying transport channel (idempotent)."""
         raise NotImplementedError
 
     def close(self) -> None:
-        """Application teardown: release the channel, error the QP and
-        flush outstanding receive WRs (standard verbs semantics — a
-        destroyed/errored QP completes posted WRs with FLUSHED rather
-        than leaking them).  Idempotent; after an error it only makes
-        sure the channel is really released."""
+        """Application teardown: error the QP, which flushes every WR
+        it holds (standard verbs semantics — a destroyed QP completes
+        posted WRs with FLUSHED rather than leaking them), then release
+        the channel.  Idempotent; after an error it only makes sure the
+        channel is really released."""
+        if self.state != ERROR:
+            self._enter_error()
         self._release_channel()
-        if self.state == ERROR:
-            return
-        self._set_state(ERROR)
-        self._flush_recv_queue()
-        if not self.ready.done:
-            # Nobody will ever connect/complete this QP now.
-            self.ready.set_result(None)
 
 
 class UdQp(QueuePair):
@@ -394,9 +404,7 @@ class UdQp(QueuePair):
             overhead = MAX_HEADER + CRC_SIZE
             self.max_seg_payload = UDP_MAX_PAYLOAD - overhead
         self._udp_sock = udp_sock
-        # RD: messages posted but not yet ACKed by the reliability layer,
-        # keyed by RDMAP message id; peers declared unreachable.
-        self._rd_pending: Dict[int, _RdPendingSend] = {}
+        # RD: peers declared unreachable.
         self.failed_peers: Set[Address] = set()
         self.crc_drops = 0
         self.drops_closed = 0
@@ -412,7 +420,8 @@ class UdQp(QueuePair):
     # -- transmit ---------------------------------------------------------
 
     def channel_send(
-        self, seg: DdpSegment, dest: Optional[Address], first: bool = True, msg_len: int = 0
+        self, seg: DdpSegment, dest: Optional[Address], first: bool = True,
+        msg_len: int = 0, entry: Optional[SendEntry] = None,
     ) -> None:
         if dest is None:
             raise QpError("UD segment without destination")
@@ -437,16 +446,14 @@ class UdQp(QueuePair):
                 + costs.copy_ns(wire_len)
                 + costs.ip_tx_per_frag_ns * nfrags
             )
-        self.host.cpu.submit(cost, self._emit, seg, dest)
+        self.host.cpu.submit(cost, self._emit, seg, dest, entry)
 
-    def _emit(self, seg: DdpSegment, dest: Address) -> None:
+    def _emit(self, seg: DdpSegment, dest: Address, entry: Optional[SendEntry]) -> None:
         if self._udp_sock.closed:
-            # The application closed the socket with emissions still
-            # queued in the stack: datagram semantics, the data is gone —
-            # but on RD a tracked message must flush, never vanish.
+            # The application closed the QP with emissions still queued
+            # in the stack (the close flushed their WRs): datagram
+            # semantics, the data is gone.
             self.drops_closed += 1
-            if self.reliable and seg.msg_id is not None:
-                self._on_rd_segment_result(seg.msg_id, False)
             return
         if self.host.wr_tracer is not None:
             wr_span(
@@ -455,70 +462,33 @@ class UdQp(QueuePair):
                 msg_id=seg.msg_id, last=seg.last,
             )
         data = append_crc(seg.encode())
-        if self.reliable:
-            if seg.msg_id is not None and seg.msg_id in self._rd_pending:
-                self.rd.sendto(
-                    data, dest,
-                    on_result=lambda ok, m=seg.msg_id: self._on_rd_segment_result(m, ok),
-                )
-            else:
-                self.rd.sendto(data, dest)
-        else:
+        if not self.reliable:
             self._udp_sock.sendto_uncharged(data, dest)
+        elif seg.last and entry is not None:
+            # RD acknowledges cumulatively, so the LAST segment's result
+            # comes after every earlier one's: it completes the message.
+            self.rd.sendto(data, dest, partial(self._on_rd_result, entry))
+        else:
+            self.rd.sendto(data, dest)
 
     # -- RD reliability plumbing ------------------------------------------
 
-    def sent_to_llp(
-        self, wr: SendWR, byte_len: int, msg_id: Optional[int], nsegs: int
-    ) -> None:
-        """On RD the LLP-handoff contract is not honest enough: the
-        message may still die in the retransmission machinery.  Hold the
-        WR until every segment is cumulatively ACKed (SUCCESS) or the
-        peer is declared unreachable (FLUSH_ERR)."""
-        if not self.reliable or msg_id is None:
-            super().sent_to_llp(wr, byte_len, msg_id, nsegs)
-            return
-        self._rd_pending[msg_id] = _RdPendingSend(wr, byte_len, nsegs)
-
-    def _on_rd_segment_result(self, msg_id: int, ok: bool) -> None:
-        pend = self._rd_pending.get(msg_id)
-        if pend is None:
-            return
-        if not ok:
-            del self._rd_pending[msg_id]
-            self.rd_flushed_wrs += 1
-            if pend.wr.signaled:
-                self.push_sq_completion(
-                    WorkCompletion(
-                        wr_id=pend.wr.wr_id,
-                        opcode=pend.wr.opcode,
-                        status=WcStatus.FLUSHED,
-                        byte_len=pend.byte_len,
-                        msg_id=msg_id,
-                    )
-                )
-            return
-        pend.remaining -= 1
-        if pend.remaining <= 0:
-            del self._rd_pending[msg_id]
-            if pend.wr.signaled:
-                self.push_sq_completion(
-                    WorkCompletion(
-                        wr_id=pend.wr.wr_id,
-                        opcode=pend.wr.opcode,
-                        status=WcStatus.SUCCESS,
-                        byte_len=pend.byte_len,
-                        msg_id=msg_id,
-                    )
-                )
+    def _on_rd_result(self, entry: SendEntry, ok: bool) -> None:
+        """RD acknowledged the message (SUCCESS) or failed it: its peer
+        was declared unreachable, or the QP closed (FLUSHED)."""
+        self.finish_send(entry, WcStatus.SUCCESS if ok else WcStatus.FLUSHED)
 
     def _on_rd_peer_failed(self, addr: Address) -> None:
         """§IV.B item 2, "report, don't kill": the failure is surfaced —
-        the peer is recorded, its queued WRs flush with FLUSH_ERR through
-        their per-message callbacks (the RD layer fires those before this
-        notification) — but the QP stays in RTS for every other peer."""
+        the peer is recorded and every WR toward it flushes — but the QP
+        stays in RTS for every other peer.  The RD layer has already
+        failed the messages it held; this flushes the rest, whose LAST
+        segment had not reached it: sent later on a fresh window, one
+        could succeed although its first segments were lost."""
         self.failed_peers.add(addr)
         self.terminate_reason = f"RD peer {addr} unreachable"
+        for entry in [entry for entry in self.sq if entry.wr.dest == addr]:
+            self.finish_send(entry, WcStatus.FLUSHED)
 
     # -- receive ------------------------------------------------------------
 
@@ -564,6 +534,8 @@ class RcQp(QueuePair):
 
     #: Why the QP errors when its LLP never becomes ready.
     _READY_FAILURE = "MPA negotiation failed"
+    #: The LLP, as wire spans name it.
+    _PROTO = "tcp"
 
     def __init__(
         self,
@@ -579,10 +551,13 @@ class RcQp(QueuePair):
         self._attach(llp).add_callback(self._on_llp_ready)
 
     def _attach(self, mpa: MpaConnection) -> Future:
-        """Wire the LLP's callbacks to this QP; returns its ready future."""
+        """Wire the LLP's callbacks to this QP and bind its framing
+        cost, open test and send call; returns its ready future."""
         self.mpa = mpa
         self.max_seg_payload = self.device.rc_mulpdu - MAX_HEADER
         self._frame_cost_ns: Callable[[int], int] = mpa.frame_cost_ns
+        self._llp_open: Callable[[], bool] = lambda: mpa.state == "OPERATIONAL"
+        self._llp_send: Callable[[bytes], None] = mpa.emit_ulpdu_now
         mpa.on_ulpdu = self._on_ulpdu
         mpa.on_error = lambda exc: self._enter_error(str(exc))
         return mpa.ready
@@ -598,7 +573,8 @@ class RcQp(QueuePair):
     # -- transmit ---------------------------------------------------------
 
     def channel_send(
-        self, seg: DdpSegment, dest: Optional[Address], first: bool = True, msg_len: int = 0
+        self, seg: DdpSegment, dest: Optional[Address], first: bool = True,
+        msg_len: int = 0, entry: Optional[SendEntry] = None,
     ) -> None:
         costs = self.host.costs
         cost = costs.ddp_tx_per_seg_ns
@@ -612,17 +588,17 @@ class RcQp(QueuePair):
         self.host.cpu.submit(cost, self._emit, seg)
 
     def _emit(self, seg: DdpSegment) -> None:
-        if self.mpa.state != "OPERATIONAL":
-            return
-        if self.state == ERROR and seg.opcode != OP_TERMINATE:
+        if self.state == ERROR and (seg.opcode != OP_TERMINATE or not self._llp_open()):
             # Once errored only the TERMINATE notification may leave.
+            # Until then the LLP is open: its failure or close errors
+            # the QP at once (IC401 checks RTS/SQD over OPERATIONAL MPA).
             return
         if self.host.wr_tracer is not None:
             wr_span(
-                self.host, "wire", qp=self.qp_num, proto="tcp",
+                self.host, "wire", qp=self.qp_num, proto=self._PROTO,
                 msg_id=seg.msg_id, last=seg.last,
             )
-        self.mpa.emit_ulpdu_now(seg.encode())
+        self._llp_send(seg.encode())
 
     # -- receive ------------------------------------------------------------
 
@@ -668,25 +644,23 @@ class RcSctpQp(RcQp):
     exactly the TCP-adaptation overhead the paper discusses in §IV.A."""
 
     _READY_FAILURE = "SCTP association failed"
+    _PROTO = "sctp"
 
     def _attach(self, assoc: SctpAssociation) -> Future:  # type: ignore[override]
         self.assoc = assoc
         self.max_seg_payload = assoc.max_message - MAX_HEADER
         self._frame_cost_ns = _no_framing_ns
+        self._llp_open = lambda: assoc.state != "CLOSED"
+        self._llp_send = assoc.send_message
         assoc.on_message = self._on_ulpdu
+        assoc.on_close = self._on_assoc_closed
         return assoc.established
 
-    def _emit(self, seg: DdpSegment) -> None:
-        if self.assoc.state == "CLOSED":
-            return
-        if self.state == ERROR and seg.opcode != OP_TERMINATE:
-            return
-        if self.host.wr_tracer is not None:
-            wr_span(
-                self.host, "wire", qp=self.qp_num, proto="sctp",
-                msg_id=seg.msg_id, last=seg.last,
-            )
-        self.assoc.send_message(seg.encode())
+    def _on_assoc_closed(self) -> None:
+        """The peer shut the association down or aborted it: the stream
+        is gone, so a QP still in RTS errors (as an MPA failure does)."""
+        if self.state != ERROR:
+            self._enter_error("SCTP association closed")
 
     def _release_channel(self) -> None:
         self.assoc.shutdown()

@@ -13,7 +13,6 @@ paper specifies (§IV.B item 4) are visible here:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Tuple
@@ -60,18 +59,14 @@ class WcStatus(Enum):
     TIMEOUT = "TIMEOUT"                   # reserved for pollers
 
 
-#: Default ``wr_id``s, numbered across the process rather than per device
-#: (ROADMAP item 1).
-_wr_ids = itertools.count(1)  # iwarplint: disable=IW404
-
-
 @dataclass
 class SendWR:
     """A send-queue work request."""
 
     opcode: WrOpcode
     sges: List[Sge] = field(default_factory=list)
-    wr_id: int = field(default_factory=_wr_ids.__next__)
+    #: None: the posting QP's device numbers it.
+    wr_id: Optional[int] = None
     #: UD only: destination (host, port) — the datagram-verbs extension.
     dest: Optional[Address] = None
     #: Tagged ops: remote stag and base tagged offset.
@@ -90,7 +85,8 @@ class RecvWR:
     """A receive-queue work request."""
 
     sges: List[Sge] = field(default_factory=list)
-    wr_id: int = field(default_factory=_wr_ids.__next__)
+    #: None: the posting QP's device numbers it.
+    wr_id: Optional[int] = None
 
     @property
     def capacity(self) -> int:

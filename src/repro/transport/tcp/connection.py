@@ -99,6 +99,7 @@ class TcpConnection:
         ("transport.tcp.bytes", "counter", "bytes_sent", "dir=tx"),
         ("transport.tcp.bytes", "counter", "bytes_received", "dir=rx"),
         ("transport.tcp.retransmissions", "counter", "retransmissions"),
+        ("transport.tcp.out_of_window_drops", "counter", "out_of_window_drops"),
         ("transport.tcp.dup_acks", "counter", "dup_acks_total"),
         ("transport.tcp.retransmits", "counter", "retransmits_by_cause", "cause"),
         ("transport.tcp.rto_backoffs", "counter", "rto.backoffs"),
@@ -151,6 +152,9 @@ class TcpConnection:
         self.rcv_nxt = 0
         self.rcvbuf_bytes = RCVBUF_BYTES
         self._ooo: Dict[int, bytes] = {}   # seq -> payload (out of order)
+        self._ooo_bytes = 0                # payload bytes parked in _ooo
+        # Segments ending beyond rcv_nxt + rcvbuf_bytes, dropped unparked.
+        self.out_of_window_drops = 0
         self._ooo_fin: Optional[int] = None  # seq of a FIN parked beyond a gap
         self._segs_since_ack = 0
         self._remote_fin = False
@@ -348,9 +352,7 @@ class TcpConnection:
         self.stack.transmit_segment(self, seg)
 
     def _advertised_window(self) -> int:
-        ooo = self._ooo
-        pending = sum(map(len, ooo.values())) if ooo else 0
-        return max(0, self.rcvbuf_bytes - pending)
+        return max(0, self.rcvbuf_bytes - self._ooo_bytes)
 
     # ------------------------------------------------------------------
     # Timers
@@ -585,10 +587,15 @@ class TcpConnection:
                 self._on_remote_fin()
             self._schedule_ack(force=force_ack or bool(self._ooo))
         elif seq > self.rcv_nxt:
-            if payload and seq not in self._ooo:
-                self._ooo[seq] = payload
-            if fin:
-                self._ooo_fin = seq + len(payload)
+            if seq + len(payload) > self.rcv_nxt + self.rcvbuf_bytes:
+                # Beyond the receive window: no honest peer sends it.
+                self.out_of_window_drops += 1
+            else:
+                if payload and seq not in self._ooo:
+                    self._ooo[seq] = payload
+                    self._ooo_bytes += len(payload)
+                if fin:
+                    self._ooo_fin = seq + len(payload)
             self._send_ack()  # duplicate ACK for the gap
         else:
             # Old/overlapping data: re-ack so the sender advances.
@@ -611,6 +618,7 @@ class TcpConnection:
                     self.rcv_nxt += 1
                     self._on_remote_fin()
                 return
+            self._ooo_bytes -= len(payload)
             if payload:
                 self._deliver(payload)
                 self.rcv_nxt += len(payload)

@@ -30,8 +30,8 @@ class TestClose:
         for _ in range(3):
             mr = dev.reg_mr(64, Access.local_only(), pd)
             wr = RecvWR(sges=[Sge(mr)])
-            wr_ids.append(wr.wr_id)
             qp.post_recv(wr)
+            wr_ids.append(wr.wr_id)  # numbered by the device at post
         qp.close()
         assert qp.state == ERROR
         assert not qp.rq  # nothing left dangling on the queue

@@ -204,10 +204,20 @@ class TestSharedCqs:
 
 
 class TestWorkRequestDefaults:
-    def test_wr_ids_unique(self):
-        a = SendWR(opcode=WrOpcode.SEND)
-        b = SendWR(opcode=WrOpcode.SEND)
-        assert a.wr_id != b.wr_id
+    def test_wr_ids_unique(self, zero_devices):
+        """A WR posted without a wr_id takes its device's next number."""
+        dev = zero_devices[0]
+        pd = dev.alloc_pd()
+        qp = dev.create_ud_qp(pd, dev.create_cq())
+        mr = dev.reg_mr(64, Access.local_only(), pd)
+        a, b, c = (RecvWR(sges=[Sge(mr)]) for _ in range(3))
+        assert a.wr_id is None
+        qp.post_recv(a)
+        qp.post_recv(b)
+        qp.post_send(SendWR(opcode=WrOpcode.SEND, sges=[Sge(mr)], dest=qp.address,
+                            signaled=False, wr_id=99))
+        qp.post_recv(c)
+        assert (a.wr_id, b.wr_id, c.wr_id) == (1, 2, 3)
 
     def test_send_wr_length(self):
         reg = StagRegistry()

@@ -289,8 +289,8 @@ class TestBothTransports:
         wr_ids = []
         for _ in range(2):
             wr = RecvWR(sges=[Sge(devB.reg_mr(64, Access.local_only(), rc_any["pds"][1]))])
-            wr_ids.append(wr.wr_id)
             qpB.post_recv(wr)
+            wr_ids.append(wr.wr_id)  # numbered by the device at post
         qpB.close()
         wcs = rc_any["cqs"][1].poll(max_entries=8)  # flushed synchronously
         assert [wc.wr_id for wc in wcs] == wr_ids

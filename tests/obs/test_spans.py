@@ -21,8 +21,9 @@ def test_golden_rc_rdma_write_spans_under_loss():
     """One 8 KB RC RDMA Write through 10 % sender-egress loss: TCP
     carries six MSS segments, repairs the losses with two RTO
     retransmissions, and the target sees six in-order deliveries.  The
-    send CQE precedes the wire spans — RC send completions occur at LLP
-    handoff (§IV of the paper), not at delivery."""
+    send CQE follows the last wire span and precedes the repairs — RC
+    send completions occur at LLP handoff (§IV of the paper), not at
+    delivery."""
     pair = VerbsEndpointPair.build(
         "rc_rdma_write", costs=zero_cost_model(),
         loss=BernoulliLoss(0.10, seed=42), metrics=True,
@@ -32,7 +33,7 @@ def test_golden_rc_rdma_write_spans_under_loss():
     pair.sim.run(until=1 * SEC)
 
     assert stage_sequence(t0) == (
-        ["post", "segment", "cqe"] + ["wire"] * 6 + ["retransmit"] * 2
+        ["post", "segment"] + ["wire"] * 6 + ["cqe"] + ["retransmit"] * 2
     )
     assert stage_sequence(t1) == ["delivery"] * 6
 
@@ -72,7 +73,7 @@ def test_golden_ud_write_record_spans_under_loss():
     pair._post_message(0, 262144, signaled=True)
     pair.sim.run(until=1 * SEC)
 
-    assert stage_sequence(t0) == ["post", "segment", "cqe"] + ["wire"] * 5
+    assert stage_sequence(t0) == ["post", "segment"] + ["wire"] * 5 + ["cqe"]
     assert stage_sequence(t1) == ["delivery", "cqe"]
 
     post = next(iter(spans(t0, stage="post")))

@@ -158,14 +158,18 @@ class _Qp:
                 sges.append(Sge(mr))
             self.rq.append(RecvWR(sges=sges, wr_id=wr_id))
 
+    def complete(self, queue: str, wc: WorkCompletion, at_once: bool = False) -> None:
+        self.completions.append((
+            self.sim.now, queue, at_once, wc.wr_id, wc.status, wc.byte_len, wc.msg_id,
+            wc.src, wc.solicited, None if wc.validity is None else wc.validity.ranges(),
+        ))
+
+    # OracleRx calls the receive routes by their earlier names.
     def fail_recv(self, wc: WorkCompletion) -> None:
-        self.push_rq_completion(wc)
+        self.complete("rq", wc, at_once=True)
 
     def push_rq_completion(self, wc: WorkCompletion) -> None:
-        self.completions.append((
-            self.sim.now, wc.wr_id, wc.status, wc.byte_len, wc.msg_id, wc.src,
-            wc.solicited, None if wc.validity is None else wc.validity.ranges(),
-        ))
+        self.complete("rq", wc)
 
     def terminate(self, reason: str) -> None:
         self.terminated.append((self.sim.now, reason))

@@ -16,7 +16,8 @@ if str(TOOLS) not in sys.path:
 from iwarpcheck import cli, schedules  # noqa: E402
 
 from repro.core.mpa.connection import MpaConnection  # noqa: E402
-from repro.core.rdmap.engine import RdmapRx  # noqa: E402
+from repro.core.rdmap.engine import RdmapRx, RdmapTx  # noqa: E402
+from repro.core.verbs import WcStatus, WorkCompletion  # noqa: E402
 from repro.core.verbs.qp import QueuePair, RcQp, UdQp  # noqa: E402
 from repro.transport.rudp import RudpSocket  # noqa: E402
 
@@ -165,7 +166,77 @@ def test_ud_reporting_the_wrong_source_is_caught(monkeypatch):
         assert "reports source" in finding.message
 
 
-# -- the two RC error fixes, reverted -------------------------------------------
+def test_a_send_completing_at_hand_off_on_rd_is_caught(monkeypatch):
+    start = RdmapTx._start
+
+    def hasty(self, entry, payload):
+        start(self, entry, payload)
+        qp = self.qp
+        if qp.rd is not None:
+            qp.host.cpu.submit(
+                qp.host.costs.cqe_ns, qp.finish_send, entry, WcStatus.SUCCESS, True
+            )
+
+    monkeypatch.setattr(RdmapTx, "_start", hasty)
+    run, finding = first_finding("explore-rd_sendrecv", "IC407")
+    assert run.schedule == ()
+    assert "completed SUCCESS before its message reached the peer" in finding.message
+
+
+def test_a_close_lands_while_two_signaled_sends_are_outstanding(monkeypatch):
+    flush = QueuePair._flush_send_queue
+    owed = []
+
+    def counting(self):
+        owed.append(sum(entry.wr.signaled for entry in self.sq))
+        flush(self)
+
+    monkeypatch.setattr(QueuePair, "_flush_send_queue", counting)
+    for row in schedules.ROWS:
+        most = 0
+        for run in schedules.explore(row, max_faults=1, max_frames=FRAMES):
+            if run.schedule and run.schedule[0][1].startswith("close@"):
+                most = max([most] + owed)
+            owed.clear()  # the closes the run made
+        assert most >= 2, row
+
+
+def test_a_flush_that_skips_the_send_queue_is_caught(monkeypatch):
+    # On RD every message a close catches has reached RD, which fails it
+    # itself; elsewhere only the send-queue flush completes it.
+    monkeypatch.setattr(QueuePair, "_flush_send_queue", lambda self: None)
+    for row in ("explore-rc_sendrecv", "explore-ud_write_record", "explore-ud_sendrecv"):
+        caught = [
+            run for run in schedules.explore(row, max_faults=1, max_frames=FRAMES)
+            if run.schedule and run.schedule[0][1].startswith("close@")
+            and any(f.rule == "IC407" for f in run.findings)
+        ]
+        assert caught, row
+
+
+# -- the RC error fixes, reverted ------------------------------------------------
+
+
+def test_reverting_the_send_after_error_fix_is_caught(monkeypatch):
+    # The CQE RdmapTx._start queues lands SUCCESS whether or not an
+    # error flushed the send in the meantime, as before the send queue.
+    finish_send = QueuePair.finish_send
+
+    def decided_at_start(self, entry, status, at_once=False, **fields):
+        if not (at_once and status is WcStatus.SUCCESS):
+            return finish_send(self, entry, status, at_once, **fields)
+        wr = entry.wr
+        if entry in self.sq:
+            self.sq.remove(entry)
+        self.complete("sq", WorkCompletion(
+            wr.wr_id, wr.opcode, status, entry.byte_len, msg_id=entry.msg_id), True)
+        return True
+
+    monkeypatch.setattr(QueuePair, "finish_send", decided_at_start)
+    run, finding = first_finding("explore-rc_sendrecv", "IC407")
+    assert run.schedule  # an error while sends are queued: a reset or a close
+    assert "before its message reached the LLP" in finding.message
+
 
 
 def test_reverting_the_reset_coupling_is_caught(monkeypatch):

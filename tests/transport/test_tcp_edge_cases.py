@@ -6,6 +6,7 @@ from repro.simnet.engine import MS, SEC
 from repro.simnet.loss import BernoulliLoss, ExplicitLoss
 from repro.transport.stacks import install_stacks
 from repro.transport.tcp.connection import CLOSED
+from repro.transport.tcp.segment import TcpSegment
 
 
 @pytest.fixture
@@ -47,6 +48,41 @@ class TestWindows:
         cli.send(b"z" * 500_000)
         tb.sim.run(until=tb.sim.now + 5 * SEC)
         assert cli.conn.cong.cwnd > start
+
+
+class TestHostilePeer:
+    def test_segments_past_the_window_are_dropped_not_parked(self, tcp_pair):
+        """A peer spraying segments past the receive window cannot grow
+        the out-of-order map: each is counted, the advertised window
+        shrinks only by what was parked, and the hole still drains in
+        order."""
+        tb, c, s = tcp_pair
+        cli, srv = _connect(tb, c, s)
+        got = []
+        srv.on_data = got.append
+        conn = srv.conn
+        base, window, mss = conn.rcv_nxt, conn.rcvbuf_bytes, 1460
+
+        def forge(offset, payload=bytes(mss)):
+            conn.on_segment(TcpSegment(
+                src_port=conn.remote[1], dst_port=conn.local_port,
+                seq=base + offset, ack_seq=0, flags=0, window=0, payload=payload,
+            ))
+
+        for i in range(2000):
+            forge((1 << 30) + i * mss)  # a GiB past rcv_nxt
+        forge(window - 100)  # straddles the window's edge
+        forge(window - mss)  # ends exactly at it
+        for i in range(1, 4):
+            forge(i * mss)  # behind a hole at rcv_nxt
+        assert conn.out_of_window_drops == 2001
+        assert sorted(conn._ooo) == [base + i * mss for i in (1, 2, 3)] + [base + window - mss]
+        assert conn._advertised_window() == window - 4 * mss
+        forge(0)
+        tb.sim.run(until=tb.sim.now + 10 * MS)
+        assert b"".join(got) == bytes(4 * mss)
+        assert list(conn._ooo) == [base + window - mss]
+        assert conn._advertised_window() == window - mss
 
 
 class TestRecovery:

@@ -17,7 +17,8 @@ behaviour of the stack:
   delay or corrupt a frame; reset, close or drain a QP) over their
   first N frames, and checks the cross-layer oracles on every run: the
   RC (QP, MPA, TCP) coupling, RC receive flushing, RD exactly-once
-  delivery, Write-Record validity and UD source addresses.  The row
+  delivery, Write-Record validity, UD source addresses and send-queue
+  conservation (each send completed once, SUCCESS only when earned).  The row
   name and the schedule replay a counterexample.
 * :mod:`iwarpcheck.sanitizer` is the runtime transition-coverage
   sanitizer: an observer on ``repro.core.fsm`` records every transition

@@ -29,7 +29,13 @@ counterexample: ``python -m iwarpcheck explore --row ROW --schedule
   delivered although its sender did not complete it FLUSHED;
 * IC405 — a Write-Record completion without its LAST segment, or with
   a validity map other than the union of the ranges that arrived;
-* IC406 — a UD or RD completion whose source is not the peer QP.
+* IC406 — a UD or RD completion whose source is not the peer QP;
+* IC407 — a signaled send or a Read not completed exactly once (unless
+  still outstanding on an RTS QP), an unsignaled send completed, or a
+  send completed SUCCESS before its message reached the point that
+  earns it: RC, its LAST segment handed to the LLP while the QP was
+  not in ERROR; UD, handed to UDP; RD, delivered at the peer (RD's
+  cumulative ACK comes after that).
 """
 
 from __future__ import annotations
@@ -37,12 +43,14 @@ from __future__ import annotations
 import traceback
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.bench import scenarios
 from repro.bench.harness import BenchError, VerbsEndpointPair
 from repro.core import fsm
-from repro.core.ddp.headers import OP_WRITE_RECORD
+from repro.core.ddp.headers import OP_SEND, OP_SEND_SE, OP_WRITE_RECORD, decode_segment
+from repro.core.mpa.crc import CRC_SIZE
 from repro.core.verbs import WcStatus, WorkCompletion, WrOpcode
 from repro.core.verbs.qp import ERROR, RTS, SQD, QpError, RcQp
 from repro.simnet.engine import SEC, US, SimulationError, Simulator
@@ -218,12 +226,12 @@ def _tap(
 ) -> Callable[..., None]:
     """``fn``, calling ``note`` with the same arguments before it (or
     after it, so that a call ``fn`` refuses is not noted)."""
-    def tapped(*args: Any) -> None:
+    def tapped(*args: Any, **kwargs: Any) -> None:
         if not after:
-            note(*args)
-        fn(*args)
+            note(*args, **kwargs)
+        fn(*args, **kwargs)
         if after:
-            note(*args)
+            note(*args, **kwargs)
     return tapped
 
 
@@ -238,8 +246,10 @@ def _union(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 
 
 class _Ledger:
-    """Every WR posted and completion pushed on both hosts, plus the
-    Write-Record segments each receive engine was handed; IC403–IC406."""
+    """Every WR posted and completion pushed on both hosts, the
+    Write-Record segments each receive engine was handed, and the
+    messages that reached the point a send's SUCCESS needs;
+    IC403–IC407."""
 
     def __init__(self, pair: VerbsEndpointPair, violations: Violations) -> None:
         self.pair = pair
@@ -249,14 +259,87 @@ class _Ledger:
         self.completions: List[List[WorkCompletion]] = [[], []]
         # (source, msg_id) -> (ranges arrived since its last completion, LAST seen)
         self.logs: Dict[Tuple[Any, int], Tuple[List[Tuple[int, int]], bool]] = {}
+        # Per host: the send WRs whose SUCCESS is checked, by wr_id, with
+        # the key of their message (an RC Send's MSN; on a datagram QP
+        # None: the completion's msg_id), and the keys of the messages
+        # that have earned a SUCCESS so far.
+        self.posted: List[Dict[int, Optional[int]]] = [{}, {}]
+        self.msns = [0, 0]
+        self.earned: List[Set[Any]] = [set(), set()]
         for host, qp in enumerate(pair.qps):
-            qp.post_send = _tap(qp.post_send, self.sends[host].append, after=True)
+            qp.post_send = _tap(qp.post_send, partial(self._posted, host), after=True)
             qp.post_recv = _tap(qp.post_recv, self.recvs[host].append, after=True)
             cq = pair.cqs[host]
-            cq.push = _tap(cq.push, self.completions[host].append)
+            cq.push = _tap(cq.push, partial(self._pushed, host))
             if pair.mode.endswith("write_record"):
                 qp.rx.on_segment = _tap(qp.rx.on_segment, self._segment)
-                qp.push_rq_completion = _tap(qp.push_rq_completion, self._write_record)
+                qp.complete = _tap(qp.complete, self._write_record)
+            if not qp.is_datagram:
+                qp._llp_send = _tap(qp._llp_send, partial(self._to_llp, host, qp))
+            elif qp.rd is None:
+                sock = qp._udp_sock
+                sock.sendto_uncharged = _tap(sock.sendto_uncharged, partial(self._reached, host))
+            else:
+                peer = pair.qps[1 - host].rd
+                peer.on_message = _tap(peer.on_message, partial(self._reached, host))
+
+    # -- IC407: what earns a send SUCCESS --------------------------------
+
+    def _posted(self, host: int, wr: Any) -> None:
+        self.sends[host].append(wr)
+        if self.pair.qps[host].is_datagram:
+            self.posted[host][wr.wr_id] = None
+        elif wr.opcode in (WrOpcode.SEND, WrOpcode.SEND_SE):
+            self.msns[host] += 1
+            self.posted[host][wr.wr_id] = self.msns[host]
+
+    def _to_llp(self, host: int, qp: Any, data: bytes) -> None:
+        seg = decode_segment(data, ud=False)
+        if seg.last and not seg.tagged and seg.opcode in (OP_SEND, OP_SEND_SE) \
+                and qp.state != ERROR:
+            self.earned[host].add(seg.msn)
+
+    def _reached(self, host: int, data: bytes, addr: Any) -> None:
+        """A datagram from host ``host`` was handed to UDP (UD) or
+        delivered at the peer (RD)."""
+        seg = decode_segment(data[:-CRC_SIZE], ud=True)
+        if seg.last:
+            self.earned[host].add(seg.msg_id)
+
+    def _pushed(self, host: int, wc: WorkCompletion) -> None:
+        self.completions[host].append(wc)
+        posted = self.posted[host]
+        if wc.status is not WcStatus.SUCCESS or wc.wr_id not in posted \
+                or wc.opcode is WrOpcode.RDMA_READ:
+            return
+        key = posted[wc.wr_id]
+        if key is None:
+            key = wc.msg_id
+        if key not in self.earned[host]:
+            self.violations.append(
+                ("IC407", f"host {host} send wr_id={wc.wr_id} completed SUCCESS before "
+                          f"its message reached {self._earns(host)}")
+            )
+
+    def _earns(self, host: int) -> str:
+        qp = self.pair.qps[host]
+        if not qp.is_datagram:
+            return "the LLP on a QP not in ERROR"
+        return "UDP" if qp.rd is None else "the peer"
+
+    def _send_queue(self) -> None:
+        for host, qp in enumerate(self.pair.qps):
+            completed = self._completed(host, self.sends[host])
+            for wr in self.sends[host]:
+                n = len(completed[wr.wr_id])
+                owed = wr.signaled or wr.opcode is WrOpcode.RDMA_READ
+                if n == (1 if owed else 0) or (owed and n == 0 and qp.state == RTS):
+                    continue
+                what = "signaled" if wr.signaled else "unsignaled"
+                self.violations.append(
+                    ("IC407", f"host {host} {what} {wr.opcode.name} wr_id={wr.wr_id} "
+                              f"completed {n} times (QP {qp.state})")
+                )
 
     def _segment(self, seg: Any, src: Any) -> None:
         if seg.tagged and seg.opcode == OP_WRITE_RECORD:
@@ -264,8 +347,8 @@ class _Ledger:
             ranges.append((seg.msg_offset, seg.msg_offset + len(seg.payload)))
             self.logs[(src, seg.msg_id)] = (ranges, last or seg.last)
 
-    def _write_record(self, wc: WorkCompletion) -> None:
-        if wc.opcode is not WrOpcode.RDMA_WRITE_RECORD:
+    def _write_record(self, queue: str, wc: WorkCompletion, at_once: bool = False) -> None:
+        if queue != "rq" or wc.opcode is not WrOpcode.RDMA_WRITE_RECORD:
             return
         ranges, last = self.logs.pop((wc.src, wc.msg_id), ([], False))
         what = f"Write-Record msg_id={wc.msg_id} from {wc.src}"
@@ -287,6 +370,7 @@ class _Ledger:
 
     def check(self) -> None:
         pair = self.pair
+        self._send_queue()
         for host, qp in enumerate(pair.qps):
             if not qp.is_datagram:
                 for wr_id, wcs in self._completed(host, self.recvs[host]).items():
