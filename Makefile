@@ -33,14 +33,14 @@ verify-fsm:
 # Fault-schedule explorer (CI's explore job; a few minutes): run each
 # short explore-* catalogue row on the live stack under every schedule
 # of up to 2 faults over its first 24 frames and check the oracles
-# (DESIGN.md §7). One process per row; each writes its runs, the RC
-# composites it reached and any counterexample (row + replayable
-# schedule) to $(ARTIFACTS)/explore-<row>.json.
-EXPLORE_ROWS = rc_sendrecv rd_sendrecv ud_write_record ud_sendrecv
+# (DESIGN.md §7). One process per row, all five at once; each writes
+# its runs, the RC composites it reached and any counterexample (row +
+# replayable schedule) to $(ARTIFACTS)/explore-<row>.json.
+EXPLORE_ROWS = rc_sendrecv rcsctp_sendrecv rd_sendrecv ud_write_record ud_sendrecv
 
 explore:
 	mkdir -p $(ARTIFACTS)
-	$(MAKE) -j4 -k $(EXPLORE_ROWS:%=explore-%)
+	$(MAKE) -j5 -k $(EXPLORE_ROWS:%=explore-%)
 
 explore-%:
 	PYTHONPATH=src $(PYTHON) -m iwarpcheck explore --row explore-$* \

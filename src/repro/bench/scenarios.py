@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from functools import partial
+from heapq import heappush
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..simnet.engine import SEC, US, Simulator
@@ -66,7 +67,7 @@ class RunRecord:
     (bandwidth) or the latency (ping-pong) and the final clock.
     ``events`` is ``sim.events_processed`` at the end.  ``calls`` counts
     the workload's Python calls into ``repro`` code and ``peak_heap`` the
-    longest event heap seen at them (see :func:`count_calls`); both are
+    longest the event heap grew (see :func:`count_calls`); both are
     None unless the row pins them, as the profiler makes the workload
     several times slower.  ``outputs`` is what the workload returned
     (plus the RD LLP's ``rd_stats``), ``metrics`` the registry snapshot
@@ -118,8 +119,9 @@ SCENARIOS: Dict[str, Scenario] = {
     # completion can be checked against the LAST segment's arrival.
     **{
         f"explore-{mode}": Scenario(mode, size=size, count=4)
-        for mode, size in (("rc_sendrecv", 16384), ("rd_sendrecv", 16384),
-                           ("ud_write_record", 65536), ("ud_sendrecv", 16384))
+        for mode, size in (("rc_sendrecv", 16384), ("rcsctp_sendrecv", 16384),
+                           ("rd_sendrecv", 16384), ("ud_write_record", 65536),
+                           ("ud_sendrecv", 16384))
     },
 }
 
@@ -193,8 +195,9 @@ def count_calls(heap: List[Any], fn: Callable[[], Any]) -> Tuple[Any, int, int]:
     profiler's ``"call"`` events into ``repro`` code (the methods
     ``dataclass`` generates included; standard-library frames are not
     counted, so the pin does not depend on the 3.11 patch release) and
-    the longest ``heap`` (a simulator's ``_heap``) seen at them.  The
-    cyclic collector is paused so no finalizer runs at a point that
+    the longest ``heap`` (a simulator's ``_heap``) ever held: it is
+    read as each ``heappush`` returns, the only call that lengthens it.
+    The cyclic collector is paused so no finalizer runs at a point that
     depends on earlier allocations."""
     calls = peak = 0
 
@@ -204,8 +207,8 @@ def count_calls(heap: List[Any], fn: Callable[[], Any]) -> Tuple[Any, int, int]:
             filename = frame.f_code.co_filename
             if filename.startswith(_REPRO_DIR) or filename == "<string>":
                 calls += 1
-                if len(heap) > peak:
-                    peak = len(heap)
+        elif event == "c_return" and arg is heappush and len(heap) > peak:
+            peak = len(heap)
 
     was_enabled = gc.isenabled()
     previous = sys.getprofile()

@@ -116,6 +116,8 @@ class QueuePair:
     failed_peers: Set[Address]
     #: The reliable-datagram LLP, on an RD QP only.
     rd: Optional[RudpSocket] = None
+    #: Whether the LLP can still carry a segment (:meth:`_silenced`).
+    _llp_open: Callable[[], bool]
 
     #: Exported series (see :mod:`repro.obs.metrics`), labelled qp/host;
     #: the RDMAP engines declare their own.
@@ -270,6 +272,11 @@ class QueuePair:
             )
         return True
 
+    def _silenced(self, seg: DdpSegment) -> bool:
+        """The one emit rule, asked only of a QP in ERROR: it sends
+        nothing but a TERMINATE, and that only over an open LLP."""
+        return seg.opcode != OP_TERMINATE or not self._llp_open()
+
     def channel_send(
         self, seg: DdpSegment, dest: Optional[Address], first: bool = True,
         msg_len: int = 0, entry: Optional[SendEntry] = None,
@@ -404,6 +411,7 @@ class UdQp(QueuePair):
             overhead = MAX_HEADER + CRC_SIZE
             self.max_seg_payload = UDP_MAX_PAYLOAD - overhead
         self._udp_sock = udp_sock
+        self._llp_open = lambda: not udp_sock.closed
         # RD: peers declared unreachable.
         self.failed_peers: Set[Address] = set()
         self.crc_drops = 0
@@ -449,10 +457,9 @@ class UdQp(QueuePair):
         self.host.cpu.submit(cost, self._emit, seg, dest, entry)
 
     def _emit(self, seg: DdpSegment, dest: Address, entry: Optional[SendEntry]) -> None:
-        if self._udp_sock.closed:
-            # The application closed the QP with emissions still queued
-            # in the stack (the close flushed their WRs): datagram
-            # semantics, the data is gone.
+        if self.state == ERROR and self._silenced(seg):
+            # The QP errored or closed with emissions still queued in
+            # the stack (the error flushed their WRs): the data is gone.
             self.drops_closed += 1
             return
         if self.host.wr_tracer is not None:
@@ -464,6 +471,10 @@ class UdQp(QueuePair):
         data = append_crc(seg.encode())
         if not self.reliable:
             self._udp_sock.sendto_uncharged(data, dest)
+        elif dest in self.failed_peers:
+            # Flushed with its peer's failure: a fresh RD window toward
+            # that peer must not carry the rest of the message.
+            self.drops_closed += 1
         elif seg.last and entry is not None:
             # RD acknowledges cumulatively, so the LAST segment's result
             # comes after every earlier one's: it completes the message.
@@ -556,7 +567,7 @@ class RcQp(QueuePair):
         self.mpa = mpa
         self.max_seg_payload = self.device.rc_mulpdu - MAX_HEADER
         self._frame_cost_ns: Callable[[int], int] = mpa.frame_cost_ns
-        self._llp_open: Callable[[], bool] = lambda: mpa.state == "OPERATIONAL"
+        self._llp_open = lambda: mpa.state == "OPERATIONAL"
         self._llp_send: Callable[[bytes], None] = mpa.emit_ulpdu_now
         mpa.on_ulpdu = self._on_ulpdu
         mpa.on_error = lambda exc: self._enter_error(str(exc))
@@ -565,6 +576,10 @@ class RcQp(QueuePair):
     def _on_llp_ready(self, result: Optional[object]) -> None:
         if result is None:
             self._enter_error(self._READY_FAILURE)
+            return
+        if self.state != RESET:
+            # Only a QP still waiting goes live: one that errored (a
+            # reset, a close) while this readiness was queued stays.
             return
         self._set_state(RTS)
         if not self.ready.done:
@@ -588,10 +603,10 @@ class RcQp(QueuePair):
         self.host.cpu.submit(cost, self._emit, seg)
 
     def _emit(self, seg: DdpSegment) -> None:
-        if self.state == ERROR and (seg.opcode != OP_TERMINATE or not self._llp_open()):
-            # Once errored only the TERMINATE notification may leave.
-            # Until then the LLP is open: its failure or close errors
-            # the QP at once (IC401 checks RTS/SQD over OPERATIONAL MPA).
+        if self.state == ERROR and self._silenced(seg):
+            # Until the QP errors the LLP is open: its failure or close
+            # errors the QP at once (IC401 checks RTS/SQD over
+            # OPERATIONAL MPA).
             return
         if self.host.wr_tracer is not None:
             wr_span(

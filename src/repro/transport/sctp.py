@@ -15,6 +15,9 @@ subset that matters for iWARP-over-SCTP (RFC 5043's picture):
   the TSN space is the send/receive window core RD shares
   (:mod:`repro.transport.rto`), bounded at :data:`SCTP_WINDOW_MSGS`;
 * ordered delivery (one stream — iWARP uses a single SCTP stream);
+* the packet checksum (zlib's CRC-32 stands in for CRC32c) over each
+  DATA payload: a chunk that fails it is dropped unacknowledged and
+  repaired like a loss, since no DDP CRC sits above it;
 * graceful SHUTDOWN.
 
 Deliberate subset: user messages must fit one MTU (no SCTP-level
@@ -31,6 +34,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, FrozenSet, Optional, Tuple
+from zlib import crc32
 
 from ..core.fsm import pair_table, transition as _fsm_transition
 from ..obs import sim_registry
@@ -120,6 +124,7 @@ class SctpChunk:
     gap_start: int = 0          # lowest TSN held beyond cum_ack (0 = none)
     payload: bytes = b""
     cookie: int = 0
+    crc: int = 0                # DATA: the checksum over ``payload``
 
     @property
     def size(self) -> int:
@@ -137,6 +142,7 @@ class SctpAssociation:
     METRICS = (
         ("transport.sctp.retransmissions", "counter", "retransmissions"),
         ("transport.sctp.out_of_window_drops", "counter", "out_of_window_drops"),
+        ("transport.sctp.crc_drops", "counter", "crc_drops"),
         ("transport.sctp.cwnd_bytes", "gauge", "cong.cwnd"),
         ("transport.sctp.rto_ns", "gauge", "rto.rto_ns"),
     )
@@ -175,6 +181,7 @@ class SctpAssociation:
         self.messages_received = 0
         self.retransmissions = 0
         self.out_of_window_drops = 0
+        self.crc_drops = 0
         sim_registry(self.sim).watch(self, {
             "host": stack.host.name,
             "assoc": f"{local_port}-{remote[0]}:{remote[1]}",
@@ -271,9 +278,12 @@ class SctpAssociation:
 
     def _emit_data(self, tsn: int, data: bytes) -> None:
         self.messages_sent += 1
-        self._send_chunk(CH_DATA, tsn=tsn, payload=data)
+        self._send_chunk(CH_DATA, tsn=tsn, payload=data, crc=crc32(data))
 
     def _on_data(self, chunk: SctpChunk) -> None:
+        if crc32(chunk.payload) != chunk.crc:
+            self.crc_drops += 1
+            return
         rx = self._rx
         verdict = rx.arrive(chunk.tsn, chunk.payload)
         if verdict == IN_ORDER:

@@ -53,9 +53,9 @@ def test_an_outstanding_rc_read_completes_flushed():
 
 def test_rd_peer_failure_flushes_a_message_still_on_the_cpu_once():
     """Message 2 (60 KB) has no segment on RD yet when message 1's
-    timeout declares the peer unreachable; its segments then go out on
-    a fresh window, and the path is back.  It was owed to a failed
-    peer, so it completes FLUSHED, and once."""
+    timeout declares the peer unreachable, and then the path is back.
+    It was owed to a failed peer, so it completes FLUSHED, and once,
+    and none of its segments leaves on a fresh window."""
     pair = VerbsEndpointPair.build("rd_sendrecv", rd_opts={"max_retries": 0})
     q0 = pair.qps[0]
     peer = pair.dest(1)
@@ -76,7 +76,8 @@ def test_rd_peer_failure_flushes_a_message_still_on_the_cpu_once():
     pair._post_message(0, 60_000, signaled=True)
     pair.testbed.set_egress_loss(0, None)
     pair.sim.run(until=pair.sim.now + SEC)
-    assert peer in q0.failed_peers and len(handed) > 2
+    assert peer in q0.failed_peers and len(handed) == 1
+    assert q0.drops_closed == -(-60_000 // q0.max_seg_payload)
     assert _statuses(pair.cqs[0]) == [
         (1, WrOpcode.SEND, WcStatus.FLUSHED), (2, WrOpcode.SEND, WcStatus.FLUSHED),
     ]
@@ -132,6 +133,22 @@ def test_a_peer_closing_the_sctp_association_errors_the_qp():
     assert (q0.state, q0.assoc.state) == ("ERROR", "CLOSED")
     assert q0.terminate_reason == "SCTP association closed"
     assert _statuses(pair.cqs[0]) == [(4, WrOpcode.SEND, WcStatus.FLUSHED)]
+
+
+@pytest.mark.parametrize("mode", ["ud_sendrecv", "rd_sendrecv"])
+def test_a_flushed_datagram_send_never_reaches_the_peer(mode):
+    """An errored QP sends nothing but a TERMINATE: the send the error
+    flushed is dropped as it leaves the CPU, on UD as on RC."""
+    pair = VerbsEndpointPair.build(mode)
+    q0, q1 = pair.qps
+    pair._post_message(0, 100, signaled=True)
+    q0.modify_qp("ERROR")
+    q0.tx.send_terminate("going away", dest=pair.dest(1))
+    pair.sim.run(until=pair.sim.now + SEC)
+    assert [wc.status for wc in pair.cqs[0].poll(4)] == [WcStatus.FLUSHED]
+    assert q0.drops_closed == 1
+    assert q1.rx.drops_no_recv_posted == 0
+    assert q1.terminate_reason == "going away"
 
 
 def test_modify_qp_to_error_flushes_both_queues():

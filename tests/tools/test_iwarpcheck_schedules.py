@@ -1,6 +1,7 @@
 """The fault-schedule explorer (``iwarpcheck.schedules``): clean on the
 tree at one fault per schedule, and each oracle catches the mutant
-written against it, as does reverting either RC error fix."""
+written against it, as does reverting any of the error fixes it led
+to; the reliable paths deliver one sequence."""
 
 import json
 import sys
@@ -15,14 +16,23 @@ if str(TOOLS) not in sys.path:
 
 from iwarpcheck import cli, schedules  # noqa: E402
 
+from repro.bench import scenarios  # noqa: E402
+from repro.bench.harness import send_pattern  # noqa: E402
 from repro.core.mpa.connection import MpaConnection  # noqa: E402
 from repro.core.rdmap.engine import RdmapRx, RdmapTx  # noqa: E402
 from repro.core.verbs import WcStatus, WorkCompletion  # noqa: E402
 from repro.core.verbs.qp import QueuePair, RcQp, UdQp  # noqa: E402
+from repro.simnet.engine import SEC, Simulator  # noqa: E402
+from repro.transport import sctp  # noqa: E402
 from repro.transport.rudp import RudpSocket  # noqa: E402
 
 #: Smaller than the module's bounds, so the whole file stays a few seconds.
 FRAMES = 8
+#: Frames each row's build offers: the TCP handshake and MPA
+#: negotiation, the SCTP four-way handshake, none on a datagram QP.
+SETUP = {"explore-rc_sendrecv": 5, "explore-rcsctp_sendrecv": 4}
+#: The rows whose workload posts receives.
+RECEIVING = [row for row in schedules.ROWS if row != "explore-ud_write_record"]
 
 
 def expected_runs(row, setup, frames):
@@ -38,7 +48,7 @@ def test_one_fault_over_every_row_is_clean():
     for row in schedules.ROWS:
         runs = list(schedules.explore(row, max_faults=1, max_frames=FRAMES))
         setup = runs[0].setup
-        assert setup == (5 if row == "explore-rc_sendrecv" else 0)
+        assert setup == SETUP.get(row, 0)
         assert len(runs) == expected_runs(row, setup, FRAMES)
         assert [f for run in runs for f in run.findings] == []
         composites |= set().union(*(run.composites for run in runs))
@@ -124,8 +134,9 @@ def test_qp_ready_before_mpa_is_caught(monkeypatch):
 
 def test_a_flush_that_does_nothing_is_caught(monkeypatch):
     monkeypatch.setattr(QueuePair, "_flush_recv_queue", lambda self: None)
-    run, finding = first_finding("explore-rc_sendrecv", "IC403")
-    assert "completed 0 times" in finding.message
+    for row in RECEIVING:
+        _, finding = first_finding(row, "IC403")
+        assert "completed 0 times" in finding.message, row
 
 
 def test_rd_delivering_a_retransmitted_duplicate_is_caught(monkeypatch):
@@ -138,8 +149,44 @@ def test_rd_delivering_a_retransmitted_duplicate_is_caught(monkeypatch):
         on_data(self, seq, payload, src)
 
     monkeypatch.setattr(RudpSocket, "_on_data", redeliver)
-    run, _ = first_finding("explore-rd_sendrecv", "IC404", frames=16)
+    run, finding = first_finding("explore-rd_sendrecv", "IC403", frames=16)
     assert run.schedule
+    assert "is not the fault-free run's, yet" in finding.message
+
+
+def test_sctp_without_its_checksum_is_caught(monkeypatch):
+    # A corrupted DATA chunk is then placed, and completes SUCCESS with
+    # other bytes than the fault-free run placed.
+    monkeypatch.setattr(sctp, "crc32", lambda data: 0)
+    run, finding = first_finding("explore-rcsctp_sendrecv", "IC403", frames=16)
+    assert run.schedule[0][1] == "corrupt"
+    assert "completion #0 (wr_id=1 SUCCESS 16384 B) is not the fault-free run's" in finding.message
+
+
+def test_the_reliable_paths_deliver_one_sequence():
+    """RC over TCP, RC over SCTP and RD, each under 1 % loss on host
+    0's egress, give the receiver the same completions, as the
+    explorer's contract records them, and the contract holds."""
+    delivered = []
+    for row in ("rc_sendrecv-0.01", "rcsctp_sendrecv-0.01", "rd_sendrecv-0.01"):
+        spec = scenarios.SCENARIOS[row]
+        sim = Simulator()
+        pair = scenarios.build(spec, sim)
+        violations = []
+        ledger = schedules._Ledger(pair, violations)
+        scenarios.workload(spec, pair)()
+        for qp in pair.qps:
+            qp.close()
+        sim.run(until=sim.now + SEC)
+        ledger.check(delivered[0] if delivered else None)
+        assert violations == [], row
+        delivered.append(tuple(map(tuple, ledger.delivered)))
+    assert delivered[0] == delivered[1] == delivered[2]
+    received = delivered[0][1]
+    assert [status for _, status, _, _ in received] == [WcStatus.SUCCESS] * 40 + \
+        [WcStatus.FLUSHED] * 8
+    sent = send_pattern(0, spec.size)
+    assert all(placed == sent for _, _, _, placed in received[:40])
 
 
 def test_write_record_completing_without_last_is_caught(monkeypatch):
@@ -205,7 +252,8 @@ def test_a_flush_that_skips_the_send_queue_is_caught(monkeypatch):
     # On RD every message a close catches has reached RD, which fails it
     # itself; elsewhere only the send-queue flush completes it.
     monkeypatch.setattr(QueuePair, "_flush_send_queue", lambda self: None)
-    for row in ("explore-rc_sendrecv", "explore-ud_write_record", "explore-ud_sendrecv"):
+    for row in ("explore-rc_sendrecv", "explore-rcsctp_sendrecv", "explore-ud_write_record",
+                "explore-ud_sendrecv"):
         caught = [
             run for run in schedules.explore(row, max_faults=1, max_frames=FRAMES)
             if run.schedule and run.schedule[0][1].startswith("close@")
@@ -248,9 +296,19 @@ def test_reverting_the_reset_coupling_is_caught(monkeypatch):
 
 def test_reverting_the_open_receive_flush_is_caught(monkeypatch):
     monkeypatch.setattr(RdmapRx, "take_open_receive", lambda self: None)
-    run, finding = first_finding("explore-rc_sendrecv", "IC403")
-    assert run.schedule
-    assert "completed 0 times" in finding.message
+    for row in ("explore-rc_sendrecv", "explore-rcsctp_sendrecv"):
+        run, finding = first_finding(row, "IC403", frames=schedules.MAX_FRAMES)
+        assert run.schedule
+        assert "completed 0 times" in finding.message, row
+
+
+@pytest.mark.parametrize("schedule", [
+    "3:reset@1",   # SCTP ready while the reset's error was queued: ERROR -> RTS
+    "8:corrupt",   # a corrupted DATA chunk placed and completed SUCCESS
+])
+def test_rcsctp_counterexamples_replay_clean(schedule):
+    row = "explore-rcsctp_sendrecv"
+    assert schedules.run_schedule(row, schedules.parse(schedule, row)).findings == []
 
 
 # -- the command line ------------------------------------------------------------

@@ -1,5 +1,7 @@
 """SCTP-lite association tests."""
 
+import zlib
+
 import pytest
 
 from repro.bench.harness import VerbsEndpointPair
@@ -161,6 +163,22 @@ class TestDataTransfer:
         assert b.open_associations() == 1
 
 
+def test_a_chunk_failing_its_checksum_is_dropped_unacknowledged(sctp_pair):
+    """No DDP CRC sits above SCTP, so its own checksum must catch a
+    corrupted DATA chunk: dropped, counted, and the good copy delivered."""
+    tb, a, b = sctp_pair
+    cli, srv = _associate(tb, a, b)
+    got = []
+    srv.on_message = got.append
+    for crc in (zlib.crc32(b"y"), zlib.crc32(b"x")):
+        a.transmit_chunk(cli, SctpChunk(
+            kind=CH_DATA, src_port=cli.local_port, dst_port=srv.local_port,
+            tsn=1, payload=b"x", crc=crc,
+        ))
+        tb.sim.run(until=tb.sim.now + 1 * SEC)
+    assert got == [b"x"] and srv.crc_drops == 1 and srv._rx.rcv_nxt == 2
+
+
 class TestHostilePeer:
     def test_far_ahead_tsns_are_dropped_not_parked(self, sctp_pair):
         """A peer spraying TSNs past the receive window cannot grow the
@@ -172,9 +190,10 @@ class TestHostilePeer:
         srv.on_message = got.append
 
         def forge(tsn):
+            payload = bytes([tsn & 0xFF])
             a.transmit_chunk(cli, SctpChunk(
                 kind=CH_DATA, src_port=cli.local_port, dst_port=srv.local_port,
-                tsn=tsn, payload=bytes([tsn & 0xFF]),
+                tsn=tsn, payload=payload, crc=zlib.crc32(payload),
             ))
 
         window = SCTP_WINDOW_MSGS

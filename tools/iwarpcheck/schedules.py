@@ -9,11 +9,12 @@ handshake and MPA negotiation included.  ``drop``,
 and ``corrupt`` (the last byte of its transport payload flipped: a bit
 error no checksum below DDP or MPA catches; a frame with no payload is
 dropped, as its header checksum would drop it) act on frame i.
-``reset@h`` (``abort()`` host h's TCP connection; RC only), ``close@h``
-and ``drain@h`` (SQD) act at the instant frame i is offered, as a fresh
-event.  A reset can land in the handshake or the MPA negotiation; a
-close or drain acts on host h's QP, which the pair build hands out only
-once it is RTS, so one at a frame offered before that does nothing.
+``reset@h`` (``abort()`` host h's LLP, its TCP connection or SCTP
+association; RC only), ``close@h`` and ``drain@h`` (SQD) act at the
+instant frame i is offered, as a fresh event.  A reset can land in the
+handshake or the MPA negotiation; a close or drain acts on host h's QP,
+which the pair build hands out only once it is RTS, so one at a frame
+offered before that does nothing.
 Runs are deterministic, so the row and the schedule replay a
 counterexample: ``python -m iwarpcheck explore --row ROW --schedule
 3:drop,7:reset@1``.  The oracles (DESIGN.md §7):
@@ -24,9 +25,10 @@ counterexample: ``python -m iwarpcheck explore --row ROW --schedule
   ESTABLISHED or CLOSE_WAIT TCP;  IC402 — MPA FAILED under a QP not in
   ERROR.  Both read each RC endpoint's (QP, MPA, TCP) composite at the
   end of every simulated instant, never inside a callback chain;
-* IC403 — an RC receive WR not completed exactly once;
-* IC404 — RD: a message delivered twice or out of order, or not
-  delivered although its sender did not complete it FLUSHED;
+* IC403 — a receive WR not completed exactly once; on a reliable row
+  (RC over TCP or SCTP, RD) a host's receive completions (wr_id,
+  status, byte_len, placed bytes, in CQ order) that are not a prefix
+  of the fault-free run's followed only by non-SUCCESS ones;
 * IC405 — a Write-Record completion without its LAST segment, or with
   a validity map other than the union of the ranges that arrived;
 * IC406 — a UD or RD completion whose source is not the peer QP;
@@ -41,7 +43,7 @@ counterexample: ``python -m iwarpcheck explore --row ROW --schedule
 from __future__ import annotations
 
 import traceback
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Set, Tuple
@@ -66,7 +68,8 @@ MAX_FAULTS = 2
 MAX_FRAMES = 24
 ROWS: Tuple[str, ...] = tuple(
     f"explore-{mode}"
-    for mode in ("rc_sendrecv", "rd_sendrecv", "ud_write_record", "ud_sendrecv")
+    for mode in ("rc_sendrecv", "rcsctp_sendrecv", "rd_sendrecv", "ud_write_record",
+                 "ud_sendrecv")
 )
 
 #: Hold time of a delayed frame: a few MTU frames' wire time.
@@ -78,12 +81,14 @@ Fault = Tuple[int, str]
 Schedule = Tuple[Fault, ...]
 Composite = Tuple[str, str, str]
 Violations = List[Tuple[str, str]]
+#: Per host, its receive completions: (wr_id, status, byte_len, bytes placed).
+Delivered = Tuple[Tuple[Tuple[int, WcStatus, int, bytes], ...], ...]
 
 
 def fault_kinds(row: str) -> Tuple[str, ...]:
     """The faults that can sit at one frame index of ``row``."""
     steps: Tuple[str, ...] = ("reset", "close", "drain")
-    if not scenarios.SCENARIOS[row].mode.startswith("rc_"):
+    if not scenarios.SCENARIOS[row].mode.startswith("rc"):
         steps = steps[1:]
     return FRAME_FAULTS + tuple(f"{step}@{host}" for step in steps for host in (0, 1))
 
@@ -153,8 +158,10 @@ class _ScheduleStage(FaultModel):
 
 
 class _Composites:
-    """Each RC endpoint's (QP, MPA, TCP) states, keyed by its TCP
-    connection; IC401/IC402 over the composites each instant ends with.
+    """Each host's LLP (its TCP connection or SCTP association, as it
+    first moves), and each RC-over-TCP endpoint's (QP, MPA, TCP)
+    states, keyed by its TCP connection; IC401/IC402 over the
+    composites each instant ends with.
 
     The states only move through :func:`repro.core.fsm.transition`,
     which hands its observers every object that moves, so the
@@ -167,6 +174,7 @@ class _Composites:
         self.sim = sim
         self.violations = violations
         self.endpoints: Dict[int, List[Any]] = {}   # id(conn) -> [conn, mpa, qp]
+        self.llps: Dict[int, Any] = {}              # host -> connection or association
         self.reached: Set[Composite] = set()
         self._instant = -1
         self._latest: List[Tuple[Any, Composite]] = []
@@ -175,6 +183,8 @@ class _Composites:
         if self.sim.now != self._instant:
             self.end_instant()
             self._instant = self.sim.now
+        if name in ("TCP", "SCTP"):
+            self.llps.setdefault(obj.stack.host.host_id, obj)
         if name == "QP" and isinstance(obj, RcQp) and hasattr(obj, "mpa"):
             conn, mpa, qp = obj.mpa.sock.conn, obj.mpa, obj
         elif name == "MPA":
@@ -192,11 +202,6 @@ class _Composites:
         endpoint[1] = mpa or endpoint[1]
         endpoint[2] = qp or endpoint[2]
         self._latest = [(ep[0], self._composite(ep)) for ep in self.endpoints.values()]
-
-    def connection(self, host: int) -> Any:
-        """Host ``host``'s TCP connection, once it has moved."""
-        conns = (ep[0] for ep in self.endpoints.values())
-        return next((c for c in conns if c.stack.host.host_id == host), None)
 
     @staticmethod
     def _composite(endpoint: List[Any]) -> Composite:
@@ -246,17 +251,18 @@ def _union(ranges: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
 
 
 class _Ledger:
-    """Every WR posted and completion pushed on both hosts, the
-    Write-Record segments each receive engine was handed, and the
-    messages that reached the point a send's SUCCESS needs;
-    IC403–IC407."""
+    """Every WR posted and completion pushed on both hosts, what each
+    receive completion placed, the Write-Record segments each receive
+    engine was handed, and the messages that reached the point a send's
+    SUCCESS needs; IC403 and IC405–IC407."""
 
     def __init__(self, pair: VerbsEndpointPair, violations: Violations) -> None:
         self.pair = pair
         self.violations = violations
         self.sends: List[List[Any]] = [[], []]
-        self.recvs: List[List[Any]] = [[], []]
+        self.recvs: List[Dict[int, Any]] = [{}, {}]  # wr_id -> receive WR
         self.completions: List[List[WorkCompletion]] = [[], []]
+        self.delivered: List[List[Tuple[int, WcStatus, int, bytes]]] = [[], []]
         # (source, msg_id) -> (ranges arrived since its last completion, LAST seen)
         self.logs: Dict[Tuple[Any, int], Tuple[List[Tuple[int, int]], bool]] = {}
         # Per host: the send WRs whose SUCCESS is checked, by wr_id, with
@@ -268,7 +274,8 @@ class _Ledger:
         self.earned: List[Set[Any]] = [set(), set()]
         for host, qp in enumerate(pair.qps):
             qp.post_send = _tap(qp.post_send, partial(self._posted, host), after=True)
-            qp.post_recv = _tap(qp.post_recv, self.recvs[host].append, after=True)
+            recvs = self.recvs[host]
+            qp.post_recv = _tap(qp.post_recv, lambda wr, r=recvs: r.update({wr.wr_id: wr}), True)
             cq = pair.cqs[host]
             cq.push = _tap(cq.push, partial(self._pushed, host))
             if pair.mode.endswith("write_record"):
@@ -308,6 +315,11 @@ class _Ledger:
 
     def _pushed(self, host: int, wc: WorkCompletion) -> None:
         self.completions[host].append(wc)
+        recv = self.recvs[host].get(wc.wr_id)
+        if recv is not None:
+            placed = b"".join(sge.mr.view(sge.offset, sge.length) for sge in recv.sges)
+            self.delivered[host].append((wc.wr_id, wc.status, wc.byte_len, placed[:wc.byte_len]))
+            return
         posted = self.posted[host]
         if wc.status is not WcStatus.SUCCESS or wc.wr_id not in posted \
                 or wc.opcode is WrOpcode.RDMA_READ:
@@ -326,20 +338,6 @@ class _Ledger:
         if not qp.is_datagram:
             return "the LLP on a QP not in ERROR"
         return "UDP" if qp.rd is None else "the peer"
-
-    def _send_queue(self) -> None:
-        for host, qp in enumerate(self.pair.qps):
-            completed = self._completed(host, self.sends[host])
-            for wr in self.sends[host]:
-                n = len(completed[wr.wr_id])
-                owed = wr.signaled or wr.opcode is WrOpcode.RDMA_READ
-                if n == (1 if owed else 0) or (owed and n == 0 and qp.state == RTS):
-                    continue
-                what = "signaled" if wr.signaled else "unsignaled"
-                self.violations.append(
-                    ("IC407", f"host {host} {what} {wr.opcode.name} wr_id={wr.wr_id} "
-                              f"completed {n} times (QP {qp.state})")
-                )
 
     def _segment(self, seg: Any, src: Any) -> None:
         if seg.tagged and seg.opcode == OP_WRITE_RECORD:
@@ -360,25 +358,36 @@ class _Ledger:
                 ("IC405", f"{what}: validity {valid} != arrived {_union(ranges)}")
             )
 
-    def _completed(self, host: int, wrs: List[Any]) -> Dict[int, List[WorkCompletion]]:
-        """Each of ``wrs``, by wr_id, with the completions it got."""
-        got: Dict[int, List[WorkCompletion]] = {wr.wr_id: [] for wr in wrs}
-        for wc in self.completions[host]:
-            if wc.wr_id in got:
-                got[wc.wr_id].append(wc)
-        return got
-
-    def check(self) -> None:
+    def check(self, reference: Optional[Delivered]) -> None:
+        """The oracles read after teardown; ``reference`` is the
+        fault-free run's :attr:`delivered` (None: this run is it)."""
         pair = self.pair
-        self._send_queue()
         for host, qp in enumerate(pair.qps):
+            times = Counter(wc.wr_id for wc in self.completions[host])
+            for wr in self.sends[host]:
+                n = times[wr.wr_id]
+                owed = wr.signaled or wr.opcode is WrOpcode.RDMA_READ
+                if n != (1 if owed else 0) and not (owed and n == 0 and qp.state == RTS):
+                    what = "signaled" if wr.signaled else "unsignaled"
+                    self.violations.append(
+                        ("IC407", f"host {host} {what} {wr.opcode.name} wr_id={wr.wr_id} "
+                                  f"completed {n} times (QP {qp.state})")
+                    )
+            for wr_id in self.recvs[host]:
+                if times[wr_id] != 1:
+                    self.violations.append(("IC403", f"host {host} receive wr_id={wr_id} "
+                                                     f"completed {times[wr_id]} times"))
+            # The contract: up to its last SUCCESS, the fault-free run's.
+            got, ref = self.delivered[host], reference[host] if reference else ()
+            last = max((i + 1 for i, d in enumerate(got) if d[1] is WcStatus.SUCCESS), default=0)
+            bad = next((i for i in range(last) if i >= len(ref) or got[i] != ref[i]), None)
+            if reference and bad is not None and (qp.rd is not None or not qp.is_datagram):
+                wr_id, status, size, _ = got[bad]
+                self.violations.append(
+                    ("IC403", f"host {host} receive completion #{bad} (wr_id={wr_id} {status.name} "
+                              f"{size} B) is not the fault-free run's, yet #{last - 1} is SUCCESS")
+                )
             if not qp.is_datagram:
-                for wr_id, wcs in self._completed(host, self.recvs[host]).items():
-                    if len(wcs) != 1:
-                        self.violations.append(
-                            ("IC403", f"host {host} receive wr_id={wr_id} "
-                                      f"completed {len(wcs)} times")
-                        )
                 continue
             peer = pair.qps[1 - host].address
             sends = {wr.wr_id for wr in self.sends[host]}
@@ -389,33 +398,6 @@ class _Ledger:
                         ("IC406", f"host {host} {wc.opcode.name} msg_id={wc.msg_id} "
                                   f"reports source {wc.src}, peer is {peer}")
                     )
-        if pair.mode.startswith("rd"):
-            self._rd()
-
-    def _rd(self) -> None:
-        sent: Dict[Optional[int], List[str]] = {}
-        for wr_id, wcs in self._completed(0, self.sends[0]).items():
-            if len(wcs) != 1:
-                self.violations.append(("IC404", f"send wr_id={wr_id} completed {len(wcs)} times"))
-            for wc in wcs:
-                sent.setdefault(wc.msg_id, []).append(wc.status.name)
-        delivered: List[int] = []
-        for wc in self.completions[1]:
-            if wc.msg_id is None:
-                continue  # a receive the teardown flushed
-            if wc.status is WcStatus.SUCCESS and (not delivered or wc.msg_id > delivered[-1]):
-                delivered.append(wc.msg_id)
-            elif wc.status is WcStatus.SUCCESS or sent.get(wc.msg_id) != ["FLUSHED"] \
-                    or wc.msg_id in delivered:
-                self.violations.append(
-                    ("IC404", f"msg_id={wc.msg_id} completes {wc.status.name} at the receiver "
-                              f"after {delivered[-3:]}; its sender saw {sent.get(wc.msg_id)}")
-                )
-        for msg_id, statuses in sent.items():
-            if statuses == ["SUCCESS"] and msg_id not in delivered:
-                self.violations.append(
-                    ("IC404", f"msg_id={msg_id} completed SUCCESS but was never delivered")
-                )
 
 
 # -- running and exploring --------------------------------------------------------
@@ -446,27 +428,35 @@ class Run:
     setup: int  # of ``frames``, those offered while the pair was connected
     composites: Set[Composite]
     findings: List[Finding]
+    delivered: Delivered
 
 
-def run_schedule(row: str, schedule: Schedule) -> Run:
+def run_schedule(
+    row: str, schedule: Schedule, reference: Optional[Delivered] = None
+) -> Run:
     """Run catalogue row ``row`` under ``schedule`` as
     :func:`repro.bench.scenarios.run` runs it (build, workload, both QPs
-    closed, one more simulated second) and check it.  A build that a
+    closed, one more simulated second) and check it against
+    ``reference``, the fault-free run's receive completions (run first
+    if not given; the fault-free run is its own).  A build that a
     fault stops from connecting ends the run there, unchecked by the
     ledger: no WR was posted."""
+    if schedule and reference is None:
+        reference = run_schedule(row, ()).delivered
     spec = scenarios.SCENARIOS[row]
     sim = Simulator()
     violations: Violations = []
     composites = _Composites(sim, violations)
     fsm.add_transition_observer(composites.observe)
     pair: Optional[VerbsEndpointPair] = None
+    ledger: Optional[_Ledger] = None
 
     def step(kind: str) -> None:
         name, _, host = kind.partition("@")
         if name == "reset":
-            conn = composites.connection(int(host))
-            if conn is not None:
-                sim.call_at(sim.now, conn.abort)
+            llp = composites.llps.get(int(host))
+            if llp is not None:
+                sim.call_at(sim.now, llp.abort)
         elif pair is not None:  # before the build, no QP to close or drain
             qp = pair.qps[int(host)]
             drain = lambda: qp.state == RTS and qp.modify_qp(SQD)  # noqa: E731
@@ -490,8 +480,8 @@ def run_schedule(row: str, schedule: Schedule) -> Run:
         while not _unless_refused(lambda: sim.run(until=end)):
             pass
         composites.end_instant()
-        if pair is not None:
-            ledger.check()
+        if ledger is not None:
+            ledger.check(reference)
     except Exception as exc:  # noqa: BLE001 - any escape is the finding
         where = traceback.extract_tb(exc.__traceback__)[-1]
         violations.append(
@@ -501,7 +491,8 @@ def run_schedule(row: str, schedule: Schedule) -> Run:
         fsm.remove_transition_observer(composites.observe)
     label = render(schedule)
     findings = [Finding(row, rule, f"schedule {label}: {detail}") for rule, detail in violations]
-    return Run(row, schedule, stage.seen, setup, composites.reached, findings)
+    delivered = tuple(map(tuple, ledger.delivered)) if ledger is not None else ((), ())
+    return Run(row, schedule, stage.seen, setup, composites.reached, findings, delivered)
 
 
 def explore(
@@ -511,13 +502,16 @@ def explore(
     ``max_frames`` frames of ``row``, fewest faults first.  A schedule
     is only extended at frame indices its own run reached, and with a
     close or drain only at frames offered once the pair was built:
-    anywhere else the fault would do nothing and repeat a run."""
+    anywhere else the fault would do nothing and repeat a run.  The
+    first run, fault-free, is every later run's reference."""
     kinds = fault_kinds(row)
     early = tuple(kind for kind in kinds if not kind.startswith(("close@", "drain@")))
     queue: Deque[Schedule] = deque([()])
+    reference: Optional[Delivered] = None
     while queue:
         schedule = queue.popleft()
-        run = run_schedule(row, schedule)
+        run = run_schedule(row, schedule, reference)
+        reference = reference or run.delivered
         yield run
         if len(schedule) < max_faults:
             start = schedule[-1][0] + 1 if schedule else 0
