@@ -1,7 +1,7 @@
 PYTHON ?= python
 ARTIFACTS ?= artifacts
 
-.PHONY: lint test check examples verify-fsm explore obs-check results-check digest-check perfbench reach-check
+.PHONY: lint test check examples explore obs-check results-check digest-check perfbench reach-check
 
 lint:
 	bash scripts/check.sh
@@ -17,18 +17,6 @@ examples:
 		echo "==> $$f"; \
 		PYTHONPATH=src $(PYTHON) $$f || exit 1; \
 	done
-
-# Full FSM pipeline: model-check the four machines,
-# run the suite under the transition-coverage sanitizer, then gate the
-# recording against the declared tables (waivers in
-# tools/iwarpcheck/waivers.txt). Reports land in $(ARTIFACTS)/.
-verify-fsm:
-	mkdir -p $(ARTIFACTS)
-	$(PYTHON) -m iwarpcheck check --output $(ARTIFACTS)/model-check.json
-	IWARP_FSM_COVERAGE=$(ARTIFACTS)/fsm-records.json PYTHONPATH=src \
-		$(PYTHON) -m pytest -q
-	$(PYTHON) -m iwarpcheck coverage $(ARTIFACTS)/fsm-records.json \
-		--output $(ARTIFACTS)/coverage-report.json
 
 # Fault-schedule explorer (CI's explore job; a few minutes): run each
 # short explore-* catalogue row on the live stack under every schedule
@@ -61,11 +49,14 @@ obs-check:
 # Figure gate: regenerate every results/*.json from the simulated
 # benchmarks (each checks its rows of repro.bench.claims.CLAIMS), render
 # the EXPERIMENTS.md tables from them, and fail if any paper figure
-# number or table moved.
+# number or table moved, or if a run left a results file git does not
+# track yet.
 results-check:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks -q --benchmark-disable
 	PYTHONPATH=src $(PYTHON) -m repro.bench.claims
 	git diff --exit-code results/ EXPERIMENTS.md
+	@test -z "$$(git status --porcelain results/ EXPERIMENTS.md)" || \
+		{ git status --porcelain results/ EXPERIMENTS.md; exit 1; }
 
 # Reach pass (CI's reach-check job; several minutes): run tier-1, then
 # benchmarks/, under sys.settrace and fail on any repro function neither

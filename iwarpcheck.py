@@ -3,8 +3,8 @@ without installing anything or exporting PYTHONPATH.
 
 ``python -m`` puts the current directory first on ``sys.path``, so this
 module is what gets executed; it prepends ``tools/`` (where the real
-package lives) and ``src/`` (the checker imports the live ``repro``
-FSM modules to read their tables), re-resolves the import so
+package lives) and ``src/`` (the explorer runs the live ``repro``
+stack), re-resolves the import so
 ``iwarpcheck`` names the package, then delegates to its CLI.
 """
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Static-analysis gate: ruff + mypy + iwarplint + iwarpcheck.
+# Static-analysis gate: ruff + mypy + iwarplint.
 #
-# iwarplint and iwarpcheck are stdlib-only and always run. ruff and
+# iwarplint is stdlib-only and always runs. ruff and
 # mypy run when installed (pip install -e '.[dev]') and are skipped
 # with a notice otherwise, so the gate works in minimal containers too.
 # Exit is nonzero if any tool that ran found a problem.
@@ -29,7 +29,5 @@ else
 fi
 
 run python -m iwarplint src/
-
-run python -m iwarpcheck
 
 exit "$failed"

@@ -8,13 +8,11 @@ single ``_set_state`` mutator, same-state writes as no-ops (that is what
 makes teardown paths idempotent), and a machine-specific exception on an
 illegal move.  :func:`transition` is the one shared validator.
 
-Funnelling every state change through one call site also creates the
-hook the runtime transition-coverage sanitizer needs
-(``tools/iwarpcheck``): an observer registered here sees the complete
-``(machine, from_state, to_state)`` stream of a run, which the test
-suite records and checks against the declared tables — every runtime
-transition must be declared, and every declared transition must be
-exercised (or explicitly waived).
+Funnelling every state change through one call site also gives one
+observation point: an observer registered here sees the complete
+``(machine, from_state, to_state)`` stream of a run.  The fault-schedule
+explorer (``tools/iwarpcheck``) reads the RC composites from it, and
+the FSM conformance tests check that every declared move reaches it.
 
 Observers must be cheap and must not raise: they run synchronously
 inside protocol event handlers.
@@ -47,8 +45,8 @@ def pair_table(
 
     Every state the events name becomes a key, so a sink state maps to
     the empty set.  A self-loop arc raises ``ValueError``: a same-state
-    move is a silent no-op at runtime, so the coverage sanitizer could
-    never observe it and the arc would be unfalsifiable.
+    move is a silent no-op at runtime, so no observer could ever see it
+    and the arc would be unfalsifiable.
     """
     pairs: Dict[str, Set[str]] = {}
     for (src, event), dst in events.items():

@@ -204,6 +204,13 @@ class _DgramSocket:
         fut.add_callback(lambda sink: self._write_record_to(data, addr, sink))
 
     def _write_record_to(self, data: bytes, addr: Address, sink: dict) -> None:
+        if len(data) > sink["size"]:
+            # The peer advertised a smaller ring than ours: a message too
+            # long for it still fits a receive slot as an untagged Send.
+            payload = _TYPE_HDR.pack(_TYPE_DATA) + bytes(data)
+            if len(payload) <= self.pool_slot:
+                self._post_untagged(payload, addr)
+                return
         if sink["cursor"] + len(data) > sink["size"]:
             sink["cursor"] = 0  # wrap the ring
         offset = sink["cursor"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ...simnet.engine import Future
+from ...simnet.engine import MS, Future
 from .interface import IwSocketInterface, SOCK_DGRAM, SOCK_STREAM
 from .native import NativeSocketApi
 
@@ -68,7 +68,7 @@ class Interceptor:
         backend, fd = self._split(tagged)
         return backend.sendto(fd, data, addr)
 
-    def recvfrom_future(self, tagged, bufsize, timeout_ns=None) -> Future:
+    def recvfrom_future(self, tagged, bufsize, timeout_ns=5000 * MS) -> Future:
         backend, fd = self._split(tagged)
         return backend.recvfrom_future(fd, bufsize, timeout_ns)
 

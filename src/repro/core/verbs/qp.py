@@ -57,8 +57,8 @@ ERROR = "ERROR"
 #: covers the three creation paths that jump RESET -> RTS (UD creation,
 #: MPA negotiation, SCTP association); ``terminate`` covers both local
 #: fatal errors and a peer TERMINATE.  iwarplint checks guarded
-#: ``_set_state`` calls against this literal and ``tools/iwarpcheck``
-#: model-checks it (reachability, liveness).
+#: ``_set_state`` calls against this literal, and
+#: ``tests/tools/test_fsm_paths.py`` checks its reachability and liveness.
 QP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (RESET, "modify_qp"): INIT,
     (RESET, "connect_ready"): RTS,

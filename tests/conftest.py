@@ -1,17 +1,9 @@
-"""Shared fixtures: testbeds, stacks, devices, verbs endpoints.
-
-When ``IWARP_FSM_COVERAGE`` names an output path, the whole session
-runs under the iwarpcheck transition-coverage sanitizer: an observer on
-``repro.core.fsm`` records every state transition the suite takes, and
-the recording is written at session end for ``python -m iwarpcheck
-coverage`` to gate (``make verify-fsm`` drives the pipeline).
-"""
+"""Shared fixtures: testbeds, stacks, devices, verbs endpoints."""
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 from pathlib import Path
 
 import pytest
@@ -21,26 +13,10 @@ from repro.models.costs import zero_cost_model
 from repro.simnet.topology import build_testbed
 from repro.transport.stacks import install_stacks
 
-_COVERAGE_PATH = os.environ.get("IWARP_FSM_COVERAGE")
-_RECORDER = None
-
 #: When set (with IWARP_OBS=1), every registry the session creates is
 #: tracked and their merged samples are written here at session end —
 #: the CI metrics-snapshot artifact (``python -m repro.obs summarize``).
 _OBS_DUMP = os.environ.get("IWARP_OBS_DUMP")
-
-
-def pytest_configure(config):
-    global _RECORDER
-    if not _COVERAGE_PATH:
-        return
-    tools_dir = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools")
-    if tools_dir not in sys.path:
-        sys.path.insert(0, tools_dir)
-    from iwarpcheck.sanitizer import TransitionRecorder
-
-    _RECORDER = TransitionRecorder()
-    _RECORDER.install()
 
 
 def pytest_sessionfinish(session, exitstatus):
@@ -48,10 +24,6 @@ def pytest_sessionfinish(session, exitstatus):
         from repro.obs import dump_tracked
 
         dump_tracked(_OBS_DUMP)
-    if _RECORDER is None:
-        return
-    _RECORDER.uninstall()
-    _RECORDER.write(_COVERAGE_PATH)
 
 
 @pytest.fixture(scope="session")

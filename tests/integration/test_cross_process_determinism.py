@@ -37,7 +37,7 @@ def digest_in_subprocess(name, hash_seed):
     code = f"from repro.bench.scenarios import run; print(run({name!r}).digest)"
     env = {
         key: value for key, value in os.environ.items()
-        if key not in ("IWARP_FSM_COVERAGE", "IWARP_OBS_DUMP")
+        if key != "IWARP_OBS_DUMP"
     }
     env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = str(_REPO / "src")

@@ -74,6 +74,39 @@ class TestWriteRecordRing:
         tb.sim.run_until(srv.finished, limit=RUN_LIMIT)
         assert got["r"][0] == b"L" * 10_000
 
+    def test_message_exceeding_the_peers_smaller_ring_falls_back_to_sendrecv(
+        self, world
+    ):
+        """The sender's own ring is larger than the one the peer
+        advertised: a message too long for the peer's ring but not for a
+        pool slot goes untagged; one longer than both is still sent as a
+        Write-Record, and the peer rejects it."""
+        tb, devs, make = world
+        a = make(devs[0], rdma_mode=True)
+        b = make(devs[1], rdma_mode=True, ring_bytes=4096)
+        # The first send waits for the advertisement; the last fits neither.
+        sizes = (6000, 100, 3000, 10_000)
+        got = []
+        fds = {}
+
+        def server():
+            fds["b"] = fd = b.socket(SOCK_DGRAM, port=7102)
+            for _ in sizes:
+                r = yield b.recvfrom_future(fd, 65536, timeout_ns=5 * SEC)
+                got.append(r and r[0])
+
+        def client():
+            fd = a.socket(SOCK_DGRAM)
+            for size in sizes:
+                a.sendto(fd, bytes([size & 0xFF]) * size, (1, 7102))
+                yield 1 * MS
+
+        srv = tb.sim.process(server())
+        tb.sim.process(client())
+        tb.sim.run_until(srv.finished, limit=RUN_LIMIT)
+        assert got == [bytes([size & 0xFF]) * size for size in sizes[:3]] + [None]
+        assert b._fds[fds["b"]].qp.rx.remote_access_errors == 1
+
 
 class TestConcurrentPeers:
     def test_many_clients_one_server_socket(self, world):

@@ -563,6 +563,22 @@ class TestNativeAndInterceptor:
         shim.close(fd)
         assert backend.open_fds() == 0
 
+    @pytest.mark.parametrize("intercept", [True, False], ids=["iwarp", "native"])
+    def test_interceptor_keeps_the_backends_receive_timeout(
+        self, zero_testbed, zero_stacks, intercept
+    ):
+        """A datagram receive through the shim with no timeout given
+        gives up after both backends' own default, 5 s."""
+        sim = zero_testbed.sim
+        iwarp = IwSocketInterface(RnicDevice(zero_stacks[1]), pool_slots=4,
+                                  pool_slot_bytes=4096)
+        shim = Interceptor(NativeSocketApi(zero_stacks[1]), iwarp,
+                           intercept_dgram=intercept)
+        fd = shim.socket(SOCK_DGRAM, port=7300)
+        start = sim.now
+        assert sim.run_until(shim.recvfrom_future(fd, 64), limit=start + 10 * SEC) is None
+        assert sim.now - start == 5 * SEC
+
     def test_interceptor_passthrough_when_disabled(self, zero_testbed, zero_stacks):
         tb = zero_testbed
         nat = [NativeSocketApi(n) for n in zero_stacks]

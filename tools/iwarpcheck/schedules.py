@@ -60,8 +60,6 @@ from repro.simnet.faults import Emission, FaultModel
 from repro.simnet.packet import Frame
 from repro.transport.ip import IpPacket
 
-from iwarpcheck.model import Finding
-
 #: The bound ``make explore`` runs: every schedule of up to
 #: MAX_FAULTS faults over the first MAX_FRAMES frames of each row.
 MAX_FAULTS = 2
@@ -83,6 +81,16 @@ Composite = Tuple[str, str, str]
 Violations = List[Tuple[str, str]]
 #: Per host, its receive completions: (wr_id, status, byte_len, bytes placed).
 Delivered = Tuple[Tuple[Tuple[int, WcStatus, int, bytes], ...], ...]
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One oracle violation: ``machine`` is the row it ran on, ``rule``
+    the IC4xx code, and ``message`` names the schedule that replays it."""
+
+    machine: str
+    rule: str
+    message: str
 
 
 def fault_kinds(row: str) -> Tuple[str, ...]:
