@@ -69,15 +69,20 @@ reach-check:
 # Behaviour contract for hot-path changes: the wire digests and the
 # events/calls/peak-heap cost counters of the scenario catalogue's digest
 # rows (pinned in tests/golden/scenarios.json), two of those rows' digests
-# under two hash seeds in fresh processes, and the same-process
-# determinism matrix over the fig07 rows. A change that claims to be
-# bit-identical passes this unchanged. Reprint the golden file with
+# under two hash seeds in fresh processes, the same-process determinism
+# matrix over the fig07 rows, and the engine and CPU contracts those
+# rows rest on (event order, cancel and rearm, time and cost conversion
+# to int, FIFO CPU accounting). A change that claims to be bit-identical
+# passes this unchanged. Reprint the golden file with
 # PYTHONPATH=src python -m repro.bench.scenarios > tests/golden/scenarios.json
 digest-check:
 	PYTHONPATH=src $(PYTHON) -m pytest -q \
 		tests/integration/test_wire_digest.py \
 		tests/integration/test_cross_process_determinism.py \
-		tests/properties/test_determinism_matrix.py
+		tests/properties/test_determinism_matrix.py \
+		tests/simnet/test_engine_timers.py \
+		tests/simnet/test_engine_rearm.py \
+		tests/simnet/test_cpu.py
 
 # Benchmark smoke: the tracer and driver tests, short runs at two seeds
 # (every round is checked against perfbench/reference.json, which no seed

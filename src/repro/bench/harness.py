@@ -21,10 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.verbs import (
-    CompletionQueue, RecvWR, RnicDevice, SendWR, Sge, WcStatus, WorkCompletion,
-    WrOpcode,
-)
+from ..core.verbs import CompletionQueue, RecvWR, RnicDevice, SendWR, Sge, WorkCompletion
+from ..core.verbs.wr import WC_PARTIAL_MESSAGE, WR_RDMA_WRITE, WR_RDMA_WRITE_RECORD, WR_SEND
 from ..memory.region import Access
 from ..models.costs import CostModel
 from ..models.platform import Platform
@@ -218,14 +216,14 @@ class VerbsEndpointPair:
         qp = self.qps[src]
         if self.mode.endswith("sendrecv"):
             qp.post_send(SendWR(
-                opcode=WrOpcode.SEND,
+                opcode=WR_SEND,
                 sges=[Sge(self.send_mrs[src], 0, size)],
                 dest=self.dest(dst),
                 signaled=signaled,
             ))
         elif self.mode.endswith("write_record"):
             qp.post_send(SendWR(
-                opcode=WrOpcode.RDMA_WRITE_RECORD,
+                opcode=WR_RDMA_WRITE_RECORD,
                 sges=[Sge(self.send_mrs[src], 0, size)],
                 dest=self.dest(dst),
                 remote_stag=self.sinks[dst].stag,
@@ -237,7 +235,7 @@ class VerbsEndpointPair:
             # flag byte at the end of the written extent — the
             # "lower-overhead method" of §IV.B.3 — so no second message.
             qp.post_send(SendWR(
-                opcode=WrOpcode.RDMA_WRITE,
+                opcode=WR_RDMA_WRITE,
                 sges=[Sge(self.send_mrs[src], 0, size)],
                 remote_stag=self.sinks[dst].stag,
                 remote_offset=0,
@@ -303,8 +301,8 @@ class VerbsEndpointPair:
 
     def _is_data_completion(self, wc: WorkCompletion) -> bool:
         if self.mode.endswith("write_record"):
-            return wc.opcode is WrOpcode.RDMA_WRITE_RECORD
-        return wc.opcode is WrOpcode.SEND
+            return wc.opcode is WR_RDMA_WRITE_RECORD
+        return wc.opcode is WR_SEND
 
     # ------------------------------------------------------------------
     # Ping-pong latency (Fig. 5)
@@ -413,7 +411,7 @@ class VerbsEndpointPair:
                 if wc.ok and self._is_data_completion(wc):
                     nbytes = size if not wc.validity else wc.validity.valid_bytes()
                     count(nbytes, partial=False)
-                elif wc.status is WcStatus.PARTIAL_MESSAGE and count_partial_bytes \
+                elif wc.status is WC_PARTIAL_MESSAGE and count_partial_bytes \
                         and self.mode.endswith("write_record"):
                     count(wc.byte_len, partial=True)
                 if stats["received_msgs"] + stats["partial_msgs"] >= messages:

@@ -48,7 +48,9 @@ def plan_segments(total: int, max_payload: int) -> List[SegmentSpec]:
     out: List[SegmentSpec] = []
     offset = 0
     while offset < total:
-        length = min(max_payload, total - offset)
+        length = total - offset
+        if length >= max_payload:
+            length = max_payload
         offset += length
         out.append(SegmentSpec(offset - length, length, offset == total))
     return out

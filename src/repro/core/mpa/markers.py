@@ -67,7 +67,9 @@ class MarkedStreamWriter:
             # distance under the marker spacing, but oversized test
             # FPDUs must not crash the writer.
             parts.append(_MARKER.pack(0, (pos - start) & 0xFFFF))
-            end = min(idx + data_per_marker, size)
+            end = idx + data_per_marker
+            if size < end:
+                end = size
             parts.append(fpdu[idx:end])
             pos += MARKER_SIZE + end - idx
             idx = end
@@ -106,7 +108,7 @@ class MarkedStreamReader:
         pending = self._pending_marker
         if pending:
             # The tail of a marker split across chunks.
-            idx = min(pending, size)
+            idx = size if size < pending else pending
             self._marker_buf += chunk[:idx]
             pos += idx
             pending -= idx
@@ -121,7 +123,9 @@ class MarkedStreamReader:
         while idx < size:
             room = -pos % spacing  # data bytes before the next marker
             if room:
-                end = min(idx + room, size)
+                end = idx + room
+                if size < end:
+                    end = size
                 parts.append(chunk[idx:end])
                 pos += end - idx
                 idx = end

@@ -50,7 +50,11 @@ from ...obs import wr_span
 from ...simnet.engine import MS, Event
 from ..ddp.headers import DdpSegment, HeaderError, OP_READ_REQUEST, OP_READ_RESPONSE, OP_SEND, OP_SEND_SE, OP_TERMINATE, OP_WRITE, OP_WRITE_RECORD, QN_READ_REQUEST, QN_SEND, QN_TERMINATE, decode_read_request, encode_read_request
 from ..ddp.segmentation import ReassemblyError, UntaggedReassembly, plan_segments
-from ..verbs.wr import Address, RecvWR, SendWR, WcStatus, WorkCompletion, WrOpcode, gather
+from ..verbs.wr import (
+    WC_LOCAL_LENGTH_ERROR, WC_LOCAL_PROTECTION_ERROR, WC_PARTIAL_MESSAGE, WC_SUCCESS,
+    WR_RDMA_READ, WR_RDMA_WRITE, WR_RDMA_WRITE_RECORD, WR_SEND, WR_SEND_SE,
+    Address, RecvWR, SendWR, WorkCompletion, gather,
+)
 
 #: How long UD reassembly / write-record state lives without completing
 #: before it is reaped (the application-visible effect is a missing or
@@ -65,10 +69,10 @@ MAX_WRITE_RECORD_LOGS = 1024
 #: DDP opcode of each message-carrying verbs opcode, keyed by the
 #: member's ``_name_`` (an enum key would hash through Python code).
 _OPCODE_FOR_WR = {
-    WrOpcode.SEND._name_: OP_SEND,
-    WrOpcode.SEND_SE._name_: OP_SEND_SE,
-    WrOpcode.RDMA_WRITE._name_: OP_WRITE,
-    WrOpcode.RDMA_WRITE_RECORD._name_: OP_WRITE_RECORD,
+    WR_SEND._name_: OP_SEND,
+    WR_SEND_SE._name_: OP_SEND_SE,
+    WR_RDMA_WRITE._name_: OP_WRITE,
+    WR_RDMA_WRITE_RECORD._name_: OP_WRITE_RECORD,
 }
 
 
@@ -139,21 +143,21 @@ class RdmapTx:
         # SGE buffers transfers to the stack when the WR is posted, so a
         # caller reusing its buffer immediately afterwards must not
         # corrupt the in-flight message.
-        payload = None if wr.opcode is WrOpcode.RDMA_READ else gather(wr.sges)
+        payload = None if wr.opcode is WR_RDMA_READ else gather(wr.sges)
         host.cpu.submit(host.costs.verbs_post_ns, self._start, entry, payload)
 
     # -- internals ----------------------------------------------------------
 
     def _start(self, entry: SendEntry, payload: Optional[bytes]) -> None:
         wr = entry.wr
-        if wr.opcode is WrOpcode.RDMA_READ:
+        if wr.opcode is WR_RDMA_READ:
             self._start_read(entry)
             return
         opcode = _OPCODE_FOR_WR[wr.opcode._name_]
-        tagged = wr.opcode in (WrOpcode.RDMA_WRITE, WrOpcode.RDMA_WRITE_RECORD)
+        tagged = wr.opcode in (WR_RDMA_WRITE, WR_RDMA_WRITE_RECORD)
         qp = self.qp
         msg_id = None
-        if qp.is_datagram or wr.opcode is WrOpcode.RDMA_WRITE_RECORD:
+        if qp.is_datagram or wr.opcode is WR_RDMA_WRITE_RECORD:
             self._msg_id += 1
             msg_id = self._msg_id
         msn = 0
@@ -166,7 +170,7 @@ class RdmapTx:
         specs = plan_segments(msg_len, qp.max_seg_payload)
         self.messages += 1
         self.segments += len(specs)
-        if wr.opcode is WrOpcode.RDMA_WRITE_RECORD:
+        if wr.opcode is WR_RDMA_WRITE_RECORD:
             self.write_record_messages += 1
             self.write_record_segments += len(specs)
         elif not tagged:
@@ -203,20 +207,20 @@ class RdmapTx:
             # it lands at once — SUCCESS, unless an error flushed the
             # entry before its segments all reached the LLP.
             qp.host.cpu.submit(
-                qp.host.costs.cqe_ns, qp.finish_send, entry, WcStatus.SUCCESS, True
+                qp.host.costs.cqe_ns, qp.finish_send, entry, WC_SUCCESS, True
             )
         else:
-            qp.finish_send(entry, WcStatus.SUCCESS)  # leaves the queue silently
+            qp.finish_send(entry, WC_SUCCESS)  # leaves the queue silently
 
     def _start_read(self, entry: SendEntry) -> None:
         wr = entry.wr
         qp = self.qp
         if len(wr.sges) != 1:
-            qp.finish_send(entry, WcStatus.LOCAL_LENGTH_ERROR)
+            qp.finish_send(entry, WC_LOCAL_LENGTH_ERROR)
             return
         sink = wr.sges[0]
         if not (sink.mr.access_bits & LOCAL_WRITE_BIT):
-            qp.finish_send(entry, WcStatus.LOCAL_PROTECTION_ERROR)
+            qp.finish_send(entry, WC_LOCAL_PROTECTION_ERROR)
             return
         entry.validity = ValidityMap(sink.length)
         if qp.is_datagram:
@@ -422,8 +426,8 @@ class RdmapRx:
             "rq",
             WorkCompletion(
                 wr_id=0,
-                opcode=WrOpcode.RDMA_WRITE_RECORD,
-                status=WcStatus.SUCCESS,
+                opcode=WR_RDMA_WRITE_RECORD,
+                status=WC_SUCCESS,
                 byte_len=state.validity.valid_bytes(),
                 src=src,
                 validity=state.validity,
@@ -473,8 +477,8 @@ class RdmapRx:
                 "rq",
                 WorkCompletion(
                     wr_id=wr.wr_id,
-                    opcode=WrOpcode.SEND,
-                    status=WcStatus.LOCAL_LENGTH_ERROR,
+                    opcode=WR_SEND,
+                    status=WC_LOCAL_LENGTH_ERROR,
                     byte_len=end,
                     src=src,
                 ),
@@ -493,8 +497,8 @@ class RdmapRx:
                 "rq",
                 WorkCompletion(
                     wr_id=wr.wr_id,
-                    opcode=WrOpcode.SEND,
-                    status=WcStatus.SUCCESS,
+                    opcode=WR_SEND,
+                    status=WC_SUCCESS,
                     byte_len=end,
                     src=src,
                     solicited=seg.opcode == OP_SEND_SE,
@@ -543,8 +547,8 @@ class RdmapRx:
                     "rq",
                     WorkCompletion(
                         wr_id=wr.wr_id,
-                        opcode=WrOpcode.SEND,
-                        status=WcStatus.SUCCESS,
+                        opcode=WR_SEND,
+                        status=WC_SUCCESS,
                         byte_len=total,
                         src=src,
                         msg_id=seg.msg_id,
@@ -559,8 +563,8 @@ class RdmapRx:
                     "rq",
                     WorkCompletion(
                         wr_id=wr.wr_id,
-                        opcode=WrOpcode.SEND,
-                        status=WcStatus.LOCAL_LENGTH_ERROR,
+                        opcode=WR_SEND,
+                        status=WC_LOCAL_LENGTH_ERROR,
                         byte_len=total,
                         src=src,
                         msg_id=seg.msg_id,
@@ -604,8 +608,8 @@ class RdmapRx:
             "rq",
             WorkCompletion(
                 wr_id=state.wr.wr_id,
-                opcode=WrOpcode.SEND,
-                status=WcStatus.SUCCESS,
+                opcode=WR_SEND,
+                status=WC_SUCCESS,
                 byte_len=state.total,
                 src=src,
                 msg_id=key[1],
@@ -625,8 +629,8 @@ class RdmapRx:
             "rq",
             WorkCompletion(
                 wr_id=state.wr.wr_id,
-                opcode=WrOpcode.SEND,
-                status=WcStatus.PARTIAL_MESSAGE,
+                opcode=WR_SEND,
+                status=WC_PARTIAL_MESSAGE,
                 byte_len=state.validity.valid_bytes(),
                 src=key[0],
                 validity=state.validity,
@@ -698,12 +702,12 @@ class RdmapRx:
             entry.timer.cancel()
             self._spare_reapers[self._reap_read] = entry.timer
         entry.byte_len = entry.validity.valid_bytes()
-        status = WcStatus.SUCCESS if entry.validity.complete else WcStatus.PARTIAL_MESSAGE
+        status = WC_SUCCESS if entry.validity.complete else WC_PARTIAL_MESSAGE
         self.qp.finish_send(entry, status, src=src, validity=entry.validity)
 
     def _reap_read(self, entry: SendEntry) -> None:
         entry.byte_len = entry.validity.valid_bytes()
-        if self.qp.finish_send(entry, WcStatus.PARTIAL_MESSAGE, validity=entry.validity):
+        if self.qp.finish_send(entry, WC_PARTIAL_MESSAGE, validity=entry.validity):
             self.reaped_partial += 1
 
     # ------------------------------------------------------------------

@@ -35,7 +35,10 @@ from ...simnet.engine import MS, Event, Future
 from ..verbs.cq import CompletionQueue
 from ..verbs.device import RnicDevice
 from ..verbs.qp import RcQp, UdQp
-from ..verbs.wr import RecvWR, SendWR, Sge, WcStatus, WorkCompletion, WrOpcode
+from ..verbs.wr import (
+    WC_FLUSHED, WR_RDMA_WRITE_RECORD, WR_SEND, WR_SEND_SE,
+    RecvWR, SendWR, Sge, WorkCompletion,
+)
 
 Address = Tuple[int, int]
 
@@ -80,6 +83,10 @@ class _DgramSocket:
         self._adv_waiters: Dict[Address, list] = {}
         # Delivered-but-unread datagrams.
         self._rxq: Deque[Tuple[bytes, Address]] = deque()
+        #: Datagrams that waited for a peer's ring advertisement and then
+        #: fit neither that ring nor a receive slot: dropped, because no
+        #: sendto is left to raise EMSGSIZE to.
+        self.oversize_drops = 0
         self._waiters: Deque[dict] = deque()
         self._drain_arm()
 
@@ -95,7 +102,7 @@ class _DgramSocket:
             self._drain_arm()
 
     def _handle_wc(self, wc: WorkCompletion) -> None:
-        if wc.opcode is WrOpcode.RDMA_WRITE_RECORD:
+        if wc.opcode is WR_RDMA_WRITE_RECORD:
             if not wc.ok:
                 return
             ring = self._rings.get(wc.src)
@@ -105,7 +112,7 @@ class _DgramSocket:
             if data is not None:
                 self._deliver(data, wc.src)
             return
-        if wc.opcode in (WrOpcode.SEND, WrOpcode.SEND_SE):
+        if wc.opcode in (WR_SEND, WR_SEND_SE):
             mr = self._slots.get(wc.wr_id)
             if mr is None:
                 return
@@ -115,7 +122,7 @@ class _DgramSocket:
                 self._dispatch_untagged(kind, body, wc.src)
             # Repost the slot (partial/errored arrivals are simply recycled:
             # UD loss semantics) — unless the QP flushed it on teardown.
-            if wc.status is not WcStatus.FLUSHED:
+            if wc.status is not WC_FLUSHED:
                 self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
 
     def _dispatch_untagged(self, kind: int, body: bytes, src: Address) -> None:
@@ -201,16 +208,21 @@ class _DgramSocket:
         self._adv_waiters.setdefault(addr, []).append(fut)
         if len(self._adv_waiters[addr]) == 1:
             self._post_untagged(_TYPE_HDR.pack(_TYPE_ADV_REQ), addr)
-        fut.add_callback(lambda sink: self._write_record_to(data, addr, sink))
+        fut.add_callback(lambda sink: self._send_advertised(data, addr, sink))
+
+    def _send_advertised(self, data: bytes, addr: Address, sink: dict) -> None:
+        if len(data) > sink["size"] and _TYPE_HDR.size + len(data) > self.pool_slot:
+            self.oversize_drops += 1
+            return
+        self._write_record_to(data, addr, sink)
 
     def _write_record_to(self, data: bytes, addr: Address, sink: dict) -> None:
         if len(data) > sink["size"]:
-            # The peer advertised a smaller ring than ours: a message too
-            # long for it still fits a receive slot as an untagged Send.
-            payload = _TYPE_HDR.pack(_TYPE_DATA) + bytes(data)
-            if len(payload) <= self.pool_slot:
-                self._post_untagged(payload, addr)
-                return
+            # The peer advertised a smaller ring than ours: the message
+            # goes as an untagged Send, or raises EMSGSIZE if it does
+            # not fit a receive slot either.
+            self._post_untagged(_TYPE_HDR.pack(_TYPE_DATA) + bytes(data), addr)
+            return
         if sink["cursor"] + len(data) > sink["size"]:
             sink["cursor"] = 0  # wrap the ring
         offset = sink["cursor"]
@@ -219,7 +231,7 @@ class _DgramSocket:
         mr.write(0, data)
         self.qp.post_send(
             SendWR(
-                opcode=WrOpcode.RDMA_WRITE_RECORD,
+                opcode=WR_RDMA_WRITE_RECORD,
                 sges=[Sge(mr, 0, len(data))],
                 dest=addr,
                 remote_stag=sink["stag"],
@@ -238,7 +250,7 @@ class _DgramSocket:
         mr.write(0, payload)
         self.qp.post_send(
             SendWR(
-                opcode=WrOpcode.SEND,
+                opcode=WR_SEND,
                 sges=[Sge(mr, 0, len(payload))],
                 dest=addr,
                 signaled=False,
@@ -320,13 +332,13 @@ class _StreamSocket:
 
     def _on_completions(self, wcs) -> None:
         for wc in wcs:
-            if wc.opcode in (WrOpcode.SEND, WrOpcode.SEND_SE):
+            if wc.opcode in (WR_SEND, WR_SEND_SE):
                 mr = self._slots.get(wc.wr_id)
                 if mr is None:
                     continue
                 if wc.ok and wc.byte_len:
                     self._rxbuf += bytes(mr.view(0, wc.byte_len))
-                if wc.status is not WcStatus.FLUSHED:
+                if wc.status is not WC_FLUSHED:
                     self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
         self._satisfy_waiters()
         if self.qp.state != "ERROR":
@@ -338,7 +350,9 @@ class _StreamSocket:
             if waiter["future"].done:
                 continue
             self.iface._release_timer(waiter)
-            take = min(waiter["bufsize"], len(self._rxbuf))
+            take = waiter["bufsize"]
+            if len(self._rxbuf) < take:
+                take = len(self._rxbuf)
             data = bytes(self._rxbuf[:take])
             del self._rxbuf[:take]
             self.iface._charge_copy(take)
@@ -358,7 +372,7 @@ class _StreamSocket:
             mr.write(0, chunk)
             self.qp.post_send(
                 SendWR(
-                    opcode=WrOpcode.SEND,
+                    opcode=WR_SEND,
                     sges=[Sge(mr, 0, len(chunk))],
                     signaled=False,
                 )
@@ -419,7 +433,8 @@ class IwSocketInterface:
     def scratch_for(self, nbytes: int):
         """A registered staging region of at least ``nbytes`` (reused —
         registration costs are paid once, like the paper's buffer pool)."""
-        size = max(4096, 1 << (max(nbytes, 1) - 1).bit_length())
+        # max(4096, the next power of two at or above nbytes).
+        size = 1 << (nbytes - 1).bit_length() if nbytes > 4096 else 4096
         mr = self._scratch.get(size)
         if mr is None:
             mr = self.device.reg_mr(size, Access.local_only(), self.pd)

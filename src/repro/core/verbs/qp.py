@@ -35,7 +35,10 @@ from ..mpa.connection import MpaConnection
 from ..mpa.crc import CRC_SIZE, CrcError, append_crc, crc32, split_and_verify
 from ..rdmap.engine import RdmapRx, RdmapTx, SendEntry
 from .cq import CompletionQueue
-from .wr import Address, RecvWR, SendWR, WcStatus, WorkCompletion, WrOpcode
+from .wr import (
+    WC_FLUSHED, WC_SUCCESS, WR_RDMA_READ, WR_SEND,
+    Address, RecvWR, SendWR, WcStatus, WorkCompletion, WrOpcode,
+)
 
 if TYPE_CHECKING:
     from ...transport.sctp import SctpAssociation
@@ -258,10 +261,10 @@ class QueuePair:
             self.sq.remove(entry)
         except ValueError:
             return False
-        if status is WcStatus.FLUSHED and self.rd is not None:
+        if status is WC_FLUSHED and self.rd is not None:
             self.rd_flushed_wrs += 1
         wr = entry.wr
-        if wr.signaled or wr.opcode is WrOpcode.RDMA_READ:
+        if wr.signaled or wr.opcode is WR_RDMA_READ:
             self.complete(
                 "sq",
                 WorkCompletion(
@@ -332,7 +335,7 @@ class QueuePair:
             self.rq.appendleft(placing)
         rq = self.rq
         while rq:
-            wc = WorkCompletion(rq.popleft().wr_id, WrOpcode.SEND, WcStatus.FLUSHED)
+            wc = WorkCompletion(rq.popleft().wr_id, WR_SEND, WC_FLUSHED)
             self.complete("rq", wc, True)
 
     def _flush_send_queue(self) -> None:
@@ -341,7 +344,7 @@ class QueuePair:
         SUCCESS), an RD message not yet acknowledged, a Read whose
         response is incomplete."""
         while self.sq:
-            self.finish_send(self.sq[0], WcStatus.FLUSHED)
+            self.finish_send(self.sq[0], WC_FLUSHED)
 
     def _release_channel(self) -> None:
         """Close the underlying transport channel (idempotent)."""
@@ -487,7 +490,7 @@ class UdQp(QueuePair):
     def _on_rd_result(self, entry: SendEntry, ok: bool) -> None:
         """RD acknowledged the message (SUCCESS) or failed it: its peer
         was declared unreachable, or the QP closed (FLUSHED)."""
-        self.finish_send(entry, WcStatus.SUCCESS if ok else WcStatus.FLUSHED)
+        self.finish_send(entry, WC_SUCCESS if ok else WC_FLUSHED)
 
     def _on_rd_peer_failed(self, addr: Address) -> None:
         """§IV.B item 2, "report, don't kill": the failure is surfaced —
@@ -499,7 +502,7 @@ class UdQp(QueuePair):
         self.failed_peers.add(addr)
         self.terminate_reason = f"RD peer {addr} unreachable"
         for entry in [entry for entry in self.sq if entry.wr.dest == addr]:
-            self.finish_send(entry, WcStatus.FLUSHED)
+            self.finish_send(entry, WC_FLUSHED)
 
     # -- receive ------------------------------------------------------------
 

@@ -129,7 +129,8 @@ class MemoryMeter:
     def alloc(self, kind: str, count: int = 1) -> None:
         self.bytes_now += self._size(kind) * count
         self._counts[kind] = self._counts.get(kind, 0) + count
-        self.high_water = max(self.high_water, self.bytes_now)
+        if self.bytes_now > self.high_water:
+            self.high_water = self.bytes_now
 
     def free(self, kind: str, count: int = 1) -> None:
         have = self._counts.get(kind, 0)

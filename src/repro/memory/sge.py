@@ -60,8 +60,12 @@ def scatter(sges: List[Sge], offset: int, data: bytes) -> None:
             return
         sge_end = cursor + sge.length
         if offset < sge_end:
-            local = max(0, offset - cursor)
-            take = min(sge.length - local, len(remaining))
+            local = offset - cursor
+            if local < 0:
+                local = 0
+            take = sge.length - local
+            if len(remaining) < take:
+                take = len(remaining)
             sge.mr.write(sge.offset + local, remaining[:take])
             remaining = remaining[take:]
             offset += take

@@ -49,8 +49,12 @@ class ValidityMap:
         while hi < len(self._starts) and self._starts[hi] <= end:
             hi += 1
         if lo < hi:
-            start = min(start, self._starts[lo])
-            end = max(end, self._ends[hi - 1])
+            first = self._starts[lo]
+            if first < start:
+                start = first
+            last = self._ends[hi - 1]
+            if last > end:
+                end = last
         self._starts[lo:hi] = [start]
         self._ends[lo:hi] = [end]
 

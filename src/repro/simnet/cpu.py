@@ -45,7 +45,8 @@ class CpuResource:
         A zero-cost submission still round-trips through the event queue
         (after any queued work) to preserve ordering.
         """
-        cost_ns = int(cost_ns)
+        if type(cost_ns) is not int:
+            cost_ns = int(cost_ns)
         if cost_ns < 0:
             raise ValueError(f"negative CPU cost: {cost_ns}")
         sim = self.sim
@@ -70,7 +71,8 @@ class CpuResource:
     @property
     def free_at(self) -> int:
         """Absolute time at which currently queued work drains."""
-        return max(self._free_at, self.sim.now)
+        now = self.sim.now
+        return now if now > self._free_at else self._free_at
 
     def utilization(self, elapsed_ns: int) -> float:
         """Fraction of ``elapsed_ns`` this CPU spent busy."""

@@ -235,7 +235,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )
-        t = int(time_ns)
+        t = time_ns if type(time_ns) is int else int(time_ns)
         self._seq += 1
         ev = Event(t, self._seq, fn, args, self)
         heappush(self._heap, (t, self._seq, fn, args, ev))
@@ -250,7 +250,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )
-        t = int(time_ns)
+        t = time_ns if type(time_ns) is int else int(time_ns)
         self._seq += 1
         ev.time = t
         ev.seq = self._seq
@@ -273,8 +273,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} before now={self.now}"
             )
+        if type(time_ns) is not int:
+            time_ns = int(time_ns)
         self._seq += 1
-        heappush(self._heap, (int(time_ns), self._seq, fn, args, None))
+        heappush(self._heap, (time_ns, self._seq, fn, args, None))
 
     # -- tombstone bookkeeping ------------------------------------------
 

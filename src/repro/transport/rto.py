@@ -59,8 +59,12 @@ class RtoEstimator:
             self.srtt = (1 - self.ALPHA) * self.srtt + self.ALPHA * rtt_ns
         self.samples += 1
         self._backoff = 0
-        self._rto = int(self.srtt + max(self.K * self.rttvar, 1.0))
-        self._rto = max(self.min_rto_ns, min(self._rto, self.max_rto_ns))
+        spread = self.K * self.rttvar
+        rto = int(self.srtt + (1.0 if spread < 1.0 else spread))
+        # Clamped to [min_rto_ns, max_rto_ns] as max(min, min(rto, max)).
+        if self.max_rto_ns < rto:
+            rto = self.max_rto_ns
+        self._rto = rto if rto > self.min_rto_ns else self.min_rto_ns
 
     def on_timeout(self) -> None:
         """Exponential backoff after an expiry (capped)."""
@@ -74,7 +78,8 @@ class RtoEstimator:
 
     @property
     def rto_ns(self) -> int:
-        return min(self._rto << self._backoff, self.max_rto_ns)
+        rto = self._rto << self._backoff
+        return self.max_rto_ns if self.max_rto_ns < rto else rto
 
 
 # ReceiveWindow.arrive verdicts.
@@ -118,7 +123,8 @@ class SendWindow:
     def ack(self, cum: int) -> range:
         """Release every message below ``cum``; returns their numbers."""
         unacked = self.unacked
-        acked = range(next(iter(unacked), self.next_seq), min(cum, self.next_seq))
+        end = self.next_seq if self.next_seq < cum else cum
+        acked = range(next(iter(unacked), self.next_seq), end)
         for seq in acked:
             self.flight_bytes -= len(unacked.pop(seq))
         return acked

@@ -380,9 +380,14 @@ class RudpSocket:
         # Both walks stay inside the window, whatever spans the peer names.
         if sacks:
             lowest = tx.lowest
+            next_seq = tx.next_seq
             for start, end in sacks:
                 self.sack_blocks_received += 1
-                tx.sacked.update(range(max(start, lowest), min(end + 1, tx.next_seq)))
+                end += 1
+                tx.sacked.update(range(
+                    lowest if lowest > start else start,
+                    next_seq if next_seq < end else end,
+                ))
         newly_acked = tx.ack(ack_seq)
         if newly_acked:
             self._on_ack_progress(src, tx, ack_seq, newly_acked)
@@ -407,7 +412,8 @@ class RudpSocket:
             cb = tx.cbs.pop(seq, None)
             if cb is not None:
                 callbacks.append(cb)
-        tx.ack_floor = max(tx.ack_floor, ack_seq)
+        if ack_seq > tx.ack_floor:
+            tx.ack_floor = ack_seq
         tx.dup_acks = 0
         if ack_seq > tx.recover:
             # Recovery (if any) is over: re-arm the fast-retransmit path.

@@ -573,7 +573,7 @@ class SctpStack:
         if chunk.kind == CH_DATA:
             cost = int(costs.tcp_rx_per_seg_ns * self.COMPLEXITY) \
                 + costs.crc_ns(len(chunk.payload))
-            if self.host.cpu.free_at <= self.sim.now:
+            if self.host.cpu._free_at <= self.sim.now:
                 cost += costs.interrupt_ns
         elif chunk.kind == CH_SACK:
             cost = int(costs.tcp_ack_rx_ns * self.COMPLEXITY)

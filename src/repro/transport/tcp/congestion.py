@@ -45,10 +45,12 @@ class RenoCongestion:
                 return
         elif self.cwnd < self.ssthresh:
             # Slow start: grow by bytes acked (capped per-ACK at MSS).
-            self.cwnd += min(newly_acked, self.mss)
+            mss = self.mss
+            self.cwnd += mss if mss < newly_acked else newly_acked
         else:
             # Congestion avoidance: ~one MSS per RTT.
-            self.cwnd += max(1, self.mss * self.mss // self.cwnd)
+            step = self.mss * self.mss // self.cwnd
+            self.cwnd += step if step > 1 else 1
 
     def on_dup_acks(self, flight_size: int, snd_nxt: int) -> bool:
         """Third duplicate ACK: enter fast recovery.  Returns True if the
@@ -78,4 +80,6 @@ class RenoCongestion:
 
     def send_allowance(self, flight_size: int, peer_window: int) -> int:
         """How many more bytes may be in flight right now."""
-        return max(0, min(self.cwnd, peer_window) - flight_size)
+        window = peer_window if peer_window < self.cwnd else self.cwnd
+        allowance = window - flight_size
+        return allowance if allowance > 0 else 0

@@ -54,7 +54,13 @@ TIME_WAIT = "TIME_WAIT"
 #: arriving RST and a local abort, so CLOSED is reachable from every
 #: state; losing, duplicating, or reordering a data segment never moves
 #: this machine (retransmission absorbs it), which iwarpcheck's
-#: fault-schedule explorer checks on the running stack.
+#: fault-schedule explorer checks on the running stack.  Two RFC 793
+#: arcs are left out because this stack cannot take them:
+#: SYN_RCVD -> FIN_WAIT_1 on close (the listener hands a connection out
+#: only once it is ESTABLISHED, and ``_try_output`` sends a queued FIN
+#: only from there), and FIN_WAIT_1 -> TIME_WAIT on a FIN that
+#: acknowledges ours (``on_segment`` processes the ACK first, so such a
+#: segment passes through FIN_WAIT_2).
 TCP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (CLOSED, "active_open"): SYN_SENT,
     (CLOSED, "passive_syn"): SYN_RCVD,
@@ -62,14 +68,12 @@ TCP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
     (SYN_SENT, "close"): CLOSED,
     (SYN_SENT, "reset"): CLOSED,
     (SYN_RCVD, "handshake_ack"): ESTABLISHED,
-    (SYN_RCVD, "close"): FIN_WAIT_1,
     (SYN_RCVD, "reset"): CLOSED,
     (ESTABLISHED, "close"): FIN_WAIT_1,
     (ESTABLISHED, "peer_fin"): CLOSE_WAIT,
     (ESTABLISHED, "reset"): CLOSED,
     (FIN_WAIT_1, "fin_acked"): FIN_WAIT_2,
     (FIN_WAIT_1, "peer_fin"): CLOSING,
-    (FIN_WAIT_1, "peer_fin_acked"): TIME_WAIT,
     (FIN_WAIT_1, "reset"): CLOSED,
     (FIN_WAIT_2, "peer_fin"): TIME_WAIT,
     (FIN_WAIT_2, "reset"): CLOSED,
@@ -292,7 +296,12 @@ class TcpConnection:
             allowance = self.cong.send_allowance(flight, self.peer_window)
             if allowance <= 0:
                 break
-            take = min(unsent, allowance, self.mss)
+            # min(unsent, allowance, mss), first operand winning ties.
+            take = unsent
+            if allowance < take:
+                take = allowance
+            if self.mss < take:
+                take = self.mss
             off = self._snd_head + self.snd_nxt - self._snd_base
             # One copy, not two: a memoryview slice is zero-copy and
             # bytes() materializes the immutable segment payload.
@@ -326,7 +335,8 @@ class TcpConnection:
             self._fin_seq = self.snd_nxt
             self._transmit(self.snd_nxt, FIN | ACK, b"")
             self.snd_nxt += 1
-            self.snd_max = max(self.snd_max, self.snd_nxt)
+            if self.snd_nxt > self.snd_max:
+                self.snd_max = self.snd_nxt
             self._fin_sent = True
             if self.state == ESTABLISHED:
                 self._set_state(FIN_WAIT_1)
@@ -352,7 +362,8 @@ class TcpConnection:
         self.stack.transmit_segment(self, seg)
 
     def _advertised_window(self) -> int:
-        return max(0, self.rcvbuf_bytes - self._ooo_bytes)
+        room = self.rcvbuf_bytes - self._ooo_bytes
+        return room if room > 0 else 0
 
     # ------------------------------------------------------------------
     # Timers
@@ -505,7 +516,8 @@ class TcpConnection:
         if ack > self.snd_una:
             # After a go-back-N rewind the cumulative ACK can land beyond
             # snd_nxt (it covers data sent before the rewind): fast-forward.
-            self.snd_nxt = max(self.snd_nxt, ack)
+            if ack > self.snd_nxt:
+                self.snd_nxt = ack
             newly = ack - self.snd_una
             self.snd_una = ack
             self._dup_acks = 0
@@ -517,10 +529,11 @@ class TcpConnection:
             # Trim the send buffer below snd_una (SYN/FIN consume no
             # buffer).  Advancing the head offset is O(1); the dead
             # prefix is physically freed only once it grows large.
-            data_start = max(self._snd_base, self.snd_una)
-            trim = min(
-                data_start - self._snd_base, len(self._sndbuf) - self._snd_head
-            )
+            # Nothing to trim while snd_una is at or below the base.
+            trim = self.snd_una - self._snd_base
+            buffered = len(self._sndbuf) - self._snd_head
+            if buffered < trim:
+                trim = buffered
             if trim > 0:
                 self._snd_head += trim
                 self._snd_base += trim

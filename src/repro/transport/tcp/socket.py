@@ -134,7 +134,7 @@ class TcpStack:
             )
             # NAPI: the interrupt is only taken when the receive path is
             # idle; pure ACKs coalesce into existing poll cycles.
-            if self.host.cpu.free_at <= self.sim.now:
+            if self.host.cpu._free_at <= self.sim.now:
                 cost += costs.interrupt_ns
         else:
             cost = costs.tcp_ack_rx_ns

@@ -232,7 +232,7 @@ class UdpStack:
         # CPU is idle, approximating NAPI interrupt coalescing).
         nfrags = self.ip.fragments_needed(size)
         cost += costs.ip_rx_per_frag_ns * nfrags
-        if self.host.cpu.free_at <= self.sim.now:
+        if self.host.cpu._free_at <= self.sim.now:
             cost += costs.interrupt_ns
         sock = self._sockets.get(dgram.dst_port)
         if sock is None:

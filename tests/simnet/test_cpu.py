@@ -1,5 +1,6 @@
 """Unit tests for the serialized CPU resource."""
 
+import numpy
 import pytest
 
 from repro.simnet.cpu import CpuResource
@@ -94,3 +95,16 @@ def test_free_at_tracks_backlog():
     assert cpu.free_at == 400
     sim.run()
     assert cpu.free_at == sim.now
+
+
+@pytest.mark.parametrize("cost", [100.9, numpy.int64(100)], ids=["float", "int64"])
+def test_non_int_costs_charge_their_int_value(cost):
+    sim = Simulator()
+    cpu = CpuResource(sim)
+    done = cpu.submit(cost, lambda: None)
+    assert done == 100 and type(done) is int
+    assert cpu.charge(cost) == 200
+    assert cpu.busy_ns == 200 and type(cpu.busy_ns) is int
+    assert cpu.free_at == 200 and type(cpu.free_at) is int
+    sim.run()
+    assert sim.now == 200 and type(sim.now) is int

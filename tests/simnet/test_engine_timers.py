@@ -8,6 +8,7 @@ level: these tests would pass against a naive heap of event objects.
 The number of tombstones queued is ``len(sim._heap) - sim.pending()``.
 """
 
+import numpy
 import pytest
 
 from repro.simnet.engine import SimulationError, Simulator, US
@@ -222,3 +223,33 @@ def test_mass_timer_churn_is_semantically_clean():
     assert fired[0] == (total - 1) * 10 + 100 * US
     assert sim.pending() == 0
     assert _tombstones(sim) == 0
+
+
+# ----------------------------------------------------------------------
+# Time conversion: int() is skipped only for values that are already int
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "when", [1500.75, True, numpy.int64(1500)], ids=["float", "bool", "int64"]
+)
+@pytest.mark.parametrize("schedule", ["call_at", "at", "rearm_earlier", "rearm_later"])
+def test_non_int_times_fire_at_their_int_value(schedule, when):
+    sim = Simulator()
+    fired = []
+
+    def record():
+        fired.append((sim.now, type(sim.now)))
+
+    if schedule == "call_at":
+        sim.call_at(when, record)
+    elif schedule == "at":
+        sim.at(when, record)
+    elif schedule == "rearm_earlier":
+        sim.rearm(sim.at(5000, record), when)
+    else:
+        sim.rearm(sim.at(0, record), when)
+    # Heap keys stay plain ints, so ordering is C-level int comparison.
+    assert [type(entry[0]) for entry in sim._heap] == [int] * len(sim._heap)
+    sim.run()
+    assert fired == [(int(when), int)]
+    assert type(sim.now) is int

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.socketif import (
     Interceptor, IwSocketInterface, NativeSocketApi, SOCK_DGRAM, SOCK_STREAM,
+    SocketError,
 )
 from repro.core.verbs import RnicDevice
 from repro.simnet.engine import MS, SEC
@@ -79,19 +80,20 @@ class TestWriteRecordRing:
     ):
         """The sender's own ring is larger than the one the peer
         advertised: a message too long for the peer's ring but not for a
-        pool slot goes untagged; one longer than both is still sent as a
-        Write-Record, and the peer rejects it."""
+        pool slot goes untagged; one longer than both raises EMSGSIZE at
+        the sender, as in send/recv mode, and posts nothing."""
         tb, devs, make = world
         a = make(devs[0], rdma_mode=True)
         b = make(devs[1], rdma_mode=True, ring_bytes=4096)
         # The first send waits for the advertisement; the last fits neither.
-        sizes = (6000, 100, 3000, 10_000)
+        sizes = (6000, 100, 3000)
         got = []
+        errors = []
         fds = {}
 
         def server():
             fds["b"] = fd = b.socket(SOCK_DGRAM, port=7102)
-            for _ in sizes:
+            for _ in range(len(sizes) + 1):
                 r = yield b.recvfrom_future(fd, 65536, timeout_ns=5 * SEC)
                 got.append(r and r[0])
 
@@ -100,12 +102,49 @@ class TestWriteRecordRing:
             for size in sizes:
                 a.sendto(fd, bytes([size & 0xFF]) * size, (1, 7102))
                 yield 1 * MS
+            try:
+                a.sendto(fd, b"\x10" * 10_000, (1, 7102))
+            except SocketError as exc:
+                errors.append(str(exc))
 
         srv = tb.sim.process(server())
         tb.sim.process(client())
         tb.sim.run_until(srv.finished, limit=RUN_LIMIT)
-        assert got == [bytes([size & 0xFF]) * size for size in sizes[:3]] + [None]
-        assert b._fds[fds["b"]].qp.rx.remote_access_errors == 1
+        assert got == [bytes([size & 0xFF]) * size for size in sizes] + [None]
+        assert len(errors) == 1 and "EMSGSIZE" in errors[0]
+        assert b._fds[fds["b"]].qp.rx.remote_access_errors == 0
+
+    def test_oversize_datagram_waiting_for_the_advertisement_is_dropped(
+        self, world
+    ):
+        """The first datagram to a peer waits for its ring advertisement,
+        so no sendto is left to raise EMSGSIZE to: one that fits neither
+        the advertised ring nor a receive slot is dropped and counted,
+        and no Write-Record reaches the peer."""
+        tb, devs, make = world
+        a = make(devs[0], rdma_mode=True)
+        b = make(devs[1], rdma_mode=True, ring_bytes=4096)
+        got = []
+        fds = {}
+
+        def server():
+            fds["b"] = fd = b.socket(SOCK_DGRAM, port=7103)
+            for _ in range(2):
+                r = yield b.recvfrom_future(fd, 65536, timeout_ns=1 * SEC)
+                got.append(r and r[0])
+
+        def client():
+            fds["a"] = fd = a.socket(SOCK_DGRAM)
+            assert a.sendto(fd, b"\x10" * 10_000, (1, 7103)) == 10_000
+            yield 1 * MS
+            a.sendto(fd, b"ok", (1, 7103))
+
+        srv = tb.sim.process(server())
+        tb.sim.process(client())
+        tb.sim.run_until(srv.finished, limit=RUN_LIMIT)
+        assert got == [b"ok", None]
+        assert a._fds[fds["a"]].oversize_drops == 1
+        assert b._fds[fds["b"]].qp.rx.remote_access_errors == 0
 
 
 class TestConcurrentPeers:

@@ -9,6 +9,14 @@ declared ``(from, to)`` pairs: one shortest path per event arc,
 replayed through them, takes every declared pair and the transition
 observer sees each hop; every undeclared move raises the machine's own
 error type; a same-state set is a silent no-op.
+
+The replay runs on bare objects, so it shows only that the helpers
+accept the tables. The live-stack tests at the end take, on a device
+QP and on a connected TCP pair, the arcs no other test or explorer run
+takes: the QP recycle and close arcs out of INIT, RTR, RTS and SQD, and
+TCP's reset in CLOSING. They also show how a FIN that acknowledges
+ours passes through FIN_WAIT_2, which is why TCP's table declares no
+FIN_WAIT_1 -> TIME_WAIT arc.
 """
 
 from collections import deque
@@ -25,10 +33,25 @@ from repro.core.mpa.connection import (
     MpaConnection,
     MpaError,
 )
-from repro.core.verbs.qp import QP_EVENT_TRANSITIONS, QpError, QueuePair
+from repro.bench.harness import VerbsEndpointPair
+from repro.core.verbs.qp import (
+    ERROR, INIT, QP_EVENT_TRANSITIONS, RESET, RTR, RTS, SQD, QpError, QueuePair,
+)
+from repro.core.verbs.wr import WC_FLUSHED, WC_SUCCESS, RecvWR, Sge
+from repro.models.costs import zero_cost_model
+from repro.simnet.engine import MS, SEC
+from repro.simnet.loss import ExplicitLoss
+from repro.simnet.topology import build_testbed
 from repro.transport.sctp import SCTP_EVENT_TRANSITIONS, SctpAssociation, SctpError
+from repro.transport.stacks import install_stacks
 from repro.transport.tcp.connection import (
+    CLOSED,
+    CLOSING,
+    ESTABLISHED,
+    FIN_WAIT_1,
+    FIN_WAIT_2,
     TCP_EVENT_TRANSITIONS,
+    TIME_WAIT,
     TcpConnection,
     TcpError,
 )
@@ -193,3 +216,130 @@ def test_pair_table_keeps_sinks_and_rejects_self_loops():
     }
     with pytest.raises(ValueError, match="self-loop"):
         pair_table({("A", "go"): "B", ("B", "stay"): "B"})
+
+
+# ----------------------------------------------------------------------
+# Arcs taken on the live stack
+# ----------------------------------------------------------------------
+
+class _Arcs:
+    """Records the ``(from, to)`` moves of one live object."""
+
+    def __init__(self, obj):
+        self.obj = obj
+        self.taken = []
+
+    def __call__(self, machine_name, src, dst, obj):
+        if obj is self.obj:
+            self.taken.append((src, dst))
+
+    def __enter__(self):
+        add_transition_observer(self)
+        return self
+
+    def __exit__(self, *exc):
+        remove_transition_observer(self)
+
+
+#: ``modify_qp`` targets from RTS that walk a live QP through the six
+#: recycle and close arcs the data path never takes, and back to RTS.
+QP_LADDER = (
+    SQD, RESET,              # RTS -> SQD -> RESET
+    INIT, RESET,             # INIT -> RESET
+    INIT, RTR, RESET,        # RTR -> RESET
+    INIT, RTR, RTS, RESET,   # RTS -> RESET
+    INIT, ERROR, RESET,      # INIT -> ERROR (the error path), recycled
+    INIT, RTR, ERROR, RESET,  # RTR -> ERROR, recycled
+    INIT, RTR, RTS,
+)
+
+
+def test_live_qp_takes_the_recycle_and_close_arcs():
+    """A UD QP walked down the verbs ladder and back by ``modify_qp``:
+    every step takes its declared arc, an error out of INIT or RTR
+    flushes the receive posted there, and the recycled QP carries a
+    datagram again."""
+    pair = VerbsEndpointPair.build("ud_sendrecv", costs=zero_cost_model())
+    qp, cq = pair.qps[0], pair.cqs[0]
+    sim = pair.testbed.sim
+    mr = pair.recv_mrs[0]
+    with _Arcs(qp) as arcs:
+        for target in QP_LADDER:
+            if target == ERROR:
+                qp.post_recv(RecvWR(sges=[Sge(mr, 0, 64)]))
+            qp.modify_qp(target)
+            assert qp.state == target
+            if qp.state != RTS:
+                with pytest.raises(QpError):
+                    pair._post_message(0, 64)
+    states = (RTS,) + QP_LADDER
+    assert arcs.taken == list(zip(states, states[1:]))
+    for arc in [(INIT, ERROR), (INIT, RESET), (RTR, ERROR), (RTR, RESET),
+                (RTS, RESET), (SQD, RESET)]:
+        assert arc in arcs.taken
+    assert [wc.status for wc in cq.poll(8)] == [WC_FLUSHED, WC_FLUSHED]
+    pair._prepost_recvs(1, 1, 64)
+    pair._post_message(0, 64)
+    sim.run(until=sim.now + 10 * MS)
+    wcs = pair.cqs[1].poll(8)
+    assert [(wc.status, wc.byte_len, wc.src) for wc in wcs] == [
+        (WC_SUCCESS, 64, qp.address)
+    ]
+
+
+def _tcp_pair(loss_on_server=None):
+    tb = build_testbed(2, costs=zero_cost_model())
+    nets = install_stacks(tb)
+    if loss_on_server is not None:
+        tb.set_egress_loss(1, loss_on_server)
+    listener = nets[1].tcp.listen(80)
+    accepted = listener.accept_future()
+    cli = nets[0].tcp.connect((1, 80))
+    tb.sim.run_until(cli.established, limit=5 * SEC)
+    tb.sim.run_until(accepted, limit=5 * SEC)
+    return tb.sim, cli.conn, accepted.value.conn
+
+
+def test_live_tcp_reset_in_closing():
+    """Both ends close at once, so each FIN crosses the other's and
+    both reach CLOSING; an abort there takes CLOSING -> CLOSED, and the
+    peer's RST ends the other side too."""
+    sim, cli, srv = _tcp_pair()
+    entered = sim.future()
+
+    def on_move(machine_name, src, dst, obj):
+        if obj is cli and dst == CLOSING and not entered.done:
+            entered.set_result(None)
+
+    add_transition_observer(on_move)
+    try:
+        with _Arcs(cli) as arcs:
+            cli.close()
+            srv.close()
+            sim.run_until(entered, limit=1 * SEC)
+            assert cli.state == CLOSING
+            cli.abort()
+    finally:
+        remove_transition_observer(on_move)
+    assert arcs.taken == [(ESTABLISHED, FIN_WAIT_1), (FIN_WAIT_1, CLOSING),
+                          (CLOSING, CLOSED)]
+    sim.run(until=sim.now + 1 * SEC)
+    assert srv.state == CLOSED
+
+
+def test_live_tcp_fin_that_acks_ours_passes_fin_wait_2():
+    """The server's pure ACK of the client's FIN is lost, so its FIN
+    arrives acknowledging the client's: ``on_segment`` processes the ACK
+    first (FIN_WAIT_1 -> FIN_WAIT_2) and then the FIN (-> TIME_WAIT), in
+    one event. No segment moves FIN_WAIT_1 straight to TIME_WAIT."""
+    # Server egress: 1 = SYN-ACK, 2 = the ACK of the client's FIN.
+    sim, cli, srv = _tcp_pair(loss_on_server=ExplicitLoss([2]))
+    with _Arcs(cli) as arcs:
+        cli.close()
+        sim.run(until=sim.now + 1 * MS)
+        assert cli.state == FIN_WAIT_1
+        srv.close()
+        sim.run(until=sim.now + 1 * MS)
+    assert arcs.taken == [(ESTABLISHED, FIN_WAIT_1), (FIN_WAIT_1, FIN_WAIT_2),
+                          (FIN_WAIT_2, TIME_WAIT)]
+    assert TIME_WAIT not in pair_table(TCP_EVENT_TRANSITIONS)[FIN_WAIT_1]
