@@ -29,7 +29,8 @@ import struct
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-from ...core.verbs import CompletionQueue, RecvWR, RnicDevice, SendWR, Sge, WorkCompletion, WrOpcode
+from ...core.verbs import CompletionQueue, RecvWR, RnicDevice, SendWR, Sge, WorkCompletion
+from ...core.verbs.wr import WR_RDMA_WRITE_RECORD, WR_SEND, WR_SEND_SE
 from ...memory.region import Access
 from ...simnet.engine import Future, MS, Simulator
 from ...simnet.topology import Testbed, build_testbed
@@ -95,7 +96,7 @@ class Communicator:
     # ------------------------------------------------------------------
 
     def _drain_arm(self) -> None:
-        self.cq.poll_wait(timeout_ns=None).add_callback(self._on_completions)
+        self.cq.poll_callback(self._on_completions)
 
     def _on_completions(self, wcs) -> None:
         for wc in wcs:
@@ -103,11 +104,11 @@ class Communicator:
         self._drain_arm()
 
     def _handle_wc(self, wc: WorkCompletion) -> None:
-        if wc.opcode is WrOpcode.RDMA_WRITE_RECORD:
+        if wc.opcode is WR_RDMA_WRITE_RECORD:
             if wc.ok:
                 self._finish_rendezvous(wc)
             return
-        if wc.opcode not in (WrOpcode.SEND, WrOpcode.SEND_SE):
+        if wc.opcode not in (WR_SEND, WR_SEND_SE):
             return
         mr = self._slots.get(wc.wr_id)
         if mr is None:
@@ -185,7 +186,7 @@ class Communicator:
     def _post_send_bytes(self, payload: bytes, dest: int) -> None:
         mr = self.device.reg_mr(bytearray(payload), Access.local_only(), self.pd)
         self.qp.post_send(SendWR(
-            opcode=WrOpcode.SEND, sges=[Sge(mr)], dest=self._addr(dest),
+            opcode=WR_SEND, sges=[Sge(mr)], dest=self._addr(dest),
             signaled=False,
         ))
 
@@ -205,7 +206,7 @@ class Communicator:
             return
         mr = self.device.reg_mr(bytearray(data), Access.local_only(), self.pd)
         self.qp.post_send(SendWR(
-            opcode=WrOpcode.RDMA_WRITE_RECORD,
+            opcode=WR_RDMA_WRITE_RECORD,
             sges=[Sge(mr)],
             dest=self._addr(_dst),
             remote_stag=stag,

@@ -207,18 +207,31 @@ class SipServer:
 
 def _split_sip_stream(buf: bytes):
     """Extract one complete SIP message from a TCP byte stream using
-    Content-Length framing.  Returns (message, rest) or (None, buf)."""
+    Content-Length framing.  Returns (message, rest) or (None, buf).
+
+    The body length is read from the last head line that starts with
+    ``content-length`` in any case; without one, or when its value does
+    not read as an integer, it is 0."""
     sep = buf.find(b"\r\n\r\n")
     if sep < 0:
         return None, buf
-    head = buf[:sep].decode(errors="replace")
+    # bytes.lower() folds ASCII only, and no other character lowercases
+    # to an ASCII letter of "content-length", so this finds the lines
+    # str.lower() would, without decoding the head.
+    head = buf[:sep].lower()
+    at = head.rfind(b"\r\ncontent-length")
+    if at >= 0:
+        at += 2
+    elif head.startswith(b"content-length"):
+        at = 0
     length = 0
-    for line in head.split("\r\n"):
-        if line.lower().startswith("content-length"):
-            try:
-                length = int(line.split(":", 1)[1])
-            except (ValueError, IndexError):
-                length = 0
+    if at >= 0:
+        eol = head.find(b"\r\n", at)
+        line = buf[at : eol if eol >= 0 else sep].decode(errors="replace")
+        try:
+            length = int(line.split(":", 1)[1])
+        except (ValueError, IndexError):
+            length = 0
     end = sep + 4 + length
     if len(buf) < end:
         return None, buf

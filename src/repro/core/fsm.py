@@ -20,7 +20,7 @@ inside protocol event handlers.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Mapping, Protocol, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Protocol, Set, Tuple
 
 class Stateful(Protocol):
     """Anything carrying a guarded ``state`` attribute."""
@@ -35,6 +35,8 @@ class Stateful(Protocol):
 TransitionObserver = Callable[[str, str, str, Stateful], None]
 
 _observers: List[TransitionObserver] = []
+
+_NO_TARGETS: FrozenSet[str] = frozenset()
 
 
 def pair_table(
@@ -77,21 +79,24 @@ def transition(
     table: Mapping[str, FrozenSet[str]],
     new_state: str,
     error: Callable[[str], Exception],
-    detail: str = "",
+    detail: Optional[Callable[[Stateful], str]] = None,
 ) -> bool:
     """Validated state change: the body of every ``_set_state``.
 
     A same-state "transition" is a no-op returning False.  An undeclared
     move raises ``error(message)`` with the machine's own exception type
-    and leaves the state untouched.  A declared move writes the state,
-    notifies registered observers, and returns True.
+    and leaves the state untouched; ``detail(machine)``, called only
+    then, appends the instance (ports, QP number) to the message.  A
+    declared move writes the state, notifies registered observers, and
+    returns True.
     """
     current = machine.state
     if new_state == current:
         return False
-    if new_state not in table.get(current, frozenset()):
+    if new_state not in table.get(current, _NO_TARGETS):
+        where = detail(machine) if detail is not None else ""
         raise error(
-            f"illegal {name} state transition {current} -> {new_state}{detail}"
+            f"illegal {name} state transition {current} -> {new_state}{where}"
         )
     machine.state = new_state
     for observer in tuple(_observers):

@@ -87,6 +87,12 @@ QP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
 #: enforces.
 QP_TRANSITIONS: Dict[str, FrozenSet[str]] = pair_table(QP_EVENT_TRANSITIONS)
 
+
+def _qp_num(qp: "QueuePair") -> str:
+    """The error detail of an illegal move (built only on that path)."""
+    return f" on QP {qp.qp_num}"
+
+
 #: Worst-case DDP header: control + tagged/untagged + UD extension.
 MAX_HEADER = CTRL_SIZE + max(TAGGED_SIZE, UNTAGGED_SIZE) + UDEXT_SIZE
 
@@ -169,10 +175,7 @@ class QueuePair:
         :func:`repro.core.fsm.transition` helper; a same-state
         "transition" is a no-op, which is what makes teardown paths
         (``close`` after an error, double ``close``) idempotent."""
-        _fsm_transition(
-            self, "QP", QP_TRANSITIONS, new_state, QpError,
-            f" on QP {self.qp_num}",
-        )
+        _fsm_transition(self, "QP", QP_TRANSITIONS, new_state, QpError, _qp_num)
 
     def modify_qp(self, new_state: str) -> None:
         """Drive the standard verbs ladder (``ibv_modify_qp`` analogue):

@@ -110,19 +110,19 @@ class MemoryMeter:
         self.bytes_now = model.app_base_bytes
         self.high_water = self.bytes_now
         self._counts: Dict[str, int] = {}
-
-    _SIZES = {
-        "tcp_socket": "tcp_socket_bytes",
-        "udp_socket": "udp_socket_bytes",
-        "rc_qp": "rc_qp_bytes",
-        "ud_qp": "ud_qp_bytes",
-        "app_call": "app_call_bytes",
-        "ud_bookkeeping": "ud_app_bookkeeping_bytes",
-    }
+        # Each accounted kind's size (the model is frozen, so read once).
+        self._sizes = {
+            "tcp_socket": model.tcp_socket_bytes,
+            "udp_socket": model.udp_socket_bytes,
+            "rc_qp": model.rc_qp_bytes,
+            "ud_qp": model.ud_qp_bytes,
+            "app_call": model.app_call_bytes,
+            "ud_bookkeeping": model.ud_app_bookkeeping_bytes,
+        }
 
     def _size(self, kind: str) -> int:
         try:
-            return getattr(self.model, self._SIZES[kind])
+            return self._sizes[kind]
         except KeyError:
             raise ValueError(f"unknown accounted object kind {kind!r}") from None
 

@@ -92,6 +92,16 @@ def validate_name(name: str) -> str:
     return name
 
 
+def _check_edges(edges: Tuple[float, ...]) -> None:
+    if not edges:
+        raise RegistryError("histogram needs at least one bucket edge")
+    if list(edges) != sorted(edges) or len(set(edges)) != len(edges):
+        raise RegistryError(f"bucket edges must be strictly ascending: {edges}")
+
+
+_check_edges(DEFAULT_BUCKETS)
+
+
 class Histogram:
     """Fixed-bucket histogram with Prometheus ``le`` semantics.
 
@@ -103,14 +113,12 @@ class Histogram:
     __slots__ = ("edges", "counts", "sum", "count")
 
     def __init__(self, edges: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
-        if not edges:
-            raise RegistryError("histogram needs at least one bucket edge")
-        if list(edges) != sorted(edges) or len(set(edges)) != len(edges):
-            raise RegistryError(f"bucket edges must be strictly ascending: {edges}")
-        # Every CQ carries a histogram: share the default edges.
-        self.edges: Tuple[float, ...] = (
-            edges if edges is DEFAULT_BUCKETS else tuple(float(e) for e in edges)
-        )
+        # Every CQ carries a histogram: share the default edges, which
+        # were checked once at import.
+        if edges is not DEFAULT_BUCKETS:
+            _check_edges(edges)
+            edges = tuple(float(e) for e in edges)
+        self.edges: Tuple[float, ...] = edges
         self.counts: List[int] = [0] * (len(edges) + 1)  # last = +Inf
         self.sum: float = 0.0
         self.count: int = 0

@@ -105,6 +105,11 @@ SCTP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
 SCTP_TRANSITIONS: Dict[str, FrozenSet[str]] = pair_table(SCTP_EVENT_TRANSITIONS)
 
 
+def _ports(assoc: "SctpAssociation") -> str:
+    """The error detail of an illegal move (built only on that path)."""
+    return f" ({assoc.local_port}<->{assoc.remote})"
+
+
 class SctpError(Exception):
     """Association-level failures and API misuse."""
 
@@ -195,10 +200,7 @@ class SctpAssociation:
         """Sole state mutator after construction; validates the move
         against :data:`SCTP_TRANSITIONS` via the shared
         :func:`repro.core.fsm.transition` helper (same-state is a no-op)."""
-        _fsm_transition(
-            self, "SCTP", SCTP_TRANSITIONS, new_state, SctpError,
-            f" ({self.local_port}<->{self.remote})",
-        )
+        _fsm_transition(self, "SCTP", SCTP_TRANSITIONS, new_state, SctpError, _ports)
 
     def open_active(self) -> Future:
         if self.state != CLOSED:

@@ -89,6 +89,11 @@ TCP_EVENT_TRANSITIONS: Dict[Tuple[str, str], str] = {
 TCP_TRANSITIONS: Dict[str, FrozenSet[str]] = pair_table(TCP_EVENT_TRANSITIONS)
 
 
+def _ports(conn: "TcpConnection") -> str:
+    """The error detail of an illegal move (built only on that path)."""
+    return f" ({conn.local_port}<->{conn.remote})"
+
+
 class TcpError(Exception):
     """Connection-level failures (reset, send on closed socket, ...)."""
 
@@ -207,10 +212,7 @@ class TcpConnection:
         """Sole state mutator after construction; validates the move
         against :data:`TCP_TRANSITIONS` via the shared
         :func:`repro.core.fsm.transition` helper (same-state is a no-op)."""
-        _fsm_transition(
-            self, "TCP", TCP_TRANSITIONS, new_state, TcpError,
-            f" ({self.local_port}<->{self.remote})",
-        )
+        _fsm_transition(self, "TCP", TCP_TRANSITIONS, new_state, TcpError, _ports)
 
     # ------------------------------------------------------------------
     # Opening

@@ -188,6 +188,24 @@ def test_undeclared_moves_raise(name):
             assert obj.state == src, "failed transition must not move the state"
 
 
+@pytest.mark.parametrize("name, where", [
+    ("QP", " on QP 7"),
+    ("TCP", " (4000<->('peer', 4001))"),
+    ("SCTP", " (5000<->('peer', 5001))"),
+])
+def test_undeclared_move_message_names_the_instance(name, where):
+    events, initial, _terminals = MACHINES[name]
+    table = pair_table(events)
+    _cls, error, _attrs = SKELETONS[name]
+    src = initial
+    dst = sorted(states(events, initial) - table[src] - {src})[0]
+    with pytest.raises(error) as excinfo:
+        make_skeleton(name, src)._set_state(dst)
+    assert str(excinfo.value) == (
+        f"illegal {name} state transition {src} -> {dst}{where}"
+    )
+
+
 @pytest.mark.parametrize("name", MACHINES)
 def test_same_state_set_is_silent_noop(name):
     events, initial, _terminals = MACHINES[name]
