@@ -23,6 +23,10 @@ from .server import SipServer
 
 SIP_PORT = 5060
 
+#: The footprint a testbed charges unless given another; the model is
+#: frozen, so every testbed shares one instead of building its own.
+_FOOTPRINT = FootprintModel()
+
 
 @dataclass
 class SipTestbed:
@@ -58,7 +62,7 @@ def build_sip_testbed(
         devs[1], rdma_mode=False, pool_slots=pool_slots,
         pool_slot_bytes=pool_slot_bytes,
     )
-    meter = MemoryMeter(footprint or FootprintModel())
+    meter = MemoryMeter(footprint or _FOOTPRINT)
     server = SipServer(server_api, tb.hosts[0], SIP_PORT, mode=mode, meter=meter)
     server.start()
     return SipTestbed(tb, server, server_api, client_api, meter)
