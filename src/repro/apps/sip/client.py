@@ -20,6 +20,13 @@ from .server import SipAppConfig, _split_sip_stream
 
 Address = Tuple[int, int]
 
+#: RFC 3261's timers: T1 is the first resend interval, T2 caps a
+#: non-INVITE request's, and a transaction gives up after 64·T1
+#: (Timers B and F).
+T1 = 500 * MS
+T2 = 4_000 * MS
+TIMEOUT = 64 * T1
+
 #: Call-ID numbers, one sequence per client host (one SIPp instance per
 #: host): a Call-ID's length is part of every SIP message, so it must not
 #: depend on what ran earlier in the process.
@@ -71,43 +78,97 @@ class SipClient:
         if established is None:
             raise SipCallFailed("RC connect failed")
 
-    def _send(self, msg) -> None:
-        self.host.cpu.charge(self.config.build_ns)
-        data = msg.encode()
+    def _send(self, data: bytes) -> None:
         if self.mode == "ud":
             self.api.sendto(self._fd, data, self.server_addr)
         else:
             self.api.send(self._fd, data)
 
-    def _recv_response(self, timeout_ns: int = 2000 * MS):
-        """Process-style: yields until one SIP message arrives (parsed)."""
+    def _request(self, method: str, call_id: str, cseq: int) -> bytes:
+        """Build and send one request; returns its bytes for resending."""
+        self.host.cpu.charge(self.config.build_ns)
+        data = messages.build_request(method, call_id, cseq, from_user=self.user).encode()
+        self._send(data)
+        return data
+
+    def _recv_response(self, timeout_ns: int):
+        """Process-style: yields until one SIP message arrives (parsed).
+        Over UD it returns None if ``timeout_ns`` passes first; over RC,
+        which never resends, a timeout or a dead stream fails the call."""
         if self.mode == "ud":
             got = yield self.api.recvfrom_future(self._fd, 8192, timeout_ns=timeout_ns)
             if got is None:
-                raise SipCallFailed("UD response timeout")
-            data, _src = got
+                return None
+            data = got[0]
         else:
             while True:
-                msg_bytes, rest = _split_sip_stream(self._rc_buf)
-                if msg_bytes is not None:
+                data, rest = _split_sip_stream(self._rc_buf)
+                if data is not None:
                     self._rc_buf = rest
-                    data = msg_bytes
                     break
                 chunk = yield self.api.recv_future(self._fd, 8192, timeout_ns=timeout_ns)
                 if not chunk:
-                    raise SipCallFailed("RC stream closed")
+                    raise SipCallFailed("RC stream closed or timed out")
                 self._rc_buf += chunk
         self.host.cpu.charge(self.config.parse_ns)
         return messages.parse(bytes(data))
 
-    # -- call flows --------------------------------------------------------------
+    def _transact(self, method: str, call_id: str, cseq: int,
+                  t0: Optional[int] = None):
+        """One client transaction (RFC 3261 §17.1): send the request and
+        wait for its final response, skipping any response whose CSeq is
+        another request's.  Over UD the request is resent T1 after the
+        first send, then at doubling intervals (capped at T2 unless it
+        is an INVITE), until the final response arrives.  RFC 3261 stops
+        an INVITE's resends at a provisional response because the server
+        resends its 200 OK until the ACK (§13.3.1.4); this server sends
+        it once, so a resent INVITE is what recovers a lost 200.  Over
+        RC the transport retransmits, so the transaction only waits.  It
+        fails ``TIMEOUT`` after the first send (Timers B and F).  If
+        ``t0`` is given, the time from ``t0`` to the first response is
+        appended to ``response_times_ns``."""
+        data = self._request(method, call_id, cseq)
+        sim = self.sim
+        deadline = sim.now + TIMEOUT
+        cap = TIMEOUT if method == "INVITE" else T2
+        interval = T1
+        resend_at = sim.now + T1 if self.mode == "ud" else deadline
+        tag = f"{cseq} {method}"
+        while True:
+            resp = yield from self._recv_response(resend_at - sim.now)
+            if resp is None:
+                if sim.now >= deadline:
+                    raise SipCallFailed(f"{method} timed out")
+                self._send(data)
+                interval = min(2 * interval, cap)
+                resend_at = min(sim.now + interval, deadline)
+            elif resp.cseq == tag:
+                if t0 is not None:
+                    self.response_times_ns.append(sim.now - t0)
+                    t0 = None
+                if resp.status >= 200:
+                    if resp.status != 200:
+                        raise SipCallFailed(f"{method} got {resp.status}")
+                    return
+
+    # -- the call flow -----------------------------------------------------------
 
     def run_call(self, hold_time_ns: int = 0, do_register: bool = False):
-        """One SipStone basic call; appends the INVITE->180 response time."""
+        """One SipStone basic call; appends the INVITE->first-response time."""
         return self.sim.process(self._call(hold_time_ns, do_register),
                                 name=f"sip-call-{self.user}")
 
-    def _call(self, hold_time_ns: int, do_register: bool):
+    def hold_call(self, established_event, release_event):
+        """Place a call and hold it until ``release_event`` resolves —
+        used by the Fig. 11 concurrent-call memory study.  Counts the
+        call up in ``established_event`` (a dict: ``count``, ``target``
+        and a ``future`` resolved when ``count`` reaches ``target``)."""
+        return self.sim.process(self._call(release_event, False, established_event),
+                                name=f"sip-hold-{self.user}")
+
+    def _call(self, hold, do_register: bool, established: Optional[dict] = None):
+        """The one call flow.  ``hold`` is what the call waits on between
+        ACK and BYE: a time in ns (0: none) or a future."""
         try:
             # The measured window starts at call initiation: for RC that
             # includes connection establishment (TCP handshake + MPA
@@ -118,78 +179,17 @@ class SipClient:
             call_id = f"call-{next(self._call_numbers)}@client.example.invalid"
             cseq = 1
             if do_register:
-                self._send(messages.build_request(
-                    "REGISTER", call_id, cseq, from_user=self.user))
-                resp = yield from self._recv_response()
-                if resp.status != 200:
-                    raise SipCallFailed(f"REGISTER got {resp.status}")
+                yield from self._transact("REGISTER", call_id, cseq)
                 cseq += 1
-            self._send(messages.build_request(
-                "INVITE", call_id, cseq, from_user=self.user))
-            resp = yield from self._recv_response()
-            self.response_times_ns.append(self.sim.now - t0)
-            # Collect until 200 OK.
-            while resp.status != 200:
-                resp = yield from self._recv_response()
-            self._send(messages.build_request("ACK", call_id, cseq,
-                                              from_user=self.user))
-            if hold_time_ns:
-                yield hold_time_ns
-            cseq += 1
-            self._send(messages.build_request("BYE", call_id, cseq,
-                                              from_user=self.user))
-            resp = yield from self._recv_response()
-            while resp.status != 200:
-                resp = yield from self._recv_response()
-            self.calls_completed += 1
-        except SipCallFailed:
-            self.failed = True
-        finally:
-            if self._fd is not None:
-                self.api.close(self._fd)
-                self._fd = None
-                self._rc_buf = b""
-
-    def hold_call(self, established_event, release_event):
-        """Place a call and hold it until ``release_event`` resolves —
-        used by the Fig. 11 concurrent-call memory study.  Signals
-        ``established_event`` (a counter dict) when the call is up."""
-        return self.sim.process(
-            self._hold(established_event, release_event),
-            name=f"sip-hold-{self.user}",
-        )
-
-    def _hold(self, established, release_event):
-        try:
-            yield from self._open()
-            call_id = f"call-{next(self._call_numbers)}@client.example.invalid"
-            # RFC 3261 timer-A style INVITE retransmission: unreliable
-            # transports retransmit the request until a response arrives.
-            invite = messages.build_request("INVITE", call_id, 1,
-                                            from_user=self.user)
-            resp = None
-            for _attempt in range(7):
-                self._send(invite)
-                try:
-                    resp = yield from self._recv_response(timeout_ns=500 * MS)
-                    break
-                except SipCallFailed:
-                    continue
-            if resp is None:
-                raise SipCallFailed("INVITE retransmissions exhausted")
-            while resp.status != 200:
-                resp = yield from self._recv_response(timeout_ns=30_000 * MS)
-            self._send(messages.build_request("ACK", call_id, 1,
-                                              from_user=self.user))
-            established["count"] += 1
-            if established["count"] >= established.get("target", 0):
-                fut = established.get("future")
-                if fut is not None and not fut.done:
-                    fut.set_result(True)
-            yield release_event
-            self._send(messages.build_request("BYE", call_id, 2,
-                                              from_user=self.user))
-            resp = yield from self._recv_response(timeout_ns=30_000 * MS)
+            yield from self._transact("INVITE", call_id, cseq, t0)
+            self._request("ACK", call_id, cseq)
+            if established is not None:
+                established["count"] += 1
+                if established["count"] == established["target"]:
+                    established["future"].set_result(True)
+            if hold:
+                yield hold
+            yield from self._transact("BYE", call_id, cseq + 1)
             self.calls_completed += 1
         except SipCallFailed:
             self.failed = True

@@ -49,8 +49,8 @@ class SipMessage:
         else:
             start = f"{SIP_VERSION} {self.status} {self.reason}\r\n"
         fields = "".join([f"{k}: {v}\r\n" for k, v in self.headers.items()])
-        body = self.body
-        return (start + fields + f"Content-Length: {len(body)}\r\n\r\n" + body).encode()
+        body = self.body.encode()
+        return (start + fields + f"Content-Length: {len(body)}\r\n\r\n").encode() + body
 
 
 #: The SDP offer an INVITE carries when it has no body of its own, as

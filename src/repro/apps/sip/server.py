@@ -43,6 +43,13 @@ class SipAppConfig:
     rc_connect_ns: int = 80_000
 
 
+#: The objects the server holds per client, by transport mode.
+_CLIENT_OBJECTS = {
+    "ud": ("udp_socket", "ud_qp", "ud_bookkeeping"),
+    "rc": ("tcp_socket", "rc_qp"),
+}
+
+
 class SipServer:
     """One SIP user-agent server handling many concurrent calls."""
 
@@ -91,13 +98,8 @@ class SipServer:
         if state is None:
             state = {"calls": set()}
             self._clients[key] = state
-            if self.mode == "ud":
-                self.meter.alloc("udp_socket")
-                self.meter.alloc("ud_qp")
-                self.meter.alloc("ud_bookkeeping")
-            else:
-                self.meter.alloc("tcp_socket")
-                self.meter.alloc("rc_qp")
+            for kind in _CLIENT_OBJECTS[self.mode]:
+                self.meter.alloc(kind)
         return state
 
     def _client_gone(self, key) -> None:
@@ -108,13 +110,8 @@ class SipServer:
             if self.calls.pop(call_id, None) is not None:
                 self.meter.free("app_call")
                 self.active_calls -= 1
-        if self.mode == "ud":
-            self.meter.free("udp_socket")
-            self.meter.free("ud_qp")
-            self.meter.free("ud_bookkeeping")
-        else:
-            self.meter.free("tcp_socket")
-            self.meter.free("rc_qp")
+        for kind in _CLIENT_OBJECTS[self.mode]:
+            self.meter.free(kind)
 
     # -- transaction core ---------------------------------------------------
 
@@ -137,11 +134,7 @@ class SipServer:
             self.host.cpu.charge(costs.build_ns)
             send(messages.build_response(msg, status, reason).encode())
 
-        if msg.method == "REGISTER":
-            reply(200, "OK")
-        elif msg.method == "OPTIONS":
-            reply(200, "OK")
-        elif msg.method == "INVITE":
+        if msg.method == "INVITE":
             if call_id not in self.calls:
                 self.calls[call_id] = "ringing"
                 state["calls"].add(call_id)
@@ -164,7 +157,7 @@ class SipServer:
                 # The UD bookkeeping exists precisely to learn this
                 # moment: all of the peer's calls ended, close its port.
                 self._client_gone(client_key)
-        elif msg.method == "CANCEL":
+        else:  # REGISTER, OPTIONS, CANCEL
             reply(200, "OK")
 
     # -- UD transport ---------------------------------------------------------

@@ -106,6 +106,7 @@ def measure_memory(
     established = {"count": 0, "target": concurrent_calls, "future": sim.future()}
 
     clients = []
+    calls = []
 
     def ramp():
         for i in range(concurrent_calls):
@@ -114,7 +115,7 @@ def measure_memory(
                 mode=mode, user=f"user{i}",
             )
             clients.append(client)
-            client.hold_call(established, release)
+            calls.append(client.hold_call(established, release))
             # Self-pacing ramp: never run more than a window of calls
             # ahead of what the server has established, so the receive
             # pools are not overrun (SIPp rate-limits the same way).
@@ -125,9 +126,10 @@ def measure_memory(
         # Everything is up: the high-water mark is now set.
         release.set_result(True)
 
-    done = sim.process(ramp()).finished
-    sim.run_until(done, limit=3_000 * SEC)
-    sim.run(until=sim.now + 500 * MS)  # drain BYEs
+    limit = 3_000 * SEC
+    sim.run_until(sim.process(ramp()).finished, limit=limit)
+    for call in calls:  # drain: every BYE answered, or its call failed
+        sim.run_until(call.finished, limit=limit)
     failed = sum(1 for c in clients if c.failed)
     if failed:
         raise RuntimeError(f"{failed}/{concurrent_calls} calls failed in {mode}")

@@ -341,6 +341,10 @@ class _StreamSocket:
         self.qp.rq_cq.poll_callback(self._on_completions)
 
     def _on_completions(self, wcs) -> None:
+        qp = self.qp
+        # A QP in ERROR takes no receive: the bytes already placed are
+        # kept, and no slot is reposted.
+        live = qp.state != "ERROR"
         for wc in wcs:
             if wc.opcode in (WR_SEND, WR_SEND_SE):
                 wr = self._slots.get(wc.wr_id)
@@ -349,19 +353,23 @@ class _StreamSocket:
                 mr = wr.sges[0].mr
                 if wc.ok and wc.byte_len:
                     self._rxbuf += mr.view(0, wc.byte_len)
-                if wc.status is not WC_FLUSHED:
-                    self.qp.post_recv(wr)
+                if live and wc.status is not WC_FLUSHED:
+                    qp.post_recv(wr)
         self._satisfy_waiters()
-        if self.qp.state != "ERROR":
+        if qp.state != "ERROR":
             self._drain_arm()
 
     def _satisfy_waiters(self) -> None:
-        while self._waiters and self._rxbuf:
+        # Once the QP is in ERROR nothing more arrives: a receive the
+        # buffer cannot satisfy ends as a timeout does (EOF waits for
+        # ROADMAP item 4).
+        while self._waiters and (self._rxbuf or self.qp.state == "ERROR"):
             waiter = self._waiters.popleft()
             if waiter["future"].done:
                 continue
             self.iface._release_timer(waiter)
-            waiter["future"].set_result(self._take(waiter["bufsize"]))
+            waiter["future"].set_result(
+                self._take(waiter["bufsize"]) if self._rxbuf else None)
 
     def _take(self, bufsize: int) -> bytes:
         """Remove up to ``bufsize`` buffered bytes and charge their copy."""
@@ -405,8 +413,10 @@ class _StreamSocket:
         fut = iface.sim.future()
         if self._rxbuf:
             fut.set_result(self._take(bufsize))
-            return fut
-        self._waiters.append(iface._waiter(fut, bufsize, timeout_ns))
+        elif self.qp is not None and self.qp.state == "ERROR":
+            fut.set_result(None)
+        else:
+            self._waiters.append(iface._waiter(fut, bufsize, timeout_ns))
         return fut
 
     def close(self) -> None:

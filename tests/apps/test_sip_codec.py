@@ -49,7 +49,7 @@ def test_parse_inverts_encode(msg):
         msg.method, msg.uri, msg.status, msg.reason, msg.body
     )
     assert list(parsed.headers.items()) == list(msg.headers.items()) + [
-        ("Content-Length", str(len(msg.body)))
+        ("Content-Length", str(len(msg.body.encode())))
     ]
 
 
@@ -140,3 +140,12 @@ def test_two_messages_in_one_buffer_split_in_order():
     invite = messages.build_request("INVITE", "call-1", 1).encode()
     ok = messages.build_response(messages.parse(invite), 200, "OK").encode()
     assert _reassemble([invite + ok + invite[:7]]) == ([invite, ok], invite[:7])
+
+
+def test_content_length_counts_the_bodys_utf8_bytes():
+    # Four characters, five bytes: a count in characters would leave the
+    # last byte of the body at the front of the next message.
+    note = SipMessage(method="OPTIONS", uri="sip:bob", body="café").encode()
+    bye = messages.build_request("BYE", "call-1", 2).encode()
+    assert b"Content-Length: 5\r\n" in note
+    assert _reassemble([note + bye]) == ([note, bye], b"")

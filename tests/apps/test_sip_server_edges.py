@@ -79,6 +79,34 @@ class TestServerRobustness:
         bed.sim.run_until(done, limit=RUN_LIMIT)
         assert bed.server.total_calls == 1
 
+    def test_a_resent_request_is_answered_as_the_first_was(self):
+        # A UD client recovers a lost response by resending the request,
+        # so the server answers a known INVITE again without a new
+        # call, and a BYE for an ended call with 200.
+        bed = build_sip_testbed("ud")
+        answers = []
+
+        def send(fd, method, cseq, replies):
+            msg = messages.build_request(method, "again", cseq).encode()
+            bed.client_api.sendto(fd, msg, (0, SIP_PORT))
+            for _ in range(replies):
+                got = yield bed.client_api.recvfrom_future(fd, 8192, timeout_ns=2 * SEC)
+                answers.append((method, messages.parse(bytes(got[0])).status))
+
+        def probe():
+            fd = bed.client_api.socket(SOCK_DGRAM)
+            for _ in range(2):
+                yield from send(fd, "INVITE", 1, 2)
+                answers.append(("app_call", bed.meter.count("app_call")))
+            for _ in range(2):
+                yield from send(fd, "BYE", 2, 1)
+
+        bed.sim.run_until(bed.sim.process(probe()).finished, limit=RUN_LIMIT)
+        invite = [("INVITE", 180), ("INVITE", 200), ("app_call", 1)]
+        assert answers == invite + invite + [("BYE", 200), ("BYE", 200)]
+        assert bed.server.total_calls == 1
+        assert bed.server.active_calls == 0
+
     def test_bye_without_invite_still_200(self):
         bed = build_sip_testbed("ud")
         result = {}

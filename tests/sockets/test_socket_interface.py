@@ -253,6 +253,43 @@ class TestStream:
         tb.sim.run_until(srv.finished, limit=RUN_LIMIT)
         assert result["got"] == payload
 
+    def test_an_overrun_ends_receives_instead_of_raising(self, testbed, stacks):
+        # With the paper's costs an 8 x 8 KB pool falls behind a 256 KB
+        # send: a Send finds no posted receive, RC's terminate puts the
+        # receiver's QP in ERROR, and the socket stops reposting into it.
+        devs = [RnicDevice(n) for n in stacks]
+        a, b = (IwSocketInterface(dev, pool_slots=8, pool_slot_bytes=8192)
+                for dev in devs)
+        payload = bytes((i * 13) & 0xFF for i in range(256 * 1024))
+        result = {"got": b""}
+
+        def server():
+            lfd = b.socket(SOCK_STREAM)
+            b.listen(lfd, 8086)
+            result["fd"] = cfd = yield b.accept_future(lfd)
+            while True:
+                chunk = yield b.recv_future(cfd, 1 << 20, timeout_ns=10 * SEC)
+                if chunk is None:
+                    break
+                result["got"] += chunk
+            result["end"] = testbed.sim.now
+            result["later"] = yield b.recv_future(cfd, 1 << 20, timeout_ns=10 * SEC)
+
+        def client():
+            fd = a.socket(SOCK_STREAM)
+            yield a.connect_future(fd, (1, 8086))
+            a.send(fd, payload)
+
+        srv = testbed.sim.process(server())
+        testbed.sim.process(client())
+        testbed.sim.run_until(srv.finished, limit=RUN_LIMIT)
+        got = result["got"]
+        assert 0 < len(got) < len(payload) and got == payload[: len(got)]
+        assert result["end"] < 1 * SEC  # ended by the error, not the timeout
+        assert result["later"] is None
+        with pytest.raises(SocketError):
+            b.send(result["fd"], b"x")
+
     def test_close_deregisters_receive_pools(self, apis):
         tb, a, b = apis
         base = {api: len(api.device.registry) for api in (a, b)}
