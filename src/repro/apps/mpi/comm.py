@@ -29,9 +29,9 @@ import struct
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
-from ...core.verbs import CompletionQueue, RecvWR, RnicDevice, SendWR, Sge, WorkCompletion
-from ...core.verbs.wr import WR_RDMA_WRITE_RECORD, WR_SEND, WR_SEND_SE
-from ...memory.region import Access
+from ...core.verbs import ReceivePool, RnicDevice, SendWR, Sge, WorkCompletion
+from ...core.verbs.wr import WR_RDMA_WRITE_RECORD, WR_SEND
+from ...memory.region import Access, MemoryRegion
 from ...simnet.engine import Future, MS, Simulator
 from ...simnet.topology import Testbed, build_testbed
 from ...transport.stacks import install_stacks
@@ -65,22 +65,19 @@ class Communicator:
         self.device = device
         self.sim: Simulator = device.sim
         self.pd = device.alloc_pd()
-        self.cq: CompletionQueue = device.create_cq(depth=1 << 14)
         self.qp = device.create_ud_qp(
-            self.pd, self.cq, port=self.MPI_BASE_PORT + rank, reliable=True,
+            self.pd, device.create_cq(depth=1 << 14), port=self.MPI_BASE_PORT + rank,
+            reliable=True,
         )
-        # Eager receive pool, registered as one CPU work item.
-        self._slots = {}
-        for mr in device.reg_mrs(64, EAGER_THRESHOLD + _HDR.size, Access.local_only(), self.pd):
-            self._slots[mr.stag] = mr
-            self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
+        self.pool = ReceivePool(self.qp, 64, EAGER_THRESHOLD + _HDR.size, self._handle_wc)
         # Matching state.
         self._unexpected: Deque[Tuple[int, int, bytes]] = deque()  # (src, tag, data)
         self._posted: Deque[dict] = deque()
-        # Rendezvous state.
-        self._pending_rts: Deque[Tuple[int, int, int]] = deque()  # src, tag, length
-        self._rendezvous_sinks: Dict[Tuple[int, int], dict] = {}
-        self._drain_arm()
+        # Rendezvous FIFOs: payloads by (dest, tag) awaiting their CTS,
+        # and sinks by source rank, whose Write-Records RD delivers in
+        # the order its CTSs asked for them.
+        self._rendezvous_payloads: Dict[Tuple[int, int], Deque[bytes]] = {}
+        self._rendezvous_sinks: Dict[int, Deque[Tuple[int, MemoryRegion]]] = {}
 
     @property
     def size(self) -> int:
@@ -95,25 +92,12 @@ class Communicator:
     # Progress engine
     # ------------------------------------------------------------------
 
-    def _drain_arm(self) -> None:
-        self.cq.poll_callback(self._on_completions)
-
-    def _on_completions(self, wcs) -> None:
-        for wc in wcs:
-            self._handle_wc(wc)
-        self._drain_arm()
-
-    def _handle_wc(self, wc: WorkCompletion) -> None:
+    def _handle_wc(self, wc: WorkCompletion, mr: Optional[MemoryRegion]) -> None:
         if wc.opcode is WR_RDMA_WRITE_RECORD:
             if wc.ok:
                 self._finish_rendezvous(wc)
             return
-        if wc.opcode not in (WR_SEND, WR_SEND_SE):
-            return
-        mr = self._slots.get(wc.wr_id)
-        if mr is None:
-            return
-        if wc.ok and wc.byte_len >= 1:
+        if mr is not None and wc.ok and wc.byte_len >= 1:
             kind = mr.view(0, 1)[0]
             if kind == _KIND_EAGER:
                 _k, src, tag, length = _HDR.unpack(bytes(mr.view(0, _HDR.size)))
@@ -127,7 +111,6 @@ class Communicator:
                     bytes(mr.view(0, _CTS.size))
                 )
                 self._on_cts(dst, tag, length, stag, offset)
-        self.qp.post_recv(RecvWR(sges=[Sge(mr)], wr_id=mr.stag))
 
     # ------------------------------------------------------------------
     # Matching
@@ -161,8 +144,8 @@ class Communicator:
             payload = _HDR.pack(_KIND_EAGER, self.rank, tag, len(data)) + data
             self._post_send_bytes(payload, dest)
             return
-        # Rendezvous: announce, stash the payload until CTS.
-        self.world._rendezvous_payloads[(self.rank, dest, tag)] = data
+        # Rendezvous: announce, queue the payload until its CTS.
+        self._rendezvous_payloads.setdefault((dest, tag), deque()).append(data)
         self._post_send_bytes(
             _HDR.pack(_KIND_RTS, self.rank, tag, len(data)), dest
         )
@@ -195,15 +178,16 @@ class Communicator:
     def _on_rts(self, src: int, tag: int, length: int) -> None:
         """Register a sink for the announced message and send CTS."""
         sink = self.device.reg_mr(length, Access.remote_write(), self.pd)
-        self._rendezvous_sinks[(src, tag)] = {"mr": sink, "length": length}
+        self._rendezvous_sinks.setdefault(src, deque()).append((tag, sink))
         cts = _CTS.pack(_KIND_CTS, self.rank, tag, length, sink.stag, 0)
         self._post_send_bytes(cts, src)
 
     def _on_cts(self, _dst: int, tag: int, length: int, stag: int, offset: int) -> None:
-        """Receiver is ready: Write-Record the stashed payload."""
-        data = self.world._rendezvous_payloads.pop((self.rank, _dst, tag), None)
-        if data is None:
+        """Receiver is ready: Write-Record the oldest queued payload."""
+        queued = self._rendezvous_payloads.get((_dst, tag))
+        if not queued:
             return
+        data = queued.popleft()
         mr = self.device.reg_mr(bytearray(data), Access.local_only(), self.pd)
         self.qp.post_send(SendWR(
             opcode=WR_RDMA_WRITE_RECORD,
@@ -217,13 +201,14 @@ class Communicator:
     def _finish_rendezvous(self, wc: WorkCompletion) -> None:
         """The Write-Record arrival record IS the completion: no extra
         notification message, the paper's one-sided payoff."""
-        src_rank = wc.src[0] if wc.src else ANY_SOURCE
-        for (src, tag), sink in list(self._rendezvous_sinks.items()):
-            if src == src_rank and sink["length"] == wc.validity.total:
-                del self._rendezvous_sinks[(src, tag)]
-                data = bytes(sink["mr"].view(0, sink["length"]))
-                self._deliver(src, tag, data)
-                return
+        src = wc.src[0] if wc.src else ANY_SOURCE
+        sinks = self._rendezvous_sinks.get(src)
+        if not sinks:
+            return
+        tag, sink = sinks.popleft()
+        data = bytes(sink.view())
+        self.device.dereg_mr(sink)
+        self._deliver(src, tag, data)
 
     # ------------------------------------------------------------------
     # Collectives
@@ -314,7 +299,6 @@ class MpiWorld:
         self.size = size
         self.sim = self.testbed.sim
         nets = install_stacks(self.testbed)
-        self._rendezvous_payloads: Dict[Tuple[int, int, int], bytes] = {}
         self.comms = [
             Communicator(self, rank, RnicDevice(nets[rank]))
             for rank in range(size)

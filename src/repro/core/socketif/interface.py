@@ -28,17 +28,14 @@ from __future__ import annotations
 import itertools
 import struct
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, Optional, Tuple
 
 from ...memory.region import Access, MemoryRegion
 from ...simnet.engine import MS, Event, Future
-from ..verbs.cq import CompletionQueue
 from ..verbs.device import RnicDevice
-from ..verbs.qp import RcQp, UdQp
-from ..verbs.wr import (
-    WC_FLUSHED, WR_RDMA_WRITE_RECORD, WR_SEND, WR_SEND_SE,
-    RecvWR, SendWR, Sge, WorkCompletion,
-)
+from ..verbs.pool import ReceivePool
+from ..verbs.qp import ERROR, RcQp, UdQp
+from ..verbs.wr import WR_RDMA_WRITE_RECORD, WR_SEND, SendWR, Sge, WorkCompletion
 
 Address = Tuple[int, int]
 
@@ -58,18 +55,6 @@ class SocketError(Exception):
     """BSD-style failures (bad fd, message too long, not connected...)."""
 
 
-def _post_pool(qp: Union[RcQp, UdQp], mrs: List[MemoryRegion]) -> Dict[int, RecvWR]:
-    """Post one receive per receive-pool region, keyed by stag (each
-    receive's wr_id).  A slot's receive is reposted as is after each
-    completion: nothing in the stack writes to a posted RecvWR."""
-    slots = {}
-    for mr in mrs:
-        wr = RecvWR(sges=[Sge(mr)], wr_id=mr.stag)
-        slots[mr.stag] = wr
-        qp.post_recv(wr)
-    return slots
-
-
 def _expire_waiter(waiter: dict) -> None:
     if not waiter["future"].done:
         waiter["future"].set_result(None)
@@ -81,13 +66,10 @@ class _DgramSocket:
     def __init__(self, iface: "IwSocketInterface", port: Optional[int]):
         self.iface = iface
         dev = iface.device
-        self.cq: CompletionQueue = dev.create_cq()
-        self.qp: UdQp = dev.create_ud_qp(iface.pd, self.cq, port=port)
-        # Receive pool: pre-posted buffers for send/recv arrivals, keyed
-        # by stag (each receive's wr_id) and registered as one CPU item.
+        self.qp: UdQp = dev.create_ud_qp(iface.pd, dev.create_cq(), port=port)
+        # Receive pool: pre-posted buffers for send/recv arrivals.
         self.pool_slot = iface.pool_slot_bytes
-        self._slots = _post_pool(self.qp, dev.reg_mrs(
-            iface.pool_slots, self.pool_slot, Access.local_only(), iface.pd))
+        self.pool = ReceivePool(self.qp, iface.pool_slots, self.pool_slot, self._handle_wc)
         # Write-Record sink rings, one per advertising peer.
         self._rings: Dict[Address, dict] = {}      # peers writing to us
         self._peer_sinks: Dict[Address, dict] = {}  # our view of peers' rings
@@ -99,20 +81,12 @@ class _DgramSocket:
         #: sendto is left to raise EMSGSIZE to.
         self.oversize_drops = 0
         self._waiters: Deque[dict] = deque()
-        self._drain_arm()
 
     # -- receive plumbing -------------------------------------------------
 
-    def _drain_arm(self) -> None:
-        self.cq.poll_callback(self._on_completions)
-
-    def _on_completions(self, wcs) -> None:
-        for wc in wcs:
-            self._handle_wc(wc)
-        if self.qp.state != "ERROR":
-            self._drain_arm()
-
-    def _handle_wc(self, wc: WorkCompletion) -> None:
+    def _handle_wc(self, wc: WorkCompletion, mr: Optional[MemoryRegion]) -> None:
+        if self.qp.state == ERROR:
+            return  # closed: nothing reads the arrival, nothing answers it
         if wc.opcode is WR_RDMA_WRITE_RECORD:
             if not wc.ok:
                 return
@@ -123,18 +97,11 @@ class _DgramSocket:
             if data is not None:
                 self._deliver(data, wc.src)
             return
-        if wc.opcode in (WR_SEND, WR_SEND_SE):
-            wr = self._slots.get(wc.wr_id)
-            if wr is None:
-                return
-            mr = wr.sges[0].mr
-            if wc.ok and wc.byte_len >= _TYPE_HDR.size:
-                view = mr.view(0, wc.byte_len)
-                self._dispatch_untagged(view[0], bytes(view[1:]), wc.src)
-            # Repost the slot (partial/errored arrivals are simply recycled:
-            # UD loss semantics) — unless the QP flushed it on teardown.
-            if wc.status is not WC_FLUSHED:
-                self.qp.post_recv(wr)
+        # A slot's partial or errored arrival is simply recycled (UD loss
+        # semantics): the pool reposts it.
+        if mr is not None and wc.ok and wc.byte_len >= _TYPE_HDR.size:
+            view = mr.view(0, wc.byte_len)
+            self._dispatch_untagged(view[0], bytes(view[1:]), wc.src)
 
     def _dispatch_untagged(self, kind: int, body: bytes, src: Address) -> None:
         if kind == _TYPE_DATA:
@@ -276,11 +243,9 @@ class _DgramSocket:
         # Flushed receives never touch their slot, so the pool and the
         # Write-Record rings can go with the QP.
         self.qp.close()
-        dereg = self.iface.device.dereg_mr
-        for wr in self._slots.values():
-            dereg(wr.sges[0].mr)
+        self.pool.close()
         for ring in self._rings.values():
-            dereg(ring["mr"])
+            self.iface.device.dereg_mr(ring["mr"])
 
 
 class _StreamSocket:
@@ -291,7 +256,7 @@ class _StreamSocket:
         self.iface = iface
         self.qp: Optional[RcQp] = None
         self.listener = None
-        self._slots: Dict[int, RecvWR] = {}
+        self.pool: Optional[ReceivePool] = None
         self._rxbuf = bytearray()
         self._waiters: Deque[dict] = deque()
         self._accept_q: Deque["_StreamSocket"] = deque()
@@ -331,33 +296,13 @@ class _StreamSocket:
         return fut
 
     def _arm_qp(self) -> None:
-        # Pre-post the buffered-copy receive pool (one CPU work item).
-        iface = self.iface
-        self._slots = _post_pool(self.qp, iface.device.reg_mrs(
-            iface.pool_slots, self.CHUNK, Access.local_only(), iface.pd))
-        self._drain_arm()
+        self.pool = ReceivePool(self.qp, self.iface.pool_slots, self.CHUNK, self._handle_wc)
 
-    def _drain_arm(self) -> None:
-        self.qp.rq_cq.poll_callback(self._on_completions)
-
-    def _on_completions(self, wcs) -> None:
-        qp = self.qp
-        # A QP in ERROR takes no receive: the bytes already placed are
-        # kept, and no slot is reposted.
-        live = qp.state != "ERROR"
-        for wc in wcs:
-            if wc.opcode in (WR_SEND, WR_SEND_SE):
-                wr = self._slots.get(wc.wr_id)
-                if wr is None:
-                    continue
-                mr = wr.sges[0].mr
-                if wc.ok and wc.byte_len:
-                    self._rxbuf += mr.view(0, wc.byte_len)
-                if live and wc.status is not WC_FLUSHED:
-                    qp.post_recv(wr)
+    def _handle_wc(self, wc: WorkCompletion, mr: Optional[MemoryRegion]) -> None:
+        # Bytes placed before the QP entered ERROR are kept.
+        if mr is not None and wc.ok and wc.byte_len:
+            self._rxbuf += mr.view(0, wc.byte_len)
         self._satisfy_waiters()
-        if qp.state != "ERROR":
-            self._drain_arm()
 
     def _satisfy_waiters(self) -> None:
         # Once the QP is in ERROR nothing more arrives: a receive the
@@ -424,8 +369,8 @@ class _StreamSocket:
             self.qp.close()
         if self.listener is not None:
             self.listener.close()
-        for wr in self._slots.values():
-            self.iface.device.dereg_mr(wr.sges[0].mr)
+        if self.pool is not None:
+            self.pool.close()
 
 
 class IwSocketInterface:

@@ -11,15 +11,11 @@ over native UDP (claim 16 of :mod:`repro.bench.claims`) is reproduced.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from ...simnet.engine import MS, Future
 from ...transport.stacks import NetStack
-
-Address = Tuple[int, int]
-
-SOCK_DGRAM = "SOCK_DGRAM"
-SOCK_STREAM = "SOCK_STREAM"
+from .interface import SOCK_DGRAM, SOCK_STREAM, Address
 
 
 class NativeSocketError(Exception):

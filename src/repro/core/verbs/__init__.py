@@ -2,6 +2,7 @@
 
 from .cq import CompletionQueue, CqError
 from .device import DEFAULT_RC_MULPDU, DeviceError, RcListener, RnicDevice
+from .pool import ReceivePool
 from .qp import ERROR, QpError, QueuePair, RcQp, RESET, RTS, UdQp
 from .wr import (
     Address, MULTICAST_HOST, RecvWR, SendWR, Sge, WcStatus, WorkCompletion,
@@ -12,7 +13,8 @@ __all__ = [
     "Address", "CompletionQueue", "CqError", "DEFAULT_RC_MULPDU",
     "DeviceError", "ERROR", "MULTICAST_HOST", "QpError", "QueuePair",
     "RESET", "RTS", "multicast_address",
-    "RcListener", "RcQp", "RecvWR", "RnicDevice", "SendWR", "Sge", "UdQp",
+    "RcListener", "RcQp", "ReceivePool", "RecvWR", "RnicDevice", "SendWR",
+    "Sge", "UdQp",
     "WcStatus", "WorkCompletion", "WrOpcode", "gather", "scatter",
     "sge_total",
 ]

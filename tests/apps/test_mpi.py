@@ -82,6 +82,49 @@ def test_rendezvous_write_record_path():
     assert world.comms[1].qp.rx.drops_malformed == 0
 
 
+def test_same_tag_rendezvous_messages_arrive_in_send_order():
+    """MPI's non-overtaking rule on the rendezvous path: two large
+    messages with one tag arrive in the order they were sent, and each
+    sink is deregistered once its bytes are delivered."""
+    world = MpiWorld(2)
+    first, second = (bytes([k]) * (32 * 1024) for k in (1, 2))
+
+    def main(comm):
+        if comm.rank == 0:
+            comm.send(first, 1, tag=7)
+            comm.send(second, 1, tag=7)
+            return None
+        a = yield comm.recv(0, 7)
+        b = yield comm.recv(0, 7)
+        return [a[0], b[0]]
+
+    results = world.run(main)
+    assert results[1] == [first, second]
+    assert world.comms[1].device.registry.deregistrations == 2
+    assert not any(world.comms[0]._rendezvous_payloads.values())
+
+
+def test_eager_receives_repost_the_pools_own_wrs():
+    world = MpiWorld(2)
+    n = 5
+
+    def main(comm):
+        if comm.rank == 0:
+            for i in range(n):
+                comm.send(bytes([i]), 1, tag=i)
+            return None
+        for i in range(n):
+            yield comm.recv(0, i)
+        return None
+
+    world.run(main)
+    comm = world.comms[1]
+    pool_wrs = list(comm.pool.slots.values())
+    assert comm.qp.recv_posts == 64 + n
+    assert len(comm.qp.rq) == 64
+    assert all(any(wr is slot for slot in pool_wrs) for wr in comm.qp.rq)
+
+
 def test_barrier_synchronizes():
     world = MpiWorld(4)
     times = {}

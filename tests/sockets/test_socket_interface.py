@@ -1,5 +1,8 @@
 """iWARP socket interface (shim) tests: datagram, stream, interception."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.socketif import (
@@ -77,7 +80,7 @@ class TestDgram:
             host.wr_tracer = Tracer(tb.sim)
         assert _echo_once(tb, a, b, b"payload") == b"echo:payload"
         for host, api in zip(tb.hosts, (a, b)):
-            stags = {stag for sock in api._fds.values() for stag in sock._slots}
+            stags = {stag for sock in api._fds.values() for stag in sock.pool.slots}
             wr_ids = [rec.fields["wr_id"] for rec in spans(host.wr_tracer, stage="cqe", queue="rq")]
             assert wr_ids and set(wr_ids) <= stags
 
@@ -192,18 +195,61 @@ class TestDgram:
             # Pool plus one ring for the peer that wrote to it.
             assert len(sock._rings) == 1
             grown = len(api.device.registry) - base[api] - len(api._scratch)
-            assert grown == len(sock._slots) + 1
+            assert grown == len(sock.pool.slots) + 1
             api.close(fds[api])
         tb.sim.run(until=tb.sim.now + 1 * MS)
         for api, sock in socks.items():
             assert len(api.device.registry) == base[api] + len(api._scratch)
-            assert all(wr.sges[0].mr.invalidated for wr in sock._slots.values())
-            # The socket's drain callback took the first flushed receive;
+            slots = sock.pool.slots
+            assert all(wr.sges[0].mr.invalidated for wr in slots.values())
+            # The pool's drain callback took the first flushed receive;
             # the rest wait in the CQ, one per pool slot.
-            flushed = sock.cq.poll(64)
-            assert len(flushed) == len(sock._slots) - 1
+            flushed = sock.qp.rq_cq.poll(64)
+            assert len(flushed) == len(slots) - 1
             assert all(wc.status is WcStatus.FLUSHED for wc in flushed)
-            assert {wc.wr_id for wc in flushed} < set(sock._slots)
+            assert {wc.wr_id for wc in flushed} < set(slots)
+
+    def test_a_closed_socket_is_freed_without_the_cycle_collector(self, sr_apis):
+        """Once the pool has drained its last completion it lets go of
+        the socket, so dropping a closed socket frees it at once."""
+        tb, a, _ = sr_apis
+        fd = a.socket(SOCK_DGRAM)
+        sock = weakref.ref(a._fds[fd])
+        gc.disable()
+        try:
+            a.close(fd)
+            tb.sim.run(until=tb.sim.now + 1 * MS)
+            assert sock() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("rdma_mode", [False, True])
+    def test_close_while_every_slot_is_in_flight(self, testbed, stacks, rdma_mode):
+        """A socket closed while its one slot's completion waits to be
+        drained takes that arrival without reposting the slot or
+        answering it (an advertisement request, in rdma_mode), instead
+        of raising QpError out of the event loop."""
+        sim = testbed.sim
+        a, b = (IwSocketInterface(RnicDevice(n), rdma_mode=rdma_mode, pool_slots=1)
+                for n in stacks)
+        rfd = b.socket(SOCK_DGRAM, port=7004)
+        sock = b._fds[rfd]
+        cq = sock.qp.rq_cq
+        push = cq.push
+
+        def close_then_push(wc):
+            # Queued ahead of the drain callback that push schedules.
+            sim.call_at(sim.now, b.close, rfd)
+            push(wc)
+
+        cq.push = close_then_push
+        a.sendto(a.socket(SOCK_DGRAM), b"x" * 200, (1, 7004))
+        sim.run(until=sim.now + 1 * SEC)
+        assert sock.qp.state == "ERROR"
+        assert cq.completions_total == 1
+        assert sock.qp.recv_posts == 1 and not sock.qp.rq
+        assert sock._rings == {}
+        assert all(wr.sges[0].mr.invalidated for wr in sock.pool.slots.values())
 
 
 class TestStream:
