@@ -74,7 +74,8 @@ reach-check:
 # interface (digest, events, CPU busy time and outputs under one hash
 # seed, pinned in tests/integration/test_socket_path_pin.py), and the
 # engine and CPU contracts those rows rest on (event order, cancel and
-# rearm, time and cost conversion to int, FIFO CPU accounting). A change
+# rearm, time and cost conversion to int, FIFO CPU accounting, and the
+# mailbox's FIFO hand-off that the pinned RC accepts go through). A change
 # that claims to be bit-identical passes this unchanged. Reprint the
 # golden file with
 # PYTHONPATH=src python -m repro.bench.scenarios > tests/golden/scenarios.json
@@ -86,6 +87,7 @@ digest-check:
 		tests/properties/test_determinism_matrix.py \
 		tests/simnet/test_engine_timers.py \
 		tests/simnet/test_engine_rearm.py \
+		tests/simnet/test_mailbox.py \
 		tests/simnet/test_cpu.py
 
 # Benchmark smoke: the tracer and driver tests, short runs at two seeds

@@ -30,7 +30,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from ...core.verbs import ReceivePool, RnicDevice, SendWR, Sge, WorkCompletion
-from ...core.verbs.wr import WR_RDMA_WRITE_RECORD, WR_SEND
+from ...core.verbs.wr import WR_RDMA_WRITE_RECORD, WR_SEND, WrOpcode
 from ...memory.region import Access, MemoryRegion
 from ...simnet.engine import Future, MS, Simulator
 from ...simnet.topology import Testbed, build_testbed
@@ -166,12 +166,17 @@ class Communicator:
         self.send(data, peer, tag)
         return self.recv(peer, tag)
 
-    def _post_send_bytes(self, payload: bytes, dest: int) -> None:
+    def _post_send_bytes(self, payload: bytes, dest: int,
+                         opcode: WrOpcode = WR_SEND, **remote: int) -> None:
+        """Post ``payload`` from a region registered for this one WR.
+        The WR's payload is gathered as it is posted, so the region is
+        deregistered at once (which charges nothing)."""
         mr = self.device.reg_mr(bytearray(payload), Access.local_only(), self.pd)
         self.qp.post_send(SendWR(
-            opcode=WR_SEND, sges=[Sge(mr)], dest=self._addr(dest),
-            signaled=False,
+            opcode=opcode, sges=[Sge(mr)], dest=self._addr(dest),
+            signaled=False, **remote,
         ))
+        self.device.dereg_mr(mr)
 
     # -- rendezvous ---------------------------------------------------------
 
@@ -187,16 +192,8 @@ class Communicator:
         queued = self._rendezvous_payloads.get((_dst, tag))
         if not queued:
             return
-        data = queued.popleft()
-        mr = self.device.reg_mr(bytearray(data), Access.local_only(), self.pd)
-        self.qp.post_send(SendWR(
-            opcode=WR_RDMA_WRITE_RECORD,
-            sges=[Sge(mr)],
-            dest=self._addr(_dst),
-            remote_stag=stag,
-            remote_offset=offset,
-            signaled=False,
-        ))
+        self._post_send_bytes(queued.popleft(), _dst, WR_RDMA_WRITE_RECORD,
+                              remote_stag=stag, remote_offset=offset)
 
     def _finish_rendezvous(self, wc: WorkCompletion) -> None:
         """The Write-Record arrival record IS the completion: no extra

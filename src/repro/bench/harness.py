@@ -167,8 +167,8 @@ class VerbsEndpointPair:
     def repair_stats(self, host: int = 0) -> Dict[str, int]:
         """Datagram-LLP repair counters for ``host``, read off the
         metrics registry (``transport.rudp.*`` samples) instead of
-        poking RUDP endpoint internals.  Keys match the legacy
-        ``RudpEndpoint.stats()`` names (``retransmissions``,
+        poking RUDP socket internals.  Keys match the
+        ``RudpSocket.stats()`` names (``retransmissions``,
         ``fast_retransmits``, ``backoff_events``, ...).  Requires
         ``build(..., metrics=True)``."""
         if not self.registry.enabled:

@@ -31,7 +31,7 @@ from collections import deque
 from typing import Deque, Dict, Optional, Tuple
 
 from ...memory.region import Access, MemoryRegion
-from ...simnet.engine import MS, Event, Future
+from ...simnet.engine import MS, Event, Future, Mailbox
 from ..verbs.device import RnicDevice
 from ..verbs.pool import ReceivePool
 from ..verbs.qp import ERROR, RcQp, UdQp
@@ -259,8 +259,7 @@ class _StreamSocket:
         self.pool: Optional[ReceivePool] = None
         self._rxbuf = bytearray()
         self._waiters: Deque[dict] = deque()
-        self._accept_q: Deque["_StreamSocket"] = deque()
-        self._accept_waiters: Deque[Future] = deque()
+        self._accepted = Mailbox(iface.sim)
 
     # -- connection management ---------------------------------------------
 
@@ -282,18 +281,10 @@ class _StreamSocket:
         child = _StreamSocket(self.iface)
         child.qp = qp
         child._arm_qp()
-        if self._accept_waiters:
-            self._accept_waiters.popleft().set_result(child)
-        else:
-            self._accept_q.append(child)
+        self._accepted.put(child)
 
     def accept_future(self) -> Future:
-        fut = self.iface.sim.future()
-        if self._accept_q:
-            fut.set_result(self._accept_q.popleft())
-        else:
-            self._accept_waiters.append(fut)
-        return fut
+        return self._accepted.get()
 
     def _arm_qp(self) -> None:
         self.pool = ReceivePool(self.qp, self.iface.pool_slots, self.CHUNK, self._handle_wc)

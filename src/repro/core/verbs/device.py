@@ -19,7 +19,8 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from ...memory.region import Access, MemoryRegion
 from ...memory.registry import StagRegistry
-from ...simnet.engine import Future, Simulator
+from ...simnet.engine import Simulator
+from ...transport.listener import Listener
 from ...transport.sctp import SctpAssociation
 from ...transport.stacks import NetStack
 from ..mpa.connection import MpaConnection
@@ -178,9 +179,10 @@ class RnicDevice:
         return listener
 
 
-class RcListener:
+class RcListener(Listener):
     """Passive-side RC endpoint: accepts TCP connections (running MPA
-    negotiation on each) or SCTP associations, and hands out ready QPs."""
+    negotiation on each) or SCTP associations, and hands out each QP
+    once it is ready; ``on_qp`` is the listener's ``on_accept``."""
 
     def __init__(
         self,
@@ -193,41 +195,20 @@ class RcListener:
         crc: bool,
         transport: str,
     ):
-        self.device = device
-        self.port = port
+        super().__init__(device, port)
+        self.on_accept = on_qp
         self.pd = pd
         self.cq_factory = cq_factory
-        self.on_qp = on_qp
         self.markers = markers
         self.crc = crc
-        self._pending: List[RcQp] = []
-        self._waiters: List[Future] = []
         self._llp_listener = device._rc_stack(transport).listen(port)
         self._llp_listener.on_accept = self._on_accept
 
     def _on_accept(self, llp: Any) -> None:
         cq = self.cq_factory()
-        qp = self.device._rc_qp(llp, False, self.pd, cq, cq, self.markers, self.crc)
-        qp.ready.add_callback(lambda result: self._on_qp_ready(qp, result))
-
-    def _on_qp_ready(self, qp: RcQp, result: Optional[object]) -> None:
-        if result is None:
-            return
-        if self.on_qp is not None:
-            self.on_qp(qp)
-        elif self._waiters:
-            self._waiters.pop(0).set_result(qp)
-        else:
-            self._pending.append(qp)
-
-    def accept_future(self) -> Future:
-        fut = self.device.sim.future()
-        if self._pending:
-            fut.set_result(self._pending.pop(0))
-        else:
-            self._waiters.append(fut)
-        return fut
+        qp = self.stack._rc_qp(llp, False, self.pd, cq, cq, self.markers, self.crc)
+        qp.ready.add_callback(lambda result: None if result is None else self._deliver(qp))
 
     def close(self) -> None:
         self._llp_listener.close()
-        self.device._listeners.pop(self.port, None)
+        super().close()

@@ -8,7 +8,7 @@ links.
 """
 
 from .cpu import CpuResource
-from .engine import MS, NS, SEC, US, Event, Future, Process, SimulationError, Simulator
+from .engine import MS, NS, SEC, US, Event, Future, Mailbox, Process, SimulationError, Simulator
 from .faults import DelayJitter, Duplicate, FaultModel, FaultPipeline, LinkFlap, Reorder, seeded_chaos
 from .host import Host
 from .link import Link
@@ -24,7 +24,7 @@ __all__ = [
     "DelayJitter", "Duplicate", "ETH_MTU",
     "ETH_OVERHEAD", "Event", "ExplicitLoss", "FaultModel", "FaultPipeline",
     "Frame", "Future",
-    "GilbertElliottLoss", "Host", "Link", "LinkFlap", "LossModel", "MS", "NS",
+    "GilbertElliottLoss", "Host", "Link", "LinkFlap", "LossModel", "MS", "Mailbox", "NS",
     "NicPort", "NoLoss", "PatternLoss", "Process", "Reorder", "SEC",
     "SimulationError",
     "Simulator", "Switch", "Testbed", "TraceRecord", "Tracer",

@@ -62,8 +62,9 @@ had, and only keys decide order.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 # Convenient time-unit multipliers (all in nanoseconds).
 NS = 1
@@ -145,6 +146,59 @@ class Future:
             self.sim.call_at(self.sim.now, cb, self.value)
         else:
             self._callbacks.append(cb)
+
+
+class Mailbox:
+    """The one untimed FIFO hand-off between a producer and waiting
+    consumers: each item goes to the oldest waiting :meth:`get`, or is
+    queued for the next one.  Receive queues (stream bytes, RD messages)
+    and accept queues (connections, RC QPs) are mailboxes.
+
+    A waiter resumes through :meth:`Future.set_result`, so through the
+    event queue at ``now``: :meth:`put` never runs a consumer itself.
+    After :meth:`close`, a get that finds nothing queued resolves at once
+    with the close value.
+    """
+
+    __slots__ = ("sim", "_items", "_getters", "_closed", "_close_value")
+
+    def __init__(self, sim: "Simulator"):
+        self.sim = sim
+        self._items: Deque[Any] = deque()
+        self._getters: Deque[Future] = deque()
+        self._closed = False
+        self._close_value: Any = None
+
+    def put(self, item: Any) -> None:
+        if self._getters:
+            self._getters.popleft().set_result(item)
+        else:
+            self._items.append(item)
+
+    def get(self) -> Future:
+        """Future resolving to the next item."""
+        fut = Future(self.sim)
+        if self._items:
+            fut.set_result(self._items.popleft())
+        elif self._closed:
+            fut.set_result(self._close_value)
+        else:
+            self._getters.append(fut)
+        return fut
+
+    def cancel(self, fut: Future) -> None:
+        """Withdraw a :meth:`get` that is still waiting (its caller gave
+        up), so the next item goes to the next getter."""
+        self._getters.remove(fut)
+
+    def close(self, value: Any = None) -> None:
+        """Resolve every waiting get, and every later get that finds
+        nothing queued, with ``value``."""
+        self._closed = True
+        self._close_value = value
+        getters, self._getters = self._getters, deque()
+        for fut in getters:
+            fut.set_result(value)
 
 
 class Process:

@@ -45,7 +45,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..obs import sim_registry, wr_span
-from ..simnet.engine import MS, SEC, US, Future, Simulator
+from ..simnet.engine import MS, SEC, US, Future, Mailbox, Simulator
 from .rto import BEYOND, DUPLICATE, IN_ORDER, ReceiveWindow, RtoEstimator, SendWindow
 from .udp import UDP_MAX_PAYLOAD, UdpSocket
 
@@ -214,8 +214,7 @@ class RudpSocket:
         #: repairs it like a loss.
         self.accepts: Optional[Callable[[bytes], bool]] = None
         self.on_peer_failed: Optional[Callable[[Address], None]] = None
-        self._queue: Deque[Tuple[bytes, Address]] = deque()
-        self._waiters: Deque[Future] = deque()
+        self._inbox = Mailbox(self.sim)
         udp.on_datagram = self._on_datagram
         # Statistics (aggregate across peers).
         self.retransmissions = 0
@@ -499,22 +498,13 @@ class RudpSocket:
     def _deliver(self, data: bytes, src: Address) -> None:
         if self.on_message is not None:
             self.on_message(data, src)
-        elif self._waiters:
-            self._waiters.popleft().set_result((data, src))
         else:
-            self._queue.append((data, src))
+            self._inbox.put((data, src))
 
     def recv_future(self) -> Future:
         """Future resolving to ``(data, src)`` — or ``None`` if the
         socket closes before anything arrives."""
-        fut = self.sim.future()
-        if self._queue:
-            fut.set_result(self._queue.popleft())
-        elif self.closed:
-            fut.set_result(None)
-        else:
-            self._waiters.append(fut)
-        return fut
+        return self._inbox.get()
 
     # -- introspection ----------------------------------------------------
 
@@ -549,8 +539,5 @@ class RudpSocket:
             self.udp.on_datagram = None
         for cb in callbacks:
             cb(False)
-        waiters, self._waiters = self._waiters, deque()
-        for fut in waiters:
-            if not fut.done:
-                fut.set_result(None)
+        self._inbox.close()
         self.udp.close()

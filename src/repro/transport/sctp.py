@@ -41,6 +41,7 @@ from ..obs import sim_registry
 from ..simnet.engine import Future, Simulator
 from ..simnet.host import Host
 from .ip import IpStack
+from .listener import Listener
 from .tcp.congestion import RenoCongestion
 from .rto import BEYOND, IN_ORDER, ReceiveWindow, RtoEstimator, SendWindow
 
@@ -431,36 +432,6 @@ _CHUNK_HANDLERS: Dict[str, Callable[[SctpAssociation, SctpChunk], None]] = {
 }
 
 
-class SctpListener:
-    """Passive open endpoint."""
-
-    def __init__(self, stack: "SctpStack", port: int):
-        self.stack = stack
-        self.port = port
-        self._ready: Deque[SctpAssociation] = deque()
-        self._waiters: Deque[Future] = deque()
-        self.on_accept: Optional[Callable[[SctpAssociation], None]] = None
-
-    def _deliver(self, assoc: SctpAssociation) -> None:
-        if self.on_accept is not None:
-            self.on_accept(assoc)
-        elif self._waiters:
-            self._waiters.popleft().set_result(assoc)
-        else:
-            self._ready.append(assoc)
-
-    def accept_future(self) -> Future:
-        fut = self.stack.sim.future()
-        if self._ready:
-            fut.set_result(self._ready.popleft())
-        else:
-            self._waiters.append(fut)
-        return fut
-
-    def close(self) -> None:
-        self.stack._listeners.pop(self.port, None)
-
-
 class SctpStack:
     """Per-host SCTP: association table, cookies, CPU accounting.
 
@@ -486,7 +457,7 @@ class SctpStack:
         # No-fragmentation subset: one message per MTU-sized packet.
         self.max_message = ip.mtu() - 20 - SCTP_COMMON_HEADER - DATA_CHUNK_HEADER
         self._assocs: Dict[Tuple[int, int, int], SctpAssociation] = {}
-        self._listeners: Dict[int, SctpListener] = {}
+        self._listeners: Dict[int, Listener] = {}
         self._ephemeral = itertools.count(self.EPHEMERAL_BASE)
         self._cookie_seq = itertools.count(0x1000)
         # Issued, unechoed cookies, oldest first (SCTP_MAX_COOKIES).
@@ -522,10 +493,10 @@ class SctpStack:
 
     # -- association management ------------------------------------------------
 
-    def listen(self, port: int) -> SctpListener:
+    def listen(self, port: int) -> Listener:
         if port in self._listeners:
             raise SctpError(f"SCTP port {port} already listening")
-        listener = SctpListener(self, port)
+        listener = Listener(self, port)
         self._listeners[port] = listener
         return listener
 

@@ -3,10 +3,10 @@
 from .congestion import RenoCongestion
 from .connection import CLOSED, ESTABLISHED, TcpConnection, TcpError
 from .segment import ACK, FIN, PSH, RST, SYN, TcpSegment, flag_names
-from .socket import TcpListener, TcpSocket, TcpStack
+from .socket import TcpSocket, TcpStack
 
 __all__ = [
     "ACK", "CLOSED", "ESTABLISHED", "FIN", "PSH", "RST", "RenoCongestion",
-    "SYN", "TcpConnection", "TcpError", "TcpListener",
+    "SYN", "TcpConnection", "TcpError",
     "TcpSegment", "TcpSocket", "TcpStack", "flag_names",
 ]

@@ -17,12 +17,12 @@ same way an application would.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from ...simnet.engine import Future, Simulator
+from ...simnet.engine import Future, Mailbox, Simulator
 from ...simnet.host import Host
 from ..ip import IpStack
+from ..listener import Listener
 from .connection import ESTABLISHED, TcpConnection, TcpError
 from .segment import SYN, TCP_HEADER, TcpSegment
 
@@ -41,7 +41,7 @@ class TcpStack:
         # MSS from the link MTU unless overridden (IP 20 + TCP 20).
         self.mss = mss if mss is not None else ip.mtu() - 40
         self._conns: Dict[Tuple[int, int, int], TcpConnection] = {}
-        self._listeners: Dict[int, "TcpListener"] = {}
+        self._listeners: Dict[int, Listener] = {}
         # Live connections per local port, so allocation skips a port
         # in use without scanning every connection.
         self._port_conns: Dict[int, int] = {}
@@ -58,10 +58,10 @@ class TcpStack:
             port = next(self._ephemeral)
         return port
 
-    def listen(self, port: int) -> "TcpListener":
+    def listen(self, port: int) -> Listener:
         if port in self._listeners:
             raise TcpError(f"TCP port {port} already listening on {self.host.name}")
-        listener = TcpListener(self, port)
+        listener = Listener(self, port)
         self._listeners[port] = listener
         return listener
 
@@ -148,7 +148,10 @@ class TcpStack:
             return
         listener = self._listeners.get(seg.dst_port)
         if listener is not None and seg.has(SYN):
-            listener._on_syn(seg, src_host)
+            conn = self._new_connection(seg.dst_port, (src_host, seg.src_port))
+            sock = TcpSocket(self, conn)
+            conn.established.add_callback(lambda _: listener._deliver(sock))
+            conn.open_passive(seg)
             return
         self.rx_no_socket += 1
 
@@ -164,46 +167,6 @@ class TcpStack:
             sock._on_data(data)
 
 
-class TcpListener:
-    """Passive open endpoint (listen/accept)."""
-
-    def __init__(self, stack: TcpStack, port: int):
-        self.stack = stack
-        self.port = port
-        self._ready: Deque[TcpSocket] = deque()
-        self._accept_waiters: Deque[Future] = deque()
-        self.on_accept: Optional[Callable[["TcpSocket"], None]] = None
-
-    def _on_syn(self, seg: TcpSegment, src_host: int) -> None:
-        remote = (src_host, seg.src_port)
-        try:
-            conn = self.stack._new_connection(self.port, remote)
-        except TcpError:
-            return  # duplicate SYN for an in-progress connection
-        sock = TcpSocket(self.stack, conn)
-        conn.established.add_callback(lambda _: self._on_established(sock))
-        conn.open_passive(seg)
-
-    def _on_established(self, sock: "TcpSocket") -> None:
-        if self.on_accept is not None:
-            self.on_accept(sock)
-        elif self._accept_waiters:
-            self._accept_waiters.popleft().set_result(sock)
-        else:
-            self._ready.append(sock)
-
-    def accept_future(self) -> Future:
-        fut = self.stack.sim.future()
-        if self._ready:
-            fut.set_result(self._ready.popleft())
-        else:
-            self._accept_waiters.append(fut)
-        return fut
-
-    def close(self) -> None:
-        self.stack._listeners.pop(self.port, None)
-
-
 class TcpSocket:
     """Stream socket over one connection."""
 
@@ -211,10 +174,8 @@ class TcpSocket:
         self.stack = stack
         self.conn = conn
         conn.socket = self  # type: ignore[attr-defined]
-        self._rx: Deque[bytes] = deque()
-        self._rx_waiters: Deque[Future] = deque()
+        self._rx = Mailbox(stack.sim)
         self.on_data: Optional[Callable[[bytes], None]] = None
-        # Statistics mirror the connection's.
 
     @property
     def established(self) -> Future:
@@ -266,25 +227,17 @@ class TcpSocket:
     def _on_data(self, data: bytes) -> None:
         if self.on_data is not None:
             self.on_data(data)
-            return
-        if self._rx_waiters:
-            self._rx_waiters.popleft().set_result(data)
         else:
-            self._rx.append(data)
+            self._rx.put(data)
 
     def recv_future(self) -> Future:
         """Future resolving to the next chunk of stream bytes."""
-        fut = self.stack.sim.future()
-        if self._rx:
-            fut.set_result(self._rx.popleft())
-        else:
-            self._rx_waiters.append(fut)
-        return fut
+        return self._rx.get()
 
     def cancel_recv(self, fut: Future) -> None:
         """Withdraw a :meth:`recv_future` that is still waiting (its
         caller gave up), so the next chunk goes to the next receive."""
-        self._rx_waiters.remove(fut)
+        self._rx.cancel(fut)
 
     def close(self) -> None:
         # Ordered behind any queued send syscalls on the same CPU, so

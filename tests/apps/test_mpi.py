@@ -85,7 +85,7 @@ def test_rendezvous_write_record_path():
 def test_same_tag_rendezvous_messages_arrive_in_send_order():
     """MPI's non-overtaking rule on the rendezvous path: two large
     messages with one tag arrive in the order they were sent, and each
-    sink is deregistered once its bytes are delivered."""
+    sink is gone once its bytes are delivered."""
     world = MpiWorld(2)
     first, second = (bytes([k]) * (32 * 1024) for k in (1, 2))
 
@@ -100,8 +100,36 @@ def test_same_tag_rendezvous_messages_arrive_in_send_order():
 
     results = world.run(main)
     assert results[1] == [first, second]
-    assert world.comms[1].device.registry.deregistrations == 2
+    # Both sinks are gone: rank 1 holds only its eager pool's slots.
+    assert not any(world.comms[1]._rendezvous_sinks.values())
+    assert len(world.comms[1].device.registry) == len(world.comms[1].pool.slots) == 64
     assert not any(world.comms[0]._rendezvous_payloads.values())
+
+
+def test_send_regions_are_deregistered_once_posted():
+    """Each send registers its payload for one WR and drops the region
+    right after posting (the payload is gathered at post time), so 100
+    eager sends and one rendezvous leave both registries at the eager
+    pool's size."""
+    world = MpiWorld(2)
+    big = bytes(i & 0xFF for i in range(40_000))
+
+    def main(comm):
+        if comm.rank == 0:
+            for i in range(100):
+                comm.send(b"m%d" % i, 1, tag=1)
+            comm.send(big, 1, tag=2)
+            return None
+        got = []
+        for _ in range(100):
+            got.append((yield comm.recv(0, 1))[0])
+        last = yield comm.recv(0, 2)
+        return got, last[0]
+
+    results = world.run(main)
+    assert results[1] == ([b"m%d" % i for i in range(100)], big)
+    world.sim.run()
+    assert [len(c.device.registry) for c in world.comms] == [64, 64]
 
 
 def test_eager_receives_repost_the_pools_own_wrs():
